@@ -960,30 +960,34 @@ def _q_embedding_near_dups(sf_dir: str) -> Any:
 # Single-file spill consumed by the extract_quality oracle: the query
 # (which the gate always runs immediately before its SQL) overwrites it
 # with the CURRENT sf's per-doc eval rows, so the oracle needs no
-# sf-dependent path.  Keyed by pid because queries() and oracle_sql()
-# run in the SAME process by the gate contract — a concurrent run in
-# another process (second bench, second user) must not clobber the
-# file between this process's query and its oracle.
-_EVALROWS_SPILL = f"/tmp/fer_evalrows_gate_{os.getpid()}.parquet"
+# sf-dependent path.  One file per process, because queries() and
+# oracle_sql() run in the SAME process by the gate contract and a
+# concurrent run in another process must not clobber it.  It is made
+# with tempfile.mkstemp under FER_CHECKPOINT_DIR (default /tmp): an
+# unguessable name created owner-only, never a predictable path in a
+# world-writable directory.  It is removed when the process exits.
+_evalrows_spill_path: str | None = None
 
 
-def _sweep_stale_evalrows_spills(max_age_s: float = 86400.0) -> None:
-    """Pid-keyed spills accumulate one file per gate process; sweep
-    siblings older than a day (anything that old belongs to a finished
-    process — a LIVE concurrent gate rewrites its file within
-    seconds of reading it, so the age guard cannot race it)."""
-    import glob as _glob
-    import time as _time
+def _evalrows_spill() -> str:
+    global _evalrows_spill_path
+    if _evalrows_spill_path is None:
+        import atexit
+        import contextlib
+        import tempfile
 
-    now = _time.time()
-    for f in _glob.glob("/tmp/fer_evalrows_gate_*.parquet"):
-        if f == _EVALROWS_SPILL:
-            continue
-        try:
-            if now - os.path.getmtime(f) > max_age_s:
-                os.remove(f)
-        except OSError:
-            pass
+        root = os.environ.get("FER_CHECKPOINT_DIR", "/tmp")
+        os.makedirs(root, exist_ok=True)
+        fd, path = tempfile.mkstemp(prefix="fer_evalrows_gate_", suffix=".parquet", dir=root)
+        os.close(fd)
+
+        def remove() -> None:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+
+        atexit.register(remove)
+        _evalrows_spill_path = path
+    return _evalrows_spill_path
 
 
 def _q_extract_quality_by_archetype(sf_dir: str) -> Any:
@@ -1030,11 +1034,10 @@ def _q_extract_quality_by_archetype(sf_dir: str) -> Any:
         )
 
     rows = ds.map_batches(evalrows, batch_format="pyarrow", batch_size=1024)
-    _sweep_stale_evalrows_spills()
     # gate-scale small by contract (one row per extracted doc at sf<=0.01)
     spill = rows.to_pandas().sort_values("doc_id").reset_index(drop=True)
     pq.write_table(
-        pa.Table.from_pandas(spill, preserve_index=False), _EVALROWS_SPILL
+        pa.Table.from_pandas(spill, preserve_index=False), _evalrows_spill()
     )
 
     def flags(batch: pa.Table) -> pa.Table:
@@ -1193,7 +1196,7 @@ def _q_clean_corpus(sf_dir: str) -> Any:
     winners table with a distributed hash join on doc_id."""
     import pyarrow as pa
 
-    from fetch_engines_ray.ops.dedup import exact_dedup_groups
+    from fetch_engines_ray.ops.dedup import exact_dedup_groups, n_parts_for
     from fetch_engines_ray.ops.textstats import add_gopher_quality_flags
 
     winners = exact_dedup_groups(_read_documents(sf_dir)).select_columns(["keep_doc_id"])
@@ -1204,7 +1207,7 @@ def _q_clean_corpus(sf_dir: str) -> Any:
 
     docs = _read_documents(sf_dir).map_batches(flags, batch_format="pyarrow", batch_size=4096)
     # input-scaled shuffle partitions (metadata-cheap count on the raw read)
-    n_parts = max(2, min(64, _read_documents(sf_dir).count() // 200_000 + 1))
+    n_parts = n_parts_for(_read_documents(sf_dir).count())
     out = docs.join(
         winners, join_type="inner", num_partitions=n_parts, on=("doc_id",), right_on=("keep_doc_id",)
     )
@@ -1653,7 +1656,7 @@ def oracle_sql() -> dict[str, str]:
             "   CASE WHEN n_out_chars >= 40 THEN 1 ELSE 0 END AS passed, "
             "   CASE WHEN error_code = 'ERR_CHALLENGE_PAGE' OR archetype = 'fixture' "
             "        THEN 0 ELSE 1 END AS gated "
-            f"  FROM read_parquet('{_EVALROWS_SPILL}')) "
+            f"  FROM read_parquet('{_evalrows_spill()}')) "
             "SELECT archetype, CAST(count(*) AS BIGINT) AS n_docs, "
             " CAST(sum(passed) AS BIGINT) AS n_passed, "
             " CAST(sum(gated) AS BIGINT) AS n_gated, "
@@ -1679,8 +1682,8 @@ def oracle_sql() -> dict[str, str]:
         "domain_mixture_selection": (
             # FULL oracle: md5 priorities, per-domain window cumsum,
             # budget cut — the engine's exact selection rule in SQL
-            # token rule mirrors the ENGINE exactly: trim ALL whitespace
-            # (utf8_trim_whitespace, not space-only trim()) and
+            # token rule mirrors the ENGINE exactly: trim RE2 \s (ASCII
+            # whitespace, not space-only trim()) and
             # null text -> '' -> [''] -> 1 token; one divergent doc
             # would shift the cumulative cut for its whole domain
             "WITH b(lang, budget) AS (VALUES ('en', 3000), ('de', 2000), ('fr', 1500)), "

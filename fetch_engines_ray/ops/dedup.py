@@ -648,7 +648,7 @@ def _minhash_pairs_from_sigs(
     # metadata-only) — every join/shuffle partition is an aggregator
     # actor with multi-second fixed cost, so stay small at small scale.
     n_docs = sigs.count()
-    n_parts = max(2, min(32, n_docs // 200_000 + 1))
+    n_parts = n_parts_for(n_docs)
     cand = _lsh_candidate_pairs(banded, n_parts)
     return _verify_minhash_pairs(cand, sigs, threshold)
 
@@ -793,6 +793,10 @@ def _partitioned_attach(
     return unioned.groupby("part").map_groups(merge_part, batch_format="pandas")
 
 
+def _as_arrow(batch: pa.Table) -> pa.Table:
+    return batch
+
+
 def filter_by_keys(
     ds: "ray.data.Dataset",
     keys: "ray.data.Dataset",
@@ -802,12 +806,12 @@ def filter_by_keys(
     keys_col: "str | None" = None,
     batch_size: int = 1024,
 ) -> "ray.data.Dataset":
-    """Distributed semi-join (``keep_matches=True``) / anti-join
+    """Partitioned semi-join (``keep_matches=True``) / anti-join
     (``False``) filter: keep ``ds`` rows whose ``key_col`` value is /
     is not present in ``keys[keys_col]`` — without a Ray hash join
     (whose aggregator dies on schema-less empty partitions whenever the
-    key side is sparse — the NORMAL case for churn/drop sets) and
-    without a driver broadcast (the key side may be corpus-sized).
+    key side is sparse) and without a driver broadcast.  The large-key
+    side of :func:`keep_by_keys`, which callers use instead.
 
     Same shape as :func:`_partitioned_attach` but Arrow END TO END, so
     payload columns of any nested type (``spans``/``out_spans``
@@ -820,6 +824,11 @@ def filter_by_keys(
 
     keys_col = keys_col or key_col
     data_schema = ds.schema()
+    if not isinstance(data_schema.base_schema, pa.Schema):
+        # pandas blocks report object dtypes the key rows cannot null-pad
+        # with: convert to Arrow blocks and read the Arrow schema
+        ds = ds.map_batches(_as_arrow, batch_format="pyarrow", batch_size=None)
+        data_schema = ds.schema()
     names = list(data_schema.names)
     types = dict(zip(data_schema.names, data_schema.types))
 
@@ -882,6 +891,115 @@ def filter_by_keys(
         .groupby("__part")
         .map_groups(filter_part, batch_format="pyarrow")
     )
+
+
+# Key sides up to this many keys broadcast into every filter task;
+# larger ones take the partitioned filter_by_keys path.
+BROADCAST_KEY_LIMIT = 2_000_000
+
+# Broadcast key sets as hashed pandas Indexes, built once per worker
+# process and kept for the next batches and tasks: pc.is_in rebuilds its
+# hash table from the whole value set on EVERY call, which cost about
+# 0.27 s per 1024-row batch at 1M string keys against 0.3 ms for a
+# lookup in a built Index (one x86 vCPU).  Keyed by (ObjectRef hex,
+# data key type).
+_KEY_LOOKUPS: "dict[tuple[str, str], pd.Index]" = {}
+_KEY_LOOKUPS_HELD = 4
+
+
+def _key_lookup(value_ref: "ray.ObjectRef", col_type: pa.DataType) -> pd.Index:
+    key = (value_ref.hex(), str(col_type))
+    index = _KEY_LOOKUPS.get(key)
+    if index is None:
+        values = ray.get(value_ref)
+        if values.type != col_type:
+            values = values.cast(col_type)
+        index = pd.Index(values.to_numpy(zero_copy_only=False))
+        while len(_KEY_LOOKUPS) >= _KEY_LOOKUPS_HELD:
+            _KEY_LOOKUPS.pop(next(iter(_KEY_LOOKUPS)))
+        _KEY_LOOKUPS[key] = index
+    return index
+
+
+def n_parts_for(n_rows: int) -> int:
+    """Shuffle part count for a table of ``n_rows``: one part per 200k
+    rows and at least 2.  No ceiling — a fixed cap turns each part into
+    a straggler once the table outgrows it."""
+    return max(2, 1 + n_rows // 200_000)
+
+
+def keep_by_keys(
+    ds: "ray.data.Dataset",
+    keys: "ray.data.Dataset",
+    key_col: str,
+    keep: bool,
+    keys_col: "str | None" = None,
+) -> "ray.data.Dataset":
+    """Keep (``keep=True``, semi-filter) or drop (``keep=False``,
+    anti-filter) the ``ds`` rows whose ``key_col`` value is in
+    ``keys[keys_col]`` — the engine's one key filter.
+
+    The key side executes once, as its narrow key column (a
+    materialized Dataset holding just that column is used as it is).
+    Its measured row count picks the path: up to
+    :data:`BROADCAST_KEY_LIMIT` keys the distinct non-null keys go to
+    the object store once, each worker hashes them once into a pandas
+    Index, and every ``ds`` batch runs one vectorized lookup whose cost
+    does not grow with the key count; above it the materialized key
+    column feeds the partitioned :func:`filter_by_keys` (at least 64
+    parts), so no corpus-sized key set reaches the driver.  Both paths give the same rows: a null key on either
+    side matches nothing, so semi drops null-key rows and anti keeps
+    them.  An empty key side, with or without a schema, keeps nothing
+    (semi) or everything (anti)."""
+    import pyarrow.compute as pc
+
+    from ray.data.dataset import MaterializedDataset
+
+    keys_col = keys_col or key_col
+    key_side = keys
+    if not (isinstance(keys, MaterializedDataset) and keys.columns() == [keys_col]):
+        key_side = keys.select_columns([keys_col]).materialize()
+    n_keys = key_side.count()
+    if n_keys > BROADCAST_KEY_LIMIT:
+        return filter_by_keys(
+            ds,
+            key_side,
+            key_col,
+            keep_matches=keep,
+            # never fewer parts than the former fixed 64: each part holds
+            # its whole share of the DATA side, which only runs here at
+            # corpus scale and has not been measured above the limit
+            n_parts=max(64, n_parts_for(n_keys)),
+            keys_col=keys_col,
+        )
+    if n_keys == 0 and not keep:
+        return ds
+    values = [t[keys_col] for t in ray.get(key_side.to_arrow_refs()) if t.num_rows]
+    value_set = (
+        pc.unique(pc.drop_null(pa.chunked_array(values).combine_chunks()))
+        if values
+        else pa.array([], type=pa.null())
+    )
+    value_ref = ray.put(value_set)
+
+    def filter_batch(batch: pa.Table) -> pa.Table:
+        col = batch[key_col]
+        index = _key_lookup(value_ref, col.type)
+        valid = None
+        if col.null_count and pa.types.is_integer(col.type):
+            # to_numpy would turn a null-bearing int column into float64
+            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+            col = pc.fill_null(col, 0)
+        m = index.get_indexer(col.to_numpy()) >= 0
+        if valid is not None:
+            m &= valid
+        return batch.filter(pa.array(m if keep else ~m))
+
+    # not batch_size=None: a whole-block filter fuses into the read and
+    # hands every tiny surviving block on as its own block / output
+    # file; 1024-row batches cut refresh CPU by about 10 % (perfbench
+    # refresh workload, num_cpus=4 Ray on a one-core host)
+    return ds.map_batches(filter_batch, batch_format="pyarrow", batch_size=1024)
 
 
 def _verify_minhash_pairs(
@@ -1026,7 +1144,7 @@ def minhash_incremental_pairs(
         ).union(
             base_sigs.map_batches(tag(0), batch_format="pyarrow", batch_size=1024)
         )
-        n_parts = max(2, min(32, all_sigs.count() // 200_000 + 1))
+        n_parts = n_parts_for(all_sigs.count())
         cand = _lsh_candidate_pairs(
             tagged, n_parts, require_flag="is_new"
         ).map_batches(
@@ -1148,7 +1266,7 @@ def simhash_pairs(
         # partition count scales with the INPUT table (same formula as
         # the minhash path); the generic materializes the signature
         # stage so nothing executes twice
-        n_parts=max(2, min(32, ds.count() // 200_000 + 1)),
+        n_parts=n_parts_for(ds.count()),
     )
 
 
@@ -1214,7 +1332,7 @@ def _ngram_pairs_from_sigs(
         lambda b: _band_rows(b, num_bands), batch_format="pyarrow", batch_size=1024
     )
     empty = pd.DataFrame(columns=["doc_a", "doc_b", "jaccard_x1000"])
-    n_parts = max(2, min(32, sigs.count() // 200_000 + 1))
+    n_parts = n_parts_for(sigs.count())
     # dedup candidate pairs BEFORE the text joins: a pair colliding in k
     # bands would otherwise shuffle its (large) texts k times
     cand = (
@@ -1653,7 +1771,7 @@ def minhash_dedup_ds(
             lambda b: _band_rows(b, num_bands), batch_format="pyarrow", batch_size=1024
         )
         n_docs = sigs.count()
-        n_parts = max(2, min(32, n_docs // 200_000 + 1))
+        n_parts = n_parts_for(n_docs)
         cand = _lsh_candidate_pairs(banded, n_parts)
         pair_stream = _verify_minhash_pairs_ds(
             cand, sigs, threshold, n_parts=max(16, n_parts * 8)

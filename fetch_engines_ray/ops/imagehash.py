@@ -191,7 +191,11 @@ def hamming64_pairs(
     (pigeonhole) — the result equals exact all-pairs hamming.  Same
     partitioned run-expansion machinery as ``simhash_pairs``
     (ops/dedup.py); shuffle partition count scales with the input."""
-    from fetch_engines_ray.ops.dedup import _consume_pairs, _lsh_candidate_pairs
+    from fetch_engines_ray.ops.dedup import (
+        _consume_pairs,
+        _lsh_candidate_pairs,
+        n_parts_for,
+    )
 
     if max_hamming > 3:
         raise ValueError(
@@ -228,7 +232,7 @@ def hamming64_pairs(
     sigs = sigs.materialize()
     banded = sigs.map_batches(explode, batch_format="pyarrow", batch_size=2048)
     if n_parts is None:
-        n_parts = max(2, min(32, sigs.count() // 200_000 + 1))
+        n_parts = n_parts_for(sigs.count())
     cand = _lsh_candidate_pairs(banded, n_parts, carry=("h64",))
 
     def verify(batch: pa.Table) -> pa.Table:

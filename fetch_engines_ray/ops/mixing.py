@@ -151,7 +151,11 @@ def sample_token_budget(
             toks = pc.cast(
                 pc.list_value_length(
                     pc.split_pattern_regex(
-                        pc.utf8_trim_whitespace(pc.fill_null(batch[text_col], "")),
+                        # ASCII whitespace only (RE2 \s, as in the SQL
+                        # oracle): U+00A0 and friends stay token text
+                        pc.replace_substring_regex(
+                            pc.fill_null(batch[text_col], ""), r"^\s+|\s+$", ""
+                        ),
                         r"\s+",
                     )
                 ),

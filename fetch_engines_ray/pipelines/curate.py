@@ -3,19 +3,17 @@ corpus runs before pretraining, expressed as ONE streaming Ray Data
 chain.
 
     documents
-      → exact dedup        (md5 groupby winners, distributed semi-join)
-      → near dedup         (MinHash-LSH → keep/drop decisions; the
-                            drop handoff is strategy-selected: ray.put
-                            broadcast while the drop set is pair-bounded
-                            and tiny, a fully distributed verdict
-                            Dataset + partitioned semi-join for
-                            clone-heavy corpora whose duplicate mass
-                            outgrows the driver — drop_strategy
-                            auto|broadcast|semi_join)
+      → exact dedup        (md5 groupby winners, keep_by_keys semi-filter)
+      → near dedup         (MinHash-LSH → keep/drop decisions, resolved
+                            on the driver or, for clone-heavy corpora
+                            whose duplicate mass outgrows it, as a
+                            distributed verdict Dataset — drop_strategy
+                            auto|broadcast|semi_join; the dropped ids
+                            leave through a keep_by_keys anti-filter)
       → semantic dedup     (optional: SemDeDup over an embeddings
                             table — cluster-bucketed cosine groups,
-                            one keeper per group; the corpus-sized
-                            keep set semi-joins like exact dedup)
+                            one keeper per group; the flagged ids
+                            leave through a keep_by_keys anti-filter)
       → decontamination    (optional: benchmark n-gram hash set
                             broadcast once, vectorized overlap check —
                             drops docs contaminated by the eval set)
@@ -97,9 +95,7 @@ def curate_corpus(
     tokenizer: str = "whitespace",
     bpe_merges: int = 200,
     unigram_vocab_size: int = 512,
-    join_partitions: int | None = None,
     drop_strategy: str = "auto",
-    drop_broadcast_limit: int = 2_000_000,
     clone_pair_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """Run the full curation chain; returns the packed-sequence Dataset
@@ -139,21 +135,22 @@ def curate_corpus(
     redaction — the model-based cut that composes with (not replaces)
     the rule-based Gopher gate.
 
-    ``drop_strategy`` picks the near-dup drop handoff: ``"broadcast"``
-    resolves decisions driver-side (pair-bounded) and broadcasts the
-    drop ids; ``"semi_join"`` keeps verdicts a Dataset end to end
+    ``drop_strategy`` picks where the near-dup verdicts resolve:
+    ``"broadcast"`` runs the LSH decisions on the driver (pair-bounded);
+    ``"semi_join"`` keeps verdicts a Dataset end to end
     (``ops/dedup.minhash_dedup_ds`` over the exact-dedup winners +
-    distributed label propagation + partitioned semi-join) so nothing
-    pair- or drop-sized rides the driver — the re-crawl/clone-heavy
-    handoff; ``"auto"`` (default) routes to semi_join UP FRONT when the
-    exact-dup mass exceeds ``drop_broadcast_limit`` or the exact-clone
-    pair mass exceeds ``clone_pair_limit`` (both read from the spilled
+    distributed label propagation) so nothing pair- or cluster-sized
+    rides the driver — the re-crawl/clone-heavy handoff; ``"auto"``
+    (default) routes to semi_join UP FRONT when the exact-dup mass
+    exceeds ``ops.dedup.BROADCAST_KEY_LIMIT`` or the exact-clone pair
+    mass exceeds ``clone_pair_limit`` (both read from the spilled
     exact-group table's metadata — the 500k-doc clone stress measured
-    14x by skipping the driver LSH), else broadcasts and still flips
-    just the FILTER to the semi-join above ``drop_broadcast_limit``
-    dropped docs.  The
-    survivor set is identical across strategies (pytest-pinned), so
-    the resume fingerprint excludes the strategy.
+    14x by skipping the driver LSH), else broadcasts.  Every key filter
+    of the chain (exact-dedup winners, near-dup drops, SemDeDup drops)
+    is one ``ops/dedup.keep_by_keys`` call, which broadcasts a small
+    key set and partitions a large one.  The survivor set is identical
+    across strategies (pytest-pinned), so the resume fingerprint
+    excludes the strategy.
 
     ``ppl_lm`` picks the perplexity-gate model: ``"unigram"`` (CCNet
     add-alpha, the default) or ``"backoff"`` (Stupid-Backoff trigram,
@@ -287,12 +284,11 @@ def curate_corpus(
     # the resume fingerprint.  When any step-0 stage is attached the
     # chain FIRST spills the cleaned input to one parquet checkpoint:
     # the table below is consumed by this count, the exact-dedup
-    # groupby, its semi-join probe side AND the minhash view, and
+    # groupby, its semi-filter data side AND the minhash view, and
     # without the spill each consumer would re-execute the step-0 work
     # (corpus_line_dedup alone is two shuffles).  On the plain-read path
     # the count is answered from parquet footers (metadata-only, no
-    # execution), so no spill — and no ``join_partitions`` escape hatch
-    # — is needed in either case.
+    # execution), so no spill is needed in either case.
     _consumable_ckpts: list = []
     if c4_clean or within_doc_line_dedup or corpus_line_dedup:
         from ..ops.dedup import _checkpoint_parquet
@@ -324,45 +320,38 @@ def curate_corpus(
         from ..ops.packing import _OUT_SCHEMA
 
         return ray.data.from_arrow(_OUT_SCHEMA.empty_table())
-    if join_partitions is None:
-        join_partitions = max(2, min(64, n_input // 200_000 + 1))
 
     def _compute_survivors() -> "ray.data.Dataset":
-        """Steps 1-3a (exact dedup semi-join, near-dup drop, optional
+        """Steps 1-3a (exact dedup semi-filter, near-dup drop, optional
         SemDeDup / exact / fuzzy decontamination) — the whole upstream a
         named survivor checkpoint lets a restarted run SKIP."""
-        # 1. exact dedup winners — corpus-sized set, so semi-join.  The
-        #    shuffle partition count scales with the input (sized once
-        #    at the top of the chain from the same count pass that
-        #    gates the empty-corpus short-circuit).
+        # 1. exact dedup winners — a corpus-sized key set, semi-filtered
+        #    through keep_by_keys (partitioned above its broadcast limit)
         _mark("size_count")
-        from ..ops.dedup import _checkpoint_parquet
+        from ..ops.dedup import BROADCAST_KEY_LIMIT, _checkpoint_parquet, keep_by_keys
 
         effective_strategy = drop_strategy
         if drop_strategy == "auto":
             # In auto mode the exact-group table (hash, winner id,
-            # group size — no text) spills once: the winners join reads
-            # it back instead of re-running the groupby, and its
+            # group size — no text) spills once: the winners filter
+            # reads it back instead of re-running the groupby, and its
             # parquet FOOTERS answer the clone-mass guard below.
             # Explicit broadcast/semi_join runs keep the lazy
-            # groupby-into-join (no spill — they never read the
+            # groupby-into-filter (no spill — they never read the
             # metadata).
             groups_ck, _groups_ckpt = _checkpoint_parquet(
                 exact_dedup_groups(ds, text_col, id_col), "curate_exactgroups"
             )
             _consumable_ckpts.append(_groups_ckpt)
-            winners = groups_ck.select_columns(["keep_doc_id"])
+            winners = groups_ck
         else:
-            winners = exact_dedup_groups(ds, text_col, id_col).select_columns(
-                ["keep_doc_id"]
-            )
-        docs = ds.select_columns([id_col, text_col])
-        deduped = docs.join(
+            winners = exact_dedup_groups(ds, text_col, id_col)
+        deduped = keep_by_keys(
+            ds.select_columns([id_col, text_col]),
             winners,
-            join_type="inner",
-            num_partitions=join_partitions,
-            on=(id_col,),
-            right_on=("keep_doc_id",),
+            id_col,
+            keep=True,
+            keys_col="keep_doc_id",
         )
 
         if drop_strategy == "auto":
@@ -393,7 +382,7 @@ def curate_corpus(
                 )
             )
             exact_dup_mass = int(n_input) - int(n_winners)
-            route_semi = exact_dup_mass > drop_broadcast_limit
+            route_semi = exact_dup_mass > BROADCAST_KEY_LIMIT
             if (
                 not route_semi
                 and exact_dup_mass * (exact_dup_mass + 1) // 2 > clone_pair_limit
@@ -415,64 +404,31 @@ def curate_corpus(
                 effective_strategy = "semi_join"
                 _mark("auto_clone_guard")
 
-        # 2. near-dedup drop — strategy-dependent handoff (survivor set
+        # 2. near-dedup drop — strategy-dependent verdicts (survivor set
         #    is IDENTICAL across strategies, pytest-pinned, so the
         #    resume fingerprint deliberately excludes drop_strategy):
         #
         #    * broadcast: decisions resolve on the driver (the pair
         #      frame is near-dup-PAIR-bounded by the minhash_dedup
-        #      contract — tiny on healthy corpora), drop ids ray.put
-        #      once, one vectorized is_in filter.
+        #      contract — tiny on healthy corpora).
         #    * semi_join: the verdict table stays a DATASET end to end
-        #      (minhash_dedup_ds + distributed label propagation) and
-        #      the drop lands as a partitioned left-attach + filter —
-        #      nothing pair-, cluster- or drop-sized ever rides the
-        #      driver.  The handoff for clone-heavy / re-crawl corpora
-        #      (~90 % duplicate mass makes the drop set corpus-scale).
-        #    * auto (default): broadcast, flipping the FILTER to the
-        #      partitioned semi-join when the computed drop set crosses
-        #      drop_broadcast_limit (bounds per-task memory; a corpus
-        #      known to be clone-heavy at driver-threatening scale
-        #      should set semi_join explicitly so the pair frame never
-        #      lands driver-side at all).
+        #      (minhash_dedup_ds + distributed label propagation) —
+        #      nothing pair- or cluster-sized ever rides the driver.
+        #      The handoff for clone-heavy / re-crawl corpora (~90 %
+        #      duplicate mass makes the drop set corpus-scale).
+        #
+        #    Either way the ids whose is_kept is False leave through one
+        #    keep_by_keys anti-filter.
         #
         #    The semi_join verdicts run over the exact-dedup WINNERS
         #    (spilled once — consumed by the signature pass and the
-        #    attach), not the full input: exact clones carry identical
+        #    filter), not the full input: exact clones carry identical
         #    signatures (same text, same shingles), so contracting each
         #    exact group to its min-id winner preserves both the LSH
         #    cluster topology and the min-id representative — while the
         #    candidate-pair expansion stops being quadratic in clone
         #    group size (the media path's exact-collapse-then-LSH rule,
         #    pipelines/mmcurate.py, applied to text).
-        def _neardup_semijoin(deduped_ds, verdicts_ds):
-            """Left-attach is_kept onto the winners and keep rows whose
-            verdict is True or absent (no duplicate evidence)."""
-            from ..ops.dedup import _partitioned_attach
-
-            joined = _partitioned_attach(
-                deduped_ds,
-                verdicts_ds,
-                key_col=id_col,
-                carry=[(id_col, pa.int64()), (text_col, pa.string())],
-                value_col="is_kept",
-                value_type=pa.bool_(),
-                out_col="__nd_keep",
-                n_parts=max(64, join_partitions * 8),
-                how="left",
-                lookup_key="doc_id",
-            )
-
-            def nd_filter(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                mask = pc.fill_null(batch["__nd_keep"], True)
-                return batch.filter(mask).drop_columns(["__nd_keep"])
-
-            return joined.map_batches(
-                nd_filter, batch_format="pyarrow", batch_size=4096
-            )
-
         def _rename_dedup_view(view):
             # the dedup module keys on its canonical (doc_id, text)
             # names — rename so the verdicts carry THIS chain's id
@@ -488,91 +444,38 @@ def curate_corpus(
         if effective_strategy == "semi_join":
             from ..ops.dedup import minhash_dedup_ds
 
-            deduped_ck, _dedup_ckpt = _checkpoint_parquet(deduped, "curate_dedup1")
+            deduped, _dedup_ckpt = _checkpoint_parquet(deduped, "curate_dedup1")
             _consumable_ckpts.append(_dedup_ckpt)
             verdicts = minhash_dedup_ds(
-                _rename_dedup_view(deduped_ck), threshold=near_dup_threshold
-            ).select_columns(["doc_id", "is_kept"])
+                _rename_dedup_view(deduped), threshold=near_dup_threshold
+            )
+            dropped = verdicts.filter(expr="is_kept == False")
             _mark("near_dedup_verdicts")
-            survived = _neardup_semijoin(deduped_ck, verdicts)
         else:
             dedup_view = _rename_dedup_view(ds.select_columns([id_col, text_col]))
             decisions = minhash_dedup(dedup_view, threshold=near_dup_threshold)
-            dropped_ids = decisions.loc[~decisions["is_kept"], "doc_id"].to_numpy(
-                dtype="int64"
+            drop_ids = decisions.loc[~decisions["is_kept"], "doc_id"]
+            dropped = ray.data.from_arrow(
+                pa.table({"doc_id": drop_ids.to_numpy(dtype="int64")})
             )
             _mark("near_dedup_decisions")
-            if effective_strategy == "auto" and len(dropped_ids) > drop_broadcast_limit:
-                import numpy as _np
-
-                verdicts = ray.data.from_arrow(
-                    pa.table(
-                        {
-                            "doc_id": pa.array(dropped_ids, type=pa.int64()),
-                            "is_kept": pa.array(
-                                _np.zeros(len(dropped_ids), dtype=bool)
-                            ),
-                        }
-                    )
-                )
-                survived = _neardup_semijoin(deduped, verdicts)
-            else:
-                dropped = frozenset(dropped_ids.tolist())
-                drop_ref = ray.put(dropped)
-
-                def keep_rows(batch: pa.Table) -> pa.Table:
-                    import pyarrow.compute as pc
-
-                    drop = ray.get(drop_ref)
-                    if not drop:
-                        return batch
-                    drop_arr = pa.array(list(drop)).cast(batch[id_col].type)
-                    return batch.filter(
-                        pc.invert(pc.is_in(batch[id_col], value_set=drop_arr))
-                    )
-
-                survived = deduped.map_batches(
-                    keep_rows, batch_format="pyarrow", batch_size=4096
-                )
+        survived = keep_by_keys(deduped, dropped, id_col, keep=False, keys_col="doc_id")
 
         # 2b. optional semantic dedup (SemDeDup) over a parallel embeddings
-        #     table keyed by the same document ids: the keep set is
-        #     corpus-sized, so it SEMI-JOINS exactly like the exact-dedup
-        #     winners (ray.put of a corpus-sized set is the round-1 pitfall
-        #     this chain already engineered out)
+        #     table keyed by the same document ids: docs flagged
+        #     semdedup_keep=False leave through one anti-filter (docs
+        #     with no embedding row carry no duplicate evidence and stay)
         if embeddings is not None:
-            from ..ops.dedup import _partitioned_attach
             from ..ops.semdedup import semdedup
 
-            # a partitioned LEFT attach, not a Ray left_outer join: a SPARSE
-            # embeddings table (few docs embedded) leaves join partitions
-            # block-less on the flag side and the hash-join aggregator dies
-            # on the schema-less empty table (see ops/dedup._partitioned_attach)
-            sem_flags = semdedup(
-                embeddings, eps=semdedup_eps, id_col=emb_id_col
-            ).select_columns([emb_id_col, "semdedup_keep"])
-            joined = _partitioned_attach(
+            sem_flags = semdedup(embeddings, eps=semdedup_eps, id_col=emb_id_col)
+            survived = keep_by_keys(
                 survived,
-                sem_flags,
-                key_col=id_col,
-                carry=[(id_col, pa.int64()), (text_col, pa.string())],
-                value_col="semdedup_keep",
-                value_type=pa.bool_(),
-                out_col="semdedup_keep",
-                n_parts=max(64, join_partitions * 8),
-                how="left",
-                lookup_key=emb_id_col,
+                sem_flags.filter(expr="semdedup_keep == False"),
+                id_col,
+                keep=False,
+                keys_col=emb_id_col,
             )
-
-            def sem_filter(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                # docs with no embedding row carry a null flag: KEEP them
-                # (no duplicate evidence) — only an explicit False drops
-                mask = pc.fill_null(batch["semdedup_keep"], True)
-                return batch.filter(mask).drop_columns(["semdedup_keep"])
-
-            survived = joined.map_batches(sem_filter, batch_format="pyarrow", batch_size=4096)
             _mark("semdedup_flags")
 
         # 3. optional decontamination: drop docs whose n-grams overlap the
@@ -887,19 +790,15 @@ def curate_corpus(
                 ["dsir_logw"]
             )
         else:
+            from ..ops.dedup import keep_by_keys
+
             sel = dsir_resample(weighted, n=dsir_n, seed=dsir_seed, id_col=id_col)
-            sel_ref = ray.put(frozenset(sel[id_col].tolist()))
             _mark("dsir_select")
-
-            def keep_selected(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                keep = ray.get(sel_ref)
-                keep_arr = pa.array(list(keep)).cast(batch[id_col].type)
-                return batch.filter(pc.is_in(batch[id_col], value_set=keep_arr))
-
-            clean = weighted.map_batches(
-                keep_selected, batch_format="pyarrow", batch_size=4096
+            clean = keep_by_keys(
+                weighted,
+                ray.data.from_arrow(pa.table({id_col: pa.array(sel[id_col])})),
+                id_col,
+                keep=True,
             ).drop_columns(["dsir_logw"])
 
     # 5c. optional DOCUMENT-level JSONL delivery: the cleaned, redacted,

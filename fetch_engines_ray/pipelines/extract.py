@@ -177,7 +177,6 @@ def refresh_extract(
     new_corpus_path: str,
     prev_output: "ray.data.Dataset",
     cfg: Optional[PipelineConfig] = None,
-    churn_broadcast_limit: int = 2_000_000,
 ) -> tuple["ray.data.Dataset", dict]:
     """Incremental re-crawl refresh: extract ONLY the pages whose
     content actually changed, reuse the previous run's output for
@@ -186,148 +185,48 @@ def refresh_extract(
 
     Mechanics: both corpora collapse to (id, content-hash) views and
     diff via ``ops.diff.corpus_diff`` (output is CHURN-sized — only
-    added/changed/removed rows, spilled once so the count is
-    metadata-only); below ``churn_broadcast_limit`` the added∪changed
-    id set broadcasts into a filter over the new corpus, which alone
-    flows through the extraction pipeline, and removed∪changed ids
-    drop from the previous output — zero shuffle, the healthy
-    week-over-week shape.  ABOVE the limit (a degenerate high-churn /
-    full re-crawl input, where the old broadcast degraded to a
-    corpus-sized ray.put) the churn table stays a Dataset and both
-    filters become distributed hash joins — the id sets never ride the
-    driver, at the cost of shuffling the (mostly re-extracted anyway)
-    corpus through the join.
+    added/changed/removed rows, materialized once).  The churn ids then
+    drive two ``ops.dedup.keep_by_keys`` filters: a semi-filter picks
+    the new corpus rows to re-extract (removed ids are absent from the
+    new corpus, so the whole churn id set selects exactly added ∪
+    changed), and an anti-filter drops every churned id from the
+    previous output.  ``keep_by_keys`` broadcasts a small churn id set
+    and switches to its partitioned path for a large one (a full
+    re-crawl), so no corpus-sized id set ever rides the driver.
 
     Returns ``(dataset, stats)`` with stats counting added / changed /
-    removed / reused.  On the high-churn path stats also carries
-    ``churn_spill`` — the checkpoint directory the returned lazy chain
-    streams from; remove it (``ops.dedup._cleanup_checkpoint``) after
-    consuming the output."""
+    removed / reextracted."""
     import pyarrow.compute as pc
 
-    import ray
-
+    from ..ops.dedup import keep_by_keys
     from ..ops.diff import corpus_diff
-
-    from ..ops.dedup import _checkpoint_parquet, _cleanup_checkpoint, filter_by_keys
 
     cfg = cfg or PipelineConfig()
     old_view = _content_view(read_corpus(prev_corpus_path, cfg))
     new_view = _content_view(read_corpus(new_corpus_path, cfg))
-    # spill the churn table once: the count below is then
-    # metadata-only, and in the high-churn regime BOTH join sides
-    # stream it back without re-running the diff shuffle
-    churn_ds, _churn_ckpt = _checkpoint_parquet(
-        corpus_diff(old_view, new_view), "refresh_churn"
-    )
-    n_churn = churn_ds.count()
+    # the status counts and the id set read the churn table back
+    # instead of re-running the diff shuffle
+    churn = corpus_diff(old_view, new_view).materialize()
 
-    if n_churn > churn_broadcast_limit:
-        # distributed handoff: churn ids never land on the driver.
-        # Per-status counts are the only driver-side values (3 rows).
-        # (groupby().count() names its column "count()" or "count"
-        # depending on Ray version — same shim as ops/textstats.)
-        _cnt_rows = churn_ds.groupby("status").count().take_all()
-        _cnt_col = "count()" if _cnt_rows and "count()" in _cnt_rows[0] else "count"
-        by_status = {r["status"]: int(r[_cnt_col]) for r in _cnt_rows}
-        n_added = by_status.get("added", 0)
-        n_changed = by_status.get("changed", 0)
-        n_removed = by_status.get("removed", 0)
-        n_todo = n_added + n_changed
-        # part count sized from the CORPUS (parquet metadata — free):
-        # the filter's groups carry the corpus side, not just the churn
-        n_parts = max(
-            2, min(64, read_corpus(new_corpus_path, cfg).count() // 200_000 + 1)
+    def status_counts(batch: pa.Table) -> pa.Table:
+        counts = pc.value_counts(batch["status"])
+        return pa.table({"status": counts.field(0), "n": counts.field(1)})
+
+    stats = {"added": 0, "changed": 0, "removed": 0}
+    for row in churn.map_batches(
+        status_counts, batch_format="pyarrow", batch_size=None
+    ).take_all():
+        stats[row["status"]] += int(row["n"])
+    stats["reextracted"] = stats["added"] + stats["changed"]
+
+    # one materialized id column serves both filters as their key side
+    churn_ids = churn.select_columns(["doc_id"]).materialize()
+    out = keep_by_keys(prev_output, churn_ids, "doc_id", keep=False)
+    if stats["reextracted"]:
+        fresh = keep_by_keys(
+            read_corpus(new_corpus_path, cfg), churn_ids, "doc_id", keep=True
         )
-        # filter_by_keys, not Dataset.join: Ray's hash-join aggregator
-        # dies on schema-less empty partitions whenever one side is
-        # sparse (reproduced right here by the forced-join pytest), and
-        # the span payload columns must ride through as Arrow anyway
-        if n_todo:
-            todo_ds = churn_ds.filter(expr="status != 'removed'").select_columns(
-                ["doc_id"]
-            )
-            fresh = build_pipeline(
-                filter_by_keys(
-                    read_corpus(new_corpus_path, cfg),
-                    todo_ds,
-                    "doc_id",
-                    keep_matches=True,
-                    n_parts=n_parts,
-                ),
-                cfg,
-            )
-        # every churn row is stale for the previous output
-        reused = filter_by_keys(
-            prev_output,
-            churn_ds.select_columns(["doc_id"]),
-            "doc_id",
-            keep_matches=False,
-            n_parts=n_parts,
-        )
-        out = reused.union(fresh) if n_todo else reused
-        # the returned lazy chain still streams the churn spill, so it
-        # cannot be deleted here (same posture as curate's tokenizer
-        # checkpoints); its path rides in stats for the caller to
-        # remove after consuming the output — without this, repeated
-        # high-churn refreshes would accumulate churn-sized spills
-        # under FER_CHECKPOINT_DIR
-        return out, {
-            "added": n_added,
-            "changed": n_changed,
-            "removed": n_removed,
-            "reextracted": n_todo,
-            "churn_spill": _churn_ckpt,
-        }
-
-    churn = churn_ds.to_pandas() if n_churn else None  # churn-sized
-    _cleanup_checkpoint(_churn_ckpt)  # driver path: fully consumed
-    # zero churn yields a COLUMN-LESS empty frame (Ray's schema-less
-    # empty-dataset shape) — treat as the no-op it is
-    by = (
-        churn.groupby("status")["doc_id"].apply(list).to_dict()
-        if churn is not None
-        else {}
-    )
-    added = set(by.get("added", ()))
-    changed = set(by.get("changed", ()))
-    removed = set(by.get("removed", ()))
-    todo = added | changed
-    stale = todo | removed
-
-    todo_ref = ray.put(todo)
-    stale_ref = ray.put(stale)
-
-    def only_todo(batch: pa.Table) -> pa.Table:
-        want = ray.get(todo_ref)
-        if not want:
-            return batch.slice(0, 0)
-        arr = pa.array(list(want)).cast(batch["doc_id"].type)
-        return batch.filter(pc.is_in(batch["doc_id"], value_set=arr))
-
-    def drop_stale(batch: pa.Table) -> pa.Table:
-        bad = ray.get(stale_ref)
-        if not bad:
-            return batch
-        arr = pa.array(list(bad)).cast(batch["doc_id"].type)
-        return batch.filter(pc.invert(pc.is_in(batch["doc_id"], value_set=arr)))
-
-    fresh = build_pipeline(
-        read_corpus(new_corpus_path, cfg).map_batches(
-            only_todo, batch_format="pyarrow", batch_size=1024
-        ),
-        cfg,
-    )
-    reused = prev_output.map_batches(
-        drop_stale, batch_format="pyarrow", batch_size=4096
-    )
-    out = reused.union(fresh) if todo else reused
-    stats = {
-        "added": len(added),
-        "changed": len(changed),
-        "removed": len(removed),
-        "reextracted": len(todo),
-    }
+        out = out.union(build_pipeline(fresh, cfg))
     return out, stats
 
 
@@ -457,36 +356,25 @@ def escalate_low_quality(
     re-fetch with a heavier engine when the fast result is poor).
 
     Docs whose fast extraction scored below ``min_quality`` are re-run
-    through the warm path (forced route).  The low-quality ids stay a
-    DATASET and the corpus re-read semi-joins against them through
-    ``ops/dedup.filter_by_keys`` — no driver-side id set at any
-    fraction, no Ray hash join (its aggregator dies on schema-less
-    empty partitions whenever the low-quality side is sparse, the
-    NORMAL healthy-corpus case), and the nested ``spans`` column rides
-    through as Arrow (the former pickle pack/unpack existed only
-    because Arrow hash joins reject list payloads).  Returns the
+    through the warm path (forced route).  The low-quality ids feed one
+    ``ops/dedup.keep_by_keys`` semi-filter over the corpus re-read, so
+    the nested ``spans`` column rides through as Arrow and a large id
+    set takes the partitioned path instead of the driver.  Returns the
     re-extracted rows (union with the kept rows is the caller's
-    choice).
+    choice), or None when no row scored below ``min_quality``.
     """
-    from ..ops.dedup import filter_by_keys
+    from ..ops.dedup import keep_by_keys
 
     cfg = cfg or PipelineConfig()
-    low = extracted.select_columns(["doc_id", "quality_score"]).filter(
-        expr=f"quality_score < {int(min_quality)}"
-    ).select_columns(["doc_id"])
+    low = (
+        extracted.select_columns(["doc_id", "quality_score"])
+        .filter(expr=f"quality_score < {int(min_quality)}")
+        .select_columns(["doc_id"])
+        .materialize()
+    )
     if low.count() == 0:
         return None  # type: ignore[return-value]
-
-    # the filter's groups carry the corpus side: scale the partition
-    # count with it (parquet-backed count is metadata-cheap)
-    n_parts = max(2, min(64, read_corpus(input_path, cfg).count() // 200_000 + 1))
-    matched = filter_by_keys(
-        read_corpus(input_path, cfg),
-        low,
-        "doc_id",
-        keep_matches=True,
-        n_parts=n_parts,
-    )
+    matched = keep_by_keys(read_corpus(input_path, cfg), low, "doc_id", keep=True)
 
     def force_warm(batch: pa.Table) -> pa.Table:
         # REPLACE any pre-existing per-row force_route override (the

@@ -251,10 +251,10 @@ def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
     LSH-paired ones); unique-fingerprint groups are filtered
     DISTRIBUTED before any ``to_pandas``, so driver pull is bounded by
     the duplicate mass."""
-    import ray
+    import ray.data
     from ray.data.aggregate import Count, Min
 
-    from fetch_engines_ray.ops.dedup import dedup_clusters
+    from fetch_engines_ray.ops.dedup import dedup_clusters, keep_by_keys
     from fetch_engines_ray.ops.imagehash import hamming64_pairs
 
     if k_sigs.count() == 0:
@@ -271,15 +271,13 @@ def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
     if paired_reps:
         # distributed filter against the pair-bounded rep set (a bare
         # to_pandas would pull every unique fingerprint)
-        reps_ref = ray.put(paired_reps)
-
-        def in_pair_groups(batch: pa.Table, _reps_ref=reps_ref) -> pa.Table:
-            reps = ray.get(_reps_ref)
-            mask = pa.array([r in reps for r in batch["rep"].to_pylist()])
-            return batch.filter(mask)
-
-        in_pairs = groups.map_batches(
-            in_pair_groups, batch_format="pyarrow", batch_size=8192
+        in_pairs = keep_by_keys(
+            groups,
+            ray.data.from_arrow(
+                pa.table({"rep": pa.array(sorted(paired_reps), type=pa.string())})
+            ),
+            "rep",
+            keep=True,
         ).to_pandas()  # bounded: one row per paired rep
         affected = pd.concat([affected, in_pairs]).drop_duplicates("h64")
     if rep_pairs.empty and affected.empty:
@@ -322,7 +320,9 @@ def media_near_dup_drop_set(
     by the DUPLICATE mass (affected groups + their members), never the
     corpus: unique-fingerprint groups are filtered out before
     ``to_pandas``."""
-    import ray
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import keep_by_keys
 
     sigs = sigs.materialize()
     all_pairs, all_clusters = [], []
@@ -334,17 +334,15 @@ def media_near_dup_drop_set(
         rep_pairs, affected, rep_root, group_rep = rep
         # members of affected groups (ONE streaming filter over the
         # narrow signature table; driver pull = duplicate mass only)
-        aff_ref = ray.put(frozenset(affected["h64"].astype("int64")))
-
-        def members_only(batch: pa.Table) -> pa.Table:
-            aff = ray.get(aff_ref)
-            mask = pa.array(
-                [h in aff for h in batch["h64"].to_pylist()]
-            )
-            return batch.filter(mask)
-
         members = (
-            k_sigs.map_batches(members_only, batch_format="pyarrow", batch_size=8192)
+            keep_by_keys(
+                k_sigs,
+                ray.data.from_arrow(
+                    pa.table({"h64": pa.array(affected["h64"].astype("int64"))})
+                ),
+                "h64",
+                keep=True,
+            )
             .select_columns(["media_ref", "h64"])
             .to_pandas()
         )
@@ -457,7 +455,6 @@ def curate_media(
     require_caption: bool = False,
     concurrency=(1, 8),
     drop_strategy: str = "auto",
-    drop_broadcast_limit: int = 2_000_000,
     min_width: Optional[int] = None,
     min_height: Optional[int] = None,
     max_aspect: Optional[float] = None,
@@ -476,51 +473,27 @@ def curate_media(
     pairs and never enter the LSH (no point electing a representative
     the gate would drop anyway).
 
-    ``drop_strategy="broadcast"``: the drop set rides to the caption
-    filter via ``ray.put`` + one vectorized ``is_in`` — right whenever
-    the duplicate mass fits the driver (it is pair/dup-bounded, not
-    corpus-bounded, on healthy corpora).  ``"semi_join"``: verdicts
-    stay a DATASET end to end and captions anti-join against the
-    dropped refs with a distributed hash join — the handoff for
-    clone-heavy corpora where even the dup mass outgrows the driver;
-    ``dup_pairs`` is None there (the pair frame is a driver-side
-    observability artifact by contract) and ``clusters`` is the
-    verdict Dataset.  ``"auto"`` (default): broadcast, flipping the
-    FILTER to the distributed anti-join once the computed drop set
-    crosses ``drop_broadcast_limit`` refs (bounds per-task memory; a
-    corpus known clone-heavy at driver-threatening scale should set
-    semi_join explicitly so not even the frames land driver-side)."""
+    ``drop_strategy`` picks where the near-dup verdicts resolve:
+    ``"broadcast"`` and ``"auto"`` (default) build the pair and cluster
+    frames on the driver (dup-bounded on healthy corpora);
+    ``"semi_join"`` keeps the verdicts a DATASET end to end — the
+    handoff for clone-heavy corpora where even the dup mass outgrows
+    the driver — so ``dup_pairs`` is None there (the pair frame is a
+    driver-side observability artifact by contract) and ``clusters``
+    is the verdict Dataset.  Either way the dropped and gated refs
+    leave the captions through one ``ops/dedup.keep_by_keys``
+    anti-filter, which broadcasts a small drop set and partitions a
+    large one."""
     import ray
     import ray.data
 
     from fetch_engines_ray.ops.captions import mine_caption_pairs
+    from fetch_engines_ray.ops.dedup import keep_by_keys
     from fetch_engines_ray.ops.multimodal import media_spans_dataset
 
     if drop_strategy not in ("auto", "broadcast", "semi_join"):
         raise ValueError(
             f"unknown drop_strategy {drop_strategy!r} (auto|broadcast|semi_join)"
-        )
-
-    def _drop_captions_join(caps, dropped_ds):
-        """Distributed caption anti-join against a dropped-ref Dataset —
-        shared by the semi_join strategy and the auto flip.  Runs
-        through ops/dedup.filter_by_keys (union-conform + bounded-part
-        groupby), NOT Dataset.join: Ray's hash-join aggregator dies on
-        schema-less empty partitions whenever one side is sparse, and a
-        SMALL drop set on an explicit semi_join run is exactly that
-        shape.  Sized from the INPUT doc count (free on parquet-backed/
-        materialized inputs) — counting ``caps`` would execute the
-        caption pipeline once just to plan it."""
-        from fetch_engines_ray.ops.dedup import filter_by_keys
-
-        n_parts = max(2, min(64, extracted_ds.count() // 200_000 + 1))
-        return filter_by_keys(
-            caps,
-            dropped_ds,
-            "media_ref",
-            keep_matches=False,
-            n_parts=n_parts,
-            batch_size=8192,
         )
 
     spans = media_spans_dataset(extracted_ds)
@@ -551,9 +524,10 @@ def curate_media(
         )
         if gated_ds is not None and n_gated:
             dropped_ds = dropped_ds.union(gated_ds)
+        dropped_ds = dropped_ds.materialize()  # counted, then the key side
         n_dropped = dropped_ds.count()
         if n_dropped:
-            captions = _drop_captions_join(captions, dropped_ds)
+            captions = keep_by_keys(captions, dropped_ds, "media_ref", keep=False)
         return {
             "pairs": captions,
             "dup_pairs": None,
@@ -571,29 +545,14 @@ def curate_media(
         # gated refs lose their captions too (bounded by the gated
         # mass; the semi_join strategy keeps even this distributed)
         dropped = dropped | frozenset(gated_ds.to_pandas()["media_ref"])
-    if dropped and drop_strategy == "auto" and len(dropped) > drop_broadcast_limit:
-        # the frames already landed driver-side (dup-bounded contract)
-        # but the DROP SET is too big to broadcast into every filter
-        # task — hand it back off as a Dataset + distributed anti-join
-        captions = _drop_captions_join(
+    if dropped:
+        captions = keep_by_keys(
             captions,
             ray.data.from_arrow(
                 pa.table({"media_ref": pa.array(sorted(dropped), type=pa.string())})
             ),
-        )
-    elif dropped:
-        drop_ref = ray.put(pa.array(sorted(dropped), type=pa.string()))
-
-        def keep_surviving(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            drop_arr = ray.get(drop_ref)
-            return batch.filter(
-                pc.invert(pc.is_in(batch["media_ref"], value_set=drop_arr))
-            )
-
-        captions = captions.map_batches(
-            keep_surviving, batch_format="pyarrow", batch_size=4096
+            "media_ref",
+            keep=False,
         )
     return {
         "pairs": captions,

@@ -7,9 +7,11 @@ Mirrors the reference's provider path,
 
 * API-key resolution and its error contract (ts:176-181): the key
   comes from the environment variable named by
-  ``ProviderSpec.api_key_env`` (falling back to ``OPENAI_API_KEY`` /
-  ``OPENROUTER_API_KEY`` exactly like the reference), never from the
-  spec itself.
+  ``ProviderSpec.api_key_env``, never from the spec itself.  Only a
+  spec that names ``OPENAI_API_KEY`` or ``OPENROUTER_API_KEY`` falls
+  back to the other of the two; a spec naming any other variable fails
+  when it is unset, so a provider key never reaches a custom
+  ``base_url`` it was not meant for.
 * Provider select by ``baseURL`` (``getOpenAIProvider``, ts:366-384):
   a trailing-slash-normalized custom ``base_url`` is treated as an
   OpenAI-compatible endpoint; the default endpoint is standard OpenAI.
@@ -75,18 +77,23 @@ class StructuredExtractionError(ValueError):
     ``NoObjectGeneratedError`` decoding (ts:258-360)."""
 
 
+_FALLBACK_KEY_ENVS = ("OPENAI_API_KEY", "OPENROUTER_API_KEY")
+
+
 def _resolve_api_key(spec: ProviderSpec) -> str:
+    fallback = spec.api_key_env in _FALLBACK_KEY_ENVS
     key = os.environ.get(spec.api_key_env)
-    if not key and spec.api_key_env != "OPENAI_API_KEY":
-        key = os.environ.get("OPENAI_API_KEY")
-    if not key:
-        key = os.environ.get("OPENROUTER_API_KEY")
+    if not key and fallback:
+        key = os.environ.get("OPENAI_API_KEY") or os.environ.get("OPENROUTER_API_KEY")
     if not key:
         raise ValueError(
             "API key is required for structured content extraction. "
-            f"Provide it via the {spec.api_key_env} environment variable "
-            "or set OPENAI_API_KEY or OPENROUTER_API_KEY environment "
-            "variables"
+            f"Provide it via the {spec.api_key_env} environment variable"
+            + (
+                " or set OPENAI_API_KEY or OPENROUTER_API_KEY environment variables"
+                if fallback
+                else ""
+            )
         )
     return key
 

@@ -203,6 +203,10 @@ class StructuredExtractor:
         return pa.table(cols)
 
 
+# map_batches arguments structured_extract sets itself
+_RESERVED_REMOTE_ARGS = {"batch_size", "concurrency", "num_cpus", "batch_format"}
+
+
 def structured_extract(
     ds: "ray.data.Dataset",
     fields: list[FieldSpec],
@@ -232,7 +236,16 @@ def structured_extract(
     is how a provider API key reaches the pool's worker processes
     (``{"runtime_env": {"env_vars": {"OPENAI_API_KEY": ...}}}``): the
     spec carries only the env-var NAME, and driver-local environment
-    changes do not propagate to already-started Ray workers."""
+    changes do not propagate to already-started Ray workers.  It may not
+    set ``batch_size``, ``concurrency``, ``num_cpus`` or
+    ``batch_format``, which this function sets itself."""
+    reserved = sorted(set(ray_remote_args or ()) & _RESERVED_REMOTE_ARGS)
+    if reserved:
+        raise ValueError(
+            f"ray_remote_args may not set {', '.join(reserved)}: "
+            "structured_extract sets them itself (pass batch_size / "
+            "concurrency as its own parameters)"
+        )
     kwargs = {"fields": fields, "text_col": text_col, "id_col": id_col}
     # only forward provider kwargs when set, so custom extractor classes
     # with the original three-kwarg signature keep working

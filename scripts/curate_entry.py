@@ -155,11 +155,11 @@ def main() -> None:
     )
     ap.add_argument(
         "--drop-strategy", choices=("auto", "broadcast", "semi_join"), default="auto",
-        help="near-dup drop handoff: semi_join keeps verdicts a Dataset end "
-        "to end (clone-heavy re-crawls); auto detects clone mass up front "
-        "and otherwise broadcasts",
+        help="where near-dup verdicts resolve: semi_join keeps them a "
+        "Dataset end to end (clone-heavy re-crawls); auto detects clone "
+        "mass up front and otherwise resolves them on the driver.  Every "
+        "key filter broadcasts a small key set and partitions a large one",
     )
-    ap.add_argument("--drop-broadcast-limit", type=int, default=2_000_000)
     ap.add_argument("--clone-pair-limit", type=int, default=5_000_000)
     ap.add_argument(
         "--checkpoint-name",
@@ -227,7 +227,6 @@ def main() -> None:
         jsonl_compression=args.jsonl_compression,
         n_shards=args.n_shards,
         drop_strategy=args.drop_strategy,
-        drop_broadcast_limit=args.drop_broadcast_limit,
         clone_pair_limit=args.clone_pair_limit,
     )
     if os.path.isdir(args.output):

@@ -50,10 +50,11 @@ def main() -> None:
     )
     ap.add_argument(
         "--drop-strategy", choices=("auto", "broadcast", "semi_join"), default="auto",
-        help="semi_join keeps the drop set distributed (clone-heavy corpora); "
-        "auto broadcasts and flips the filter above --drop-broadcast-limit",
+        help="where near-dup verdicts resolve: semi_join keeps them a "
+        "Dataset end to end (clone-heavy corpora); auto and broadcast "
+        "resolve them on the driver.  The caption drop is one key filter "
+        "that broadcasts a small drop set and partitions a large one",
     )
-    ap.add_argument("--drop-broadcast-limit", type=int, default=2_000_000)
     ap.add_argument("--min-width", type=int, default=None)
     ap.add_argument("--min-height", type=int, default=None)
     ap.add_argument("--max-aspect", type=float, default=None)
@@ -80,7 +81,6 @@ def main() -> None:
         max_caption_chars=args.max_caption_chars,
         require_caption=args.require_caption,
         drop_strategy=args.drop_strategy,
-        drop_broadcast_limit=args.drop_broadcast_limit,
         min_width=args.min_width,
         min_height=args.min_height,
         max_aspect=args.max_aspect,

@@ -114,7 +114,7 @@ def test_curate_bpe_export_ships_tokenizer(ray_session, tmp_path):
     out = str(tmp_path / "delivery")
     packed = curate_corpus(
         ds, max_tokens=128, tokenizer="bpe", bpe_merges=25,
-        export_path=out, n_shards=2, join_partitions=2,
+        export_path=out, n_shards=2,
     ).to_pandas()
     merges = load_merges(out + "/_tokenizer.json")
     assert len(merges) <= 25 and merges
@@ -155,7 +155,7 @@ def test_curate_bin_export_delivers_token_shards(ray_session, tmp_path):
     out = str(tmp_path / "bindelivery")
     packed = curate_corpus(
         ds, max_tokens=128, tokenizer="bpe", bpe_merges=25,
-        bin_export_path=out, n_shards=2, join_partitions=2,
+        bin_export_path=out, n_shards=2,
     ).to_pandas()
     n_docs = int(packed["n_docs"].sum())
     n_pieces = int(packed["total_tokens"].sum())
@@ -170,4 +170,4 @@ def test_curate_bin_export_delivers_token_shards(ray_session, tmp_path):
     import pytest as _pytest
 
     with _pytest.raises(ValueError, match="requires tokenizer='bpe'"):
-        curate_corpus(ds, bin_export_path=out, join_partitions=2)
+        curate_corpus(ds, bin_export_path=out)

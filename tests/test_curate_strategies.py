@@ -14,6 +14,7 @@ import os
 
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def _clone_heavy_corpus(n_base: int = 60, clones_per_doc: int = 8) -> pd.DataFrame:
@@ -53,28 +54,32 @@ def _survivor_ids(packed: pd.DataFrame) -> list:
 def test_drop_strategy_equivalence(ray_session):
     import ray.data
 
+    from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.pipelines.curate import curate_corpus
 
     df = _clone_heavy_corpus()
 
     def run(strategy: str, limit: int = 2_000_000) -> tuple:
-        packed = curate_corpus(
-            ray.data.from_pandas(df).repartition(4),
-            max_tokens=128,
-            drop_strategy=strategy,
-            drop_broadcast_limit=limit,
-        ).to_pandas()
+        # limit 0 forces every key filter onto keep_by_keys' partitioned
+        # path (and auto's clone guard to semi_join) on this tiny corpus
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dedup, "BROADCAST_KEY_LIMIT", limit)
+            packed = curate_corpus(
+                ray.data.from_pandas(df).repartition(4),
+                max_tokens=128,
+                drop_strategy=strategy,
+            ).to_pandas()
         return _survivor_ids(packed), int(packed["total_tokens"].sum())
 
-    broadcast, tok_b = run("broadcast")
-    semi, tok_s = run("semi_join")
-    # auto with limit 0 forces the flip path even for a tiny drop set
-    auto_flipped, tok_f = run("auto", limit=0)
-    auto_default, tok_d = run("auto")
-    assert broadcast == semi, "semi_join survivor set diverged from broadcast"
-    assert broadcast == auto_flipped, "auto flip path diverged"
-    assert broadcast == auto_default, "auto default path diverged"
-    assert tok_b == tok_s == tok_f == tok_d, "token mass diverged"
+    runs = {
+        (strategy, limit): run(strategy, limit)
+        for strategy in ("broadcast", "semi_join", "auto")
+        for limit in (2_000_000, 0)
+    }
+    broadcast, tok_b = runs[("broadcast", 2_000_000)]
+    for key, (survivors, tokens) in runs.items():
+        assert survivors == broadcast, f"{key} survivor set diverged from broadcast"
+        assert tokens == tok_b, f"{key} token mass diverged"
     # the clone mass must actually have been dropped (dedup did work)
     assert len(set(broadcast)) <= 60, f"{len(set(broadcast))} survivors — dedup no-op?"
 
@@ -161,12 +166,18 @@ def test_step0_checkpoint_released_after_survivor_spill(
     assert glob.glob(os.path.join(str(tmp_path), "fer_curate_clean_*"))
 
 
-def test_filter_by_keys_null_int_keys(ray_session):
+def test_filter_by_keys_null_int_keys(ray_session, tmp_path):
     """One null in an int64 key batch must not degrade routing (the
     to_numpy float64 trap): non-null keys still match across sides and
-    null-key rows match NOTHING — semi drops them, anti keeps them."""
+    null-key rows match NOTHING — semi drops them, anti keeps them.
+
+    keep_by_keys gives the same rows on both sides of its broadcast
+    limit (forced through the one constant): semi and anti filters,
+    int64 and string keys, null data and key values, a schema-less
+    empty key side — and its key side executes exactly once."""
     import ray.data
 
+    from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.ops.dedup import filter_by_keys
 
     data = ray.data.from_arrow(
@@ -182,6 +193,58 @@ def test_filter_by_keys_null_int_keys(ray_session):
     anti = filter_by_keys(data, keys, "doc_id", keep_matches=False, n_parts=4).to_pandas()
     assert sorted(semi["text"]) == ["b", "d"]
     assert sorted(anti["text"]) == ["a", "c", "e"]
+
+    cases = [
+        (pa.array([1, 2, None, 4, 5], type=pa.int64()), pa.array([2, None, 4, 9], type=pa.int64())),
+        (pa.array(["v", "w", None, "y", "z"]), pa.array(["w", None, "y", "q"])),
+        # key side cast to the data key type
+        (pa.array([1, 2, None, 4, 5], type=pa.int32()), pa.array([2, None, 4, 9], type=pa.int64())),
+    ]
+    small = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], type=pa.int64()), "text": ["a", "b"]}))
+    empty = ray.data.from_items([{"k": 1}]).filter(expr="k > 1").groupby("k").count()
+
+    def record(batch: pa.Table) -> pa.Table:
+        # one line per execution of the (single-block) key side
+        with open(tmp_path / "key_side_runs", "a") as f:
+            f.write("run\n")
+        return batch
+
+    for limit in (dedup.BROADCAST_KEY_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dedup, "BROADCAST_KEY_LIMIT", limit)
+            for data_keys, key_values in cases:
+                data = ray.data.from_arrow(pa.table({"k": data_keys, "text": list("abcde")}))
+                keys = ray.data.from_arrow(pa.table({"key": key_values}))
+                semi = dedup.keep_by_keys(data, keys, "k", keep=True, keys_col="key")
+                anti = dedup.keep_by_keys(data, keys, "k", keep=False, keys_col="key")
+                assert sorted(semi.to_pandas()["text"]) == ["b", "d"], limit
+                assert sorted(anti.to_pandas()["text"]) == ["a", "c", "e"], limit
+
+            assert dedup.keep_by_keys(small, empty, "k", keep=True).count() == 0
+            kept = dedup.keep_by_keys(small, empty, "k", keep=False)
+            assert sorted(kept.to_pandas()["text"]) == ["a", "b"]
+
+            (tmp_path / "key_side_runs").write_text("")
+            keys = ray.data.from_arrow(pa.table({"k": pa.array([2], type=pa.int64())}))
+            keys = keys.map_batches(record, batch_format="pyarrow", batch_size=None)
+            kept = dedup.keep_by_keys(small, keys, "k", keep=True)
+            assert kept.to_pandas()["text"].tolist() == ["b"]
+            assert (tmp_path / "key_side_runs").read_text().count("run") == 1, limit
+
+
+def test_broadcast_key_lookup_built_once(ray_session):
+    """The broadcast filter hashes its key set once per worker process
+    and data key type, then reuses it for every batch — not once per
+    batch, which made a large key set cost O(keys) per batch."""
+    import ray
+
+    from fetch_engines_ray.ops import dedup
+
+    ref = ray.put(pa.array(["a", "b"]))
+    first = dedup._key_lookup(ref, pa.string())
+    assert dedup._key_lookup(ref, pa.string()) is first
+    assert dedup._key_lookup(ref, pa.large_string()) is not first
+    assert first.get_indexer(["b", "z"]).tolist() == [1, -1]
 
 
 def test_label_propagation_refuses_silent_truncation(ray_session):

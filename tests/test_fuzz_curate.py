@@ -57,17 +57,17 @@ def _build(cfg) -> tuple[pd.DataFrame, list, list]:
 def test_curate_never_crashes_and_holds_invariants(ray_session, cfg):
     import ray.data
 
+    from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.pipelines.curate import curate_corpus
 
     df, bench, target = _build(cfg)
     ds = ray.data.from_pandas(df)
     kwargs = dict(
         max_tokens=128,
-        join_partitions=2,
         drop_strategy=cfg["drop_strategy"],
-        # tiny limits force the auto flip / clone guard on these small
-        # corpora too, so all three handoffs fuzz across every shape
-        drop_broadcast_limit=0 if cfg["seed"] % 2 else 2_000_000,
+        # tiny limits force the partitioned key filters / clone guard on
+        # these small corpora too, so every handoff fuzzes across every
+        # shape
         clone_pair_limit=0 if cfg["seed"] % 3 == 0 else 5_000_000,
     )
     if bench:
@@ -85,7 +85,10 @@ def test_curate_never_crashes_and_holds_invariants(ray_session, cfg):
     if cfg["with_line_dedup"]:
         kwargs["within_doc_line_dedup"] = True
         kwargs["corpus_line_dedup"] = True
-    packed = curate_corpus(ds, **kwargs).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        if cfg["seed"] % 2:
+            mp.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+        packed = curate_corpus(ds, **kwargs).to_pandas()
     if packed.empty:
         return  # everything filtered: a legal outcome, not a crash
     docs = [d for ids in packed["doc_ids"] for d in ids]

@@ -53,7 +53,7 @@ def test_warc_to_packed_sequences(ray_session, tmp_path):
     assert text0.startswith("# Page 0") and "Source: https://ex.com/p0" in text0
 
     packed = curate_corpus(
-        docs, max_tokens=128, id_col="doc_int_id", join_partitions=2
+        docs, max_tokens=128, id_col="doc_int_id"
     ).to_pandas()
     packed_ids = sorted(d for ids in packed["doc_ids"] for d in ids)
     # exact clone collapsed AND near-dup dropped: two docs gone

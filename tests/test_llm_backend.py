@@ -161,6 +161,28 @@ def test_backend_missing_api_key_error(monkeypatch):
         )
 
 
+def test_backend_custom_key_env_never_falls_back(provider, monkeypatch):
+    """A spec naming its own key variable fails when that variable is
+    unset: the OpenAI / OpenRouter keys in the environment never reach
+    its custom base_url.  A spec naming one of those two still falls
+    back to the other."""
+    import dataclasses
+
+    monkeypatch.delenv("FER_TEST_LLM_KEY")
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-openai-secret")
+    monkeypatch.setenv("OPENROUTER_API_KEY", "sk-router-secret")
+    with pytest.raises(ValueError, match="FER_TEST_LLM_KEY environment variable$"):
+        OpenAICompatibleBackend(_spec(provider), FIELDS)
+    assert provider.requests == []
+
+    monkeypatch.delenv("OPENAI_API_KEY")
+    spec = dataclasses.replace(_spec(provider), api_key_env="OPENAI_API_KEY")
+    OpenAICompatibleBackend(spec, FIELDS).extract(
+        pa.chunked_array([["a product titled Cog costing 3"]])
+    )
+    assert provider.requests[-1]["headers"]["Authorization"] == "Bearer sk-router-secret"
+
+
 def test_backend_error_decoding(provider):
     be = OpenAICompatibleBackend(_spec(provider), FIELDS)
     with pytest.raises(StructuredExtractionError, match="not valid JSON"):

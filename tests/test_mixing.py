@@ -115,6 +115,28 @@ def test_mixture_validation(ray_session):
         sample_token_budget(ds, {"en": 10}, domain_col="lang", hash_fn="bogus")
 
 
+def test_mixture_token_count_trims_ascii_whitespace_only(ray_session):
+    """Engine token counts equal the oracle SQL's RE2 ``\\s`` rule:
+    a leading U+00A0 is token text, not trimmed whitespace."""
+    import ray.data
+
+    from fetch_engines_ray.ops.mixing import sample_token_budget
+
+    texts = ["\u00a0 foo", "  bar baz \t", "qux\u2003", None, ""]
+    df = pd.DataFrame({"doc_id": range(len(texts)), "lang": "en", "text": texts})
+    got = (
+        sample_token_budget(ray.data.from_pandas(df), {"en": 10**6}, domain_col="lang")
+        .to_pandas()
+        .sort_values("doc_id")
+    )
+    want = duckdb.sql(
+        """SELECT doc_id, CAST(array_length(string_split_regex(
+             regexp_replace(coalesce(text, ''), '^\\s+|\\s+$', '', 'g'), '\\s+')) AS BIGINT) AS n
+           FROM df ORDER BY doc_id"""
+    ).df()
+    assert got["n_tokens"].tolist() == want["n"].tolist() == [2, 2, 1, 1, 1]
+
+
 def test_retired_train_val_split_vs_duckdb(ray_session):
     """The md5 train/val split kernel retired from the gate registry
     (its slot went to domain_mixture_selection) stays DuckDB-pinned

@@ -162,7 +162,7 @@ def test_curate_media_empty_corpus(ray_session):
     assert out["dup_pairs"].empty and out["clusters"].empty
 
 
-def test_curate_media_semi_join_matches_broadcast(ray_session):
+def test_curate_media_semi_join_matches_broadcast(ray_session, monkeypatch):
     """The Dataset-native semi-join path keeps exactly the same caption
     rows as the broadcast path and reports the same drop count — on a
     doc set with REAL near-dups: media://probe/{0,2} are planted refs
@@ -223,12 +223,13 @@ def test_curate_media_semi_join_matches_broadcast(ray_session):
     assert set(v.loc[~v["is_kept"], "media_ref"]) == set(
         c.loc[~c["is_kept"], "media_ref"]
     )
-    # the auto FLIP (drop set over the broadcast limit): driver frames,
-    # but the caption filter becomes the distributed anti-join — output
-    # must stay byte-identical to both other paths
-    f = curate_media(
-        ray.data.from_items(docs), drop_strategy="auto", drop_broadcast_limit=0
-    )
+    # drop set over the broadcast limit: driver frames, but the
+    # caption filter takes keep_by_keys' partitioned path — output must
+    # stay byte-identical to both other paths
+    from fetch_engines_ray.ops import dedup
+
+    monkeypatch.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+    f = curate_media(ray.data.from_items(docs), drop_strategy="auto")
     assert f["n_dropped"] == b["n_dropped"]
     pf = f["pairs"].to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(pb, pf)

@@ -281,6 +281,29 @@ def test_driver_registry_contract():
     assert not missing, f"oracle entries without a query: {missing}"
 
 
+def test_evalrows_spill_is_private_under_checkpoint_dir(tmp_path, monkeypatch):
+    """The extract_quality oracle spill is an mkstemp file under
+    FER_CHECKPOINT_DIR (unguessable name, owner-only), shared by the
+    query and its oracle SQL within one process."""
+    import importlib.util
+    import os
+    import stat
+
+    spec = importlib.util.spec_from_file_location(
+        "_entry_for_spill_test",
+        os.path.join(os.path.dirname(__file__), "..", "__ray_entry__.py"),
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setenv("FER_CHECKPOINT_DIR", str(tmp_path))
+    path = mod._evalrows_spill()
+    assert os.path.dirname(path) == str(tmp_path)
+    assert os.path.basename(path) != f"fer_evalrows_gate_{os.getpid()}.parquet"
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert mod._evalrows_spill() == path
+    assert f"read_parquet('{path}')" in mod.oracle_sql()["extract_quality_by_archetype"]
+
+
 def test_curate_corpus_end_to_end(ray_session):
     """The composed curation chain: exact dups collapse to one winner,
     near-dups drop, junk fails the quality gate, PII is redacted before
@@ -656,7 +679,6 @@ def test_curate_corpus_all_stages_compose(ray_session, tmp_path):
         bpe_merges=30,
         export_path=out,
         n_shards=2,
-        join_partitions=2,
     ).to_pandas()
     docs = sorted(d for ids in packed["doc_ids"] for d in ids)
     assert docs and len(docs) == len(set(docs)) <= 12  # DSIR cap holds

@@ -70,18 +70,17 @@ def test_refresh_no_churn_reuses_everything(corpora, ray_session):
     assert refreshed.count() == prev_out.count()
 
 
-def test_refresh_join_path_matches_broadcast(corpora, ray_session):
-    """churn_broadcast_limit=0 forces the distributed join handoff (the
-    100%-churn/full-re-crawl posture): stats and output must be
-    identical to the broadcast path on the same corpora."""
+def test_refresh_join_path_matches_broadcast(corpora, ray_session, monkeypatch):
+    """A zero broadcast limit forces keep_by_keys onto its partitioned
+    path (the 100%-churn/full-re-crawl posture): stats and output must
+    be identical to the broadcast path on the same corpora."""
+    from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
 
+    monkeypatch.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
     prev, new, _c, removed_id = corpora
     prev_out = extract_corpus(prev).materialize()
-    refreshed, stats = refresh_extract(prev, new, prev_out, churn_broadcast_limit=0)
-    # high-churn stats carry the churn spill path for caller cleanup
-    spill = stats.pop("churn_spill")
-    assert spill and "fer_refresh_churn" in spill
+    refreshed, stats = refresh_extract(prev, new, prev_out)
     assert stats == {"added": 1, "changed": 2, "removed": 1, "reextracted": 3}
     got = refreshed.to_pandas().sort_values("doc_id").reset_index(drop=True)
     want = extract_corpus(new).to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -90,13 +89,14 @@ def test_refresh_join_path_matches_broadcast(corpora, ray_session):
     assert removed_id not in set(got["doc_id"])
 
 
-def test_refresh_full_churn_join_path(ray_session, tmp_path):
+def test_refresh_full_churn_join_path(ray_session, tmp_path, monkeypatch):
     """A 100% content churn (every doc's spans rewritten under the same
-    ids) through the join path: everything re-extracts, nothing is
-    reused, stats stay exact."""
+    ids) through the partitioned key filter: everything re-extracts,
+    nothing is reused, stats stay exact."""
     import os
 
     from fetch_engines_ray.corpus.generate import generate_corpus
+    from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
 
     prev = str(tmp_path / "v1")
@@ -117,8 +117,8 @@ def test_refresh_full_churn_join_path(ray_session, tmp_path):
         f"{new}/part-00000.parquet",
     )
     prev_out = extract_corpus(prev).materialize()
-    refreshed, stats = refresh_extract(prev, new, prev_out, churn_broadcast_limit=0)
-    assert "fer_refresh_churn" in stats["churn_spill"]
+    monkeypatch.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+    refreshed, stats = refresh_extract(prev, new, prev_out)
     assert stats["changed"] == 20 and stats["reextracted"] == 20
     assert stats["added"] == 0 and stats["removed"] == 0
     got = refreshed.to_pandas().sort_values("doc_id").reset_index(drop=True)

@@ -24,6 +24,15 @@ def test_validate_schema_rejects_missing_descriptions():
         validate_schema([])
 
 
+@pytest.mark.parametrize("key", ["batch_size", "concurrency", "num_cpus", "batch_format"])
+def test_structured_extract_rejects_reserved_remote_args(key):
+    from fetch_engines_ray.stages.structured import FieldSpec, structured_extract
+
+    fields = [FieldSpec(name="t", description="d", pattern=r"(?P<v>.+)")]
+    with pytest.raises(ValueError, match=f"ray_remote_args may not set {key}"):
+        structured_extract(None, fields, ray_remote_args={key: 2, "max_retries": 1})
+
+
 def test_structured_extract_typed_fields(ray_session):
     import ray.data
 

@@ -172,7 +172,7 @@ def test_curate_unigram_export_ships_tokenizer(ray_session, tmp_path):
     out = str(tmp_path / "delivery")
     packed = curate_corpus(
         ds, max_tokens=128, tokenizer="unigram", unigram_vocab_size=48,
-        export_path=out, n_shards=2, join_partitions=2,
+        export_path=out, n_shards=2,
     ).to_pandas()
     model = load_model(out + "/_tokenizer.json")
     assert model and len(model) <= 48 + 0  # vocab bound (chars always kept)
@@ -189,7 +189,7 @@ def test_curate_unigram_export_ships_tokenizer(ray_session, tmp_path):
     with pytest.raises(ValueError):
         curate_corpus(
             ds, max_tokens=128, tokenizer="unigram",
-            bin_export_path=str(tmp_path / "bins"), join_partitions=2,
+            bin_export_path=str(tmp_path / "bins"),
         )
 
 
