@@ -160,7 +160,7 @@ def _q_gif_decode(sf_dir: str) -> Any:
     variable-width LZW image data) whose frame pixels and delays follow
     a closed form of doc_id; the engine recovers width/height/n_frames/
     duration/pixel sums ONLY by LZW-decoding every frame (ops/gif.py).
-    ``mid_frame_sum`` additionally pins the FrameSampler midpoint frame.
+    ``mid_frame_sum`` additionally pins the middle (``n_frames // 2``) frame.
     The oracle mirrors the closed form in SQL — a header-peek cannot
     fake the pixel sums."""
     import pyarrow as pa
@@ -1364,10 +1364,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_lm_perplexity": _q_doc_lm_perplexity,
         # relational operator parity (SQL oracles)
         "lineitem_pricing_summary": rel.lineitem_pricing_summary,
-        # (the trivial orders_by_status groupby slot was retired for the
-        # oracled token_budget_selection under the 50-query cap; the
-        # rel.orders_by_status kernel stays pytest-covered and groupby
-        # coverage remains via lineitem_pricing_summary et al.)
         "token_budget_selection": _q_token_budget_selection,
         # (the trivial events_value_by_type groupby-sum slot was retired
         # for the oracled lineitem_pricing_rollup under the 50-query
@@ -1380,10 +1376,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # stays pytest-covered and the join+groupby shape remains
         # oracled via supplier_count_by_nation / revenue_by_orderpriority)
         "jpeg_decode": _q_jpeg_decode,
-        # (the customers_per_nation join-count slot was retired for the
-        # oracled top_tokens_exact under the 50-query cap; the same
-        # join+groupby shape stays oracled via supplier_count_by_nation
-        # and rel.customers_per_nation stays pytest-covered)
         "top_tokens_exact": _q_top_tokens,
         # (the trivial top10_orders_by_price slot was retired for the
         # oracled doc_dup_ngram_stats under the 50-query cap; sort+limit
@@ -1397,15 +1389,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # tests/test_ops.py and plain-filter coverage remains via
         # large_parts_by_brand)
         "c4_line_filters": _q_c4_line_filters,
-        # (the trivial distinct_part_brands slot was retired for the
-        # oracled doc_row_index under the 50-query cap; DISTINCT
-        # coverage remains via distinct_users_by_event_type and the
-        # rel.distinct_part_brands kernel stays pytest-covered)
         "doc_row_index": _q_doc_row_index,
         # (the trivial supplier_count_by_nation broadcast-join slot was
         # retired for the oracled supplier_graph_pagerank under the
         # 50-query cap; small-side join coverage remains via
-        # customers_per_nation / revenue_by_orderpriority and the
+        # revenue_by_orderpriority and the
         # rel.supplier_count_by_nation kernel stays pytest-covered)
         "supplier_graph_pagerank": _q_supplier_graph_pagerank,
         # (the trivial orders_per_month temporal-rollup slot was retired

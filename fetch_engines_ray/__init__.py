@@ -12,19 +12,19 @@ Public surface (reference analog: /root/reference/src/index.ts:1-9):
   quality → PII → DSIR selection → packing → sharded export; every
   stage optional past the dedup core).
 * :func:`pipelines.search.build_search_index` / ``hybrid_search`` —
-  persisted IVFPQ + BM25 hybrid retrieval, hard-negative mining.
+  persisted IVFPQ + BM25 hybrid retrieval.
 * ``sources`` / ``ops`` submodules — readers/sinks and the
   training-data operator families (dedup incl. line-level +
-  incremental + substring + SemDeDup, similarity incl. PQ/IVFPQ,
-  retrieval (BM25/RRF), LM perplexity, DSIR, text stats incl.
-  decontamination (exact n-gram + fuzzy MinHash) + mixture sampling,
-  learned tokenizers (BPE + unigram-LM incl. subword-regularization
-  sampling), Stupid-Backoff n-gram LM, binary token-shard delivery, windows, skew (salting),
-  layout (zone maps), graph (PageRank), corpus snapshot diff,
-  per-domain quality + blocklist induction, expectations, drift,
-  datacard, sketches incl. Bloom, profiling, partitioning incl.
-  sharded export, multimodal codecs).  ``curate_corpus`` runs are
-  resumable via named fingerprinted checkpoints.
+  incremental + SemDeDup, similarity incl. PQ/IVFPQ, retrieval
+  (BM25/RRF), LM perplexity, DSIR, text stats incl. decontamination
+  (exact n-gram + fuzzy MinHash) + mixture sampling, learned
+  tokenizers (BPE + unigram-LM), Stupid-Backoff n-gram LM, binary
+  token-shard delivery, windows, graph (PageRank), corpus snapshot
+  diff, per-domain quality + blocklist induction, expectations, drift,
+  datacard, sketches, profiling,
+  partitioning incl. sharded export, multimodal codecs and perceptual
+  hashes).  ``curate_corpus`` runs are resumable via named
+  fingerprinted checkpoints.
 """
 
 from .functions.converter import convert  # noqa: F401

@@ -1,9 +1,8 @@
 """Failure-containment boundary for the pure-Python media codecs.
 
 Each codec promises its own ``*FormatError`` on malformed bytes, and the
-decode stages (``ops/multimodal.MediaDecoder``, the fingerprinters in
-``ops/imagehash.py`` / ``ops/mediahash.py``) rely on that contract to
-turn a corrupt payload into a ``decode_status="decode_error"`` row
+media fingerprint stage (``pipelines/mmcurate.MediaRefFingerprinter``)
+relies on that contract to turn a corrupt payload into an ``ok=0`` row
 instead of killing the Ray task.  But a decoder walking untrusted bytes
 hits raw ``IndexError`` / ``KeyError`` / ``struct.error`` /
 ``ZeroDivisionError`` / numpy ``ValueError`` long before any explicit

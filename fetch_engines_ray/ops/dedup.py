@@ -11,7 +11,6 @@ signature) triples, not documents.
 from __future__ import annotations
 
 import hashlib
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -21,8 +20,6 @@ import ray.data
 
 from fetch_engines_ray.arrowclean import read_parquet_clean
 from ray.data.aggregate import Count, Min
-
-_MERSENNE = (1 << 61) - 1
 
 
 def _splitmix64(x: int) -> int:
@@ -58,11 +55,6 @@ def exact_dedup_groups(ds: "ray.data.Dataset", text_col: str = "text", id_col: s
     return hashed.groupby("text_hash").aggregate(
         Min(id_col, alias_name="keep_doc_id"), Count(alias_name="n_dups")
     )
-
-
-def exact_dedup(ds: "ray.data.Dataset", text_col: str = "text", id_col: str = "doc_id"):
-    """Keep one row per distinct text (the min-id winner's ids)."""
-    return exact_dedup_groups(ds, text_col, id_col).select_columns(["keep_doc_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -1509,7 +1501,7 @@ def dedup_clusters_distributed(
         symmetrize, batch_format="pyarrow", batch_size=65536
     ).materialize()
     n_edges = edges.count()
-    n_parts = max(2, min(32, n_edges // 500_000 + 1))
+    n_parts = n_parts_for(n_edges)
     # initial labels: every node labels itself
     labels = (
         edges.map_batches(
@@ -1553,11 +1545,13 @@ def dedup_clusters_distributed(
         # exact-closure contract drops) — and this function's output is
         # load-bearing for curate drop-strategy equality and the
         # neardup_cluster_verdicts SQL oracle.  Near-dup clusters are
-        # shallow in practice; a corpus that genuinely needs more hops
-        # should raise max_iters explicitly.
+        # shallow in practice; no caller passes max_iters, so the error
+        # names the route that has no iteration budget.
         raise RuntimeError(
             f"label propagation did not converge within max_iters={max_iters} "
-            "(cluster diameter exceeds the iteration budget); raise max_iters"
+            "(cluster diameter exceeds the iteration budget); rerun with "
+            'drop_strategy="broadcast", which resolves the clusters on the '
+            "driver by union-find with no iteration budget"
         )
 
     def finish(b: pa.Table) -> pa.Table:

@@ -1,8 +1,8 @@
-"""Perceptual image hashing + image near-duplicate detection.
+"""Perceptual image hashing + the shared 64-bit hamming pair finder.
 
-Public-knowledge basis: difference hash (dHash) and average hash
-(aHash) from the pHash family (Krawetz, "Kind of Like That", 2013;
-Zauner's pHash thesis 2010) — the standard instruments for image
+Public-knowledge basis: difference hash (dHash) from the pHash family
+(Krawetz, "Kind of Like That", 2013; Zauner's pHash thesis 2010) — the
+standard instruments for image
 near-dup detection in web-scale training-data curation (LAION-style
 pipelines dedup billions of images this way).  The reference engine
 carries media spans opaquely (`src/MarkdownConverter.ts` media_ref
@@ -12,11 +12,12 @@ image-side sibling of the text dedup family in ``ops/dedup.py``.
 
 Ray-Data shape (100-TB posture):
 
-- **Hashing** is an actor-pool ``map_batches`` stage over
-  ``(doc_id, payload)`` batches: decode (the repo's own real PNG
-  codec), integer BT.601 grayscale, adaptive average-pool to the hash
-  grid, gradient / above-mean bits — all integer arithmetic, so the
-  hash is bit-deterministic across platforms and partitionings.  Only
+- **Hashing** runs inside ``curate_media``'s actor-pool fingerprint
+  stage (``pipelines/mmcurate.MediaRefFingerprinter``): decode (the
+  repo's own real PNG codec), integer BT.601 grayscale, adaptive
+  average-pool to the hash grid, gradient bits — all integer
+  arithmetic, so the hash is bit-deterministic across platforms and
+  partitionings.  Only
   the 8-byte hash leaves the stage; pixels never transit the shuffle.
 - **Pairing** reuses the exact simhash posture
   (``ops/dedup.py::simhash_pairs``): bucket by each 16-bit hash chunk
@@ -26,7 +27,7 @@ Ray-Data shape (100-TB posture):
   8-byte hash rides through the expansion, so verification is local —
   no re-attach joins.
 
-Why dHash as the primary: it hashes horizontal GRADIENTS, so it is
+Why dHash: it hashes horizontal GRADIENTS, so it is
 exactly invariant to uniform brightness shift (until clipping) and
 robust to re-encoding — the two dominant benign transforms in crawled
 image corpora — while staying a 64-bit integer the existing hamming
@@ -34,7 +35,7 @@ LSH machinery consumes unchanged.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import pandas as pd
@@ -42,16 +43,6 @@ import pyarrow as pa
 
 if TYPE_CHECKING:  # pragma: no cover
     import ray
-
-IMAGE_HASH_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("dhash", pa.int64()),
-        ("ahash", pa.int64()),
-        ("width", pa.int64()),
-        ("height", pa.int64()),
-    ]
-)
 
 
 def to_grayscale(pixels: np.ndarray) -> np.ndarray:
@@ -100,13 +91,6 @@ def dhash64(pixels: np.ndarray) -> int:
     return _pack_bits64(g[:, 1:] > g[:, :-1])
 
 
-def ahash64(pixels: np.ndarray) -> int:
-    """Average hash: 8x8 pooled grid, bit = cell above the integer mean
-    of the 64 cells."""
-    g = pool_mean(to_grayscale(pixels), 8, 8)
-    return _pack_bits64(g > (int(g.sum()) // 64))
-
-
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized popcount of ``a XOR b`` over int64/uint64 arrays."""
     x = np.bitwise_xor(
@@ -115,65 +99,6 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
     return (
         np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1).astype(np.int64)
-    )
-
-
-class ImageHasher:
-    """Actor-pool stage: ``(doc_id, payload)`` image batches in,
-    ``IMAGE_HASH_SCHEMA`` rows out.  The decoder defaults to the repo's
-    real PNG codec (``ops/png.py``); pass ``decode=`` for other formats
-    (any callable ``bytes -> {"pixels": ndarray, "width", "height"}``,
-    e.g. a first-frame GIF adapter).  Per-image Python decode is
-    inherent to codec work (same posture as :class:`ops.multimodal.PngDecoder`);
-    the hash math is numpy per image and only 8-byte hashes leave."""
-
-    def __init__(self, decode: Optional[Callable[[bytes], dict]] = None) -> None:
-        if decode is None:
-            from fetch_engines_ray.ops.png import decode_png
-
-            decode = decode_png
-        self.decode = decode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, payload in zip(
-            batch["doc_id"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            try:
-                dec = self.decode(payload)
-            except ValueError:
-                # corrupt payload (*FormatError subclasses ValueError):
-                # skip the row — no fingerprint means no dup evidence,
-                # so the doc is KEPT; one bad payload must not kill the
-                # whole sweep (same containment posture as MediaDecoder)
-                continue
-            px = dec["pixels"]
-            rows.append(
-                {
-                    "doc_id": int(doc_id),
-                    "dhash": np.uint64(dhash64(px)).astype(np.int64).item(),
-                    "ahash": np.uint64(ahash64(px)).astype(np.int64).item(),
-                    "width": int(dec["width"]),
-                    "height": int(dec["height"]),
-                }
-            )
-        return pa.Table.from_pylist(rows, schema=IMAGE_HASH_SCHEMA)
-
-
-def image_hash_signatures(
-    ds: "ray.data.Dataset",
-    decode: Optional[Callable[[bytes], dict]] = None,
-    concurrency=(1, 8),
-    batch_size: int = 256,
-) -> "ray.data.Dataset":
-    """Hash a ``(doc_id, payload)`` image table (actor pool; small
-    batches because payloads are binary — BASELINE.md memory posture)."""
-    return ds.map_batches(
-        ImageHasher,
-        fn_constructor_kwargs={"decode": decode},
-        concurrency=concurrency,
-        batch_format="pyarrow",
-        batch_size=batch_size,
     )
 
 
@@ -269,18 +194,4 @@ def hamming64_pairs(
         pairs.drop_duplicates(["doc_a", "doc_b"])
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
-    )
-
-
-def image_near_dup_pairs(
-    ds: "ray.data.Dataset",
-    max_hamming: int = 3,
-    decode: Optional[Callable[[bytes], dict]] = None,
-) -> pd.DataFrame:
-    """End-to-end image near-dup sweep over a ``(doc_id, payload)``
-    table: hash (actor pool) -> lossless hamming LSH -> verified pairs
-    ``(doc_a, doc_b, hamming)``.  Compose with
-    ``ops.dedup.dedup_clusters`` for keep-one decisions."""
-    return hamming64_pairs(
-        image_hash_signatures(ds, decode=decode), max_hamming=max_hamming
     )

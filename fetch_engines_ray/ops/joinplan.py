@@ -20,10 +20,7 @@ Size estimates should come from :func:`parquet_size_hint` (file bytes
 x decompression factor — pure filesystem metadata) passed as
 ``left_bytes`` / ``right_bytes``; the ``Dataset.size_bytes()`` fallback
 EXECUTES the plan to measure it, fine only for small or already
-materialized inputs.  A sorted-layout zero-shuffle path also exists
-(``ops/layout.py::merge_join_sorted``, ~20x over the hash join when
-both sides are stored key-sorted, BASELINE.md round-4 A/B) but needs
-on-disk layouts, so it stays explicit rather than planned here.
+materialized inputs.
 """
 from __future__ import annotations
 

@@ -1,9 +1,9 @@
-"""Audio and video perceptual fingerprints + near-duplicate detection.
+"""Audio and video perceptual fingerprints.
 
 Completes the multimodal dedup family: text (``ops/dedup.py`` minhash /
 simhash), images (``ops/imagehash.py`` dHash), and — here — audio and
 video, all funneling into the SAME lossless 64-bit hamming LSH
-(``ops.imagehash.hamming64_pairs``).
+(``ops.imagehash.hamming64_pairs``) inside ``curate_media``.
 
 Public-knowledge basis:
 
@@ -12,17 +12,18 @@ Public-knowledge basis:
   differences over a time-frequency grid — invariant to gain and
   robust to re-encoding.  This implementation keeps their bit rule but
   computes band energies as EXACT int64 sums of squared int16 PCM (no
-  FFT library in this container; contiguous sub-band filterbank as in
-  ``ops.wav.frame_features``), so the fingerprint is bit-deterministic
-  across platforms and exactly gain-invariant for integer scalings.
+  FFT library; a contiguous sub-band filterbank), so the fingerprint
+  is bit-deterministic across platforms and exactly gain-invariant for
+  integer scalings.
 - **Video**: frame-hash fingerprinting (the standard pHash-family
   practice for clip dedup): perceptual-hash a representative frame —
   the MIDDLE frame, matching the ``gif_decode`` oracle's midpoint pin —
   after applying the palette, so a re-encoded GIF with a permuted
   palette (same rendered pixels) hashes identically.
 
-Ray-Data shape: actor-pool ``map_batches`` decode+hash stages (the
-repo's own real WAV / GIF codecs), 8-byte hashes out, pixels/PCM never
+Ray-Data shape: ``curate_media``'s actor-pool decode+hash stage
+(``pipelines/mmcurate.MediaRefFingerprinter``, over the repo's own real
+WAV / GIF codecs) calls these, 8-byte hashes out, pixels/PCM never
 transit the shuffle; pairing reuses the partitioned run expansion from
 ``ops/dedup.py`` unchanged.  The reference engine carries media spans
 opaquely (`src/MarkdownConverter.ts` media_ref placeholders); this
@@ -30,34 +31,9 @@ family is training-data-tier (SURVEY.md §2.8).
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 import numpy as np
-import pandas as pd
-import pyarrow as pa
 
-from fetch_engines_ray.ops.imagehash import _pack_bits64, dhash64, hamming64_pairs, pool_mean
-
-if TYPE_CHECKING:  # pragma: no cover
-    import ray
-
-AUDIO_FP_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("afp", pa.int64()),
-        ("sample_rate", pa.int64()),
-        ("n_samples", pa.int64()),
-    ]
-)
-
-VIDEO_FP_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("vfp", pa.int64()),
-        ("n_frames", pa.int64()),
-        ("duration_ms", pa.int64()),
-    ]
-)
+from fetch_engines_ray.ops.imagehash import _pack_bits64, dhash64, pool_mean
 
 
 def band_energy_matrix(
@@ -68,11 +44,11 @@ def band_energy_matrix(
     hop_ms: int = 10,
 ) -> np.ndarray:
     """``(n_frames, n_bands)`` int64 band energies: per frame, the EXACT
-    sum of squared int16 samples in each contiguous sub-band (same
-    framing math as ``ops.wav.frame_features``; integer throughout, so
-    scaling the PCM by an integer ``g`` scales every energy by exactly
-    ``g**2`` — the gain-invariance proof for the sign bits).  Stereo
-    input is mixed down by exact integer sum of channels first."""
+    sum of squared int16 samples in each contiguous sub-band (integer
+    throughout, so scaling the PCM by an integer ``g`` scales every
+    energy by exactly ``g**2`` — the gain-invariance proof for the sign
+    bits).  Stereo input is mixed down by exact integer sum of channels
+    first."""
     x = np.asarray(samples, dtype=np.int64)
     if x.ndim == 2:
         x = x.sum(axis=1)
@@ -122,212 +98,3 @@ def video_fingerprint64(frames: list[np.ndarray]) -> int:
     if not frames:
         return 0
     return dhash64(frames[len(frames) // 2])
-
-
-class AudioFingerprinter:
-    """Actor-pool stage: ``(doc_id, payload)`` WAV batches in,
-    ``AUDIO_FP_SCHEMA`` rows out (real RIFF/PCM decode via
-    ``ops/wav.py``; per-clip Python decode is inherent to codec work,
-    the fingerprint math is exact-integer numpy)."""
-
-    def __init__(self) -> None:
-        from fetch_engines_ray.ops.wav import decode_wav
-
-        self.decode = decode_wav
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, payload in zip(
-            batch["doc_id"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            try:
-                dec = self.decode(payload)
-            except ValueError:
-                # corrupt payload (*FormatError subclasses ValueError):
-                # skip the row — no fingerprint means no dup evidence,
-                # so the doc is KEPT; one bad payload must not kill the
-                # whole sweep (same containment posture as MediaDecoder)
-                continue
-            fp = audio_fingerprint64(dec["samples"], dec["sample_rate"])
-            rows.append(
-                {
-                    "doc_id": int(doc_id),
-                    "afp": np.uint64(fp).astype(np.int64).item(),
-                    "sample_rate": int(dec["sample_rate"]),
-                    "n_samples": int(dec["n_samples"]),
-                }
-            )
-        return pa.Table.from_pylist(rows, schema=AUDIO_FP_SCHEMA)
-
-
-class VideoFingerprinter:
-    """Actor-pool stage: ``(doc_id, payload)`` GIF batches in,
-    ``VIDEO_FP_SCHEMA`` rows out.  Uses the SELECTIVE single-frame
-    decode (``ops/gif.py::decode_gif_frame``) — the fingerprint only
-    consumes the middle frame, so the other frames never pay the
-    pure-Python LZW inflate (pinned identical to
-    ``video_fingerprint64`` over the full decode)."""
-
-    def __init__(self) -> None:
-        from fetch_engines_ray.ops.gif import decode_gif_frame
-
-        self.decode = decode_gif_frame
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, payload in zip(
-            batch["doc_id"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            try:
-                dec = self.decode(payload)
-            except ValueError:
-                # corrupt payload (*FormatError subclasses ValueError):
-                # skip the row — no fingerprint means no dup evidence,
-                # so the doc is KEPT; one bad payload must not kill the
-                # whole sweep (same containment posture as MediaDecoder)
-                continue
-            fp = dhash64(dec["frame"])
-            rows.append(
-                {
-                    "doc_id": int(doc_id),
-                    "vfp": np.uint64(fp).astype(np.int64).item(),
-                    "n_frames": int(dec["n_frames"]),
-                    "duration_ms": int(dec["duration_ms"]),
-                }
-            )
-        return pa.Table.from_pylist(rows, schema=VIDEO_FP_SCHEMA)
-
-
-def audio_near_dup_pairs(
-    ds: "ray.data.Dataset",
-    max_hamming: int = 3,
-    concurrency=(1, 8),
-    batch_size: int = 256,
-) -> pd.DataFrame:
-    """End-to-end audio near-dup sweep over a ``(doc_id, payload)`` WAV
-    table: fingerprint (actor pool) -> lossless hamming LSH -> verified
-    ``(doc_a, doc_b, hamming)`` pairs."""
-    sigs = ds.map_batches(
-        AudioFingerprinter,
-        concurrency=concurrency,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    return hamming64_pairs(sigs, hash_col="afp", max_hamming=max_hamming)
-
-
-def scene_cut_indices(
-    frames: list, threshold_permille: int = 120
-) -> list:
-    """Frame indices that START a new scene (index 0 always does).
-
-    A cut fires when the mean absolute grayscale delta between
-    consecutive frames exceeds ``threshold_permille``/1000 of full
-    scale (255) — the standard pixel-difference scene detector, in
-    pure integer arithmetic (``sum|Δ| * 1000 > thr * 255 * n_pixels``)
-    so the cut set is bit-deterministic."""
-    from fetch_engines_ray.ops.imagehash import to_grayscale
-
-    if not frames:
-        return []
-    cuts = [0]
-    prev = to_grayscale(frames[0])
-    for i in range(1, len(frames)):
-        g = to_grayscale(frames[i])
-        delta = int(np.abs(g - prev).sum())
-        if delta * 1000 > threshold_permille * 255 * g.size:
-            cuts.append(i)
-        prev = g
-    return cuts
-
-
-SCENE_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("n_frames", pa.int64()),
-        ("n_scenes", pa.int64()),
-        ("scene_index", pa.int64()),
-        ("frame_index", pa.int64()),
-        ("timestamp_ms", pa.int64()),
-    ]
-)
-
-
-class KeyframeSampler:
-    """Actor-pool flat-map stage: one video row → one row per SCENE
-    keyframe (the first frame of each detected scene), the
-    content-aware alternative to the uniform
-    :class:`ops.multimodal.FrameSampler`.  Timestamps come from the
-    real per-frame GIF delays (cumulative ms at the keyframe)."""
-
-    def __init__(self, threshold_permille: int = 120) -> None:
-        from fetch_engines_ray.ops.gif import decode_gif
-
-        self.decode = decode_gif
-        self.thr = threshold_permille
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = (
-            batch["payload"].to_pylist() if "payload" in batch.column_names else None
-        )
-        rows = []
-        for i, ref in enumerate(batch["media_ref"].to_pylist()):
-            if payloads is not None:
-                payload = payloads[i]
-            else:
-                from fetch_engines_ray.ops.gif import planted_gif_for_ref
-
-                payload = planted_gif_for_ref(ref or "")
-            try:
-                dec = self.decode(payload)
-            except ValueError:
-                continue  # corrupt payload: skip (see fingerprinters)
-            cuts = scene_cut_indices(dec["frames"], self.thr)
-            starts = np.concatenate([[0], np.cumsum(dec["delays_ms"])[:-1]])
-            for si, fi in enumerate(cuts):
-                rows.append(
-                    {
-                        "media_ref": ref or "",
-                        "n_frames": dec["n_frames"],
-                        "n_scenes": len(cuts),
-                        "scene_index": si,
-                        "frame_index": fi,
-                        "timestamp_ms": int(starts[fi]),
-                    }
-                )
-        return pa.Table.from_pylist(rows, schema=SCENE_SCHEMA)
-
-
-def sample_keyframes(
-    video_ds: "ray.data.Dataset",
-    threshold_permille: int = 120,
-    concurrency=(1, 8),
-    batch_size: int = 64,
-) -> "ray.data.Dataset":
-    """Scene-cut keyframe rows for a ``(media_ref[, payload])`` video
-    table (actor pool, small batches — animated payloads are large)."""
-    return video_ds.map_batches(
-        KeyframeSampler,
-        fn_constructor_kwargs={"threshold_permille": threshold_permille},
-        concurrency=concurrency,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-
-
-def video_near_dup_pairs(
-    ds: "ray.data.Dataset",
-    max_hamming: int = 3,
-    concurrency=(1, 8),
-    batch_size: int = 64,
-) -> pd.DataFrame:
-    """End-to-end video near-dup sweep over a ``(doc_id, payload)`` GIF
-    table (smaller batches: animated payloads are the largest binaries
-    in the corpus — BASELINE.md memory posture)."""
-    sigs = ds.map_batches(
-        VideoFingerprinter,
-        concurrency=concurrency,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    return hamming64_pairs(sigs, hash_col="vfp", max_hamming=max_hamming)

@@ -1,223 +1,30 @@
 """Multimodal (image/audio/video) stage plumbing.
 
-Media payloads are opaque ``binary``/``media_ref`` columns with typed
-metadata.  Decode / feature-extract / resize / frame-sample run as
-actor-pool ``map_batches`` stages.
+Media payloads are opaque ``binary``/``media_ref`` columns.
+:func:`media_spans_dataset` explodes the media spans of extraction
+output into one row per span (``curate_media`` fingerprints them).  The
+decode stages below are actor-pool ``map_batches`` UDFs behind the
+oracled real-decode gate queries; each one actually runs its codec:
 
-Codec status by kind:
-
-* **image — REAL decode.**  Image refs resolve to genuine PNG payloads
-  (planted in the synthetic corpus; ``ops.png.planted_png_for_ref`` is
-  the deterministic stand-in for the reference's network fetch of
-  binary content, FetchEngine.ts:211-225) and ``ops.png.decode_png``
-  does the actual work: CRC-verified chunk walk, zlib inflate, all five
-  PNG row filters.  Rows carry ``decode_status="real"``.
-* **audio — REAL decode.**  Audio refs resolve to genuine RIFF/WAVE
-  16-bit PCM payloads; ``ops.wav.decode_wav`` parses the container and
-  ``frame_features`` computes real per-frame energy / zero-crossing /
-  sub-band features over the PCM.  Rows carry ``decode_status="real"``.
-* **video — REAL decode.**  Video refs resolve to genuine animated
-  GIF89a payloads (``ops.gif.planted_gif_for_ref``) and
-  ``ops.gif.decode_gif`` does the actual work: logical-screen parse,
-  global color table, per-frame Graphic Control delays, and a full
-  variable-width LZW inflate.  Width/height/duration/feature come from
-  real decoded frames; rows carry ``decode_status="real"``.
-
-Unknown kinds remain an opaque passthrough marked
-``decode_status="stubbed"`` (the reference's binary passthrough for
-unrecognized content types).
+* **image** — :class:`PngDecoder` (``ops.png.decode_png``: CRC-verified
+  chunk walk, zlib inflate, all five PNG row filters) plus the
+  :func:`letterbox` / :func:`resample_nearest` resize, and
+  :class:`JpegDecoder` (``ops.jpeg.decode_jpeg``: Huffman scan + IDCT).
+* **audio** — :class:`WavDecoder` (``ops.wav.decode_wav``: RIFF/WAVE
+  16-bit PCM).
+* **video** — :class:`GifDecoder` (``ops.gif.decode_gif``: GIF89a with
+  per-frame Graphic Control delays and a full variable-width LZW
+  inflate).
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
-from .gif import GifFormatError, decode_gif, planted_gif_for_ref
-from .png import PngFormatError, decode_png, planted_png_for_ref
-from .wav import WavFormatError, decode_wav, frame_features, planted_wav_for_ref
-
-try:  # richer decoders, if the environment ever provides them
-    from PIL import Image  # noqa: F401
-
-    _HAS_PIL = True
-except ImportError:
-    _HAS_PIL = False
-
-MEDIA_META_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("kind", pa.string()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-        ("duration_ms", pa.int32()),
-        ("feature", pa.list_(pa.float32(), 8)),
-        ("decode_status", pa.string()),
-    ]
-)
-
-
-def _fake_decode(media_ref: str, kind: str) -> dict:
-    """Deterministic stand-in for a codec: derives plausible metadata
-    from a hash of the media_ref.  Marked ``decode_status="stubbed"``."""
-    h = hashlib.blake2b(media_ref.encode(), digest_size=16).digest()
-    width = 160 + h[0] * 8
-    height = 90 + h[1] * 8
-    duration = (h[2] * 256 + h[3]) if kind in ("video", "audio") else 0
-    feature = [((b / 255.0) * 2 - 1) for b in h[4:12]]
-    return {
-        "media_ref": media_ref,
-        "kind": kind,
-        "width": width if kind in ("image", "video") else 0,
-        "height": height if kind in ("image", "video") else 0,
-        "duration_ms": duration,
-        "feature": feature,
-        "decode_status": "stubbed",
-    }
-
-
-def _pixel_feature(pixels: np.ndarray, n: int = 8) -> list[float]:
-    """8-dim content descriptor from REAL decoded pixels: per-slice mean
-    intensity of ``n`` contiguous slices, scaled to [-1, 1]."""
-    flat = pixels.reshape(-1).astype(np.float64)
-    slices = np.array_split(flat, n)
-    return [float(s.mean() / 127.5 - 1.0) if len(s) else 0.0 for s in slices]
-
-
-class MediaDecoder:
-    """Actor-pool stage: (media_ref, kind[, payload]) batch → decoded
-    metadata batch.
-
-    Use ``map_batches(MediaDecoder, concurrency=N, batch_size=64,
-    batch_format="pyarrow")`` — small batches because real media payloads
-    are large.  Image rows take the REAL path: the payload (the
-    ``payload`` column when present, else the planted-PNG resolver for
-    ``media://`` refs) is decoded with :func:`ops.png.decode_png` —
-    width/height/feature come from actual pixel data and the row is
-    marked ``decode_status="real"`` (``"decode_error"`` on malformed
-    bytes).  Audio rows decode genuine RIFF/WAVE PCM and video rows
-    decode genuine animated GIF89a (full LZW inflate) the same way;
-    only unknown kinds fall through to the opaque stub.
-    """
-
-    def __init__(self, target_size: tuple[int, int] = (224, 224)) -> None:
-        self.target_size = target_size
-
-    def real_decode(self, media_ref: str, payload: bytes) -> dict:
-        """Decode genuine image bytes (PNG or baseline JPEG, dispatched
-        on the magic bytes like a real pipeline sniffs content types)
-        to typed metadata + pixel feature."""
-        try:
-            if payload[:2] == b"\xff\xd8":  # JPEG SOI
-                from .jpeg import JpegFormatError, decode_jpeg
-
-                try:
-                    dec = decode_jpeg(payload)
-                except JpegFormatError:
-                    raise PngFormatError("bad JPEG payload")
-            else:
-                dec = decode_png(payload)
-        except PngFormatError:
-            return {
-                "media_ref": media_ref,
-                "kind": "image",
-                "width": 0,
-                "height": 0,
-                "duration_ms": 0,
-                "feature": [0.0] * 8,
-                "decode_status": "decode_error",
-            }
-        return {
-            "media_ref": media_ref,
-            "kind": "image",
-            "width": dec["width"],
-            "height": dec["height"],
-            "duration_ms": 0,
-            "feature": _pixel_feature(dec["pixels"]),
-            "decode_status": "real",
-        }
-
-    def real_decode_audio(self, media_ref: str, payload: bytes) -> dict:
-        """Decode genuine WAV bytes to typed metadata + PCM feature."""
-        try:
-            dec = decode_wav(payload)
-        except WavFormatError:
-            return {
-                "media_ref": media_ref,
-                "kind": "audio",
-                "width": 0,
-                "height": 0,
-                "duration_ms": 0,
-                "feature": [0.0] * 8,
-                "decode_status": "decode_error",
-            }
-        s = np.asarray(dec["samples"], dtype=np.float64).reshape(-1) / 32768.0
-        slices = np.array_split(s, 8)
-        feat = [
-            float(np.sqrt((sl**2).mean()) * 2 - 1) if len(sl) else 0.0 for sl in slices
-        ]
-        return {
-            "media_ref": media_ref,
-            "kind": "audio",
-            "width": 0,
-            "height": 0,
-            "duration_ms": dec["duration_ms"],
-            "feature": feat,
-            "decode_status": "real",
-        }
-
-    def real_decode_video(self, media_ref: str, payload: bytes) -> dict:
-        """Decode genuine animated-GIF bytes to typed metadata + a pixel
-        feature over the real decoded frames."""
-        try:
-            dec = decode_gif(payload)
-        except GifFormatError:
-            return {
-                "media_ref": media_ref,
-                "kind": "video",
-                "width": 0,
-                "height": 0,
-                "duration_ms": 0,
-                "feature": [0.0] * 8,
-                "decode_status": "decode_error",
-            }
-        return {
-            "media_ref": media_ref,
-            "kind": "video",
-            "width": dec["width"],
-            "height": dec["height"],
-            "duration_ms": dec["duration_ms"],
-            "feature": _pixel_feature(np.stack(dec["frames"])),
-            "decode_status": "real",
-        }
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = (
-            batch["payload"].to_pylist() if "payload" in batch.column_names else None
-        )
-        rows = []
-        for i, (r, k) in enumerate(
-            zip(batch["media_ref"].to_pylist(), batch["kind"].to_pylist())
-        ):
-            r, k = r or "", k or ""
-            payload = payloads[i] if payloads is not None else None
-            if k == "image":
-                if payload is None:
-                    payload = planted_png_for_ref(r)
-                rows.append(self.real_decode(r, payload))
-            elif k == "audio":
-                if payload is None:
-                    payload = planted_wav_for_ref(r)
-                rows.append(self.real_decode_audio(r, payload))
-            elif k == "video":
-                if payload is None:
-                    payload = planted_gif_for_ref(r)
-                rows.append(self.real_decode_video(r, payload))
-            else:
-                rows.append(_fake_decode(r, k))
-        return pa.Table.from_pylist(rows, schema=MEDIA_META_SCHEMA)
+from .gif import decode_gif
+from .png import decode_png
+from .wav import decode_wav
 
 
 def media_spans_dataset(extracted_ds):
@@ -245,20 +52,9 @@ def media_spans_dataset(extracted_ds):
     return extracted_ds.map_batches(explode, batch_format="pyarrow", batch_size=1024)
 
 
-def decode_media(media_ds, concurrency: int = 2):
-    """Attach decoded metadata to a media-span dataset (actor pool)."""
-    return media_ds.map_batches(
-        MediaDecoder,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
 def letterbox(w: int, h: int, tw: int, th: int) -> tuple[int, int]:
     """Aspect-preserving fit of (w, h) inside (tw, th) — the one
-    letterbox formula, shared by :class:`ImageResizer` and the oracled
+    letterbox formula, used by :class:`PngDecoder` for the oracled
     ``png_decode`` query (its SQL mirrors exactly this arithmetic)."""
     scale = min(tw / w, th / h)
     return max(1, int(w * scale)), max(1, int(h * scale))
@@ -384,8 +180,7 @@ class GifDecoder:
     """Actor-pool stage for the oracled real-VIDEO-decode query:
     (doc_id, payload) batches in, fully-decoded metadata out.
     ``pixel_sum`` sums every RGB value across every decoded frame and
-    ``mid_frame_sum`` sums the uniformly-sampled middle frame
-    (``n_frames // 2`` — the :class:`FrameSampler` midpoint) — both
+    ``mid_frame_sum`` sums the middle frame (``n_frames // 2``) — both
     recoverable only by actually LZW-inflating each frame's image data
     and applying the global color table; ``duration_ms`` comes from the
     per-frame Graphic Control delays."""
@@ -429,7 +224,7 @@ class WavDecoder:
     ``pcm_abs_sum`` sums |sample| over every decoded PCM value —
     recoverable only by actually parsing the RIFF data chunk — and
     ``n_frames`` is the 25 ms / 10 ms framing count over the decoded
-    stream (same math :func:`ops.wav.frame_features` applies)."""
+    stream."""
 
     def __init__(self, frame_length_ms: int = 25, hop_ms: int = 10) -> None:
         self.frame_length_ms = frame_length_ms
@@ -456,207 +251,3 @@ class WavDecoder:
                 }
             )
         return pa.Table.from_pylist(rows, schema=WAV_DECODE_SCHEMA)
-
-
-RESIZED_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-        ("resized_width", pa.int32()),
-        ("resized_height", pa.int32()),
-        ("resize_status", pa.string()),
-    ]
-)
-
-
-class ImageResizer:
-    """Actor-pool stage: decoded image metadata → letterboxed resize
-    plan.  This stage plans from metadata rows (no pixel column in its
-    input); the REAL pixel resample lives in :func:`resample_nearest`
-    and is exercised + SQL-oracled end-to-end by :class:`PngDecoder`
-    (``resized_pixel_sum`` over actually-decoded, actually-resampled
-    planted PNGs)."""
-
-    def __init__(self, target_size: tuple[int, int] = (224, 224)) -> None:
-        self.tw, self.th = target_size
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for r in batch.select(["media_ref", "kind", "width", "height"]).to_pylist():
-            w, h = r["width"] or 0, r["height"] or 0
-            if r["kind"] not in ("image", "video") or w <= 0 or h <= 0:
-                rows.append(
-                    {
-                        "media_ref": r["media_ref"],
-                        "width": w,
-                        "height": h,
-                        "resized_width": 0,
-                        "resized_height": 0,
-                        "resize_status": "skipped",
-                    }
-                )
-                continue
-            rw, rh = letterbox(w, h, self.tw, self.th)
-            rows.append(
-                {
-                    "media_ref": r["media_ref"],
-                    "width": w,
-                    "height": h,
-                    "resized_width": rw,
-                    "resized_height": rh,
-                    "resize_status": "planned",
-                }
-            )
-        return pa.Table.from_pylist(rows, schema=RESIZED_SCHEMA)
-
-
-FRAMES_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("frame_index", pa.int32()),
-        ("timestamp_ms", pa.int32()),
-    ]
-)
-
-
-class FrameSampler:
-    """Actor-pool flat-map stage: one video row → N uniformly-spaced
-    frame rows.  Operates on decoded metadata (``duration_ms`` is real,
-    from the GIF Graphic Control delays); pixel-level extraction of the
-    sampled frames is exercised by :class:`GifDecoder`
-    (``mid_frame_sum`` is the midpoint sample of this plan)."""
-
-    def __init__(self, frames_per_video: int = 4) -> None:
-        self.n = frames_per_video
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for r in batch.select(["media_ref", "kind", "duration_ms"]).to_pylist():
-            if r["kind"] != "video" or not r["duration_ms"]:
-                continue
-            step = r["duration_ms"] // (self.n + 1)
-            for i in range(self.n):
-                rows.append(
-                    {
-                        "media_ref": r["media_ref"],
-                        "frame_index": i,
-                        "timestamp_ms": (i + 1) * step,
-                    }
-                )
-        return pa.Table.from_pylist(rows, schema=FRAMES_SCHEMA)
-
-
-def resize_images(decoded_ds, target_size=(224, 224), concurrency: int = 2):
-    return decoded_ds.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"target_size": target_size},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-def sample_frames(decoded_ds, frames_per_video: int = 4, concurrency: int = 2):
-    return decoded_ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"frames_per_video": frames_per_video},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-AUDIO_FEATURES_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("n_frames", pa.int64()),
-        ("frame_length_ms", pa.int64()),
-        ("hop_ms", pa.int64()),
-        ("features", pa.list_(pa.list_(pa.float32()))),  # n_frames x n_coeffs
-        ("feature_status", pa.string()),
-    ]
-)
-
-
-class AudioFeatureExtractor:
-    """Actor-pool stage: audio row → framed feature matrix.
-
-    The REAL DSP path: the row's payload (``payload`` column when
-    present, else the planted-WAV resolver for ``media://`` refs) is
-    parsed by :func:`ops.wav.decode_wav` and framed by
-    :func:`ops.wav.frame_features` — per-frame RMS energy,
-    zero-crossing rate and sub-band energies over the actual PCM,
-    marked ``feature_status="real"`` (``"decode_error"`` on malformed
-    bytes, with zero frames).  n_frames = 1 + (n_samples - flen) // hop
-    is recovered from the decoded stream, not metadata.
-    """
-
-    def __init__(
-        self, frame_length_ms: int = 25, hop_ms: int = 10, n_coeffs: int = 13
-    ) -> None:
-        self.frame_length_ms = frame_length_ms
-        self.hop_ms = hop_ms
-        self.n_coeffs = n_coeffs
-
-    def real_features(self, payload: bytes) -> tuple[int, list]:
-        """(n_frames, capped feature rows) over genuine WAV bytes."""
-        dec = decode_wav(payload)
-        samples = np.asarray(dec["samples"]).reshape(dec["n_samples"], -1)[:, 0]
-        feats = frame_features(
-            samples,
-            dec["sample_rate"],
-            self.frame_length_ms,
-            self.hop_ms,
-            self.n_coeffs,
-        )
-        n_frames = len(feats)
-        # cap materialized frames so a mega-duration row cannot blow up
-        # a block (a real stage would chunk the waveform)
-        return n_frames, feats[:256].tolist()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = (
-            batch["payload"].to_pylist() if "payload" in batch.column_names else None
-        )
-        names = batch.column_names
-        refs = batch["media_ref"].to_pylist()
-        kinds = batch["kind"].to_pylist() if "kind" in names else ["audio"] * len(refs)
-        rows = []
-        for i, (ref, kind) in enumerate(zip(refs, kinds)):
-            if kind != "audio":
-                continue
-            payload = payloads[i] if payloads is not None else None
-            if payload is None:
-                payload = planted_wav_for_ref(ref or "")
-            try:
-                n_frames, feats = self.real_features(payload)
-                status = "real"
-            except WavFormatError:
-                n_frames, feats, status = 0, [], "decode_error"
-            rows.append(
-                {
-                    "media_ref": ref,
-                    "n_frames": n_frames,
-                    "frame_length_ms": self.frame_length_ms,
-                    "hop_ms": self.hop_ms,
-                    "features": feats,
-                    "feature_status": status,
-                }
-            )
-        return pa.Table.from_pylist(rows, schema=AUDIO_FEATURES_SCHEMA)
-
-
-def extract_audio_features(
-    decoded_ds, frame_length_ms: int = 25, hop_ms: int = 10, concurrency: int = 2
-):
-    return decoded_ds.map_batches(
-        AudioFeatureExtractor,
-        fn_constructor_kwargs={"frame_length_ms": frame_length_ms, "hop_ms": hop_ms},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=1,
-    )

@@ -21,18 +21,14 @@ Ray-Data shape:
   practice — FAISS trains PQ on a sample too); the codebook tensor is
   ``m * ksub * (d/m)`` floats (a few hundred KiB), broadcast via
   ``ray.put``;
-- encoding is one ``map_batches`` pass producing an ``m``-byte binary
-  code per row (Arrow ``binary``, the repo's established blob pattern —
-  hash joins reject list columns);
-- ADC search is one ``map_batches`` pass with per-block top-k partials
-  before the final ``sort.limit`` — no shuffle of the code table.
+- encoding and ADC search run inside the IVFPQ index
+  (``ops/ann_index.py``), which trains its codebooks here.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from fetch_engines_ray.ops.similarity import _normalize, _to_matrix
@@ -122,118 +118,6 @@ def pq_train_matrix(
             for j in range(m)
         ]
     )
-
-
-def pq_encode(
-    ds: "ray.data.Dataset",
-    codebooks: np.ndarray,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> "ray.data.Dataset":
-    """Encode every vector to an m-byte PQ code (Arrow binary column).
-
-    Requires ``ksub <= 256`` (uint8 codes)."""
-    import ray
-
-    m, ksub, dsub = codebooks.shape
-    if ksub > 256:
-        raise ValueError("ksub must be <= 256 for uint8 codes")
-    cb_ref = ray.put(np.ascontiguousarray(codebooks))
-
-    def encode(batch: pa.Table) -> pa.Table:
-        cb = ray.get(cb_ref)
-        mat = _normalize(_to_matrix(batch[vec_col]))
-        n = mat.shape[0]
-        codes = np.empty((n, m), dtype=np.uint8)
-        for j in range(m):
-            sub = mat[:, j * dsub : (j + 1) * dsub]
-            d = -2.0 * (sub @ cb[j].T) + (cb[j] ** 2).sum(axis=1)
-            codes[:, j] = d.argmin(axis=1)
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "pq_code": pa.array([c.tobytes() for c in codes], type=pa.binary()),
-            }
-        )
-
-    return ds.map_batches(encode, batch_format="pyarrow", batch_size=4096)
-
-
-def pq_search(
-    codes: "ray.data.Dataset",
-    codebooks: np.ndarray,
-    query_vecs: np.ndarray,
-    query_ids: Sequence[int],
-    k: int = 10,
-    id_col: str = "vec_id",
-) -> pd.DataFrame:
-    """ADC top-k search over the encoded corpus.
-
-    ``query_vecs`` are the raw query vectors (normalized here); a query
-    never matches its own id.  Per-block partial top-k keeps the wide
-    step at ``n_blocks * n_queries * k`` rows.  Returns
-    ``(query_id, neighbor_id, rank)`` like ``knn_bruteforce``."""
-    import ray
-
-    m, ksub, dsub = codebooks.shape
-    q = _normalize(np.asarray(query_vecs, dtype=np.float64))
-    # per-query inner-product LUT: luts[qi, j, code]
-    luts = np.stack(
-        [
-            np.stack([qv[j * dsub : (j + 1) * dsub] @ codebooks[j].T for j in range(m)])
-            for qv in q
-        ]
-    )
-    lut_ref = ray.put(np.ascontiguousarray(luts))
-    qids = np.asarray(list(query_ids), dtype=np.int64)
-    qid_ref = ray.put(qids)
-
-    def block_topk(batch: pa.Table) -> pa.Table:
-        lt = ray.get(lut_ref)
-        qs = ray.get(qid_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        raw = b"".join(batch["pq_code"].to_pylist())
-        c = np.frombuffer(raw, dtype=np.uint8).reshape(len(ids), m)
-        out_q, out_n, out_s = [], [], []
-        cols = np.arange(m)
-        for qi in range(len(qs)):
-            sims = lt[qi][cols, c].sum(axis=1)
-            # MASK the self row out (not just -inf): with fewer than k
-            # non-self rows the -inf row survived the cut and the query
-            # matched its own id, violating the documented contract
-            cand = np.nonzero(ids != qs[qi])[0]
-            if len(cand) == 0:
-                continue
-            # deterministic k-th-boundary ties (sim desc, id asc) —
-            # duplicate vectors share PQ codes and tie EXACTLY, and a
-            # block-order argsort made the result partition-dependent
-            order = np.lexsort((ids[cand], -sims[cand]))
-            take = cand[order[: min(k, len(cand))]]
-            out_q.append(np.full(len(take), qs[qi], dtype=np.int64))
-            out_n.append(ids[take])
-            out_s.append(sims[take])
-        if not out_q:  # block held only the queries themselves
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "neighbor_id": pa.array([], type=pa.int64()),
-                    "sim": pa.array([], type=pa.float64()),
-                }
-            )
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                "neighbor_id": pa.array(np.concatenate(out_n)),
-                "sim": pa.array(np.concatenate(out_s), type=pa.float64()),
-            }
-        )
-
-    reduced = codes.map_batches(block_topk, batch_format="pyarrow", batch_size=65536)
-    pdf = reduced.to_pandas()
-    pdf.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True], inplace=True)
-    topk = pdf.groupby("query_id", sort=True).head(k).copy()
-    topk["rank"] = topk.groupby("query_id").cumcount() + 1
-    return topk[["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
 
 
 def pq_reconstruction_error(

@@ -219,73 +219,3 @@ def merge_profile_artifacts(paths: list[str]) -> pd.DataFrame:
     allp = pd.concat(frames, ignore_index=True)
     columns = list(dict.fromkeys(allp["column"]))
     return _render(_merge_partial_frame(allp, columns))
-
-
-def pairwise_corr(
-    ds: "ray.data.Dataset",
-    columns: list[str],
-) -> pd.DataFrame:
-    """Pearson correlation / covariance matrix over numeric ``columns``
-    in ONE streaming pass — the profiler's second-moment companion
-    (feature-redundancy checks before training a quality classifier,
-    sanity checks on derived signals).
-
-    Scale shape: each batch reduces to one partial of O(cols^2) floats
-    (row count, per-column sums, and the Gram matrix ``X.T @ X`` from a
-    single BLAS call); the driver sums O(blocks) such partials — no
-    shuffle, nothing row-sized leaves a worker.
-
-    Null policy: rows with a null in ANY selected column are dropped
-    (listwise deletion, one shared n for every pair — the standard
-    correlation-matrix contract; DuckDB-parity under ``WHERE`` all
-    columns are NOT NULL).  Sample covariance uses the n-1 denominator,
-    matching DuckDB/numpy.
-
-    Returns the upper triangle incl. the diagonal:
-    ``(col_a, col_b, n, cov, corr)``; corr is NaN for zero-variance
-    columns.
-    """
-    k = len(columns)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sub = batch.select(columns).drop_null()
-        x = np.column_stack(
-            [sub[c].to_numpy(zero_copy_only=False).astype(np.float64) for c in columns]
-        ) if sub.num_rows else np.empty((0, k))
-        return pa.table(
-            {
-                "n": pa.array([sub.num_rows], type=pa.int64()),
-                "sums": pa.array([x.sum(axis=0).tobytes()], type=pa.binary()),
-                "gram": pa.array([(x.T @ x).tobytes()], type=pa.binary()),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536).to_pandas()
-    n = int(parts["n"].sum())
-    sums = np.zeros(k)
-    gram = np.zeros((k, k))
-    for s, g in zip(parts["sums"], parts["gram"]):
-        sums += np.frombuffer(s, dtype=np.float64)
-        gram += np.frombuffer(g, dtype=np.float64).reshape(k, k)
-
-    out = []
-    for i in range(k):
-        for j in range(i, k):
-            if n >= 2:
-                cov = (gram[i, j] - sums[i] * sums[j] / n) / (n - 1)
-                var_i = (gram[i, i] - sums[i] ** 2 / n) / (n - 1)
-                var_j = (gram[j, j] - sums[j] ** 2 / n) / (n - 1)
-                denom = np.sqrt(var_i * var_j)
-                corr = cov / denom if denom > 0 else float("nan")
-            else:
-                cov = corr = float("nan")
-            out.append(
-                {
-                    "col_a": columns[i],
-                    "col_b": columns[j],
-                    "n": n,
-                    "cov": cov,
-                    "corr": corr,
-                }
-            )
-    return pd.DataFrame(out, columns=["col_a", "col_b", "n", "cov", "corr"])

@@ -26,7 +26,7 @@ import ray
 import ray.data
 
 from fetch_engines_ray.arrowclean import read_parquet_clean
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Mean, Sum
 
 
 def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
@@ -121,27 +121,6 @@ def lineitem_pricing_summary(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
-def orders_by_status(sf_dir: str) -> pd.DataFrame:
-    ds = _read(sf_dir, "orders", columns=["o_orderstatus", "o_totalprice"])
-    ds = _add_int_scaled(ds, "o_totalprice", "cents")
-    out = (
-        ds.groupby("o_orderstatus")
-        .aggregate(
-            Count(alias_name="n_orders"),
-            Sum("cents", alias_name="cents"),
-            Min("o_totalprice", alias_name="min_price"),
-            Max("o_totalprice", alias_name="max_price"),
-        )
-        .to_pandas()
-    )
-    out["total_price"] = out["cents"] / 100.0
-    out = out.drop(columns=["cents"])
-    out = out[["o_orderstatus", "n_orders", "total_price", "min_price", "max_price"]]
-    return _round_cols(out, ["total_price", "min_price", "max_price"]).sort_values(
-        "o_orderstatus"
-    ).reset_index(drop=True)
-
-
 def events_value_by_type(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
     ds = _add_int_scaled(ds, "value", "cents")
@@ -227,26 +206,6 @@ def customer_revenue_by_segment(sf_dir: str) -> pd.DataFrame:
     return _round_cols(out, ["revenue"]).sort_values("c_mktsegment").reset_index(drop=True)
 
 
-def customers_per_nation(sf_dir: str) -> pd.DataFrame:
-    """customer ⋈ nation (broadcast) → customer count per nation name."""
-    nation = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
-    attach = _broadcast_attach(nation, "n_nationkey", "n_name")
-
-    def attach_nation(batch: pa.Table) -> pa.Table:
-        # INNER semantics (the SQL oracle's JOIN): drop unmatched
-        out = attach(batch, "c_nationkey", "n_name")
-        return out.filter(pc.is_valid(out["n_name"]))
-
-    cust = _read(sf_dir, "customer", columns=["c_nationkey"])
-    out = (
-        cust.map_batches(attach_nation, batch_format="pyarrow", batch_size=65536)
-        .groupby("n_name")
-        .aggregate(Count(alias_name="n_customers"))
-        .to_pandas()
-    )
-    return out.sort_values("n_name").reset_index(drop=True)
-
-
 # ---------------------------------------------------------------------------
 # Sort / top-k / distinct / filter
 # ---------------------------------------------------------------------------
@@ -271,12 +230,6 @@ def high_value_open_orders(sf_dir: str) -> pd.DataFrame:
     out = ds.map_batches(flt, batch_format="pyarrow", batch_size=65536).to_pandas()
     out = _round_cols(out, ["o_totalprice"])
     return out.sort_values("o_orderkey").reset_index(drop=True)
-
-
-def distinct_part_brands(sf_dir: str) -> pd.DataFrame:
-    ds = _read(sf_dir, "part", columns=["p_brand"])
-    vals = sorted(ds.unique("p_brand"))
-    return pd.DataFrame({"p_brand": vals})
 
 
 def supplier_count_by_nation(sf_dir: str) -> pd.DataFrame:
@@ -652,60 +605,13 @@ def events_props_k_by_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
-def customers_without_orders(
-    sf_dir: str, min_total: float = 0.0, num_partitions: int = 4
-) -> pd.DataFrame:
-    """Distributed ANTI join: customers with no order above
-    ``min_total`` (TPC-H Q22 flavor) via Ray Data's native
-    ``join_type="left_anti"`` — the same hash-partitioned exchange as an
-    inner join, nothing driver-side.  Pytest oracles this directly
-    against DuckDB (NOT IN subquery)."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]).filter(
-        expr=f"o_totalprice > {min_total!r}"
-    )
-    out = cust.join(
-        orders,
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    ).to_pandas()
-    if "c_custkey" not in out.columns:  # empty anti result loses schema
-        return pd.DataFrame({"c_custkey": pd.Series(dtype="int64")})
-    return out.sort_values("c_custkey").reset_index(drop=True)
-
-
-def customer_order_counts_outer(sf_dir: str, num_partitions: int = 4) -> pd.DataFrame:
-    """Distributed LEFT OUTER join: every customer with their order
-    count (0 for order-less customers) — pre-aggregate the orders side
-    to (custkey, n) BEFORE the join so the wide exchange moves one row
-    per customer, not one per order."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey"])
-    per_cust = (
-        _read(sf_dir, "orders", columns=["o_custkey"])
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="n_orders"))
-    )
-    out = cust.join(
-        per_cust,
-        join_type="left_outer",
-        num_partitions=num_partitions,
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    ).to_pandas()[["c_custkey", "n_orders"]]
-    out["n_orders"] = out["n_orders"].fillna(0).astype("int64")
-    return out.sort_values("c_custkey").reset_index(drop=True)
-
-
 def customer_order_full_outer(
     sf_dir: str,
     min_acctbal: float = 7000.0,
     min_total: float = 400000.0,
     num_partitions: int = 4,
 ) -> pd.DataFrame:
-    """Distributed FULL OUTER join (the last Ray-native join type the
-    relational family didn't exercise): high-balance customers vs
+    """Distributed FULL OUTER join: high-balance customers vs
     per-customer counts of high-value orders.  Both sides keep
     unmatched rows — customers with no qualifying order carry
     ``n_orders`` 0, qualifying orders whose customer misses the balance

@@ -3,8 +3,8 @@
 Public-knowledge basis: Robertson & Zaragoza, "The Probabilistic
 Relevance Framework: BM25 and Beyond" (FnTIR 2009) — the standard
 keyword-relevance score.  A training-data engine needs it for targeted
-corpus slicing ("every document about X"), hard-negative mining next to
-the vector-search family, and keyword/vector hybrid retrieval.
+corpus slicing ("every document about X") and keyword/vector hybrid
+retrieval next to the vector-search family.
 
 Ray-Data shape:
 

@@ -111,22 +111,6 @@ def hll_distinct(ds: "ray.data.Dataset", column: str, p: int = 12) -> float:
     return float(ds.aggregate(HllDistinct(on=column, p=p, alias_name="approx_distinct"))["approx_distinct"])
 
 
-def hll_distinct_by_key(
-    ds: "ray.data.Dataset", key: str, column: str, p: int = 12
-) -> pd.DataFrame:
-    """Approximate distinct(column) per key value, via the
-    :class:`HllDistinct` aggregation (per-block partial sketches merge
-    by max inside Ray's aggregate — one tiny shuffle of fixed-size
-    blobs regardless of raw cardinality)."""
-    out = (
-        ds.groupby(key)
-        .aggregate(HllDistinct(on=column, p=p, alias_name="approx_distinct"))
-        .to_pandas()
-    )
-    out["approx_distinct"] = out["approx_distinct"].round().astype("int64")
-    return out.sort_values(key).reset_index(drop=True)
-
-
 # ---------------------------------------------------------------------------
 # Approximate quantiles: two-pass fixed-width histogram
 # ---------------------------------------------------------------------------
@@ -271,41 +255,8 @@ def grouped_quantiles(
     return out.sort_values(key).reset_index(drop=True)
 
 
-class IntHistogram(AggregateFnV2):
-    """Integer-bucketed histogram over ``[lo, hi]`` (inclusive): bucket
-    ``b`` covers the integer interval ``[lo + b*width, lo + (b+1)*width)``
-    with an integer ``width``, so bucket membership is exact — the
-    building block for :func:`exact_int_quantiles`."""
-
-    def __init__(self, on: str, lo: int, hi: int, width: int, nbuckets: int, alias_name=None):
-        self._lo, self._width, self._n = int(lo), int(width), int(nbuckets)
-        super().__init__(
-            alias_name or f"int_histogram({on})",
-            zero_factory=lambda: bytes(8 * nbuckets),
-            on=on,
-            ignore_nulls=True,
-        )
-
-    def aggregate_block(self, block) -> bytes:
-        from ray.data.block import BlockAccessor
-
-        col = BlockAccessor.for_block(block).to_arrow().column(self._target_col_name)
-        v = col.drop_null().to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.zeros(self._n, dtype=np.int64)
-        if len(v):
-            idx = np.clip((v - self._lo) // self._width, 0, self._n - 1)
-            np.add.at(counts, idx, 1)
-        return counts.tobytes()
-
-    def combine(self, a: bytes, b: bytes) -> bytes:
-        return (np.frombuffer(a, dtype=np.int64) + np.frombuffer(b, dtype=np.int64)).tobytes()
-
-    def finalize(self, accumulator: bytes) -> bytes:
-        return accumulator
-
-
 class MultiRangeIntHistogram(AggregateFnV2):
-    """Several :class:`IntHistogram`\\ s over DIFFERENT ``[lo, hi]``
+    """Integer-bucketed histograms over several DIFFERENT ``[lo, hi]``
     ranges of the same column in ONE streaming pass — values outside a
     range are MASKED (not clipped), so the input needs no per-range
     filter.  ``ranges`` is ``[(lo, width, nbuckets), ...]``; the
@@ -355,8 +306,8 @@ def exact_int_quantiles(
     quantile pulled ~95 % of all rows through one process).
 
     Iterative histogram narrowing: each level is ONE streaming
-    ``IntHistogram`` aggregate over the (range-filtered) column; the
-    bucket containing the rank becomes the next level's range.  Integer
+    :class:`MultiRangeIntHistogram` aggregate over the column; the
+    bucket containing each rank becomes that rank's next range.  Integer
     widths shrink the range ≥ ``bins``× per level, so full-int64 data
     resolves in ≤ 5 levels and typical bounded scores in 1-2; driver
     state is O(bins) per level.  Exactness: buckets partition the
@@ -411,135 +362,6 @@ def exact_int_quantiles(
                 out[i] = lo
             else:
                 states[i] = (lo, hi, r)
-    return out
-
-
-def grouped_exact_int_quantiles(
-    ds: "ray.data.Dataset",
-    key: str,
-    column: str,
-    qs: list[float],
-    bins: int = 4096,
-) -> pd.DataFrame:
-    """EXACT per-group quantiles of an int64 column, DuckDB
-    ``quantile_disc`` convention (rank ``max(0, ceil(q*n) - 1)`` within
-    the group's sorted values) — without a sort, without ``map_groups``
-    over data-sized groups, and without streaming rows through the
-    driver.
-
-    The multi-group form of :func:`exact_int_quantiles`: every unresolved
-    ``(group, q)`` pair is a STATE ``(lo, hi, rank-within-range)``; each
-    level runs ONE ``map_batches`` pass emitting per-state bucket counts
-    (long ``(state, bucket, n)`` rows, <= states x bins per block) plus
-    one tiny groupby-sum, then every state narrows to the bucket holding
-    its rank.  Integer bucket widths shrink each state's range >= bins x
-    per level, so full-int64 domains resolve in <= 5 levels and bounded
-    scores in 1-2 — each level's cost is one streaming pass over the
-    column regardless of group count.  Driver state is
-    O(groups x len(qs) x bins), never row-scaled; the group key must be
-    bounded-cardinality (the same contract as any wide GROUP BY).
-
-    Returns one row per group: ``key, q{q}...`` columns, sorted by key.
-    """
-    import math
-
-    import ray as _ray
-    from ray.data.aggregate import Count as _Count, Max as _Max, Min as _Min
-
-    def project(batch: pa.Table) -> pa.Table:
-        t = batch.select([key, column])
-        return t.filter(pa.compute.is_valid(t[column]))
-
-    vals = ds.map_batches(project, batch_format="pyarrow", batch_size=65536)
-    base = (
-        vals.groupby(key)
-        .aggregate(
-            _Count(alias_name="n"),
-            _Min(column, alias_name="lo"),
-            _Max(column, alias_name="hi"),
-        )
-        .to_pandas()  # bounded: one row per group
-    )
-
-    # state per (group, q): [key, lo, hi, remaining-rank]; resolved when lo == hi
-    states: list[list] = []
-    for _, row in base.iterrows():
-        n = int(row["n"])
-        for q in qs:
-            r = max(0, math.ceil(q * n) - 1)
-            states.append([row[key], int(row["lo"]), int(row["hi"]), r])
-
-    while True:
-        active = [i for i, s in enumerate(states) if s[1] < s[2]]
-        if not active:
-            break
-        meta = []  # (state_id, key, lo, hi, width, nbuckets)
-        for i in active:
-            k, lo, hi, _ = states[i]
-            span = hi - lo + 1
-            width = -(-span // bins)
-            meta.append((i, k, lo, hi, width, -(-span // width)))
-        meta_ref = _ray.put(meta)
-
-        def level_partial(batch: pa.Table) -> pa.Table:
-            m = _ray.get(meta_ref)
-            keys = np.asarray(batch[key].to_pylist(), dtype=object)
-            v = batch[column].to_numpy(zero_copy_only=False).astype(np.int64)
-            sids: list[np.ndarray] = []
-            bks: list[np.ndarray] = []
-            ns: list[np.ndarray] = []
-            for sid, k, lo, hi, width, nb in m:
-                mask = (keys == k) & (v >= lo) & (v <= hi)
-                if not mask.any():
-                    continue
-                c = np.bincount((v[mask] - lo) // width, minlength=nb)
-                nz = np.nonzero(c)[0]
-                sids.append(np.full(len(nz), sid, dtype=np.int64))
-                bks.append(nz.astype(np.int64))
-                ns.append(c[nz].astype(np.int64))
-            if not sids:
-                return pa.table(
-                    {"state": pa.array([], type=pa.int64()),
-                     "bucket": pa.array([], type=pa.int64()),
-                     "n": pa.array([], type=pa.int64())}
-                )
-            return pa.table(
-                {"state": pa.array(np.concatenate(sids)),
-                 "bucket": pa.array(np.concatenate(bks)),
-                 "n": pa.array(np.concatenate(ns))}
-            )
-
-        from ray.data.aggregate import Sum as _Sum
-
-        hist = (
-            vals.map_batches(level_partial, batch_format="pyarrow", batch_size=65536)
-            .groupby(["state", "bucket"])
-            .aggregate(_Sum("n", alias_name="n"))
-            .to_pandas()  # bounded: <= len(active) x bins rows
-        )
-        by_state = {sid: grp for sid, grp in hist.groupby("state")}
-        for sid, k, lo, hi, width, nb in meta:
-            grp = by_state[sid].sort_values("bucket")
-            cum = grp["n"].to_numpy().cumsum()
-            buckets = grp["bucket"].to_numpy()
-            j = int(np.searchsorted(cum, states[sid][3] + 1, side="left"))
-            b = int(buckets[j])
-            states[sid][3] -= int(cum[j - 1]) if j > 0 else 0
-            states[sid][1] = lo + b * width
-            states[sid][2] = min(hi, lo + (b + 1) * width - 1)
-
-    out_rows: dict = {}
-    si = 0
-    for _, row in base.iterrows():
-        rec = out_rows.setdefault(row[key], {})
-        for q in qs:
-            rec[f"q{q:g}"] = states[si][1]
-            si += 1
-    out = pd.DataFrame(
-        [{key: k, **rec} for k, rec in out_rows.items()]
-    ).sort_values(key).reset_index(drop=True)
-    for q in qs:
-        out[f"q{q:g}"] = out[f"q{q:g}"].astype("int64")
     return out
 
 
@@ -676,7 +498,7 @@ def heavy_hitters_exact(
 
 
 # ---------------------------------------------------------------------------
-# Bloom filter: compact distributed membership index
+# Bloom filter bits (the decontamination probe builds and reads them)
 # ---------------------------------------------------------------------------
 
 def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
@@ -717,154 +539,3 @@ def bloom_contains(blob: bytes, values, m_bits: int, k: int) -> np.ndarray:
     pos = _bloom_positions(values, m_bits, k)
     probe = (bits[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
     return probe.all(axis=1)
-
-
-class BloomFilter(AggregateFnV2):
-    """Distributed Bloom-filter build as a first-class aggregation:
-    ``blob = ds.aggregate(BloomFilter(on="url", m_bits=1<<23))[...]``.
-
-    Same partial-aggregation shape as :class:`HllDistinct`: each block
-    reduces to one fixed-size bit array, partials merge by bitwise OR —
-    the blob size is set by the TARGET capacity, never by row count.
-    The finalized blob is the broadcastable membership index for
-    "seen before?" filtering at ingest (``ray.put`` once, probe with
-    :func:`bloom_contains` inside ``map_batches``).  Size ``m_bits`` ≈
-    10 bits/key with k=7 for ~1% false positives (standard sizing).
-    """
-
-    def __init__(
-        self,
-        on: str,
-        m_bits: int = 1 << 20,
-        k: int = 7,
-        alias_name: str | None = None,
-    ):
-        assert m_bits % 8 == 0, "m_bits must be a multiple of 8"
-        self._m = m_bits
-        self._k = k
-        super().__init__(
-            alias_name or f"bloom({on})",
-            zero_factory=lambda: bytes(m_bits >> 3),
-            on=on,
-            ignore_nulls=True,
-        )
-
-    def aggregate_block(self, block) -> bytes:
-        from ray.data.block import BlockAccessor
-
-        col = BlockAccessor.for_block(block).to_arrow().column(self._target_col_name)
-        return _bloom_set(col.drop_null().to_pylist(), self._m, self._k).tobytes()
-
-    def combine(self, current_accumulator: bytes, new: bytes) -> bytes:
-        return np.bitwise_or(
-            np.frombuffer(current_accumulator, dtype=np.uint8),
-            np.frombuffer(new, dtype=np.uint8),
-        ).tobytes()
-
-    def finalize(self, accumulator: bytes) -> bytes:
-        return accumulator
-
-
-def bloom_build(
-    ds: "ray.data.Dataset", column: str, m_bits: int = 1 << 20, k: int = 7
-) -> bytes:
-    """Build a membership blob over a column (one streaming pass)."""
-    return ds.aggregate(BloomFilter(on=column, m_bits=m_bits, k=k, alias_name="bloom"))[
-        "bloom"
-    ]
-
-
-def bloom_filter_new(
-    ds: "ray.data.Dataset",
-    blob: bytes,
-    column: str,
-    m_bits: int = 1 << 20,
-    k: int = 7,
-) -> "ray.data.Dataset":
-    """Keep only rows whose ``column`` value is NOT in the blob — the
-    ingest-side "drop everything we've seen" filter.  The blob is
-    ``ray.put`` once and read zero-copy per task; no shuffle.  Bloom
-    false positives drop a ~FP-rate sliver of genuinely-new rows
-    (never the reverse), the standard trade for O(bits) memory."""
-    import ray as _ray
-
-    blob_ref = _ray.put(blob)
-
-    def keep_new(batch: pa.Table) -> pa.Table:
-        b = _ray.get(blob_ref)
-        seen = bloom_contains(b, batch[column].to_pylist(), m_bits, k)
-        return batch.filter(pa.array(~seen))
-
-    return ds.map_batches(keep_new, batch_format="pyarrow", batch_size=8192)
-
-
-# ---------------------------------------------------------------------------
-# Count-min sketch (point-frequency estimates under memory bound)
-# ---------------------------------------------------------------------------
-
-_CM_MIX = np.uint64(0x9E3779B97F4A7C15)  # public splitmix64 constant
-
-
-def _cm_indices(values, width: int, depth: int) -> np.ndarray:
-    """[depth, n] column indices via Kirsch-Mitzenmacher double hashing
-    (g_j = h1 + j*h2): two base hashes derive all rows, vectorized."""
-    h1 = _hash64(values)
-    h2 = (h1 ^ (h1 >> np.uint64(31))) * _CM_MIX | np.uint64(1)  # odd → full period
-    j = np.arange(depth, dtype=np.uint64)[:, None]
-    return ((h1[None, :] + j * h2[None, :]) % np.uint64(width)).astype(np.int64)
-
-
-class CountMin(AggregateFnV2):
-    """Count-min sketch as a Ray Data aggregation: a depth x width
-    int64 counter matrix; blocks build partial matrices vectorized
-    (np.add.at over double-hashed indices), partials merge by exact
-    element-wise addition — so the distributed build is bit-identical
-    to a single-pass build regardless of partitioning.  Standard
-    guarantee: estimate >= true count, and overshoot <= e/width * N
-    with probability 1 - exp(-depth)."""
-
-    def __init__(
-        self, on: str, width: int = 2048, depth: int = 4, alias_name: str | None = None
-    ):
-        self._w, self._d = int(width), int(depth)
-        super().__init__(
-            alias_name or f"count_min({on})",
-            zero_factory=lambda: np.zeros((self._d, self._w), dtype=np.int64),
-            on=on,
-            ignore_nulls=True,
-        )
-
-    def aggregate_block(self, block) -> np.ndarray:
-        from ray.data.block import BlockAccessor
-
-        col = BlockAccessor.for_block(block).to_arrow().column(self._target_col_name)
-        vals = col.drop_null().to_pylist()
-        m = np.zeros((self._d, self._w), dtype=np.int64)
-        if not vals:
-            return m
-        idx = _cm_indices(vals, self._w, self._d)
-        for j in range(self._d):
-            np.add.at(m[j], idx[j], 1)
-        return m
-
-    def combine(self, current_accumulator: np.ndarray, new: np.ndarray) -> np.ndarray:
-        return current_accumulator + new
-
-    def finalize(self, accumulator: np.ndarray) -> np.ndarray:
-        return accumulator
-
-
-def count_min_build(
-    ds: "ray.data.Dataset", column: str, width: int = 2048, depth: int = 4
-) -> np.ndarray:
-    """Build the sketch matrix over a column (one streaming pass)."""
-    return ds.aggregate(CountMin(on=column, width=width, depth=depth, alias_name="cm"))["cm"]
-
-
-def count_min_estimate(sketch: np.ndarray, values) -> np.ndarray:
-    """Point-frequency estimates (int64, one per queried value)."""
-    depth, width = sketch.shape
-    idx = _cm_indices(list(values), width, depth)
-    return np.min(
-        np.stack([sketch[j, idx[j]] for j in range(depth)], axis=0), axis=0
-    )

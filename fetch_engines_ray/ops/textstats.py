@@ -253,34 +253,6 @@ def add_winnowing_fingerprint(
     return batch.append_column("fp_hashes", pa.array(out, type=pa.list_(pa.int64())))
 
 
-def add_compression_ratio(
-    batch: pa.Table, text_col: str = "text", scale: int = 1000
-) -> pa.Table:
-    """zlib compression ratio as an integer quality signal
-    (``compression_ratio_x1000 = 1000 * compressed / raw``, half-away
-    rounding; empty text → 0).
-
-    The entropy-proxy filter from published curation recipes
-    (MassiveText/Gopher, RedPajama): machine-generated repetition
-    compresses far below natural language (< ~300/1000), while
-    random/encrypted junk stays near or above 1000.  Per-row zlib is
-    C-speed and bounded by document length; no SQL oracle (DuckDB has
-    no zlib) — closed-form pytest instead."""
-    import zlib
-
-    vals = []
-    for t in batch[text_col].to_pylist():
-        raw = (t or "").encode("utf-8")
-        if not raw:
-            vals.append(0)
-            continue
-        comp = len(zlib.compress(raw, 6))
-        vals.append((scale * comp * 2 + len(raw)) // (2 * len(raw)))  # half-away
-    return batch.append_column(
-        "compression_ratio_x1000", pa.array(vals, type=pa.int64())
-    )
-
-
 def add_gopher_quality_flags(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Rule-based document quality filter in the style of the published
     Gopher/MassiveText heuristics (Rae et al. 2021, public paper):
@@ -640,108 +612,6 @@ def word_counts(
     if min_count > 1:
         rolled = rolled.filter(expr=f"n >= {min_count}")
     return rolled
-
-
-def tfidf_top_terms(
-    ds: "ray.data.Dataset",
-    k: int = 5,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    min_df: int = 1,
-) -> "ray.data.Dataset":
-    """Per-document top-k terms by TF-IDF (tf * ln(N / df)) — the
-    classic multi-stage wide pipeline, composed scale-right:
-
-    1. per-doc distinct-term counts inside ``map_batches`` (one
-       ``np.unique`` per doc; output is one row per (doc, distinct
-       term), checkpointed to parquet because two branches consume it);
-    2. document frequency attaches inside ONE ``groupby(term)``
-       ``map_groups`` (df = group row count; a join would be a second
-       shuffle, and Ray's hash join rejects schema-less empty key
-       partitions on sparse vocabularies).  Hot-term caveat: a stopword
-       appearing in every doc makes its group n_docs rows — prune with
-       ``min_df``/stopword filtering upstream at corpus scale;
-    3. per-doc top-k via ``groupby(doc).map_groups`` (group size =
-       terms of one doc, bounded).
-
-    Ties break by ascending term so output is deterministic.  Returns
-    (doc_id, term, tf, df, score_x1m, rank) with the score as an int64
-    in 1e-6 units (hash-stable)."""
-    import numpy as np
-    import pandas as pd
-
-    from .dedup import _checkpoint_parquet, _cleanup_checkpoint
-
-    n_docs = ds.count()
-    if n_docs == 0:
-        import ray.data as _rd
-
-        return _rd.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array([], type=pa.int64()),
-                    "term": pa.array([], type=pa.string()),
-                    "tf": pa.array([], type=pa.int64()),
-                    "df": pa.array([], type=pa.int64()),
-                    "score_x1m": pa.array([], type=pa.int64()),
-                    "rank": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-
-    def doc_terms(batch: pa.Table) -> pa.Table:
-        ids_out: list = []
-        words_out: list = []
-        tf_out: list = []
-        for i, t in zip(batch[id_col].to_pylist(), batch[text_col].to_pylist()):
-            toks = (t or "").lower().split()
-            if not toks:
-                continue
-            words, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-            ids_out.extend([i] * len(words))
-            words_out.extend(words.tolist())
-            tf_out.extend(counts.tolist())
-        return pa.table(
-            {
-                id_col: pa.array(ids_out),
-                "term": pa.array(words_out, type=pa.string()),
-                "tf": pa.array(tf_out, type=pa.int64()),
-            }
-        )
-
-    dtc, ckpt = _checkpoint_parquet(
-        ds.map_batches(doc_terms, batch_format="pyarrow", batch_size=4096), "tfidf_dtc"
-    )
-    try:
-        def attach_df(group: pd.DataFrame) -> pd.DataFrame:
-            if len(group) < min_df:
-                return pd.DataFrame(
-                    {
-                        id_col: pd.Series(dtype=group[id_col].dtype),
-                        "term": pd.Series(dtype="object"),
-                        "tf": pd.Series(dtype="int64"),
-                        "df": pd.Series(dtype="int64"),
-                    }
-                )
-            return group.assign(df=np.int64(len(group)))
-
-        joined = dtc.groupby("term").map_groups(attach_df, batch_format="pandas")
-
-        def topk(group: pd.DataFrame) -> pd.DataFrame:
-            score = group["tf"] * np.log(n_docs / group["df"])
-            g = group.assign(score_x1m=(score * 1e6).astype(np.int64))
-            g = g.sort_values(
-                ["score_x1m", "term"], ascending=[False, True], kind="mergesort"
-            ).head(k)
-            g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-            return g[[id_col, "term", "tf", "df", "score_x1m", "rank"]]
-
-        out = joined.groupby(id_col).map_groups(topk, batch_format="pandas")
-        # the checkpoint must outlive the lazy result: materialize the
-        # (n_docs x k)-bounded output before deleting it
-        return out.materialize()
-    finally:
-        _cleanup_checkpoint(ckpt)
 
 
 def sample_mixture(

@@ -310,65 +310,6 @@ def unigram_encode(
     )
 
 
-def sample_encode_word(
-    word: str,
-    logp: dict,
-    max_len: int = 8,
-    alpha: float = 1.0,
-    seed: int = 0,
-) -> list[str]:
-    """Subword-regularization sampling (Kudo 2018 §3): draw a
-    segmentation from ``P(seg)^alpha / Z`` by forward filtering +
-    backward sampling over the piece lattice.  ``alpha → ∞`` recovers
-    Viterbi; small ``alpha`` flattens toward uniform segmentations —
-    the training-time augmentation that makes models robust to
-    tokenization.  Deterministic per ``(word, seed)`` (the RNG is
-    derived from a stable hash, not process state), so a re-run of a
-    sampled-encode pass reproduces the same corpus."""
-    import hashlib
-
-    n = len(word)
-    neg = float("-inf")
-    fwd = [neg] * (n + 1)
-    fwd[0] = 0.0
-    for i in range(1, n + 1):
-        acc = neg
-        for j in range(max(0, i - max_len), i):
-            if fwd[j] == neg:
-                continue
-            p = word[j:i]
-            lp = logp.get(p)
-            if lp is None:
-                if i - j != 1:
-                    continue
-                lp = UNK_LOGP
-            acc = np.logaddexp(acc, fwd[j] + alpha * lp)
-        fwd[i] = acc
-    h = hashlib.md5(f"{seed}|{word}".encode()).digest()
-    rng = np.random.RandomState(int.from_bytes(h[:4], "little"))
-    out: list[str] = []
-    i = n
-    while i > 0:
-        js, ws = [], []
-        for j in range(max(0, i - max_len), i):
-            if fwd[j] == neg:
-                continue
-            p = word[j:i]
-            lp = logp.get(p)
-            if lp is None:
-                if i - j != 1:
-                    continue
-                lp = UNK_LOGP
-            js.append(j)
-            ws.append(math.exp(fwd[j] + alpha * lp - fwd[i]))
-        w = np.asarray(ws)
-        j = int(js[rng.choice(len(js), p=w / w.sum())])
-        out.append(word[j:i])
-        i = j
-    out.reverse()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # artifact
 

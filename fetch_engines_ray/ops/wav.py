@@ -131,34 +131,3 @@ def planted_wav_for_ref(media_ref: str) -> bytes:
     as :func:`ops.png.planted_png_for_ref`)."""
     key = zlib.crc32(media_ref.encode()) & 0x7FFFFFFF
     return planted_wav(key)
-
-
-def frame_features(
-    samples: np.ndarray,
-    sample_rate: int,
-    frame_length_ms: int = 25,
-    hop_ms: int = 10,
-    n_coeffs: int = 13,
-) -> np.ndarray:
-    """REAL framed features over PCM: per frame, coefficient 0 is RMS
-    energy (scaled to [-1, 1]), coefficient 1 is zero-crossing rate,
-    remaining coefficients are the frame's energy in ``n_coeffs - 2``
-    contiguous sub-bands (crude filterbank — deterministic, no FFT
-    library needed).  Frame count = 1 + (n - flen) // hop for
-    n >= flen, else 0 — the same framing math the stub used."""
-    x = np.asarray(samples, dtype=np.float64) / 32768.0
-    flen = sample_rate * frame_length_ms // 1000
-    hop = sample_rate * hop_ms // 1000
-    if len(x) < flen:
-        return np.zeros((0, n_coeffs), dtype=np.float32)
-    n_frames = 1 + (len(x) - flen) // hop
-    idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx]  # (n_frames, flen)
-    out = np.empty((n_frames, n_coeffs), dtype=np.float64)
-    out[:, 0] = np.sqrt((frames**2).mean(axis=1)) * 2 - 1
-    signs = frames[:, 1:] * frames[:, :-1] < 0
-    out[:, 1] = signs.mean(axis=1)
-    bands = np.array_split(np.arange(flen), n_coeffs - 2)
-    for bi, band in enumerate(bands):
-        out[:, 2 + bi] = np.sqrt((frames[:, band] ** 2).mean(axis=1)) * 2 - 1
-    return out.astype(np.float32)

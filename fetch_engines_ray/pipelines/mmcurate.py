@@ -52,10 +52,9 @@ class MediaRefFingerprinter:
     64-bit perceptual fingerprints out — image dHash / audio band-sign /
     video midframe dHash, dispatched per kind.  Payloads resolve via the
     deterministic planted-payload resolvers when no ``payload`` column
-    is present (the corpus's stand-in for the reference's network fetch,
-    same contract as ``ops.multimodal.MediaDecoder``).  Undecodable or
-    unknown-kind rows come back ``ok=0`` and are excluded from dedup
-    rather than clustering together at h64=0."""
+    is present (the corpus's stand-in for the reference's network
+    fetch).  Undecodable or unknown-kind rows come back ``ok=0`` and are
+    excluded from dedup rather than clustering together at h64=0."""
 
     def __init__(self) -> None:
         from fetch_engines_ray.ops.gif import (

@@ -1,5 +1,5 @@
 """Composed corpus-search pipeline: build keyword + vector indexes once,
-serve hybrid queries and mine contrastive training pairs from them.
+serve hybrid queries from them.
 
     documents
       → embed            (actor-pool batched inference, ops/embed.py)
@@ -10,16 +10,12 @@ serve hybrid queries and mine contrastive training pairs from them.
       → RRF fusion       (driver-side over two k-sized lists)
 
 All reference public building blocks already pinned by their own test
-suites; this module is the composition plus the two things only the
+suites; this module is the composition plus the one thing only the
 composition can provide: a persisted QUERYABLE artifact (the index
-directory outlives the build run) and hard-negative mining for
-contrastive training data — per anchor, the top-ranked neighbors that
-are similar but NOT near-duplicates (the standard dense-retrieval
-negative-mining recipe, e.g. DPR, Karpukhin et al. 2020).
+directory outlives the build run).
 """
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -100,80 +96,6 @@ def hybrid_search(
     if id_col != "doc_id":
         fused = fused.rename(columns={"doc_id": id_col})
     return fused
-
-
-def mine_hard_negatives(
-    emb: "ray.data.Dataset",
-    anchor_ids: list[int],
-    k: int = 5,
-    dup_threshold: float = 0.95,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> pd.DataFrame:
-    """Hard negatives for contrastive training: per anchor, the
-    top-ranked nearest neighbors whose cosine is BELOW ``dup_threshold``
-    (similar enough to be hard, not so similar they're duplicates —
-    which would be false negatives).  One brute-force pass with the
-    anchors broadcast; returns ``(anchor_id, negative_id, rank)``."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray
-
-    from ..ops.similarity import _normalize, _to_matrix
-
-    want = pa.array(list(anchor_ids), type=pa.int64())
-    anchors = emb.map_batches(
-        lambda b: b.filter(pc.is_in(b[id_col], value_set=want)),
-        batch_format="pyarrow",
-        batch_size=8192,
-    ).take_all()
-    by_id = {int(r[id_col]): r[vec_col] for r in anchors}
-    a_ids = np.asarray([int(i) for i in anchor_ids if int(i) in by_id], dtype=np.int64)
-    if len(a_ids) == 0:
-        # none of the requested anchors exist (or the list is empty):
-        # an empty RESULT, not an AxisError from normalizing a 0-d array
-        return pd.DataFrame(
-            {
-                "anchor_id": pd.Series(dtype="int64"),
-                "negative_id": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64"),
-            }
-        )
-    a_mat = _normalize(np.asarray([by_id[int(i)] for i in a_ids], dtype=np.float64))
-    ref = ray.put((a_ids, a_mat))
-
-    def block_topk(batch: pa.Table) -> pa.Table:
-        a_ids_l, a_mat_l = ray.get(ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        mat = _normalize(_to_matrix(batch[vec_col]))
-        sims = a_mat_l @ mat.T  # [A, n]
-        out_a, out_n, out_s = [], [], []
-        for ai in range(len(a_ids_l)):
-            s = sims[ai]
-            ok = (s < dup_threshold) & (ids != a_ids_l[ai])
-            cand = np.nonzero(ok)[0]
-            top = cand[np.lexsort((ids[cand], -s[cand]))[:k]]
-            out_a.extend([a_ids_l[ai]] * len(top))
-            out_n.extend(ids[top].tolist())
-            out_s.extend(s[top].tolist())
-        return pa.table(
-            {
-                "anchor_id": pa.array(out_a, type=pa.int64()),
-                "negative_id": pa.array(out_n, type=pa.int64()),
-                "sim": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-    cand = emb.map_batches(block_topk, batch_format="pyarrow", batch_size=8192).to_pandas()
-    if cand.empty:
-        return pd.DataFrame(columns=["anchor_id", "negative_id", "rank"])
-    cand.sort_values(
-        ["anchor_id", "sim", "negative_id"], ascending=[True, False, True], inplace=True
-    )
-    top = cand.groupby("anchor_id", sort=True).head(k).copy()
-    top["rank"] = top.groupby("anchor_id").cumcount() + 1
-    return top[["anchor_id", "negative_id", "rank"]].reset_index(drop=True)
 
 
 class LexicalOverlapReranker:

@@ -169,6 +169,15 @@ def _decode_object(text: str, fields: list) -> dict:
     return out
 
 
+def _retry_after_s(err: urllib.error.HTTPError) -> float | None:
+    """Delta-seconds ``Retry-After`` of a 429 / 503 response (RFC 9110
+    §10.2.3); the HTTP-date form and malformed values give ``None``."""
+    if err.code not in (429, 503) or err.headers is None:
+        return None
+    value = (err.headers.get("Retry-After") or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class OpenAICompatibleBackend:
     """Drop-in ``backend_factory`` target for
     :class:`..stages.structured.StructuredExtractor`: construct once
@@ -236,7 +245,13 @@ class OpenAICompatibleBackend:
                 # HTTP-specific handling
                 if err.code in (429, 500, 502, 503, 504) and attempt + 1 < self.max_attempts:
                     last_err = err
-                    time.sleep(self.retry_delay_s * (attempt + 1))
+                    delay = self.retry_delay_s * (attempt + 1)
+                    # honour the server's own back-off, capped by the
+                    # request timeout so one header cannot stall the actor
+                    retry_after = _retry_after_s(err)
+                    if retry_after is not None:
+                        delay = min(max(delay, retry_after), self.timeout_s)
+                    time.sleep(delay)
                     continue
                 detail = ""
                 try:

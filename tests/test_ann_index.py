@@ -172,11 +172,11 @@ def test_ivfpq_finds_the_right_coarse_cluster(pq_index):
 
 def test_ivfpq_full_probe_equals_flat_pq(pq_index, ray_session):
     """With nprobe = n_clusters the candidate set is the whole corpus,
-    so the partitioned ADC search must rank EXACTLY like the flat
-    pq_search path over the same codebooks (plumbing equivalence:
+    so the partitioned ADC search must rank EXACTLY like flat PQ over
+    the same codebooks, computed here in numpy (plumbing equivalence:
     hive round-trip, code bytes, LUTs, tie rules)."""
     from fetch_engines_ray.ops.ann_index import search_ivfpq_index
-    from fetch_engines_ray.ops.pq import pq_encode, pq_search, pq_train
+    from fetch_engines_ray.ops.pq import pq_train
 
     path, n_clusters, ids, mat = pq_index
     tbl = pa.table(
@@ -186,16 +186,22 @@ def test_ivfpq_full_probe_equals_flat_pq(pq_index, ray_session):
     ds = ray.data.from_arrow(tbl).repartition(5)
     # same training call as build_ivfpq_index -> identical codebooks
     cb = pq_train(ds, m=4, ksub=32, seed=13)
-    codes = pq_encode(ds, cb)
+    m, _, dsub = cb.shape
+    x = _normalize(np.asarray(mat, dtype=np.float64))
+    codes = np.empty((len(x), m), dtype=np.int64)
+    for j in range(m):
+        sub = x[:, j * dsub : (j + 1) * dsub]
+        codes[:, j] = (-2.0 * (sub @ cb[j].T) + (cb[j] ** 2).sum(axis=1)).argmin(axis=1)
+    ids = np.asarray(ids, dtype=np.int64)
     qpos = [0, 130, 333]
-    flat = pq_search(codes, cb, mat[qpos], [int(ids[p]) for p in qpos], k=8)
     part = search_ivfpq_index(path, mat[qpos], k=8, nprobe=n_clusters)
     for qi, p in enumerate(qpos):
-        a = part[part["query_idx"] == qi]["neighbor_id"].tolist()
-        b = flat[flat["query_id"] == ids[p]]["neighbor_id"].tolist()
-        # pq_search excludes the self id; the index search has no id
-        # notion — drop self from the partitioned result for compare
-        a = [x for x in a if x != ids[p]]
+        lut = np.stack([x[p, j * dsub : (j + 1) * dsub] @ cb[j].T for j in range(m)])
+        sims = lut[np.arange(m), codes].sum(axis=1)
+        others = np.nonzero(ids != ids[p])[0]
+        b = ids[others[np.lexsort((ids[others], -sims[others]))[:8]]].tolist()
+        # the index search has no id notion: drop self from its result
+        a = [n for n in part[part["query_idx"] == qi]["neighbor_id"].tolist() if n != ids[p]]
         n = min(len(a), len(b))
         assert n >= 7 and a[:n] == b[:n]
 

@@ -157,29 +157,6 @@ def test_planted_ref_resolver_stable():
     assert decode_gif(a)["n_frames"] >= 2
 
 
-def test_media_decoder_video_real(ray_session):
-    """The MediaDecoder actor stage must take the REAL path for video
-    rows: planted GIF payloads decode to real dims/durations."""
-    import ray.data
-
-    from fetch_engines_ray.ops.gif import decode_gif as dg
-    from fetch_engines_ray.ops.multimodal import MediaDecoder, decode_media
-
-    refs = [f"media://video/{i}" for i in range(6)]
-    ds = ray.data.from_items([{"media_ref": r, "kind": "video"} for r in refs])
-    out = decode_media(ds, concurrency=1).to_pandas().set_index("media_ref")
-    assert (out["decode_status"] == "real").all()
-    for r in refs:
-        dec = dg(planted_gif_for_ref(r))
-        assert out.loc[r, "width"] == dec["width"]
-        assert out.loc[r, "height"] == dec["height"]
-        assert out.loc[r, "duration_ms"] == dec["duration_ms"]
-    # malformed payload → decode_error, not a crash
-    md = MediaDecoder()
-    row = md.real_decode_video("media://video/bad", b"GIF89a\x00bogus")
-    assert row["decode_status"] == "decode_error"
-
-
 def test_decode_gif_frame_parity_with_full_decode():
     """Selective single-frame decode returns exactly the full decode's
     frame, metadata, and palette application, for every frame index."""

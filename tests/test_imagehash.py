@@ -1,19 +1,11 @@
 """Perceptual image hashing (ops/imagehash.py): pooling parity vs a
-naive reference, dHash invariances, lossless hamming LSH pairing with
-planted duplicate images, and the end-to-end Ray sweep."""
+naive reference, dHash invariances, and lossless hamming LSH pairing
+with planted duplicate images."""
 
 import numpy as np
-import pandas as pd
 import pytest
 
-from fetch_engines_ray.ops.imagehash import (
-    ahash64,
-    dhash64,
-    hamming64,
-    image_near_dup_pairs,
-    pool_mean,
-    to_grayscale,
-)
+from fetch_engines_ray.ops.imagehash import dhash64, hamming64, pool_mean, to_grayscale
 from fetch_engines_ray.ops.png import encode_png, planted_pixels
 
 
@@ -62,7 +54,6 @@ def test_dhash_deterministic_and_64bit():
     h1, h2 = dhash64(px), dhash64(px.copy())
     assert h1 == h2
     assert 0 <= h1 < 2**64
-    assert 0 <= ahash64(px) < 2**64
 
 
 def test_dhash_invariant_to_uniform_brightness_shift():
@@ -102,35 +93,6 @@ def test_hamming64_vectorized_popcount():
     assert hamming64(np.array([0], dtype=np.int64), np.array([-1], dtype=np.int64))[0] == 64
 
 
-def test_image_near_dup_pairs_planted_clones(ray_session):
-    """Planted exact clone (re-encoded) and brightness-shifted near-dup
-    are found at hamming 0; distinct images produce no pairs."""
-    import ray.data
-
-    rng = np.random.RandomState(23)
-    base = rng.randint(40, 200, size=(32, 48), dtype=np.uint8)
-    shifted = (base.astype(np.int64) + 15).astype(np.uint8)
-    rows = [
-        {"doc_id": 1, "payload": encode_png(base)},
-        {"doc_id": 2, "payload": encode_png(base, row_filters=[4, 3, 2, 1, 0])},
-        {"doc_id": 3, "payload": encode_png(shifted)},
-    ]
-    # distinct filler images (far in hamming space with overwhelming probability)
-    for i in range(4, 24):
-        rows.append(
-            {"doc_id": i, "payload": encode_png(
-                rng.randint(0, 256, size=(16 + i, 20 + i), dtype=np.uint8))}
-        )
-    ds = ray.data.from_items(rows)
-    pairs = image_near_dup_pairs(ds, max_hamming=3)
-    got = {(int(a), int(b)) for a, b in zip(pairs["doc_a"], pairs["doc_b"])}
-    assert {(1, 2), (1, 3), (2, 3)} <= got
-    planted = pairs[pairs["doc_a"].isin([1, 2]) & pairs["doc_b"].isin([2, 3])]
-    assert (planted["hamming"] == 0).all()
-    # no false positives among the planted-vs-filler combinations
-    assert all(a >= 4 or b <= 3 for a, b in got)
-
-
 def test_hamming64_pairs_rejects_lossy_threshold():
     import ray.data
 
@@ -145,15 +107,21 @@ def test_pairs_compose_with_dedup_clusters(ray_session):
     import ray.data
 
     from fetch_engines_ray.ops.dedup import dedup_clusters
+    from fetch_engines_ray.ops.imagehash import hamming64_pairs
+    from fetch_engines_ray.ops.png import decode_png
 
     base = planted_pixels(41)
     big = np.tile(base, (8, 8))  # big enough for stable pooling
+    payloads = {
+        10: encode_png(big),
+        11: encode_png(big, row_filters=[1]),
+        12: encode_png(np.tile(planted_pixels(97), (8, 8))),
+    }
     rows = [
-        {"doc_id": 10, "payload": encode_png(big)},
-        {"doc_id": 11, "payload": encode_png(big, row_filters=[1])},
-        {"doc_id": 12, "payload": encode_png(np.tile(planted_pixels(97), (8, 8)))},
+        {"doc_id": d, "dhash": int(np.uint64(dhash64(decode_png(p)["pixels"])).astype(np.int64))}
+        for d, p in payloads.items()
     ]
-    pairs = image_near_dup_pairs(ray.data.from_items(rows))
+    pairs = hamming64_pairs(ray.data.from_items(rows))
     clusters = dedup_clusters(pairs)
     lab = dict(zip(clusters["doc_id"], clusters["cluster_rep"]))
     assert lab.get(10) == lab.get(11)

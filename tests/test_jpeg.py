@@ -164,43 +164,12 @@ def test_jpeg_decoder_actor_stage(ray_session):
         assert out.loc[i, "pixel_sum"] == w * h * planted_decoded_gray(i)
 
 
-def test_media_decoder_sniffs_jpeg(ray_session):
-    """The media stage dispatches image payloads on magic bytes: a
-    JPEG payload under kind='image' REAL-decodes alongside PNGs, and
-    garbage still dead-letters as decode_error."""
-    import pandas as pd
-
-    import ray.data
-
-    from fetch_engines_ray.ops.multimodal import MediaDecoder
-    from fetch_engines_ray.ops.png import planted_png
-
-    rows = pd.DataFrame(
-        {
-            "media_ref": ["media://a", "media://b", "media://c"],
-            "kind": ["image", "image", "image"],
-            "payload": [planted_jpeg(7), planted_png(7), b"not an image"],
-        }
-    )
-    out = (
-        ray.data.from_pandas(rows)
-        .map_batches(MediaDecoder, batch_format="pyarrow", batch_size=8, concurrency=1)
-        .to_pandas()
-        .set_index("media_ref")
-    )
-    w, h = planted_dims(7)
-    assert out.loc["media://a", "decode_status"] == "real"
-    assert out.loc["media://a", "width"] == w and out.loc["media://a", "height"] == h
-    assert out.loc["media://b", "decode_status"] == "real"
-    assert out.loc["media://c", "decode_status"] == "decode_error"
-
-
 def test_codec_guard_every_truncation_and_flip_raises_format_error():
     """The decode contract — malformed bytes raise *FormatError, never a
     raw IndexError/KeyError/struct.error — must hold for EVERY
-    truncation and single-byte corruption, because MediaDecoder and the
-    fingerprinters turn exactly that class into decode_error rows; any
-    other type kills the whole Ray task (review finding, fuzz-found:
+    truncation and single-byte corruption, because a decode stage can
+    turn exactly that class into a flagged row; any other type kills
+    the whole Ray task (review finding, fuzz-found:
     ~20 % of truncations escaped as low-level errors pre-guard)."""
     good = planted_jpeg(7)
     for cut in range(2, len(good)):
@@ -217,30 +186,3 @@ def test_codec_guard_every_truncation_and_flip_raises_format_error():
             decode_jpeg(bytes(b))  # some flips still decode — fine
         except JpegFormatError:
             pass  # the ONLY acceptable failure type
-
-
-def test_media_decoder_corrupt_jpeg_degrades_to_decode_error_row(ray_session):
-    """One corrupt JPEG in a payload column must yield a flagged row,
-    not an aborted map_batches task (the docstring's promise)."""
-    import ray.data
-
-    from fetch_engines_ray.ops.multimodal import MediaDecoder
-
-    good = planted_jpeg(5)
-    rows = [
-        {"media_ref": "m/ok", "kind": "image", "payload": good},
-        {"media_ref": "m/trunc", "kind": "image", "payload": good[:21]},
-        {"media_ref": "m/flip", "kind": "image",
-         "payload": good[:40] + bytes([good[40] ^ 0x55]) + good[41:]},
-    ]
-    out = (
-        ray.data.from_items(rows)
-        .map_batches(MediaDecoder, batch_format="pyarrow", batch_size=8, concurrency=1)
-        .to_pandas()
-        .set_index("media_ref")
-    )
-    assert out.loc["m/ok", "decode_status"] == "real"
-    assert out.loc["m/trunc", "decode_status"] == "decode_error"
-    # the flipped byte may or may not still decode; it must be one of
-    # the two contract statuses either way
-    assert out.loc["m/flip", "decode_status"] in ("real", "decode_error")

@@ -34,6 +34,7 @@ class _MockProvider:
 
     def __init__(self):
         self.requests: list = []
+        self.throttled = False
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -53,6 +54,13 @@ class _MockProvider:
                     self.send_response(500)
                     self.end_headers()
                     self.wfile.write(b'{"error": "boom"}')
+                    return
+                if "MODE_RETRY_AFTER_ONCE" in content and not outer.throttled:
+                    outer.throttled = True
+                    self.send_response(429)
+                    self.send_header("Retry-After", "1")
+                    self.end_headers()
+                    self.wfile.write(b'{"error": "slow down"}')
                     return
                 if "MODE_NOT_JSON" in content:
                     obj_text = "sorry, I cannot do that"
@@ -198,6 +206,21 @@ def test_backend_error_decoding(provider):
         OpenAICompatibleBackend(_spec(provider), FIELDS, retry_delay_s=0.0).extract(
             pa.chunked_array([["MODE_HTTP_500"]])
         )
+
+
+def test_backend_waits_for_retry_after(provider):
+    """A 429 carrying ``Retry-After: 1`` waits at least that long, not
+    the (much shorter) ladder step, then the retry succeeds."""
+    import time
+
+    be = OpenAICompatibleBackend(_spec(provider), FIELDS, retry_delay_s=0.01)
+    t0 = time.monotonic()
+    cols, _ = be.extract(
+        pa.chunked_array([["MODE_RETRY_AFTER_ONCE titled Widget costing 12"]])
+    )
+    assert time.monotonic() - t0 >= 1.0
+    assert cols["title"].to_pylist() == ["Widget"]
+    assert len(provider.requests) == 2
 
 
 def test_actor_pool_extraction_with_usage_and_budget(provider, ray_session):

@@ -1,12 +1,11 @@
-"""Every-sweep media-decode assertions over extraction output — moved
-verbatim from the retired ``media_decode`` registry slot (round 5; the
-slot made room for the SQL-oracled ``neardup_cluster_verdicts``).
+"""Every-sweep media-decode assertions over extraction output (the
+retired ``media_decode`` registry slot made room for the SQL-oracled
+``neardup_cluster_verdicts``).
 
 ALL image/audio/video spans of the synthetic extraction corpus must
-decode ``decode_status="real"`` (the PNG / RIFF-PCM / GIF-LZW / JPEG
-codecs actually parsed the planted payloads — a silent fallback to
-``decode_error`` fails here), and the framed audio-feature path must
-produce real per-frame DSP features over the same spans.
+decode and fingerprint through ``curate_media``'s fingerprint stage
+(the PNG / RIFF-PCM / GIF-LZW codecs actually parsed the planted
+payloads — a silent fallback to ``ok=0`` fails here).
 """
 import pytest
 
@@ -22,31 +21,20 @@ def extracted(ray_session, tmp_path_factory):
 
 
 def test_media_decode_all_real(extracted, ray_session):
-    from fetch_engines_ray.ops.multimodal import (
-        decode_media,
-        extract_audio_features,
-        media_spans_dataset,
-    )
+    from fetch_engines_ray.ops.multimodal import media_spans_dataset
+    from fetch_engines_ray.pipelines.mmcurate import MediaRefFingerprinter
 
     spans = media_spans_dataset(extracted)
-    decoded = decode_media(spans, concurrency=2)
-    out = decoded.to_pandas()
+    out = spans.map_batches(
+        MediaRefFingerprinter, batch_format="pyarrow", batch_size=64, concurrency=2
+    ).to_pandas()
     img = out[out["kind"] == "image"]
-    assert len(img) > 0 and (img["decode_status"] == "real").all(), (
-        img["decode_status"].value_counts().to_dict()
-    )
+    assert len(img) > 0 and (img["ok"] == 1).all(), img["ok"].value_counts().to_dict()
     assert (img["width"] > 0).all() and (img["height"] > 0).all()
     aud = out[out["kind"] == "audio"]
-    assert len(aud) > 0 and (aud["decode_status"] == "real").all()
+    assert len(aud) > 0 and (aud["ok"] == 1).all()
     assert (aud["duration_ms"] > 0).all()
     vid = out[out["kind"] == "video"]
-    assert len(vid) > 0 and (vid["decode_status"] == "real").all(), (
-        vid["decode_status"].value_counts().to_dict()
-    )
+    assert len(vid) > 0 and (vid["ok"] == 1).all(), vid["ok"].value_counts().to_dict()
     assert (vid["width"] > 0).all() and (vid["height"] > 0).all()
     assert (vid["duration_ms"] > 0).all()
-    feats = extract_audio_features(decoded).to_pandas()
-    assert len(feats) > 0 and (feats["feature_status"] == "real").all(), (
-        feats["feature_status"].value_counts().to_dict()
-    )
-    assert (feats["n_frames"] > 0).all()

@@ -256,94 +256,14 @@ def test_text_features(ray_session):
     assert (out["quality"] >= 0).all()
 
 
-def test_media_decode_schema(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.multimodal import MEDIA_META_SCHEMA, decode_media
-
-    ds = ray.data.from_items(
-        [
-            {"doc_id": "d1", "media_ref": "media://d1/0", "kind": "image"},
-            {"doc_id": "d1", "media_ref": "media://d1/1", "kind": "video"},
-            {"doc_id": "d2", "media_ref": "media://d2/0", "kind": "audio"},
-        ]
-    )
-    out = decode_media(ds, concurrency=1)
-    rows = out.take_all()
-    assert len(rows) == 3
-    assert set(rows[0].keys()) == set(MEDIA_META_SCHEMA.names)
-    img = next(r for r in rows if r["kind"] == "image")
-    assert img["width"] > 0 and img["height"] > 0 and img["duration_ms"] == 0
-    # image refs resolve to planted PNG bytes, audio refs to planted
-    # WAV bytes, video refs to planted animated-GIF bytes — all three
-    # take REAL codec paths
-    assert img["decode_status"] == "real"
-    from fetch_engines_ray.ops.png import decode_png, planted_png_for_ref
-
-    dec = decode_png(planted_png_for_ref("media://d1/0"))
-    assert (img["width"], img["height"]) == (dec["width"], dec["height"])
-    aud = next(r for r in rows if r["kind"] == "audio")
-    assert aud["decode_status"] == "real" and aud["duration_ms"] > 0
-    from fetch_engines_ray.ops.wav import decode_wav, planted_wav_for_ref
-
-    assert aud["duration_ms"] == decode_wav(planted_wav_for_ref("media://d2/0"))["duration_ms"]
-    vid = next(r for r in rows if r["kind"] == "video")
-    assert vid["decode_status"] == "real"
-    from fetch_engines_ray.ops.gif import decode_gif, planted_gif_for_ref
-
-    gdec = decode_gif(planted_gif_for_ref("media://d1/1"))
-    assert (vid["width"], vid["height"]) == (gdec["width"], gdec["height"])
-    assert vid["duration_ms"] == gdec["duration_ms"] > 0
-    # determinism
-    rows2 = decode_media(ds, concurrency=1).take_all()
-    key = lambda r: r["media_ref"]  # noqa: E731
-    assert sorted(rows, key=key) == sorted(rows2, key=key)
-
-
-def test_image_resize_plan(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.multimodal import resize_images
-
-    rows = [
-        {"media_ref": "m/a.png", "kind": "image", "width": 640, "height": 480, "duration_ms": 0},
-        {"media_ref": "m/b.mp4", "kind": "video", "width": 1920, "height": 1080, "duration_ms": 9000},
-        {"media_ref": "m/c.mp3", "kind": "audio", "width": 0, "height": 0, "duration_ms": 4000},
-    ]
-    out = {r["media_ref"]: r for r in resize_images(ray.data.from_items(rows), concurrency=1).take_all()}
-    a = out["m/a.png"]
-    assert (a["resized_width"], a["resized_height"]) == (224, 168)  # 640x480 letterboxed
-    assert out["m/b.mp4"]["resized_height"] == 126  # 1920x1080 -> 224x126
-    assert out["m/c.mp3"]["resize_status"] == "skipped"
-
-
-def test_frame_sampling_plan(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.multimodal import sample_frames
-
-    rows = [
-        {"media_ref": "m/v.mp4", "kind": "video", "width": 0, "height": 0, "duration_ms": 10000},
-        {"media_ref": "m/i.png", "kind": "image", "width": 1, "height": 1, "duration_ms": 0},
-    ]
-    frames = sample_frames(ray.data.from_items(rows), frames_per_video=4, concurrency=1).take_all()
-    assert len(frames) == 4  # only the video yields frames
-    assert [f["timestamp_ms"] for f in frames] == [2000, 4000, 6000, 8000]
-
-
 def test_hll_distinct_accuracy(ray_session):
     import ray.data
 
-    from fetch_engines_ray.ops.sketches import hll_distinct, hll_distinct_by_key
+    from fetch_engines_ray.ops.sketches import hll_distinct
 
     ds = ray.data.from_items([{"v": f"item-{i % 4000}", "k": i % 2} for i in range(40000)])
     est = hll_distinct(ds, "v")
     assert abs(est - 4000) / 4000 < 0.05  # p=12 → ~1.6% std error
-
-    per = hll_distinct_by_key(ds, "k", "v")
-    assert len(per) == 2
-    # parity partitions the value space: each key sees 2000 distinct values
-    assert all(abs(v - 2000) / 2000 < 0.05 for v in per["approx_distinct"])
 
 
 def test_hll_small_range_linear_counting(ray_session):
@@ -514,45 +434,6 @@ def test_pack_sequences_invariants(ray_session):
     assert int(out["total_tokens"].sum()) == 100+200+250+600+10+480+30+5+512+1
 
 
-def test_audio_feature_framing_math(ray_session):
-    """Real PCM path: frame counts come from the DECODED stream (1 s at
-    8 kHz -> 1 + (8000-200)//80 = 98 frames), video rows are skipped,
-    sub-frame-length audio yields zero frames."""
-    import ray.data
-
-    from fetch_engines_ray.ops.multimodal import extract_audio_features
-    from fetch_engines_ray.ops.wav import encode_wav
-
-    rng = np.random.RandomState(9)
-    wav_1s = encode_wav(rng.randint(-500, 500, 8000).astype(np.int16), 8000)
-    wav_24ms = encode_wav(rng.randint(-500, 500, 192).astype(np.int16), 8000)
-    rows = [
-        {"media_ref": "m/a.wav", "kind": "audio", "payload": wav_1s},
-        {"media_ref": "m/b.wav", "kind": "audio", "payload": wav_24ms},
-        {"media_ref": "m/v.mp4", "kind": "video", "payload": b""},
-    ]
-    out = extract_audio_features(
-        ray.data.from_items(rows), frame_length_ms=25, hop_ms=10, concurrency=1
-    ).take_all()
-    by_ref = {r["media_ref"]: r for r in out}
-    assert set(by_ref) == {"m/a.wav", "m/b.wav"}  # video rows are skipped
-    a = by_ref["m/a.wav"]
-    assert a["n_frames"] == 98
-    assert len(a["features"]) == 98 and len(a["features"][0]) == 13
-    assert a["feature_status"] == "real"
-    # real energy/ZCR values vary across frames of random PCM
-    col0 = [f[0] for f in a["features"]]
-    assert len(set(col0)) > 1
-    # shorter than one frame -> zero frames
-    assert by_ref["m/b.wav"]["n_frames"] == 0
-    # refs without payload resolve through the planted-WAV fetch stand-in
-    ref_only = extract_audio_features(
-        ray.data.from_items([{"media_ref": "media://x/1", "kind": "audio"}]),
-        concurrency=1,
-    ).take_all()
-    assert ref_only[0]["feature_status"] == "real" and ref_only[0]["n_frames"] > 0
-
-
 def test_pii_redaction_planted(ray_session):
     import pyarrow as pa
 
@@ -707,44 +588,6 @@ def test_sample_per_group_deterministic(ray_session):
     # groups smaller than n come back whole
     tiny = ray.data.from_pandas(df.head(5))
     assert sample_per_group(tiny, "lang", 10).count() == 5
-
-
-def test_anti_and_outer_joins_vs_duckdb(ray_session):
-    """Ray-native left_anti / left_outer joins against a direct DuckDB
-    oracle over the same parquet tables."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import (
-        customer_order_counts_outer,
-        customers_without_orders,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    con = duckdb.connect()
-    for t in ("customer", "orders"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
-
-    # every customer has SOME order in the test data, so anti-join
-    # against high-value orders to exercise a non-trivial anti side
-    anti = customers_without_orders(sf, min_total=250000.0)
-    want = con.execute(
-        "SELECT c_custkey FROM customer WHERE c_custkey NOT IN"
-        " (SELECT o_custkey FROM orders WHERE o_totalprice > 250000.0)"
-        " ORDER BY c_custkey"
-    ).fetchdf()
-    assert anti["c_custkey"].tolist() == want["c_custkey"].tolist()
-    assert 0 < len(anti) < 150  # non-trivial on both sides
-    # degenerate: no threshold -> every customer ordered -> empty frame
-    assert customers_without_orders(sf).empty
-
-    outer = customer_order_counts_outer(sf)
-    want2 = con.execute(
-        "SELECT c_custkey, count(o_orderkey) AS n_orders FROM customer"
-        " LEFT JOIN orders ON c_custkey = o_custkey"
-        " GROUP BY c_custkey ORDER BY c_custkey"
-    ).fetchdf()
-    assert outer["c_custkey"].tolist() == want2["c_custkey"].tolist()
-    assert outer["n_orders"].tolist() == want2["n_orders"].astype("int64").tolist()
 
 
 def test_dup_ngram_stats_reference_and_oracle(ray_session):
@@ -1103,42 +946,6 @@ def test_word_counts_vocab(ray_session):
     assert set(pruned["word"]) == {w for w, c in truth.items() if c >= 5}
 
 
-def test_tfidf_top_terms(ray_session):
-    import math
-    from collections import Counter
-
-    import ray.data
-
-    from fetch_engines_ray.ops.textstats import tfidf_top_terms
-
-    texts = {
-        1: "apple banana apple cherry",
-        2: "banana banana durian",
-        3: "cherry durian elder elder elder",
-        4: "apple fig",
-    }
-    ds = ray.data.from_items(
-        [{"doc_id": i, "text": t} for i, t in texts.items()]
-    ).repartition(3)
-    out = tfidf_top_terms(ds, k=2).to_pandas()
-
-    # ground truth with the same formula
-    df = Counter(w for t in texts.values() for w in set(t.split()))
-    for doc_id, t in texts.items():
-        tf = Counter(t.split())
-        scored = sorted(
-            ((int(c * math.log(4 / df[w]) * 1e6), w) for w, c in tf.items()),
-            key=lambda x: (-x[0], x[1]),
-        )[:2]
-        got = out[out["doc_id"] == doc_id].sort_values("rank")
-        assert got["term"].tolist() == [w for _, w in scored], (doc_id, got)
-        assert got["score_x1m"].tolist() == [s for s, _ in scored]
-        assert got["rank"].tolist() == list(range(1, len(got) + 1))
-    # df column is the true document frequency
-    row = out[(out["doc_id"] == 1) & (out["term"] == "apple")]
-    assert row["df"].iloc[0] == 2
-
-
 def test_embed_texts_end_to_end(ray_session):
     """Batched-inference stage: deterministic embeddings, near-dup texts
     land close in cosine space, and the output feeds the similarity ops
@@ -1178,55 +985,6 @@ def test_embed_texts_end_to_end(ray_session):
         k=2,
     )
     assert set(knn["neighbor_id"]) == {900, 901}
-
-
-def test_pairwise_corr_duckdb_parity(ray_session):
-    """One-pass distributed moments == DuckDB corr()/covar_samp() over
-    the real lineitem table, every pair, incl. a null-bearing frame."""
-    import duckdb
-
-    import ray.data
-
-    from fetch_engines_ray.arrowclean import read_parquet_clean
-    from fetch_engines_ray.ops.profile import pairwise_corr
-
-    sf = "/root/testdata/sf0.001"
-    cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    got = pairwise_corr(read_parquet_clean(f"{sf}/lineitem.parquet"), cols)
-
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW li AS SELECT * FROM read_parquet('{sf}/lineitem.parquet')"
-    )
-    for _, row in got.iterrows():
-        a, b = row["col_a"], row["col_b"]
-        want = con.execute(
-            f"SELECT count(*), covar_samp({a}, {b}), corr({a}, {b}) FROM li"
-        ).fetchone()
-        assert row["n"] == want[0]
-        assert row["cov"] == pytest.approx(want[1], rel=1e-6)
-        if a == b:
-            assert row["corr"] == pytest.approx(1.0, rel=1e-9)
-        else:
-            assert row["corr"] == pytest.approx(want[2], rel=1e-6)
-
-    # listwise null deletion: a null in either column drops the row
-    df = pd.DataFrame(
-        {"x": [1.0, 2.0, None, 4.0, 5.0], "y": [2.0, None, 6.0, 8.0, 11.0]}
-    )
-    got2 = pairwise_corr(ray.data.from_pandas(df), ["x", "y"])
-    xy = got2[(got2["col_a"] == "x") & (got2["col_b"] == "y")].iloc[0]
-    want2 = duckdb.sql(
-        "SELECT count(*), corr(x, y) FROM df WHERE x IS NOT NULL AND y IS NOT NULL"
-    ).fetchone()
-    assert xy["n"] == want2[0] == 3
-    assert xy["corr"] == pytest.approx(want2[1], rel=1e-12)
-
-    # zero variance -> NaN corr, 0 cov
-    const = pd.DataFrame({"x": [3.0, 3.0, 3.0], "y": [1.0, 2.0, 3.0]})
-    got3 = pairwise_corr(ray.data.from_pandas(const), ["x", "y"])
-    xy3 = got3[(got3["col_a"] == "x") & (got3["col_b"] == "y")].iloc[0]
-    assert np.isnan(xy3["corr"]) and xy3["cov"] == pytest.approx(0.0)
 
 
 def test_profile_artifacts_merge_equals_one_pass(ray_session, tmp_path):
@@ -1435,45 +1193,6 @@ def test_minhash_incremental_pairs(ray_session, docs_with_dups, tmp_path):
     assert all(b == 600 for _, b in found2)  # only pairs touching the new doc
 
 
-def test_bloom_filter_membership(ray_session):
-    """Distributed Bloom build: ZERO false negatives (every inserted key
-    probes True), false-positive rate near theory, ingest filter keeps
-    genuinely-new rows and drops all seen ones."""
-    import ray.data
-
-    from fetch_engines_ray.ops.sketches import (
-        bloom_build,
-        bloom_contains,
-        bloom_filter_new,
-    )
-
-    M, K = 1 << 17, 7  # ~13 bits/key for 10k keys -> sub-1% FP
-    seen_keys = [f"url-{i}" for i in range(10_000)]
-    ds = ray.data.from_pandas(pd.DataFrame({"url": seen_keys})).repartition(8)
-    blob = bloom_build(ds, "url", m_bits=M, k=K)
-    assert len(blob) == M >> 3
-
-    # no false negatives — every inserted key is found
-    assert bloom_contains(blob, seen_keys, M, K).all()
-
-    # false positives near theory: (1 - e^(-k n / m))^k ~ 0.8% here
-    novel = [f"new-{i}" for i in range(20_000)]
-    fp = bloom_contains(blob, novel, M, K).mean()
-    assert fp < 0.03, fp
-
-    # ingest filter: seen rows all drop, novel rows survive modulo FP
-    mixed = ray.data.from_pandas(
-        pd.DataFrame({"url": seen_keys[:500] + novel[:500]})
-    )
-    kept = bloom_filter_new(mixed, blob, "url", m_bits=M, k=K).to_pandas()
-    assert not kept["url"].str.startswith("url-").any()
-    assert (kept["url"].str.startswith("new-")).sum() >= 480
-
-    # distributed build == single-block build (OR-merge correctness)
-    blob1 = bloom_build(ds.repartition(1), "url", m_bits=M, k=K)
-    assert blob == blob1
-
-
 def test_sample_mixture_duckdb_parity(ray_session):
     """Mixture sampling vs the exact SQL restatement (md5-rank bottom-n
     per group with per-group quotas): reproducible row selection,
@@ -1549,86 +1268,6 @@ def test_sample_mixture_duckdb_parity(ray_session):
     ).df()
     pd.testing.assert_frame_equal(got3, want3, check_dtype=True)
     assert (got3.groupby("source").size() == 20).all()
-
-
-def test_count_min_sketch(ray_session):
-    """Count-min: never undercounts, exact for heavies at low load
-    factor, distributed build == single-pass build bit-for-bit."""
-    import numpy as np
-    import pandas as pd
-
-    import ray.data
-
-    from fetch_engines_ray.ops.sketches import (
-        CountMin,
-        _cm_indices,
-        count_min_build,
-        count_min_estimate,
-    )
-
-    rng = np.random.RandomState(17)
-    heavies = {"alpha": 500, "beta": 200, "gamma": 90}
-    tail = [f"t{i}" for i in range(400)]
-    vals = [v for v, n in heavies.items() for _ in range(n)] + [
-        tail[i] for i in rng.randint(0, len(tail), 800)
-    ]
-    rng.shuffle(vals)
-    ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(7)
-
-    sketch = count_min_build(ds, "v", width=2048, depth=4)
-    assert sketch.shape == (4, 2048)
-    assert sketch[0].sum() == len(vals)  # every row counts every item
-
-    truth = pd.Series(vals).value_counts()
-    q = list(truth.index)
-    est = count_min_estimate(sketch, q)
-    assert (est >= truth[q].to_numpy()).all()  # one-sided error
-    for name, n in heavies.items():
-        assert count_min_estimate(sketch, [name])[0] == n  # low load → exact
-
-    # distributed == driver-side single pass, bit-identical
-    local = np.zeros((4, 2048), dtype=np.int64)
-    idx = _cm_indices(vals, 2048, 4)
-    for j in range(4):
-        np.add.at(local[j], idx[j], 1)
-    np.testing.assert_array_equal(sketch, local)
-
-
-def test_compression_ratio_signal(ray_session):
-    """zlib-ratio quality signal: repetitive junk compresses hard,
-    natural-ish text sits mid-range, random bytes stay near 1000; the
-    integer form matches the closed formula exactly."""
-    import zlib
-
-    import numpy as np
-    import pandas as pd
-
-    import ray.data
-
-    from fetch_engines_ray.ops.textstats import add_compression_ratio
-
-    rng = np.random.RandomState(8)
-    rand_text = "".join(chr(rng.randint(0x4E00, 0x9FFF)) for _ in range(400))
-    docs = {
-        "rep": "spam " * 200,
-        "nat": " ".join(f"word{i}" for i in rng.randint(0, 200, 150)),
-        "rand": rand_text,
-        "empty": "",
-    }
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"doc_id": list(docs), "text": list(docs.values())})
-    )
-    out = (
-        ds.map_batches(add_compression_ratio, batch_format="pyarrow")
-        .to_pandas()
-        .set_index("doc_id")["compression_ratio_x1000"]
-    )
-    assert out["empty"] == 0
-    assert out["rep"] < 100 < out["nat"] < out["rand"]
-    for k, t in docs.items():
-        raw = t.encode()
-        want = 0 if not raw else (1000 * len(zlib.compress(raw, 6)) * 2 + len(raw)) // (2 * len(raw))
-        assert out[k] == want
 
 
 def test_pack_sequences_chunk_oversize(ray_session):
@@ -2224,137 +1863,6 @@ def test_lsh_params_picker():
     assert lsh_curve(0.0, 16, 4) == _pytest.approx(0.0)
     with _pytest.raises(ValueError):
         lsh_params(1.5)
-
-
-def test_weighted_sample_per_group(ray_session):
-    """Per-group A-ES sampling: exact per-group counts, zero-weight
-    exclusion, determinism across partitionings, and EXACT match with
-    a single-process reference of the same algorithm."""
-    import pandas as pd
-
-    import ray.data
-
-    from fetch_engines_ray.ops.sampling import _keys, weighted_sample_per_group
-
-    rng = np.random.RandomState(23)
-    df = pd.DataFrame(
-        {
-            "doc_id": np.arange(900),
-            "src": np.repeat(["a", "b", "c"], 300),
-            "w": rng.rand(900) * np.tile([1.0, 5.0, 0.2], 300),
-        }
-    )
-    df.loc[df.index[:10], "w"] = 0.0  # never sampled
-    ds = ray.data.from_pandas(df).repartition(7)
-    got = (
-        weighted_sample_per_group(ds, k=40, weight_col="w", group_col="src", seed=3)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert got.groupby("src").size().tolist() == [40, 40, 40]
-    assert not set(df["doc_id"][:10]) & set(got["doc_id"])
-
-    # single-process reference: same keys, global per-group top-k
-    ref = df.copy()
-    ref["_key"] = _keys(ref["doc_id"].tolist(), ref["w"].to_numpy(), 3)
-    ref = ref[np.isfinite(ref["_key"])]
-    ref = (
-        ref.sort_values(["_key", "doc_id"], ascending=[False, True])
-        .groupby("src", sort=False)
-        .head(40)
-    )
-    assert set(got["doc_id"]) == set(ref["doc_id"])
-
-    # partitioning-invariant
-    got2 = (
-        weighted_sample_per_group(
-            ray.data.from_pandas(df.iloc[::-1]).repartition(13),
-            k=40, weight_col="w", group_col="src", seed=3,
-        )
-        .to_pandas()
-    )
-    assert set(got2["doc_id"]) == set(got["doc_id"])
-    # small group: takes all positive rows
-    tiny = pd.DataFrame({"doc_id": [1, 2], "src": ["z", "z"], "w": [1.0, 0.0]})
-    out = weighted_sample_per_group(
-        ray.data.from_pandas(tiny), k=5, weight_col="w", group_col="src"
-    ).to_pandas()
-    assert out["doc_id"].tolist() == [1]
-
-
-def test_grouped_exact_int_quantiles_vs_duckdb(ray_session):
-    """EXACT per-group order statistics (multi-group histogram
-    narrowing, ops/sketches.py) pinned to DuckDB quantile_disc over the
-    real events table at int64 micro-scale — all groups resolved
-    simultaneously, one streaming pass per level."""
-    import duckdb
-    import pyarrow as pa
-    import ray.data
-
-    from fetch_engines_ray.arrowclean import read_parquet_clean
-    from fetch_engines_ray.ops.sketches import grouped_exact_int_quantiles
-
-    sf = "/root/testdata/sf0.001"
-    ds = read_parquet_clean(f"{sf}/events.parquet", columns=["event_type", "value"])
-
-    def micro(b: pa.Table) -> pa.Table:
-        v = b["value"].to_numpy(zero_copy_only=False)
-        vm = np.floor(v * 1e6 + 0.5).astype(np.int64)
-        return b.drop_columns(["value"]).append_column(
-            "vm", pa.array(vm, type=pa.int64())
-        )
-
-    got = grouped_exact_int_quantiles(
-        ds.map_batches(micro, batch_format="pyarrow"),
-        "event_type", "vm", [0.25, 0.5, 0.9, 0.99],
-    )
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{sf}/events.parquet')"
-    )
-    want = con.execute(
-        "WITH e AS (SELECT event_type,"
-        " CAST(floor(value*1000000+0.5) AS BIGINT) AS vm FROM events)"
-        " SELECT event_type, quantile_disc(vm, 0.25) AS a,"
-        " quantile_disc(vm, 0.5) AS b, quantile_disc(vm, 0.9) AS c,"
-        " quantile_disc(vm, 0.99) AS d"
-        " FROM e GROUP BY event_type ORDER BY event_type"
-    ).df()
-    assert got["event_type"].tolist() == want["event_type"].tolist()
-    assert np.array_equal(
-        got[["q0.25", "q0.5", "q0.9", "q0.99"]].to_numpy(),
-        want[["a", "b", "c", "d"]].to_numpy(),
-    )
-
-
-def test_grouped_exact_int_quantiles_multilevel(ray_session):
-    """Wide-domain values (range >> bins) force multiple narrowing
-    levels; per-group results must still be the exact numpy order
-    statistics, with groups of wildly different ranges and sizes
-    (including a singleton and a constant group) resolved together."""
-    import ray.data
-
-    from fetch_engines_ray.ops.sketches import grouped_exact_int_quantiles
-
-    rng = np.random.default_rng(7)
-    parts = {
-        "wide": rng.integers(-(2**62), 2**62, size=3001),
-        "narrow": rng.integers(0, 50, size=800),
-        "single": np.array([42]),
-        "const": np.full(64, -7),
-    }
-    rows = [{"g": g, "v": int(v)} for g, vs in parts.items() for v in vs]
-    ds = ray.data.from_items(rows).repartition(7)
-    qs = [0.1, 0.5, 0.95]
-    got = grouped_exact_int_quantiles(ds, "g", "v", qs, bins=128).set_index("g")
-    import math
-
-    for g, vs in parts.items():
-        s = np.sort(vs)
-        for q in qs:
-            want = int(s[max(0, math.ceil(q * len(s)) - 1)])
-            assert got.loc[g, f"q{q:g}"] == want, (g, q)
 
 
 def test_line_dedup_full_range_int64_doc_ids(ray_session):

@@ -1,7 +1,6 @@
 """Property-based checks for the session's new pure functions (no Ray
 session needed — driver-side kernels only)."""
 
-import json
 import string
 
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from fetch_engines_ray.ops.bpe import (
     encode_word,
     learn_merges,
 )
-from fetch_engines_ray.ops.jsonld import extract_jsonld_blocks
 from fetch_engines_ray.ops.urlops import canonicalize_url, registered_domain
 
 WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
@@ -49,27 +47,6 @@ def test_canonicalize_idempotent_and_total(url):
     assert isinstance(registered_domain(once), str)  # total as well
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000), st.text(max_size=10)),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    ),
-    max_leaves=10,
-))
-def test_jsonld_extractor_never_raises(payload):
-    """Arbitrary JSON payloads (valid or hostile shapes) never crash
-    the extractor; every returned entity re-parses."""
-    html = (
-        '<html><head><script type="application/ld+json">'
-        + json.dumps(payload)
-        + "</script></head><body>x</body></html>"
-    )
-    for ent in extract_jsonld_blocks(html):
-        assert isinstance(json.loads(ent["payload_json"]), dict)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     records=st.lists(
@@ -96,7 +73,6 @@ def test_warc_roundtrip_property(records, chunked):
     gate keeps exactly the 2xx text/html responses."""
     import os
 
-    from fetch_engines_ray.ops  import jsonld  # noqa: F401  (import sanity under fuzz)
     from fetch_engines_ray.sources.warc import (
         parse_http_response,
         split_warc_records,

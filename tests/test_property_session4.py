@@ -3,7 +3,6 @@ winnowing position/hash consistency with the whole-doc fingerprint op,
 BM25 reference invariants, RRF monotonicity, LM reference arithmetic,
 DSIR hashing, and PQ codebook determinism."""
 
-import math
 import string
 
 import numpy as np
@@ -13,26 +12,6 @@ from hypothesis import strategies as st
 
 WORD = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 TEXTS = st.lists(WORD, min_size=0, max_size=60).map(" ".join)
-
-
-@settings(max_examples=50, deadline=None)
-@given(TEXTS)
-def test_winnow_positions_match_whole_doc_fingerprints(text):
-    """ops/substring_dedup's positioned winnowing selects EXACTLY the
-    hash set ops/textstats' whole-doc fingerprint op selects (same
-    constants, same winnowing rule) — the two implementations can never
-    drift."""
-    import pyarrow as pa
-
-    from fetch_engines_ray.ops.substring_dedup import _winnow_positions
-    from fetch_engines_ray.ops.textstats import add_winnowing_fingerprint
-
-    pos, fps = _winnow_positions(text.lower().split(), k=5, window=4)
-    tbl = add_winnowing_fingerprint(pa.table({"text": [text]}), k=5, window=4)
-    whole = tbl["fp_hashes"].to_pylist()[0]
-    assert sorted(set(int(f) for f in fps)) == whole
-    assert len(pos) == len(fps)
-    assert (np.diff(pos) > 0).all() if len(pos) > 1 else True
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,4 +88,3 @@ def test_pq_lloyd_deterministic_and_partitions(seed):
     # every centroid is finite and lives in the data's bounding box
     assert np.isfinite(a).all()
     assert (a.min() >= mat.min() - 1e-12) and (a.max() <= mat.max() + 1e-12)
-

@@ -1,12 +1,9 @@
-"""Regression pins for the session-7 relational/window/layout review
-findings (planner schema parity, null-aware salted mean, typed empty
-blocks, stale-layout refusal, floor-division windows, rounding modes,
-batched quantile narrowing)."""
+"""Regression pins for the relational/window review findings (planner
+schema parity, typed empty blocks, floor-division windows, rounding
+modes, batched quantile narrowing)."""
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pytest
 
 
 def test_auto_join_broadcast_left_keeps_left_key_name(ray_session):
@@ -37,37 +34,6 @@ def test_auto_join_broadcast_left_keeps_left_key_name(ray_session):
     assert out.groupby("c_custkey")["price"].count().sum() == 200
 
 
-def test_salted_aggregate_mean_skips_nulls_like_sql_avg(ray_session):
-    """SQL AVG divides by the NON-NULL count; pairing the null-skipping
-    Sum with the shared row count gave 6/3 instead of 6/2 on a group
-    with a null (review finding)."""
-    import duckdb
-
-    import ray.data
-    from fetch_engines_ray.ops.skew import salted_aggregate
-
-    df = pd.DataFrame(
-        {
-            "k": ["a", "a", "a", "b", "b"],
-            "v": [2.0, 4.0, None, 10.0, None],
-        }
-    )
-    got = (
-        salted_aggregate(
-            ray.data.from_pandas(df), "k",
-            [("v", "mean", "m"), ("v", "sum", "s"), ("v", "count", "n")],
-        )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    want = duckdb.sql(
-        "SELECT k, avg(v) AS m, sum(v) AS s, count(*) AS n FROM df GROUP BY k ORDER BY k"
-    ).df()
-    np.testing.assert_allclose(got["m"].to_numpy(), want["m"].to_numpy())
-    np.testing.assert_allclose(got["s"].to_numpy(), want["s"].to_numpy())
-
-
 def test_heavy_hitters_exact_blocks_without_candidates(ray_session):
     """A block containing none of the broadcast candidates used to emit
     a null-typed empty 'value' column that broke schema unification in
@@ -83,43 +49,6 @@ def test_heavy_hitters_exact_blocks_without_candidates(ray_session):
     out = heavy_hitters_exact(ds, "w", k=1, capacity=2)
     assert out["value"].iloc[0] == "hot"
     assert int(out["count"].iloc[0]) == 50
-
-
-def test_write_sorted_refuses_populated_destination(ray_session, tmp_path):
-    """Writing a sorted layout over an existing one would silently mix
-    stale files into every consumer — it must refuse (review finding)."""
-    import ray.data
-
-    from fetch_engines_ray.ops.layout import write_sorted
-
-    df = pd.DataFrame({"key": np.arange(100), "v": np.arange(100)})
-    p = str(tmp_path / "layout")
-    write_sorted(ray.data.from_pandas(df), p, "key")
-    with pytest.raises(ValueError, match="already contains parquet files"):
-        write_sorted(ray.data.from_pandas(df), p, "key")
-
-
-def test_pruned_read_empty_range_keeps_layout_schema(ray_session, tmp_path):
-    """The empty-range fallback must carry the layout's real schema
-    (projected to the requested columns), not a hardcoded {key: int64}
-    stub — unions with non-empty reads broke only in the empty case
-    (review finding)."""
-    import ray.data
-
-    from fetch_engines_ray.ops.layout import pruned_read, write_sorted
-
-    df = pd.DataFrame(
-        {"key": np.arange(100, dtype=np.int64), "score": np.arange(100) * 0.5,
-         "name": [f"n{i}" for i in range(100)]}
-    )
-    p = str(tmp_path / "layout")
-    write_sorted(ray.data.from_pandas(df), p, "key")
-    empty, _ = pruned_read(p, "key", 10_000, 20_000, columns=["key", "score"])
-    assert empty.count() == 0
-    assert set(empty.schema().names) == {"key", "score"}
-    nonempty, _ = pruned_read(p, "key", 0, 5, columns=["key", "score"])
-    both = empty.union(nonempty)
-    assert both.count() == 6
 
 
 def test_tumbling_window_floors_pre_epoch_timestamps(ray_session, tmp_path):

@@ -1,7 +1,6 @@
 """Composed search pipeline (pipelines/search.py): the persisted index
-answers hybrid queries with the planted relevant doc on top, vector and
-keyword evidence both contribute to fusion, and hard-negative mining
-returns similar-but-not-duplicate neighbors."""
+answers hybrid queries with the planted relevant doc on top, and
+vector and keyword evidence both contribute to fusion."""
 
 import numpy as np
 import pandas as pd
@@ -53,54 +52,6 @@ def test_hybrid_search_finds_planted_topic(corpus, index):
     assert top3 & {200, 201}
     assert out.iloc[0]["doc_id"] in {200, 201}
     assert out["rank"].tolist() == list(range(1, len(out) + 1))
-
-
-def test_hard_negatives_exclude_duplicates(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.pipelines.search import mine_hard_negatives
-
-    rng = np.random.RandomState(3)
-    anchor = rng.randn(32)
-    anchor /= np.linalg.norm(anchor)
-    rows = [{"vec_id": 0, "embedding": anchor.tolist()}]
-    rows.append({"vec_id": 1, "embedding": anchor.tolist()})  # exact dup -> excluded
-    # hard negatives: noticeably similar (cos ~0.87) but below the dup
-    # threshold (0.6 noise would swamp a unit anchor in 32 dims:
-    # ||0.6*randn(32)|| ~ 3.4 -> cos ~0.28, below random-neighbor level)
-    for j in range(2, 6):
-        v = anchor + 0.1 * rng.randn(32)
-        rows.append({"vec_id": j, "embedding": (v / np.linalg.norm(v)).tolist()})
-    # easy negatives: random
-    easy = rng.randn(30, 32)
-    rows += [
-        {"vec_id": 100 + j, "embedding": (easy[j] / np.linalg.norm(easy[j])).tolist()}
-        for j in range(30)
-    ]
-    emb = ray.data.from_pandas(pd.DataFrame(rows))
-    out = mine_hard_negatives(emb, anchor_ids=[0], k=4, dup_threshold=0.95)
-    assert len(out) == 4
-    assert 0 not in set(out["negative_id"])  # never itself
-    assert 1 not in set(out["negative_id"])  # duplicate excluded
-    # the hard (perturbed) vectors outrank the random ones
-    assert set(out["negative_id"]) <= {2, 3, 4, 5}
-    assert out["rank"].tolist() == [1, 2, 3, 4]
-
-
-def test_hard_negatives_multiple_anchors_and_missing_id(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.pipelines.search import mine_hard_negatives
-
-    rng = np.random.RandomState(8)
-    m = rng.randn(40, 16)
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
-    emb = ray.data.from_pandas(
-        pd.DataFrame({"vec_id": range(40), "embedding": [v.tolist() for v in m]})
-    )
-    out = mine_hard_negatives(emb, anchor_ids=[3, 7, 9999], k=3)
-    assert set(out["anchor_id"]) == {3, 7}  # unknown anchor silently absent
-    assert out.groupby("anchor_id").size().tolist() == [3, 3]
 
 
 def test_rerank_topk_orders_by_pairwise_overlap(corpus, ray_session):

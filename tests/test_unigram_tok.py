@@ -193,37 +193,6 @@ def test_curate_unigram_export_ships_tokenizer(ray_session, tmp_path):
         )
 
 
-def test_sample_encode_subword_regularization():
-    """Forward-filtering backward-sampling: always lossless, exactly
-    reproducible per (word, seed), converges to Viterbi as alpha grows,
-    and at alpha=1 samples segmentations ~ P(seg) (the most probable
-    segmentation is also the most frequently sampled)."""
-    from collections import Counter
-
-    from fetch_engines_ray.ops.unigram_tok import sample_encode_word
-
-    logp = {"ab": -0.5, "a": -2.0, "b": -2.5, "abc": -1.0, "c": -1.5, "bc": -1.2}
-    word = "abcabc"
-
-    s1 = sample_encode_word(word, logp, alpha=1.0, seed=7)
-    assert "".join(s1) == word
-    assert s1 == sample_encode_word(word, logp, alpha=1.0, seed=7)  # reproducible
-    # different seeds explore different segmentations eventually
-    seen = {tuple(sample_encode_word(word, logp, alpha=1.0, seed=s)) for s in range(64)}
-    assert len(seen) > 1
-    assert all("".join(t) == word for t in seen)
-
-    vit = tuple(viterbi_encode_word(word, logp))
-    # alpha -> large: the sample IS the Viterbi segmentation
-    for s in range(8):
-        assert tuple(sample_encode_word(word, logp, alpha=50.0, seed=s)) == vit
-    # alpha = 1: the mode of the sampling distribution is Viterbi
-    counts = Counter(
-        tuple(sample_encode_word(word, logp, alpha=1.0, seed=s)) for s in range(300)
-    )
-    assert counts.most_common(1)[0][0] == vit
-
-
 def test_unigram_trainer_rejects_vocab_smaller_than_alphabet():
     """Single-char pieces are unprunable, so vocab_size <= the distinct
     character count can never be reached — the trainer must raise, not

@@ -14,7 +14,6 @@ from fetch_engines_ray.ops.wav import (
     WavFormatError,
     decode_wav,
     encode_wav,
-    frame_features,
     planted_samples,
     planted_wav,
     planted_wav_for_ref,
@@ -102,22 +101,6 @@ def test_planted_ref_resolver_deterministic():
     assert a == planted_wav_for_ref("media://doc1/2")
     assert a != planted_wav_for_ref("media://doc1/3")
     decode_wav(a)
-
-
-def test_frame_features_shapes_and_values():
-    rng = np.random.RandomState(3)
-    s = rng.randint(-32768, 32768, 8000).astype(np.int16)
-    f = frame_features(s, 8000, 25, 10, 13)
-    assert f.shape == (98, 13)
-    # silence -> RMS scaled to -1, zero crossings 0
-    silent = frame_features(np.zeros(8000, dtype=np.int16), 8000)
-    assert np.allclose(silent[:, 0], -1.0) and np.allclose(silent[:, 1], 0.0)
-    # loud square wave -> high energy, high ZCR
-    sq = (np.tile([30000, -30000], 4000)).astype(np.int16)
-    loud = frame_features(sq, 8000)
-    assert (loud[:, 0] > 0.5).all() and (loud[:, 1] > 0.9).all()
-    # sub-frame input -> empty
-    assert frame_features(np.zeros(10, dtype=np.int16), 8000).shape == (0, 13)
 
 
 def test_list_info_chunk_is_skipped():
