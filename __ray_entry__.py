@@ -50,7 +50,7 @@ def entry() -> Any:
     from fetch_engines_ray.pipelines.extract import PipelineConfig, extract_corpus
 
     corpus = _synth_corpus("/root/testdata/sf0.001")
-    cfg = PipelineConfig(batch_size=16, concurrency=(1, 4))
+    cfg = PipelineConfig(batch_size=16)
     ds = extract_corpus(corpus, cfg)
     return ds.select_columns(
         ["doc_id", "title", "route", "shell_score", "quality_score", "n_out_chars", "archetype"]
@@ -76,9 +76,7 @@ def _extracted(sf_dir: str):
     corpus = _synth_corpus(sf_dir)
     ds = _EXTRACT_CACHE.get(corpus)
     if ds is None:
-        ds = extract_corpus(
-            corpus, PipelineConfig(batch_size=16, concurrency=(1, 4))
-        ).materialize()
+        ds = extract_corpus(corpus, PipelineConfig(batch_size=16)).materialize()
         _EXTRACT_CACHE[corpus] = ds
     return ds
 

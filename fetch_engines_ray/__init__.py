@@ -20,8 +20,7 @@ Public surface (reference analog: /root/reference/src/index.ts:1-9):
   (exact n-gram + fuzzy MinHash) + mixture sampling, learned
   tokenizers (BPE + unigram-LM), Stupid-Backoff n-gram LM, binary
   token-shard delivery, windows, graph (PageRank), corpus snapshot
-  diff, per-domain quality + blocklist induction, expectations, drift,
-  datacard, sketches, profiling,
+  diff, expectations, drift, datacard, sketches, profiling,
   partitioning incl. sharded export, multimodal codecs and perceptual
   hashes).  ``curate_corpus`` runs are resumable via named
   fingerprinted checkpoints.

@@ -11,7 +11,7 @@ never uses descendant/child selectors.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from .nodes import Element
 
@@ -25,8 +25,6 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
-
-Predicate = Callable[[Element], bool]
 
 
 class Compound:
@@ -112,7 +110,8 @@ _PURE_TAGSET: dict[str, Optional[frozenset]] = {}
 def _pure_tagset(selector: str, sels: list) -> Optional[frozenset]:
     """frozenset of tags when every compound is a bare tag selector
     ("a", "p", "h1, h2, h3" — the converter's hottest lookups), else
-    None.  Lets iter_select skip the per-element Compound dispatch."""
+    None.  Lets the select functions skip the per-element Compound
+    dispatch."""
     ts = _PURE_TAGSET.get(selector, False)
     if ts is False:
         if all(
@@ -126,27 +125,11 @@ def _pure_tagset(selector: str, sels: list) -> Optional[frozenset]:
     return ts
 
 
-def iter_select(root: Element, selector: str) -> Iterator[Element]:
-    """Document-order matches among *descendants* of ``root`` (excl. root)."""
-    sels = compile_selector(selector)
-    tagset = _pure_tagset(selector, sels)
-    if tagset is not None:
-        for el in root.iter_elements():
-            if el.tag in tagset:
-                yield el
-    else:
-        # bucketed matching: elements only test compounds that could
-        # match their tag/class/id (most test zero)
-        g = compile_group((selector,))
-        for el in root.iter_elements():
-            if g.matches(el):
-                yield el
-
-
 def select_all(root: Element, selector: str) -> list[Element]:
-    """List variant of :func:`iter_select` on the non-generator path:
-    one plain loop over ``collect_elements`` (generators cost a resume
-    per element; this is the converter's hottest entry point)."""
+    """Document-order matches among *descendants* of ``root`` (excl.
+    root), as one plain loop over ``collect_elements`` (a generator
+    would cost a resume per element; this is the converter's hottest
+    entry point)."""
     sels = compile_selector(selector)
     tagset = _pure_tagset(selector, sels)
     from .nodes import collect_elements
@@ -160,8 +143,8 @@ def select_all(root: Element, selector: str) -> list[Element]:
 
 def select_one(root: Element, selector: str) -> Optional[Element]:
     """First document-order match, as a plain stack loop: a miss walks
-    the whole tree, and the generator-resume cost of ``iter_select``
-    (one resume per element) dominated converter profiles."""
+    the whole tree, and a generator's resume cost (one per element)
+    dominated converter profiles."""
     sels = compile_selector(selector)
     tagset = _pure_tagset(selector, sels)
     g = None if tagset is not None else compile_group((selector,))

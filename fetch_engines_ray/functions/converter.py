@@ -124,7 +124,6 @@ _RE_PP_EMPTY_IMG = re.compile(r"!\[\]\([^)]*\)")
 _RE_PP_PROTO_REL = re.compile(r"(!?\[[^\]]*\]\()(//)")
 _RE_PP_ADJ_LINKS = re.compile(r"(\]\([^)]+\))(?=\[)")
 _RE_PP_NEWLINES = re.compile("\n" * (POSTPROCESSING_MAX_CONSECUTIVE_NEWLINES + 1) + "+")
-_RE_PP_LINE_TRIM = re.compile(r"(?m)^[ \t]+|[ \t]+$")
 _RE_PP_CODE_FENCE = re.compile(r"(?m)^(\s*\n)?(```(.*)\n[\s\S]*?\n```)(\s*\n)?")
 _RE_PP_DUP_LINES = re.compile(r"(?m)^(.{30,})$(\n\1)+")
 _RE_PP_SEPARATOR = re.compile(r"(\n---\n)(\S)")
@@ -206,7 +205,7 @@ def remove_breadcrumbs(root: Element) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Predicate helpers (markdown-converter.ts:478-550)
+# Element predicates (markdown-converter.ts:478-550)
 # ---------------------------------------------------------------------------
 
 def _has_class(cls: str, exact: str) -> bool:
@@ -723,9 +722,10 @@ def postprocess_markdown(markdown: str, max_content_length: Optional[int] = None
     if "\n" * (POSTPROCESSING_MAX_CONSECUTIVE_NEWLINES + 1) in p:
         p = _RE_PP_NEWLINES.sub("\n" * POSTPROCESSING_MAX_CONSECUTIVE_NEWLINES, p)
     # 6. trim line edges — C-level equivalent of
-    # _RE_PP_LINE_TRIM.sub("", p): strip [ \t] runs at each \n-delimited
-    # line's edges (a CR before the \n blocks the regex's $ just as it
-    # blocks strip(" \t"), so the two agree on \r\n text too)
+    # re.sub(r"(?m)^[ \t]+|[ \t]+$", "", p): strip [ \t] runs at each
+    # \n-delimited line's edges (a CR before the \n blocks the regex's $
+    # just as it blocks strip(" \t"), so the two agree on \r\n text too;
+    # pinned by tests/test_fuzz_converter.py)
     p = "\n".join(seg.strip(" \t") for seg in p.split("\n"))
     # 7. code fence spacing
     if "```" in p:

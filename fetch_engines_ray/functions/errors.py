@@ -32,14 +32,6 @@ ERR_NON_TEXT_CONTENT = "ERR_NON_TEXT_CONTENT"
 # (reference ERR_MAX_RETRIES_REACHED, src/FetchEngine.ts retry loop).
 ERR_MAX_RETRIES_REACHED = "ERR_MAX_RETRIES_REACHED"
 
-ALL_CODES = (
-    ERR_CHALLENGE_PAGE,
-    ERR_CONVERSION,
-    ERR_PDF_PARSE,
-    ERR_NON_TEXT_CONTENT,
-    ERR_MAX_RETRIES_REACHED,
-)
-
 
 class ExtractionError(Exception):
     """Error with a stable machine code (reference ``FetchError``,

@@ -266,44 +266,6 @@ def _decode_sigs(col) -> np.ndarray:
     return np.stack([np.frombuffer(b, dtype="<i8") for b in col.to_pylist()])
 
 
-def lsh_curve(s: float, num_bands: int, rows_per_band: int) -> float:
-    """Candidate probability of a pair with Jaccard ``s`` under
-    (b, r)-banded LSH: ``1 - (1 - s^r)^b`` (Leskovec/Rajaraman/Ullman,
-    Mining of Massive Datasets ch. 3 — public textbook formula)."""
-    return 1.0 - (1.0 - s**rows_per_band) ** num_bands
-
-
-def lsh_params(threshold: float, num_perm: int = 64) -> tuple:
-    """Pick ``(num_bands, rows_per_band)`` for a target Jaccard
-    ``threshold``: over every exact factorization ``b * r == num_perm``,
-    minimize the sum of false-positive area below the threshold and
-    false-negative area above it (the MMDS criterion, integrated
-    numerically).  Use it to size ``minhash_pairs(num_bands=...)``
-    instead of hand-tuning: lower thresholds want more bands (shorter
-    rows), higher thresholds fewer bands (longer rows)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    best = None
-    ss = np.linspace(0.0, 1.0, 201)
-    for r in range(1, num_perm + 1):
-        if num_perm % r:
-            continue
-        b = num_perm // r
-        p = 1.0 - (1.0 - ss**r) ** b
-
-        def _trapezoid(y: np.ndarray) -> float:
-            # np.trapz was removed in NumPy 2.0 (renamed trapezoid);
-            # the uniform-grid form is one line, portable to both
-            return float((y[:-1] + y[1:]).sum() * (ss[1] - ss[0]) / 2.0)
-
-        fp = _trapezoid(np.where(ss < threshold, p, 0.0))
-        fn = _trapezoid(np.where(ss >= threshold, 1.0 - p, 0.0))
-        err = fp + fn
-        if best is None or err < best[0]:
-            best = (err, b, r)
-    return best[1], best[2]
-
-
 def _fold_band_keys(sigs: np.ndarray, num_bands: int) -> np.ndarray:
     """Fold ``(n_docs, num_perm)`` int64 signatures into ``(n_docs,
     num_bands)`` int64 band keys — the LSH bucket identity.  Equal band
@@ -1273,15 +1235,6 @@ def _ngram_set(t: str, n: int) -> set:
     return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
 
 
-def ngram_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
-    """Exact word n-gram Jaccard similarity of two texts."""
-    ga, gb = _ngram_set(text_a, n), _ngram_set(text_b, n)
-    if not ga and not gb:
-        return 1.0
-    union = len(ga | gb)
-    return len(ga & gb) / union if union else 0.0
-
-
 def ngram_jaccard_pairs(
     ds: "ray.data.Dataset",
     threshold: float = 0.7,
@@ -1435,41 +1388,6 @@ def dedup_clusters(pairs: pd.DataFrame) -> pd.DataFrame:
         for d in sorted(parent)
     ]
     return pd.DataFrame(rows, columns=["doc_id", "cluster_rep", "is_kept"])
-
-
-def dedup_clusters_keep_best(
-    pairs: pd.DataFrame, scores: pd.DataFrame, score_col: str = "score"
-) -> pd.DataFrame:
-    """:func:`dedup_clusters` with a QUALITY keep rule: within each
-    cluster keep the highest-``score_col`` member (tie → min doc_id)
-    instead of the min-id member — the curation choice production
-    pipelines actually make (drop the boilerplate-laden clone, keep the
-    clean one).  ``scores`` is a (doc_id, score) frame covering the
-    paired docs; missing docs score as -inf (kept only if alone).
-
-    Same driver-side posture as :func:`dedup_clusters` (pair lists are
-    tiny relative to the corpus); the cluster topology — and therefore
-    the distributed handoff — is identical, only the representative
-    choice differs.
-    """
-    base = dedup_clusters(pairs)
-    if base.empty:
-        # same column ORDER as the non-empty path, so per-partition
-        # concats never produce order-inconsistent frames
-        out = base.assign(best_rep=base.get("cluster_rep"))
-        return out[["doc_id", "cluster_rep", "best_rep", "is_kept"]]
-    merged = base.merge(scores[["doc_id", score_col]], on="doc_id", how="left")
-    merged[score_col] = merged[score_col].fillna(float("-inf"))
-    # best row per cluster: sort by (cluster, score desc, doc_id asc), take first
-    merged = merged.sort_values(
-        ["cluster_rep", score_col, "doc_id"], ascending=[True, False, True]
-    )
-    best = merged.groupby("cluster_rep", sort=False)["doc_id"].first().rename("best_rep")
-    out = base.merge(best, on="cluster_rep")
-    out["is_kept"] = out["doc_id"] == out["best_rep"]
-    return out[["doc_id", "cluster_rep", "best_rep", "is_kept"]].sort_values(
-        "doc_id"
-    ).reset_index(drop=True)
 
 
 def dedup_clusters_distributed(

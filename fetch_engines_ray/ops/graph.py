@@ -3,8 +3,7 @@
 Public-knowledge basis: Page, Brin, Motwani, Winograd, "The PageRank
 Citation Ranking" (1999).  Web-corpus curation uses link-graph authority
 as a quality prior (e.g. Common-Crawl-derived corpora filter or weight
-by harmonic centrality / PageRank), so the engine carries it next to
-the per-domain rollups in ``ops/urlops.py``.
+by harmonic centrality / PageRank), so the engine carries it.
 
 Ray-Data shape (one streaming pass per power iteration — the same
 posture as ``ops/clustering.kmeans_fit``):

@@ -215,46 +215,6 @@ def approx_quantiles(
     return quantiles_from_histogram(blob, lo, hi, qs)
 
 
-def grouped_quantiles(
-    ds: "ray.data.Dataset",
-    key: str,
-    column: str,
-    qs: list[float],
-    bins: int = 1024,
-) -> pd.DataFrame:
-    """Per-group approximate quantiles (e.g. per-domain length
-    percentiles) with O(bins) state per group: one global min/max pass
-    fixes the shared domain, one ``groupby(key)`` merges per-group
-    :class:`HistogramSketch` blobs (elementwise add — exactly
-    mergeable), and the interpolation is group-count-sized driver work.
-    Error per quantile <= (max-min)/bins.  Returns one row per group
-    with a ``q{q}`` column per requested quantile."""
-    from ray.data.aggregate import Max, Min
-
-    mm = ds.aggregate(Min(column, alias_name="lo"), Max(column, alias_name="hi"))
-    lo, hi = float(mm["lo"]), float(mm["hi"])
-    cols = [f"q{q:g}" for q in qs]
-    if hi == lo:
-        groups = ds.groupby(key).count().to_pandas()  # bounded: one row/group
-        out = groups[[key]].copy()
-        for c in cols:
-            out[c] = lo
-        return out.sort_values(key).reset_index(drop=True)
-    rows = (
-        ds.groupby(key)
-        .aggregate(HistogramSketch(on=column, lo=lo, hi=hi, bins=bins, alias_name="hist"))
-        .to_pandas()  # bounded: one row per group
-    )
-    vals = np.array(
-        [quantiles_from_histogram(b, lo, hi, qs) for b in rows["hist"]],
-        dtype=np.float64,
-    ).reshape(len(rows), len(qs))
-    out = rows[[key]].copy()
-    for i, c in enumerate(cols):
-        out[c] = vals[:, i]
-    return out.sort_values(key).reset_index(drop=True)
-
-
 class MultiRangeIntHistogram(AggregateFnV2):
     """Integer-bucketed histograms over several DIFFERENT ``[lo, hi]``
     ranges of the same column in ONE streaming pass — values outside a

@@ -1,4 +1,4 @@
-"""Generic partitioned window functions: lag / lead / rolling aggregates.
+"""Generic partitioned window functions: lag / lead.
 
 SQL's ``LAG(x) OVER (PARTITION BY k ORDER BY t)`` family.  The engine
 already ships special-cases (sessionize's per-user deltas, tumbling /
@@ -10,12 +10,12 @@ Ray-Data shape (the line-dedup lesson, BASELINE.md): never
 per-user window over 10^9 users would burn CPU-days on dispatch alone.
 Instead hash-partition the PARTITION KEY into a bounded number of parts
 (keys never straddle parts) and run ONE vectorized pandas pass per
-part: ``sort_values`` + ``groupby(...).shift/rolling`` are C-level over
+part: ``sort_values`` + ``groupby(...).shift`` are C-level over
 the whole part.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
@@ -59,146 +59,6 @@ def lag_lead(
         grp = g.groupby(partition_by, sort=False)[value_col]
         g[f"{value_col}_lag"] = grp.shift(n)
         g[f"{value_col}_lead"] = grp.shift(-n)
-        return g.drop(columns=["__part"])
-
-    return (
-        _with_part(ds, partition_by, n_parts)
-        .groupby("__part")
-        .map_groups(window_part, batch_format="pandas")
-    )
-
-
-def rank_window(
-    ds: "ray.data.Dataset",
-    partition_by: str,
-    order_by: str,
-    value_col: Optional[str] = None,
-    ntile: Optional[int] = None,
-    n_parts: int = 64,
-) -> "ray.data.Dataset":
-    """SQL ranking-window family per partition: ``rank``,
-    ``dense_rank``, ``percent_rank``, ``cume_dist`` (all
-    ``OVER (PARTITION BY partition_by ORDER BY order_by)`` with SQL tie
-    semantics — equal order keys share a rank) and, with ``ntile=k``,
-    the row-number-based ``ntile_k`` bucket (ties broken by
-    ``value_col`` for a deterministic, hash-comparable assignment —
-    pass a unique tiebreaker column exactly as you would add one to a
-    SQL ``ORDER BY`` for a stable NTILE).  Same bounded hash-partition
-    + one-vectorized-pandas-pass shape as :func:`lag_lead`."""
-    if ntile is not None and ntile < 1:
-        raise ValueError(f"ntile must be >= 1, got {ntile}")
-
-    def window_part(group: pd.DataFrame) -> pd.DataFrame:
-        sort_cols = [partition_by, order_by] + ([value_col] if value_col else [])
-        g = group.sort_values(sort_cols, kind="mergesort")
-        grp = g.groupby(partition_by, sort=False)
-        n = grp[order_by].transform("size").to_numpy().astype(np.int64)
-        r_min = grp[order_by].rank(method="min").to_numpy().astype(np.int64)
-        g["rank"] = r_min
-        g["dense_rank"] = grp[order_by].rank(method="dense").to_numpy().astype(np.int64)
-        g["percent_rank"] = np.where(n > 1, (r_min - 1) / np.maximum(n - 1, 1), 0.0)
-        g["cume_dist"] = grp[order_by].rank(method="max").to_numpy() / n
-        if ntile is not None:
-            # SQL NTILE: the first n%k buckets get one extra row,
-            # assigned by row number in the deterministic sort order
-            rn = grp.cumcount().to_numpy()
-            q, rem = n // ntile, n % ntile
-            big = rem * (q + 1)
-            tile = np.where(
-                rn < big,
-                rn // np.maximum(q + 1, 1),
-                rem + (rn - big) // np.maximum(q, 1),
-            )
-            g[f"ntile_{ntile}"] = (tile + 1).astype(np.int64)
-        return g.drop(columns=["__part"])
-
-    return (
-        _with_part(ds, partition_by, n_parts)
-        .groupby("__part")
-        .map_groups(window_part, batch_format="pandas")
-    )
-
-
-def range_rolling_agg(
-    ds: "ray.data.Dataset",
-    partition_by: str,
-    order_by: str,
-    value_col: str,
-    window: str,
-    agg: str = "sum",
-    n_parts: int = 64,
-    out_col: Optional[str] = None,
-) -> "ray.data.Dataset":
-    """Time-interval trailing window: SQL ``agg(value) OVER (PARTITION BY
-    partition_by ORDER BY order_by RANGE BETWEEN <window> PRECEDING AND
-    CURRENT ROW)`` with full SQL RANGE semantics — the frame is defined
-    by ORDER-KEY VALUE (rows whose key lies in ``[t - window, t]``,
-    both ends inclusive), so rows with equal order keys are peers and
-    share one frame regardless of physical position.
-
-    ``order_by`` must be a timestamp column and ``window`` a pandas
-    Timedelta string (e.g. ``"1h"``); ``agg`` in sum/mean/min/max/count.
-
-    Same bounded hash-partition + one-C-level-pandas-pass shape as
-    :func:`lag_lead`: within each part the groupwise time-based
-    ``rolling(Timedelta, on=order_by, closed="both")`` runs vectorized,
-    and the peers rule is restored with a ``transform("last")`` over
-    ``(partition, order)`` — the LAST peer's row-based window is exactly
-    the SQL value frame (all peers sort adjacent, everything earlier in
-    time sorts before them), so propagating it to the tied rows yields
-    SQL semantics for every supported aggregate.
-    """
-    if agg not in ("sum", "mean", "min", "max", "count"):
-        raise ValueError(f"unsupported agg: {agg}")
-    out_col = out_col or f"{value_col}_range_{agg}"
-    delta = pd.Timedelta(window)
-
-    def window_part(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            [partition_by, order_by, value_col], kind="mergesort"
-        ).reset_index(drop=True)
-        roll = g.groupby(partition_by, sort=False)[[order_by, value_col]].rolling(
-            delta, on=order_by, closed="both"
-        )
-        vals = getattr(roll[value_col], agg)().reset_index(level=0, drop=True)
-        g[out_col] = vals.to_numpy()
-        g[out_col] = g.groupby([partition_by, order_by], sort=False)[out_col].transform(
-            "last"
-        )
-        return g.drop(columns=["__part"])
-
-    return (
-        _with_part(ds, partition_by, n_parts)
-        .groupby("__part")
-        .map_groups(window_part, batch_format="pandas")
-    )
-
-
-def rolling_agg(
-    ds: "ray.data.Dataset",
-    partition_by: str,
-    order_by: str,
-    value_col: str,
-    window: int = 3,
-    agg: str = "sum",
-    n_parts: int = 64,
-    out_col: Optional[str] = None,
-) -> "ray.data.Dataset":
-    """Adds a trailing-window aggregate (``ROWS BETWEEN window-1
-    PRECEDING AND CURRENT ROW``) per partition; ``agg`` in
-    sum / mean / min / max / count.  Same deterministic ordering rule
-    as :func:`lag_lead`."""
-    if agg not in ("sum", "mean", "min", "max", "count"):
-        raise ValueError(f"unsupported agg: {agg}")
-    out_col = out_col or f"{value_col}_rolling_{agg}"
-
-    def window_part(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([partition_by, order_by, value_col], kind="mergesort")
-        roll = g.groupby(partition_by, sort=False)[value_col].rolling(
-            window=window, min_periods=1
-        )
-        vals = getattr(roll, agg)().reset_index(level=0, drop=True)
-        g[out_col] = vals
         return g.drop(columns=["__part"])
 
     return (

@@ -3,7 +3,8 @@
 Two entry points:
 
 * :func:`build_pipeline` — pure streaming ``Dataset`` transform
-  (read → actor-pool ``map_batches`` extraction).  Used by
+  (read → fast stage → warm stage, two task-function ``map_batches``
+  that fuse into one task-pool operator).  Used by
   ``__ray_entry__.entry()``/``queries()`` and by ``bench.py``.
 * :func:`run_resumable` — partition-atomic runner with per-partition
   lineage records and plan-time resume (north rule: checkpoint resume
@@ -13,10 +14,10 @@ Two entry points:
 
 Scale notes (sized for a 256-node cluster, tested on one node):
 
-* extraction is an **actor pool** (``concurrency=N``) because each
-  actor holds compiled converter state — not because of Python-level
-  state mutation; batches stay Arrow end-to-end.
-* ``batch_size`` is small (default 16) so one mega-page cannot stall a
+* extraction is a **self-scheduling task pool** over all CPUs; each
+  worker process caches its compiled converter state, so no fixed
+  actor pool caps the pipeline; batches stay Arrow end-to-end.
+* ``batch_size`` is small (default 64) so one mega-page cannot stall a
   thousand-row batch (skew control, SURVEY.md §4.2); Ray Data's
   dynamic block splitting handles oversized *outputs*.
 * no stage materializes the dataset; the streaming executor pipelines
@@ -28,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -36,12 +37,11 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from fetch_engines_ray.arrowclean import read_parquet_clean
+from fetch_engines_ray.arrowclean import _clean_read_schema, read_parquet_clean
 
 from ..stages.extract import (
     OUTPUT_SCHEMA,
     DocumentExtractor,
-    WarmExtractor,
     extract_fast_batch,
     warm_extract_batch,
 )
@@ -57,24 +57,9 @@ class PipelineConfig:
     # enough tasks for load balance, small enough that a mega-page
     # can't stall many docs behind it).
     batch_size: int = 64
-    # Warm actor-pool stage batch size (smaller: one JS-shell/PDF doc
-    # must not stall a fat batch — skew control, SURVEY.md §4.2).
+    # Warm stage batch size (one JS-shell/PDF doc must not stall a fat
+    # batch — skew control, SURVEY.md §4.2).
     warm_batch_size: int = 64
-    # Warm actor pool bounds.  int = fixed pool; (min, max) tuple =
-    # autoscaling.  Never size any actor pool to ALL cluster CPUs: the
-    # read/write task operators need CPU headroom or the streaming
-    # executor starves (observed as a full-pipeline stall at
-    # concurrency == num_cpus).
-    concurrency: Union[int, tuple] = (1, 8)
-    num_cpus_per_actor: float = 1.0
-    # False (default): warm stage is a task function with per-worker
-    # cached state — it fuses with the fast stage into ONE task-pool
-    # operator that self-schedules across all CPUs.  True: warm stage
-    # is a WarmExtractor actor pool (use when warm state is expensive
-    # to build, e.g. a real PDF layout model); note operator fusion
-    # then pins the fused fast+warm work to the pool, so size
-    # `concurrency` accordingly.
-    use_actor_warm_stage: bool = False
     # C10 route overrides (reference playwrightOnlyPatterns,
     # /root/reference/src/HybridEngine.ts:160-170): entries are plain
     # URL substrings OR compiled re.Pattern objects (the reference's
@@ -82,38 +67,37 @@ class PipelineConfig:
     # overrides ride in an optional `force_route` input column.
     warm_url_patterns: tuple = ()
     max_content_length: Optional[int] = None
-    read_columns: tuple = ("doc_id", "spans", "archetype", "base_url")
-    # A3 pool-health analog: extra ray remote args for the warm actor
-    # pool (e.g. {"max_restarts": -1, "max_task_retries": -1} lets Ray
-    # replace a crashed actor and re-run its in-flight batches — the
-    # reference's pool health-check/recycle loop re-expressed as Ray
-    # actor supervision).  Only used with use_actor_warm_stage=True.
-    actor_ray_remote_args: Optional[dict] = None
 
 
-def safe_pool_size(num_cpus: Optional[int] = None, headroom: int = 2) -> tuple:
-    """Autoscaling actor-pool bounds that leave ``headroom`` CPUs for the
-    read/write task operators (full-CPU pools starve them)."""
-    if num_cpus is None:
-        num_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    cap = max(2, int(num_cpus) - headroom)
-    return (min(2, cap), cap)
+_BASE_COLUMNS = ["doc_id", "spans", "archetype", "base_url"]
+
+
+def _corpus_columns(schema: Optional[pa.Schema]) -> list[str]:
+    """The corpus columns extraction reads: the four base columns, plus
+    the per-row ``force_route`` override when the corpus carries it."""
+    if schema is not None and "force_route" in schema.names:
+        return _BASE_COLUMNS + ["force_route"]
+    return list(_BASE_COLUMNS)
 
 
 def read_corpus(path: str, cfg: Optional[PipelineConfig] = None) -> "ray.data.Dataset":
-    cfg = cfg or PipelineConfig()
-    return read_parquet_clean(path, columns=list(cfg.read_columns))
+    """Read a corpus for extraction.  The columns follow the corpus
+    schema (first file), the same rule the resumable runner applies per
+    fragment, so both paths route identically; ``cfg`` is accepted for
+    call-site symmetry with the other entry points."""
+    return read_parquet_clean(path, columns=_corpus_columns(_clean_read_schema(path, None)))
 
 
 def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None) -> "ray.data.Dataset":
     """Attach the extraction stages to a corpus Dataset (lazy).
 
     One linear stream, no branch re-execution:
-      fast stage (stateless task pool — fully extracts "fast"-routed
-      docs, passes "warm" docs through with raw spans) →
-      warm stage (actor pool holding hydration/PDF-layout state —
-      touches only the warm fraction, Arrow-slice passthrough for the
-      rest).
+      fast stage (fully extracts "fast"-routed docs, passes "warm"
+      docs through with raw spans) →
+      warm stage (hydration/PDF layout — touches only the warm
+      fraction, Arrow-slice passthrough for the rest).
+    Both are task functions with per-worker cached extractor state, so
+    Ray Data fuses them into one task-pool operator.
     """
     cfg = cfg or PipelineConfig()
     fast = ds.map_batches(
@@ -125,16 +109,6 @@ def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None)
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
     )
-    if cfg.use_actor_warm_stage:
-        return fast.map_batches(
-            WarmExtractor,
-            fn_constructor_kwargs={"max_content_length": cfg.max_content_length},
-            batch_format="pyarrow",
-            batch_size=cfg.warm_batch_size,
-            concurrency=cfg.concurrency,
-            num_cpus=cfg.num_cpus_per_actor,
-            **(cfg.actor_ray_remote_args or {}),
-        )
     return fast.map_batches(
         warm_extract_batch,
         fn_kwargs={"max_content_length": cfg.max_content_length},
@@ -261,6 +235,7 @@ class _FragmentProcessor:
         # the resumable path must route IDENTICALLY to the two-stage
         # pipeline ("resume equals rerun"): C10 pattern overrides ride
         # into the extractor, and a force_route column is read below
+        # by the same column rule as read_corpus
         self.extractor = DocumentExtractor(
             max_content_length=max_content_length,
             warm_url_patterns=warm_url_patterns,
@@ -271,10 +246,7 @@ class _FragmentProcessor:
         for frag in batch.column("fragment").to_pylist():
             t0 = time.perf_counter()
             part_id = os.path.splitext(os.path.basename(frag))[0]
-            cols = ["doc_id", "spans", "archetype", "base_url"]
-            if "force_route" in pq.read_schema(frag).names:
-                cols.append("force_route")
-            table = pq.read_table(frag, columns=cols)
+            table = pq.read_table(frag, columns=_corpus_columns(pq.read_schema(frag)))
             out_batches = [
                 self.extractor(table.slice(off, 256))
                 for off in range(0, table.num_rows, 256)

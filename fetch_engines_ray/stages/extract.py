@@ -1,10 +1,11 @@
 """Ray Data extraction stages.
 
-The pipeline's heart: one ``map_batches`` stage (an **actor pool** — the
-warm path holds compiled state, reference analog: the browser pool at
-/root/reference/src/browser/PlaywrightBrowserPool.ts:285-606) that turns
+The pipeline's heart: two task-function ``map_batches`` stages
+(:func:`extract_fast_batch` → :func:`warm_extract_batch`) that Ray Data
+fuses into one self-scheduling task-pool operator.  They turn
 interleaved ``(doc_id, spans)`` documents into extracted
-``(doc_id, out_spans, title, route, …)`` rows.
+``(doc_id, out_spans, title, route, …)`` rows; the compiled converter
+state is built once per worker process and cached.
 
 Per-document semantics (reference: HybridEngine.fetchHTML,
 /root/reference/src/HybridEngine.ts:126-223):
@@ -69,9 +70,9 @@ RAW_SPAN_TYPE = pa.struct(
     ]
 )
 
-# Intermediate schema between the fast (task-pool) stage and the warm
-# (actor-pool) stage: final output columns plus the raw spans/base_url
-# carried only for rows routed "warm" (null for fast rows).
+# Intermediate schema between the fast stage and the warm stage: final
+# output columns plus the raw spans/base_url carried only for rows
+# routed "warm" (null for fast rows).
 EXTENDED_SCHEMA = pa.schema(
     list(OUTPUT_SCHEMA)
     + [
@@ -114,7 +115,7 @@ def parse_pdf_layout(layout_text: str) -> str:
     (kinds: h1-h6, p, li, table with ``|``-separated cells and
     ``;``-separated rows).  This is the deterministic stand-in for a real
     PDF layout engine (north_rule: "PDF/layout parse"); the Ray-side
-    plumbing (actor state, batching, schema) is identical to what a real
+    plumbing (worker state, batching, schema) is identical to what a real
     parser would need.
 
     Raises :class:`errs.ExtractionError` (``ERR_PDF_PARSE``) on a
@@ -209,12 +210,12 @@ def route_document(
 
 
 class DocumentExtractor:
-    """Actor-pool batch extractor: ``pa.Table`` in → ``pa.Table`` out.
+    """Batch extractor: ``pa.Table`` in → ``pa.Table`` out.
 
-    Use with ``ds.map_batches(DocumentExtractor, batch_format="pyarrow",
-    concurrency=N, batch_size=B)``.  All compiled state (regexes, the
-    selector cache warmed by a priming conversion) is built once per
-    actor in ``__init__``.
+    All compiled state (regexes, the selector cache warmed by a priming
+    conversion) is built once in ``__init__``: once per worker process
+    for the two pipeline stages (:func:`_cached_extractor`), once per
+    fragment actor for the resumable runner.
     """
 
     def __init__(
@@ -227,7 +228,7 @@ class DocumentExtractor:
         # (incl. the resumable fragment runner) routes identically to
         # the two-stage pipeline
         self.warm_url_patterns = tuple(warm_url_patterns)
-        # Prime the selector cache / regex modules once per actor.
+        # Prime the selector cache / regex modules once per instance.
         conv.convert("<body><main><h1>warmup</h1><p>warmup doc</p></main></body>")
 
     # -- per-document ------------------------------------------------------
@@ -428,26 +429,26 @@ class DocumentExtractor:
 
 
 # ---------------------------------------------------------------------------
-# Two-stage split: fast task-pool stage + warm actor-pool stage.
+# Two-stage split: fast stage + warm stage, both task functions.
 #
-# The flagship pipeline runs  read → extract_fast_batch (stateless tasks)
-# → WarmExtractor (actor pool) → write  as ONE linear stream: the fast
-# stage fully extracts "fast"-routed docs and passes "warm"-routed docs
-# through untouched (raw spans carried in `raw_spans`), so no branch of
-# the Dataset is ever executed twice and only the small warm fraction
-# pays the actor-pool hop.  Reference analog: HybridEngine's per-doc
+# The flagship pipeline runs  read → extract_fast_batch → warm_extract_batch
+# → write  as ONE linear stream: the fast stage fully extracts
+# "fast"-routed docs and passes "warm"-routed docs through untouched (raw
+# spans carried in `raw_spans`), so no branch of the Dataset is ever
+# executed twice and only the small warm fraction is extracted by the
+# warm stage.  Reference analog: HybridEngine's per-doc
 # fast-then-maybe-render orchestration
 # (/root/reference/src/HybridEngine.ts:126-223) re-expressed as two
 # dataset stages instead of per-record control flow.
 # ---------------------------------------------------------------------------
 
-_FAST_EXTRACTORS: dict = {}
+_EXTRACTORS: dict = {}
 
 
 def _cached_extractor(max_content_length: Optional[int]) -> "DocumentExtractor":
-    ex = _FAST_EXTRACTORS.get(max_content_length)
+    ex = _EXTRACTORS.get(max_content_length)
     if ex is None:
-        ex = _FAST_EXTRACTORS[max_content_length] = DocumentExtractor(max_content_length)
+        ex = _EXTRACTORS[max_content_length] = DocumentExtractor(max_content_length)
     return ex
 
 
@@ -479,7 +480,7 @@ def extract_fast_batch(
     warm_url_patterns: tuple = (),
 ) -> pa.Table:
     """Stateless task-pool stage: route every doc; fully extract fast
-    docs; pass warm docs through with raw spans for the actor stage.
+    docs; pass warm docs through with raw spans for the warm stage.
 
     Honors an optional per-row ``force_route`` column ("fast"/"warm",
     the reference's per-request override surface, src/types.ts:221-230)
@@ -514,72 +515,49 @@ def extract_fast_batch(
     return pa.Table.from_pylist(rows, schema=EXTENDED_SCHEMA)
 
 
-class WarmExtractor:
-    """Actor-pool stage for warm-routed docs (JS-shell hydration, PDF
-    layout parse, soft-block handling).
-
-    Holds the warm parser/layout state in ``__init__`` (reference
-    analog: the browser pool, /root/reference/src/browser/
-    PlaywrightBrowserPool.ts:285-606).  Fast rows pass through as Arrow
-    slices without row materialization.
-    """
-
-    def __init__(self, max_content_length: Optional[int] = None) -> None:
-        self.extractor = DocumentExtractor(max_content_length=max_content_length)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        drop = [c for c in ("raw_spans", "base_url") if c in batch.column_names]
-        out_names = [c for c in batch.column_names if c not in drop]
-        warm_mask = pc.equal(batch.column("route"), "warm")
-        n_warm = pc.sum(warm_mask).as_py() or 0
-        if n_warm == 0:
-            return batch.drop_columns(drop)
-
-        pos = pa.array(np.arange(len(batch), dtype=np.int64))
-        batch = batch.append_column("_pos", pos)
-        fast_part = batch.filter(pc.invert(warm_mask)).drop_columns(drop)
-        warm_part = batch.filter(warm_mask)
-
-        rows = []
-        for r in warm_part.select(["doc_id", "raw_spans", "base_url", "archetype", "_pos"]).to_pylist():
-            # force_route="warm": the routing decision (incl. C10 /
-            # per-row overrides) was made upstream — re-deriving it here
-            # would silently demote pattern-forced docs back to "fast".
-            out = self.extractor.extract_document(
-                r["doc_id"],
-                r["raw_spans"] or [],
-                r["base_url"],
-                r["archetype"] or "",
-                force_route="warm",
-            )
-            out["_pos"] = r["_pos"]
-            rows.append(out)
-        warm_schema = pa.schema(list(OUTPUT_SCHEMA) + [("_pos", pa.int64())])
-        warm_out = pa.Table.from_pylist(rows, schema=warm_schema).select(out_names + ["_pos"])
-        merged = pa.concat_tables([fast_part.select(out_names + ["_pos"]), warm_out])
-        return merged.sort_by("_pos").drop_columns(["_pos"])
-
-
-_WARM_EXTRACTORS: dict = {}
-
-
 def warm_extract_batch(batch: pa.Table, max_content_length: Optional[int] = None) -> pa.Table:
-    """Task-pool form of the warm stage: same semantics as
-    :class:`WarmExtractor`, with the warm parser state cached per worker
-    process instead of per actor.
+    """Task-pool warm stage for warm-routed docs (JS-shell hydration,
+    PDF layout parse, soft-block handling); fast rows pass through as
+    Arrow slices without row materialization.
 
-    Default for the flagship pipeline: Ray Data fuses adjacent map
-    operators, and a fused task→actor chain executes entirely on the
-    actor pool — capping the whole pipeline at the pool size (measured
-    ~3x slower at 32 CPUs).  With both stages as task functions the
-    fused operator self-schedules across all CPUs.  Use
-    ``PipelineConfig(use_actor_warm_stage=True)`` when the warm state is
-    genuinely expensive to build (a real layout model / browser pool).
+    Uses the same per-worker cached extractor as
+    :func:`extract_fast_batch`.  Ray Data fuses the two adjacent map
+    stages into one task-pool operator that self-schedules across all
+    CPUs; a fused task→actor chain would run entirely on the actor
+    pool, capping the whole pipeline at the pool size (measured ~3x
+    slower at 32 CPUs).
     """
-    ex = _WARM_EXTRACTORS.get(max_content_length)
-    if ex is None:
-        ex = _WARM_EXTRACTORS[max_content_length] = WarmExtractor(max_content_length)
-    return ex(batch)
+    import numpy as np
+    import pyarrow.compute as pc
+
+    drop = [c for c in ("raw_spans", "base_url") if c in batch.column_names]
+    out_names = [c for c in batch.column_names if c not in drop]
+    warm_mask = pc.equal(batch.column("route"), "warm")
+    n_warm = pc.sum(warm_mask).as_py() or 0
+    if n_warm == 0:
+        return batch.drop_columns(drop)
+
+    ex = _cached_extractor(max_content_length)
+    pos = pa.array(np.arange(len(batch), dtype=np.int64))
+    batch = batch.append_column("_pos", pos)
+    fast_part = batch.filter(pc.invert(warm_mask)).drop_columns(drop)
+    warm_part = batch.filter(warm_mask)
+
+    rows = []
+    for r in warm_part.select(["doc_id", "raw_spans", "base_url", "archetype", "_pos"]).to_pylist():
+        # force_route="warm": the routing decision (incl. C10 /
+        # per-row overrides) was made upstream — re-deriving it here
+        # would silently demote pattern-forced docs back to "fast".
+        out = ex.extract_document(
+            r["doc_id"],
+            r["raw_spans"] or [],
+            r["base_url"],
+            r["archetype"] or "",
+            force_route="warm",
+        )
+        out["_pos"] = r["_pos"]
+        rows.append(out)
+    warm_schema = pa.schema(list(OUTPUT_SCHEMA) + [("_pos", pa.int64())])
+    warm_out = pa.Table.from_pylist(rows, schema=warm_schema).select(out_names + ["_pos"])
+    merged = pa.concat_tables([fast_part.select(out_names + ["_pos"]), warm_out])
+    return merged.sort_by("_pos").drop_columns(["_pos"])

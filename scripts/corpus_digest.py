@@ -23,14 +23,12 @@ def corpus_digest(corpus_dir: str, cfg=None) -> tuple[int, int]:
     """(n_docs, xor-combined span-sequence digest) for a corpus dir.
 
     ``cfg`` overrides the PipelineConfig — the digest must be IDENTICAL
-    for any batch size / concurrency (partition-invariance is pinned by
-    ``tests/test_corpus_digest.py``)."""
+    for any fast / warm batch size and block structure (partition
+    invariance is pinned by ``tests/test_corpus_digest.py``)."""
     from fetch_engines_ray.pipelines.extract import PipelineConfig, extract_corpus
     from fetch_engines_ray.state.lineage import combine_hashes, span_hash_for_doc
 
-    ds = extract_corpus(
-        corpus_dir, cfg or PipelineConfig(batch_size=16, concurrency=(1, 4))
-    )
+    ds = extract_corpus(corpus_dir, cfg or PipelineConfig(batch_size=16))
 
     def doc_hashes(batch):
         import pyarrow as pa

@@ -1,11 +1,6 @@
-"""Caption mining (ops/captions.py) and quality keep-best dedup
-(ops/dedup.py::dedup_clusters_keep_best)."""
-
-import pandas as pd
-import pytest
+"""Caption mining (ops/captions.py)."""
 
 from fetch_engines_ray.ops.captions import _clip_head, _clip_tail, mine_caption_pairs
-from fetch_engines_ray.ops.dedup import dedup_clusters_keep_best
 
 
 def _span(kind, text="", media_ref=""):
@@ -74,26 +69,3 @@ def test_caption_clipping_word_boundaries():
 def test_mine_caption_pairs_kind_filter(ray_session):
     out = mine_caption_pairs(_docs_ds(), kinds=("image",)).to_pandas()
     assert set(out["kind"]) == {"image"}
-
-
-def test_dedup_keep_best_prefers_high_score():
-    pairs = pd.DataFrame({"doc_a": [1, 2], "doc_b": [2, 3]})  # cluster {1,2,3}
-    scores = pd.DataFrame({"doc_id": [1, 2, 3], "score": [0.1, 0.9, 0.5]})
-    out = dedup_clusters_keep_best(pairs, scores)
-    kept = out[out["is_kept"]]["doc_id"].tolist()
-    assert kept == [2]
-    assert (out["best_rep"] == 2).all()
-
-
-def test_dedup_keep_best_tie_breaks_min_id():
-    pairs = pd.DataFrame({"doc_a": [10], "doc_b": [11]})
-    scores = pd.DataFrame({"doc_id": [10, 11], "score": [0.7, 0.7]})
-    out = dedup_clusters_keep_best(pairs, scores)
-    assert out[out["is_kept"]]["doc_id"].tolist() == [10]
-
-
-def test_dedup_keep_best_missing_score_never_wins():
-    pairs = pd.DataFrame({"doc_a": [1], "doc_b": [2]})
-    scores = pd.DataFrame({"doc_id": [2], "score": [0.0]})  # doc 1 unscored
-    out = dedup_clusters_keep_best(pairs, scores)
-    assert out[out["is_kept"]]["doc_id"].tolist() == [2]

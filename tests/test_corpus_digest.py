@@ -36,9 +36,10 @@ def test_full_corpus_extraction_digest(ray_session):
 
 
 def test_extraction_digest_partition_invariant(ray_session):
-    """The SAME digest must come out under a different batching /
-    concurrency shape — extraction output is a pure per-document
-    function, so block structure can never leak into results."""
+    """The SAME digest must come out under different fast / warm batch
+    sizes (so different block boundaries) — extraction output is a pure
+    per-document function, so block structure can never leak into
+    results."""
     import os
     import sys
 
@@ -51,7 +52,7 @@ def test_extraction_digest_partition_invariant(ray_session):
     from fetch_engines_ray.pipelines.extract import PipelineConfig
 
     n, digest = corpus_digest(
-        sf0001_corpus(), PipelineConfig(batch_size=5, concurrency=(2, 3))
+        sf0001_corpus(), PipelineConfig(batch_size=5, warm_batch_size=7)
     )
     assert n == EXPECTED_N_DOCS
     assert digest == EXPECTED_DIGEST

@@ -1,7 +1,10 @@
 """Robustness fuzzing: the converter must never raise — malformed,
 truncated, or adversarial markup degrades to the documented fallbacks
 (R3/R4: cleaned-HTML or raw passthrough), mirroring the reference's
-"never throw from convert" posture."""
+"never throw from convert" posture.  Also pins the string-method form
+of one postprocess step against the regex it replaced."""
+
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,3 +53,22 @@ def test_extract_document_never_raises(spans):
     # output order is a clean 0..n-1 sequence regardless of input offsets
     orders = [s["order"] for s in row["out_spans"]]
     assert orders == list(range(len(orders)))
+
+
+_LINE_TRIM = re.compile(r"(?m)^[ \t]+|[ \t]+$")
+_EDGE_TEXT = st.one_of(
+    st.lists(
+        st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\xa0", "a", "b c"]),
+        max_size=40,
+    ).map("".join),
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EDGE_TEXT)
+def test_postprocess_line_trim_equals_regex(text):
+    """Step 6 of ``postprocess_markdown`` trims line edges with
+    ``str.strip(" \\t")`` per ``\\n``-delimited segment; it must equal
+    the multiline regex it replaced, ``\\r\\n`` text included."""
+    assert "\n".join(seg.strip(" \t") for seg in text.split("\n")) == _LINE_TRIM.sub("", text)

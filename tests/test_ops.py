@@ -138,13 +138,27 @@ def test_simhash_finds_dups(docs_with_dups):
     assert (0, 100) in found and (0, 101) in found
 
 
-def test_ngram_jaccard():
-    from fetch_engines_ray.ops.dedup import ngram_jaccard
+def test_ngram_jaccard(ray_session):
+    import ray.data
 
-    assert ngram_jaccard("a b c d e", "a b c d e") == 1.0
-    assert ngram_jaccard("a b c d e", "x y z w v") == 0.0
-    mid = ngram_jaccard("a b c d e f g h", "a b c d e f g CHANGED")
-    assert 0.0 < mid < 1.0
+    from fetch_engines_ray.ops.dedup import ngram_jaccard_pairs
+
+    texts = {
+        0: "a b c d e",
+        1: "a b c d e",  # identical to 0
+        2: "p q r s t",
+        3: "u v w x y",  # disjoint from 2
+        4: "h i j k l m n o",
+        5: "h i j k l m n CHANGED",  # 5 of 7 distinct 3-grams shared with 4
+    }
+    ds = ray.data.from_pandas(pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())}))
+    pairs = ngram_jaccard_pairs(ds, threshold=0.5)
+    found = {(a, b): j for a, b, j in zip(pairs["doc_a"], pairs["doc_b"], pairs["jaccard_x1000"])}
+    assert found[(0, 1)] == 1000
+    assert (2, 3) not in found
+    assert found[(4, 5)] == (1000 * 5) // 7
+    assert 0 < found[(4, 5)] < 1000
+    assert set(found) == {(0, 1), (4, 5)}
 
 
 @pytest.fixture(scope="module")
@@ -1794,75 +1808,6 @@ def test_decontamination_bloom_probe(ray_session):
 
     with _pytest.raises(ValueError, match="probe"):
         flag_contaminated(ds, bench, n=5, probe="nope")
-
-
-def test_grouped_quantiles_bounded_error(ray_session):
-    """Per-group histogram-sketch quantiles within one bucket width of
-    numpy's exact per-group quantiles."""
-    import ray.data
-
-    from fetch_engines_ray.ops.sketches import grouped_quantiles
-
-    rng = np.random.RandomState(5)
-    groups = np.repeat(["a", "b", "c"], [4000, 2000, 1])
-    vals = np.concatenate(
-        [
-            rng.normal(100, 15, 4000),
-            rng.exponential(40, 2000),
-            [7.5],  # singleton group
-        ]
-    )
-    df = pd.DataFrame({"g": groups, "v": vals})
-    ds = ray.data.from_pandas(df).repartition(6)
-    qs = [0.1, 0.5, 0.9]
-    out = grouped_quantiles(ds, "g", "v", qs, bins=2048).set_index("g")
-    width = (vals.max() - vals.min()) / 2048
-    for g in ("a", "b"):
-        gv = df.loc[df["g"] == g, "v"].to_numpy()
-        for q in qs:
-            got = out.loc[g, f"q{q:g}"]
-            assert abs(got - np.quantile(gv, q)) <= width + 1e-9, (g, q)
-    # singleton group: every quantile lands in its bucket
-    for q in qs:
-        assert abs(out.loc["c", f"q{q:g}"] - 7.5) <= width + 1e-9
-
-
-def test_grouped_quantiles_constant_column(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.sketches import grouped_quantiles
-
-    df = pd.DataFrame({"g": ["x"] * 5 + ["y"] * 3, "v": 4.0})
-    out = grouped_quantiles(
-        ray.data.from_pandas(df).repartition(2), "g", "v", [0.5, 0.99]
-    )
-    assert list(out["g"]) == ["x", "y"]
-    assert (out[["q0.5", "q0.99"]] == 4.0).all().all()
-
-
-def test_lsh_params_picker():
-    """(b, r) picker follows the MMDS S-curve trade: low thresholds get
-    more bands, high thresholds longer rows; the curve at the chosen
-    params crosses ~0.5 near the threshold; exact factorizations only."""
-    from fetch_engines_ray.ops.dedup import lsh_curve, lsh_params
-
-    import pytest as _pytest
-
-    b_lo, r_lo = lsh_params(0.3, num_perm=64)
-    b_mid, r_mid = lsh_params(0.5, num_perm=64)
-    b_hi, r_hi = lsh_params(0.85, num_perm=64)
-    assert b_lo * r_lo == 64 and b_mid * r_mid == 64 and b_hi * r_hi == 64
-    assert b_lo >= b_mid >= b_hi
-    assert r_lo <= r_mid <= r_hi
-    for t, (b, r) in ((0.3, (b_lo, r_lo)), (0.5, (b_mid, r_mid)), (0.85, (b_hi, r_hi))):
-        # the 50% candidate point lands near the target threshold
-        ss = np.linspace(0.01, 0.99, 99)
-        cross = ss[np.argmin(np.abs([lsh_curve(s, b, r) - 0.5 for s in ss]))]
-        assert abs(cross - t) < 0.15, (t, b, r, cross)
-    assert lsh_curve(1.0, 16, 4) == _pytest.approx(1.0)
-    assert lsh_curve(0.0, 16, 4) == _pytest.approx(0.0)
-    with _pytest.raises(ValueError):
-        lsh_params(1.5)
 
 
 def test_line_dedup_full_range_int64_doc_ids(ray_session):

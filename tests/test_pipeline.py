@@ -101,7 +101,7 @@ def test_ray_pipeline_end_to_end(tmp_path):
 
     corpus = str(tmp_path / "corpus")
     generate_corpus(corpus, num_docs=120, seed=42, rows_per_file=40)
-    cfg = PipelineConfig(batch_size=16, concurrency=2)
+    cfg = PipelineConfig(batch_size=16)
     ds = extract_corpus(corpus, cfg)
     out = str(tmp_path / "out")
     ds.write_parquet(out)

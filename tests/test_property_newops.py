@@ -12,7 +12,6 @@ from fetch_engines_ray.ops.bpe import (
     encode_word,
     learn_merges,
 )
-from fetch_engines_ray.ops.urlops import canonicalize_url, registered_domain
 
 WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 
@@ -30,21 +29,6 @@ def test_bpe_roundtrip_any_vocab(words, n_merges):
     # every piece boundary is sane: pieces of one word concat to word+EOW
     for w in words:
         assert "".join(encode_word(w, ranks)) == w + _EOW
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.text(
-        alphabet=string.ascii_letters + string.digits + ":/?#[]@!$&'()*+,;=.-_~%",
-        max_size=80,
-    )
-)
-def test_canonicalize_idempotent_and_total(url):
-    """Canonicalization never raises and is idempotent on arbitrary
-    URL-ish strings."""
-    once = canonicalize_url(url)
-    assert canonicalize_url(once) == once
-    assert isinstance(registered_domain(once), str)  # total as well
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,42 +133,3 @@ def test_fuzzy_probe_matches_bruteforce(doc_words, bench_words, num_bands):
         exp = est[i, cand].max()
         assert got_best[i] == exp, (i, got_best[i], exp)
         assert got_id[i] == cand[est[i, cand] == exp].min(), i
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.lists(WORDS, min_size=0, max_size=120).map(" ".join),
-        min_size=1,
-        max_size=6,
-    ),
-    st.integers(2, 40),
-    st.integers(0, 39),
-)
-def test_chunking_invariants(texts, max_tokens, overlap):
-    """Structural chunking invariants for ANY corpus/window/overlap:
-    per-doc chunk-count formula, window-size bound, exact overlap
-    sharing, token coverage in order, and id preservation."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from fetch_engines_ray.ops.chunking import chunk_batch
-
-    if overlap >= max_tokens:
-        overlap = max_tokens - 1
-    stride = max_tokens - overlap
-    batch = pa.Table.from_pandas(
-        pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-    )
-    out = chunk_batch(batch, max_tokens=max_tokens, overlap=overlap).to_pandas()
-
-    for i, t in enumerate(texts):
-        words = t.split()
-        rows = out[out["doc_id"] == i].sort_values("chunk_idx")
-        want_chunks = 1 + max(0, -(-(max(len(words) - max_tokens, 0)) // stride))
-        assert len(rows) == want_chunks
-        assert (rows["n_tokens"] <= max_tokens).all()
-        # reconstruct: chunk c holds words[c*stride : c*stride+max_tokens]
-        for _, r in rows.iterrows():
-            lo = int(r["chunk_idx"]) * stride
-            assert r["text"].split() == words[lo : lo + max_tokens]

@@ -1,14 +1,18 @@
-"""Every library module is reached from a real entry point.
+"""Every library module is reached from a real entry point, and every
+pipeline config field is read by one.
 
-Builds the static import closure (AST only, nothing is imported) from the
-pipelines, the scripts, the gate driver and both benchmarks, and asserts
-that each module under ``fetch_engines_ray/`` is in it.  A module that only
-tests import is dead surface: delete it, or wire it into an entry point.
+Builds the static import closure (AST only) from the pipelines, the
+scripts, the gate driver and both benchmarks, and asserts that each
+module under ``fetch_engines_ray/`` is in it.  A module that only tests
+import is dead surface: delete it, or wire it into an entry point.  The
+same closure must read every ``PipelineConfig`` field: a knob no code
+reads is dead surface too.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,12 +22,6 @@ PKG = "fetch_engines_ray"
 ALLOWLIST = {
     "stages.llm_backend": "library HTTP backend for structured_extract (reference A9 slot)",
     "state.metrics": "reference getMetrics analog, to be replaced by the run report",
-    # Test-only operators kept for now with their tests; delete each module
-    # and its entry here together.
-    "ops.chunking": "test-only; kept with its tests pending deletion",
-    "ops.pca": "test-only; kept with its tests pending deletion",
-    "ops.pivot": "test-only; kept with its tests pending deletion",
-    "ops.urlops": "test-only; kept with its tests pending deletion",
 }
 
 
@@ -105,3 +103,16 @@ def test_closure_resolves_relative_and_local_imports():
     assert "perfbench.spans" in reached
     # ``from fetch_engines_ray.functions import converter`` names a module.
     assert f"{PKG}.functions.converter" in reached
+
+
+def test_every_pipeline_config_field_is_read():
+    from fetch_engines_ray.pipelines.extract import PipelineConfig
+
+    files = _module_files()
+    read: set[str] = set()
+    for name in reached_modules():
+        for node in ast.walk(ast.parse(files[name].read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {f.name for f in dataclasses.fields(PipelineConfig)} - read
+    assert not unread, f"PipelineConfig fields no entry-point code reads: {sorted(unread)}"

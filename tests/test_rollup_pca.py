@@ -1,9 +1,7 @@
-"""Grouping-sets rollup (one-shuffle multi-level aggregation) and
-distributed PCA (streaming moments, driver d x d eigh)."""
+"""Grouping-sets rollup (one-shuffle multi-level aggregation)."""
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -108,91 +106,6 @@ def test_grouping_sets_rejects_bad_sets(ray_session):
         grouping_sets_aggregate(ds, keys=["a"], sum_cols=["v"], sets=[("a",), ("a",)])
 
 
-# ------------------------------------------------------------------- PCA
-
-
-def _numpy_pca(x: np.ndarray, k: int):
-    mean = x.mean(axis=0)
-    cov = np.cov(x, rowvar=False)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:k]
-    comps = evecs[:, order].T
-    idx = np.argmax(np.abs(comps), axis=1)
-    signs = np.sign(comps[np.arange(len(idx)), idx])
-    signs[signs == 0] = 1.0
-    return mean, comps * signs[:, None], evals[order]
-
-
-def test_fit_pca_matches_exact_numpy(ray_session):
-    import ray.data
-    from fetch_engines_ray.ops.pca import fit_pca
-
-    rng = np.random.default_rng(11)
-    # anisotropic cloud: variance concentrated along known axes
-    base = rng.normal(size=(2000, 6)) * np.array([5.0, 3.0, 1.0, 0.5, 0.1, 0.05])
-    rot, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    x = (base @ rot + rng.normal(size=6)).astype(np.float32)
-
-    df = pd.DataFrame({"vec_id": np.arange(len(x)), "embedding": list(x)})
-    ds = ray.data.from_pandas(df).repartition(9)
-    model = fit_pca(ds, n_components=4, vec_col="embedding")
-
-    mean, comps, evals = _numpy_pca(x.astype(np.float64), 4)
-    np.testing.assert_allclose(model.mean, mean, atol=1e-6)
-    np.testing.assert_allclose(model.explained_variance, evals, rtol=1e-6)
-    np.testing.assert_allclose(model.components, comps, atol=1e-6)
-    assert model.n_rows == len(x)
-    # eigenvalues descending; ratio sums below 1
-    assert np.all(np.diff(model.explained_variance) <= 1e-12)
-    assert 0.9 < model.explained_variance_ratio.sum() <= 1.0 + 1e-9
-
-
-def test_fit_pca_block_order_invariant(ray_session):
-    import ray.data
-    from fetch_engines_ray.ops.pca import fit_pca
-
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(500, 4)).astype(np.float32)
-    df = pd.DataFrame({"embedding": list(x)})
-    m1 = fit_pca(ray.data.from_pandas(df), n_components=3)
-    m2 = fit_pca(ray.data.from_pandas(df.iloc[::-1]).repartition(11), n_components=3)
-    np.testing.assert_allclose(m1.components, m2.components, atol=1e-8)
-    np.testing.assert_allclose(m1.explained_variance, m2.explained_variance, rtol=1e-9)
-
-
-def test_pca_project_shapes_and_values(ray_session):
-    import ray.data
-    from fetch_engines_ray.ops.pca import fit_pca, pca_project
-
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(300, 8)).astype(np.float32)
-    df = pd.DataFrame({"vec_id": np.arange(300), "embedding": list(x)})
-    ds = ray.data.from_pandas(df).repartition(5)
-    model = fit_pca(ds, n_components=2)
-    out = pca_project(ds, model, out_col="pca").to_pandas()
-    assert set(out.columns) == {"vec_id", "pca"}
-    assert len(out) == 300
-    out = out.sort_values("vec_id").reset_index(drop=True)
-    proj = np.stack(out["pca"].to_numpy())
-    want = (x.astype(np.float64) - model.mean) @ model.components.T
-    np.testing.assert_allclose(proj, want, atol=1e-4)
-    # projections are centered and decorrelated (covariance ~ diagonal)
-    cov = np.cov(proj, rowvar=False)
-    assert abs(cov[0, 1]) < 1e-3 * max(cov[0, 0], cov[1, 1])
-
-
-def test_pca_on_real_embeddings_table(ray_session):
-    from fetch_engines_ray.arrowclean import read_parquet_clean
-    from fetch_engines_ray.ops.pca import fit_pca, pca_project
-
-    ds = read_parquet_clean(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
-    model = fit_pca(ds, n_components=4)
-    assert model.explained_variance.shape == (4,)
-    projected = pca_project(ds, model, keep_input=False)
-    row = projected.take(1)[0]
-    assert len(row["pca"]) == 4
-
-
 def test_grouping_sets_property_random(ray_session):
     """Property: for randomized frames and random grouping sets, the
     one-shuffle operator equals a per-set pandas reference."""
@@ -251,100 +164,6 @@ def test_grouping_sets_property_random(ray_session):
         assert got["b"].tolist() == want["b"].tolist()
 
     check()
-
-
-def test_pca_projection_preserves_knn_neighbors(ray_session):
-    """Composition with the similarity stack: brute-force kNN in the
-    4-dim PCA space of a 32-dim clustered cloud recovers the raw-space
-    neighbors (high recall) — the dimensionality-reduction-before-ANN
-    recipe."""
-    import ray.data
-
-    from fetch_engines_ray.ops.pca import fit_pca, pca_project
-
-    rng = np.random.default_rng(21)
-    centers = rng.normal(size=(5, 32)) * 4.0
-    x = np.vstack(
-        [c + rng.normal(size=(60, 32)) * 0.4 for c in centers]
-    ).astype(np.float32)
-    df = pd.DataFrame({"vec_id": np.arange(len(x)), "embedding": list(x)})
-    ds = ray.data.from_pandas(df).repartition(6)
-    model = fit_pca(ds, n_components=4)
-    proj = (
-        pca_project(ds, model)
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-    p = np.stack(proj["pca"].to_numpy())
-
-    def topk(mat, k=10):
-        d = ((mat[:, None, :] - mat[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d, np.inf)
-        return np.argsort(d, axis=1)[:, :k]
-
-    # what dimensionality reduction must preserve for the ANN/SemDeDup
-    # recipe is the CLUSTER structure, not the noise-dominated
-    # within-cluster ordering (the discarded 28 dims are isotropic
-    # noise by construction): every PCA-space neighbor must come from
-    # the same cluster as its query
-    labels = np.repeat(np.arange(5), 60)
-    pca_nn = topk(p)
-    same_cluster = np.mean(labels[pca_nn] == labels[:, None])
-    assert same_cluster > 0.99, same_cluster
-    # and the variance story holds: 4 components of a 5-cluster cloud
-    # capture most of the energy
-    assert model.explained_variance_ratio.sum() > 0.7
-
-
-def test_pca_whitening_unit_variance(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.pca import fit_pca, pca_project
-
-    rng = np.random.default_rng(8)
-    x = (rng.normal(size=(1500, 6)) * np.array([9.0, 4.0, 2.0, 1.0, 0.5, 0.2])).astype(
-        np.float32
-    )
-    df = pd.DataFrame({"embedding": list(x)})
-    ds = ray.data.from_pandas(df).repartition(7)
-    model = fit_pca(ds, n_components=3)
-    w = np.stack(pca_project(ds, model, whiten=True).to_pandas()["pca"].to_numpy())
-    var = w.var(axis=0, ddof=1)
-    np.testing.assert_allclose(var, np.ones(3), rtol=0.05)
-
-
-def test_fit_pca_empty_and_filtered_inputs_raise_cleanly(ray_session):
-    """An empty (or fully-filtered) dataset must reach the intended
-    'PCA needs >= 2 rows' ValueError, not die on the column-less
-    moments frame (KeyError 'n' — the recurring empty-partition
-    hazard, review finding)."""
-    import ray.data
-
-    from fetch_engines_ray.ops.pca import fit_pca
-
-    rows = [{"embedding": [float(i), float(-i)]} for i in range(6)]
-    ds = ray.data.from_items(rows).filter(lambda r: False)
-    with pytest.raises(ValueError, match="PCA needs >= 2 rows, got 0"):
-        fit_pca(ds, n_components=1)
-
-
-def test_pca_project_survives_empty_blocks(ray_session):
-    """0-row blocks (post-filter) must pass through project without the
-    reshape(0, -1) crash, and non-empty rows still project exactly."""
-    import ray.data
-
-    from fetch_engines_ray.ops.pca import fit_pca, pca_project
-
-    rng = np.random.default_rng(3)
-    rows = [{"doc_id": i, "embedding": rng.normal(size=4).tolist()} for i in range(40)]
-    ds = ray.data.from_items(rows)
-    model = fit_pca(ds, n_components=2)
-    # filter drops everything in some blocks, nothing in others
-    filtered = ds.filter(lambda r: r["doc_id"] % 7 == 0)
-    out = pca_project(filtered, model).to_pandas()
-    assert len(out) == 6
-    assert all(len(v) == 2 for v in out["pca"])
 
 
 def test_grouping_sets_custom_sets_sentinel_collision_is_loud(ray_session):

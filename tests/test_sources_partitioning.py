@@ -156,21 +156,29 @@ def test_route_override_patterns(ray_session, small_corpus_dir):
 
 
 def test_force_route_column(ray_session, tmp_path):
+    """A corpus ``force_route`` column is honoured by the default
+    ``extract_corpus`` read, and the streaming pipeline routes exactly
+    like the resumable runner on the same corpus (resume equals rerun)."""
     import pyarrow.parquet as pq
-    import ray.data
 
-    from fetch_engines_ray.pipelines.extract import PipelineConfig, build_pipeline
+    from fetch_engines_ray.pipelines.extract import PipelineConfig, extract_corpus, run_resumable
 
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
     rows = [make_doc(i, 42) for i in range(12)]
     t = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
     t = t.append_column("force_route", pa.array(["warm"] * 12))
-    pq.write_table(t, str(tmp_path / "c.parquet"))
-    cfg = PipelineConfig(
-        read_columns=("doc_id", "spans", "archetype", "base_url", "force_route")
-    )
-    ds = ray.data.read_parquet(str(tmp_path), columns=list(cfg.read_columns))
-    out = build_pipeline(ds, cfg).to_pandas()
-    assert (out["route"] == "warm").all()
+    pq.write_table(t, str(corpus / "c.parquet"))
+
+    out = extract_corpus(str(corpus), PipelineConfig()).to_pandas()
+    routes = dict(zip(out["doc_id"], out["route"]))
+    assert len(routes) == 12
+    assert set(routes.values()) == {"warm"}
+
+    resumed_dir = tmp_path / "resumed"
+    run_resumable(str(corpus), str(resumed_dir), PipelineConfig(), concurrency=1)
+    resumed = pq.read_table(str(resumed_dir / "c.out.parquet"), columns=["doc_id", "route"])
+    assert routes == dict(zip(resumed["doc_id"].to_pylist(), resumed["route"].to_pylist()))
 
 
 def test_export_shards_deterministic_and_sql_mirrored(ray_session, tmp_path):

@@ -1,7 +1,7 @@
 """Generic window functions (ops/window.py) pytest-oracled against
-DuckDB window SQL over the REAL testdata events table — LAG/LEAD and
-trailing rolling aggregates match exactly, including partition edges
-and tie ordering."""
+DuckDB window SQL over the REAL testdata events table — LAG/LEAD match
+exactly, including partition edges and tie ordering — and the
+distributed asof join against pandas ``merge_asof``."""
 
 import duckdb
 import numpy as np
@@ -48,101 +48,6 @@ def test_lag_lead_matches_duckdb(events_ds):
         a, b = got[c].to_numpy(), want[c].to_numpy()
         both_nan = np.isnan(a) & np.isnan(b)
         assert (both_nan | (a == b)).all(), c
-
-
-def test_rolling_sum_matches_duckdb(events_ds):
-    from fetch_engines_ray.ops.window import rolling_agg
-
-    got = (
-        rolling_agg(events_ds, "user_id", "ts", "value", window=3, agg="sum")
-        .to_pandas()
-        .sort_values(["user_id", "ts", "value"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    want = _oracle(
-        "SELECT user_id, ts, value,"
-        " sum(value) OVER (PARTITION BY user_id ORDER BY ts, value"
-        "   ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS value_rolling_sum"
-        " FROM events ORDER BY user_id, ts, value"
-    )
-    assert np.allclose(got["value_rolling_sum"], want["value_rolling_sum"], atol=1e-9)
-
-
-def test_rolling_mean_and_count(events_ds):
-    from fetch_engines_ray.ops.window import rolling_agg
-
-    got = (
-        rolling_agg(events_ds, "user_id", "ts", "value", window=5, agg="mean")
-        .to_pandas()
-        .sort_values(["user_id", "ts", "value"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    want = _oracle(
-        "SELECT avg(value) OVER (PARTITION BY user_id ORDER BY ts, value"
-        "   ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS m"
-        " FROM events ORDER BY user_id, ts, value"
-    )
-    assert np.allclose(got["value_rolling_mean"], want["m"], atol=1e-9)
-
-
-def test_unsupported_agg_raises(events_ds):
-    from fetch_engines_ray.ops.window import rolling_agg
-
-    with pytest.raises(ValueError, match="unsupported agg"):
-        rolling_agg(events_ds, "user_id", "ts", "value", agg="median")
-
-
-def test_rank_window_matches_duckdb(events_ds):
-    """rank/dense_rank/percent_rank/cume_dist with SQL tie semantics
-    (ties = equal ts within a user) and row-number-based NTILE with the
-    value tiebreaker, all vs DuckDB's native window functions."""
-    from fetch_engines_ray.ops.window import rank_window
-
-    got = (
-        rank_window(events_ds, "user_id", "ts", value_col="value", ntile=4)
-        .to_pandas()
-        .sort_values(["user_id", "ts", "value"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    want = _oracle(
-        "SELECT user_id, ts, value,"
-        " rank() OVER w AS rank,"
-        " dense_rank() OVER w AS dense_rank,"
-        " percent_rank() OVER w AS percent_rank,"
-        " cume_dist() OVER w AS cume_dist,"
-        " ntile(4) OVER (PARTITION BY user_id ORDER BY ts, value) AS ntile_4"
-        " FROM events"
-        " WINDOW w AS (PARTITION BY user_id ORDER BY ts)"
-        " ORDER BY user_id, ts, value"
-    )
-    assert len(got) == len(want)
-    for c in ("rank", "dense_rank", "ntile_4"):
-        assert got[c].astype("int64").tolist() == want[c].astype("int64").tolist(), c
-    for c in ("percent_rank", "cume_dist"):
-        np.testing.assert_allclose(got[c].to_numpy(), want[c].to_numpy(), atol=1e-12, err_msg=c)
-
-
-def test_rank_window_small_partitions_and_validation(ray_session):
-    """n < k gives each row its own tile (SQL rule); single-row
-    partitions pin percent_rank=0 / cume_dist=1; bad ntile rejected."""
-    import ray.data
-
-    from fetch_engines_ray.ops.window import rank_window
-
-    df = pd.DataFrame(
-        {"k": ["a", "a", "b"], "t": [1, 2, 5], "v": [10.0, 20.0, 30.0]}
-    )
-    out = (
-        rank_window(ray.data.from_pandas(df), "k", "t", value_col="v", ntile=5)
-        .to_pandas()
-        .sort_values(["k", "t"])
-        .reset_index(drop=True)
-    )
-    assert out["ntile_5"].tolist() == [1, 2, 1]
-    assert out[out["k"] == "b"]["percent_rank"].tolist() == [0.0]
-    assert out[out["k"] == "b"]["cume_dist"].tolist() == [1.0]
-    with pytest.raises(ValueError, match="ntile"):
-        rank_window(ray.data.from_pandas(df), "k", "t", ntile=0)
 
 
 def test_generic_asof_join_matches_pandas(ray_session):
@@ -208,96 +113,4 @@ def test_generic_asof_join_matches_pandas(ray_session):
         asof_join(
             ray.data.from_pandas(trades), ray.data.from_pandas(quotes),
             on="ts", by="sym", direction="sideways",
-        )
-
-
-def test_range_rolling_agg_matches_duckdb(events_ds):
-    """RANGE INTERVAL trailing window (value-defined frame) vs DuckDB's
-    native RANGE BETWEEN ... PRECEDING AND CURRENT ROW, exact on int64
-    micro-scaled values."""
-    import pyarrow as pa
-
-    from fetch_engines_ray.ops.window import range_rolling_agg
-
-    def micro(b: pa.Table) -> pa.Table:
-        v = b["value"].to_numpy(zero_copy_only=False)
-        vm = np.floor(v * 1e6 + 0.5).astype(np.int64)
-        return b.drop_columns(["value"]).append_column(
-            "vm", pa.array(vm, type=pa.int64())
-        )
-
-    ds = events_ds.map_batches(micro, batch_format="pyarrow")
-    for agg, sql_expr in (
-        ("sum", "SUM(vm)"),
-        ("count", "COUNT(*)"),
-        ("max", "MAX(vm)"),
-    ):
-        got = (
-            range_rolling_agg(ds, "user_id", "ts", "vm", "1h", agg=agg)
-            .to_pandas()
-            .sort_values(["user_id", "ts", "vm"], kind="mergesort")
-            .reset_index(drop=True)
-        )
-        want = _oracle(
-            "WITH e AS (SELECT user_id, ts,"
-            " CAST(floor(value*1000000 + 0.5) AS BIGINT) AS vm FROM events)"
-            f" SELECT user_id, ts, vm, {sql_expr} OVER"
-            " (PARTITION BY user_id ORDER BY ts"
-            "  RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW) AS w"
-            " FROM e ORDER BY user_id, ts, vm"
-        )
-        assert len(got) == len(want)
-        a = got[f"vm_range_{agg}"].to_numpy().astype(np.int64)
-        b = want["w"].to_numpy().astype(np.int64)
-        assert np.array_equal(a, b), agg
-
-
-def test_range_rolling_agg_peers_rule(ray_session):
-    """Rows with EQUAL order keys are peers and share one frame — the
-    SQL RANGE semantics a row-position window gets wrong.  Planted ties:
-    three rows at the same (user, ts) must all see the same window sum,
-    including each other."""
-    import ray.data
-
-    from fetch_engines_ray.ops.window import range_rolling_agg
-
-    t0 = pd.Timestamp("2026-01-01 12:00:00")
-    df = pd.DataFrame(
-        {
-            "user_id": [1] * 5 + [2],
-            "ts": [
-                t0 - pd.Timedelta("2h"),   # outside the 1h frame of t0
-                t0 - pd.Timedelta("30min"),  # inside
-                t0, t0, t0,                # three peers
-                t0,                        # other partition
-            ],
-            "vm": [100, 10, 1, 2, 3, 777],
-        }
-    )
-    got = (
-        range_rolling_agg(ray.data.from_pandas(df).repartition(3),
-                          "user_id", "ts", "vm", "1h", agg="sum", n_parts=4)
-        .to_pandas()
-        .sort_values(["user_id", "ts", "vm"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    u1 = got[got["user_id"] == 1]
-    # the 2h-old row sees only itself
-    assert u1.iloc[0]["vm_range_sum"] == 100
-    # the 30min-old row: itself only (the 2h row is out of range)
-    assert u1.iloc[1]["vm_range_sum"] == 10
-    # ALL three peers see 10 + 1 + 2 + 3 = 16
-    assert (u1.iloc[2:5]["vm_range_sum"] == 16).all()
-    assert got[got["user_id"] == 2]["vm_range_sum"].tolist() == [777]
-
-
-def test_range_rolling_agg_rejects_bad_agg(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.window import range_rolling_agg
-
-    with pytest.raises(ValueError, match="unsupported agg"):
-        range_rolling_agg(
-            ray.data.from_items([{"k": 1, "ts": 0, "v": 1}]), "k", "ts", "v", "1h",
-            agg="median",
         )
