@@ -1189,12 +1189,13 @@ def _q_clean_corpus(sf_dir: str) -> Any:
     the Gopher-style quality rules — the canonical training-data
     cleaning chain (dedup -> quality filter).
 
-    The dedup-winner set is corpus-sized (most docs are unique), so it
-    is NEVER collected or broadcast: quality-passing docs semi-join the
-    winners table with a distributed hash join on doc_id."""
+    Quality-passing docs keep the rows whose doc_id is a dedup winner
+    through the engine's one key filter, ``keep_by_keys``: the winner
+    set is corpus-sized (most docs are unique), so above its broadcast
+    limit it takes the partitioned exchange instead of the driver."""
     import pyarrow as pa
 
-    from fetch_engines_ray.ops.dedup import exact_dedup_groups, n_parts_for
+    from fetch_engines_ray.ops.dedup import exact_dedup_groups, keep_by_keys
     from fetch_engines_ray.ops.textstats import add_gopher_quality_flags
 
     winners = exact_dedup_groups(_read_documents(sf_dir)).select_columns(["keep_doc_id"])
@@ -1204,11 +1205,7 @@ def _q_clean_corpus(sf_dir: str) -> Any:
         return batch.filter(batch.column("gopher_pass")).select(["doc_id", "n_words"])
 
     docs = _read_documents(sf_dir).map_batches(flags, batch_format="pyarrow", batch_size=4096)
-    # input-scaled shuffle partitions (metadata-cheap count on the raw read)
-    n_parts = n_parts_for(_read_documents(sf_dir).count())
-    out = docs.join(
-        winners, join_type="inner", num_partitions=n_parts, on=("doc_id",), right_on=("keep_doc_id",)
-    )
+    out = keep_by_keys(docs, winners, "doc_id", keep=True, keys_col="keep_doc_id")
     df = out.to_pandas()[["doc_id", "n_words"]]
     return df.sort_values("doc_id").reset_index(drop=True)
 

@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray.data
 
 from fetch_engines_ray.arrowclean import read_parquet_clean
+from fetch_engines_ray.ops.exchange import co_group
 from ray.data.aggregate import Count, Min
 
 
@@ -316,13 +317,15 @@ def _lsh_candidate_pairs(
     hash-partitioned by bucket into a bounded number of parts (a bucket
     never straddles parts), then ONE vectorized numpy pass per part
     sorts its rows, finds colliding runs, and expands each run's
-    ``L*(L-1)/2`` pairs batched by run length.
+    ``L*(L-1)/2`` pairs batched by run length.  The parts are the
+    one-side form of :func:`~fetch_engines_ray.ops.exchange.co_group`,
+    ``max(64, 8 * n_parts)`` of them.
 
     This replaces the former distributed SELF-JOIN on the bucket key —
     same pairs, ~4x faster (27.2 s -> 6.0 s on a 1M-doc / 16M-band-row
     corpus at 16 CPUs, same-session A/B): the join shuffled every band
     row TWICE through join aggregator actors; this moves each row ONCE
-    through a bounded-part groupby, and pair emission is run-length
+    through the bounded-part exchange, and pair emission is run-length
     batched numpy instead of join machinery.  (The round-1 shape —
     count-groupby -> driver-broadcast collision set — stays rejected:
     its driver state is O(colliding buckets), which on clone-heavy web
@@ -344,32 +347,20 @@ def _lsh_candidate_pairs(
     carry = tuple(carry)
     if require_flag is not None and require_flag not in carry:
         carry = carry + (require_flag,)
-    n_hash_parts = max(64, n_parts * 8)
 
-    def add_part(b: pa.Table) -> pa.Table:
-        arr = b["bucket"].to_numpy(zero_copy_only=False)
-        if np.issubdtype(arr.dtype, np.integer):
-            k = _mix_mod(arr.astype(np.int64), n_hash_parts)
-        else:
-            k = (
-                pd.util.hash_array(np.asarray(arr, dtype=object))
-                % np.uint64(n_hash_parts)
-            ).astype(np.int64)
-        return b.append_column("__part", pa.array(k))
-
-    def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        b = g["bucket"].to_numpy()
-        d = g["doc_id"].to_numpy()
+    def pairs_part(t: pa.Table) -> pa.Table:
+        b = t["bucket"].to_numpy()
+        d = t["doc_id"].to_numpy()
         order = np.lexsort((d, b))
         b, d = b[order], d[order]
-        cvals = {c: g[c].to_numpy()[order] for c in carry}
+        cvals = {c: t[c].to_numpy()[order] for c in carry}
 
-        def typed_empty() -> pd.DataFrame:
+        def typed_empty() -> pa.Table:
             data = {"doc_a": d[:0], "doc_b": d[:0]}
             for c in carry:
                 data[c] = cvals[c][:0]
                 data[f"{c}_b"] = cvals[c][:0]
-            return pd.DataFrame(data)
+            return pa.table(data)
 
         if len(b) == 0:
             return typed_empty()
@@ -405,13 +396,9 @@ def _lsh_candidate_pairs(
         for c in carry:
             data[c] = cvals[c][ia]
             data[f"{c}_b"] = cvals[c][ib]
-        return pd.DataFrame(data)
+        return pa.table(data)
 
-    return (
-        banded.map_batches(add_part, batch_format="pyarrow", batch_size=65536)
-        .groupby("__part")
-        .map_groups(pairs_part, batch_format="pandas")
-    )
+    return co_group([(banded, "bucket")], max(64, n_parts * 8), pairs_part)
 
 
 def _checkpoint_parquet(
@@ -634,15 +621,6 @@ def _consume_pairs(consume, cand: "ray.data.Dataset", empty: pd.DataFrame) -> pd
         raise
 
 
-def _mix_mod(key: np.ndarray, n_parts: int) -> np.ndarray:
-    """Splitmix-style mix before the modulus so structured id spaces
-    (sequential, strided) still spread evenly across parts."""
-    k = key.astype(np.uint64, copy=True)
-    k *= np.uint64(0x9E3779B97F4A7C15)
-    k ^= k >> np.uint64(31)
-    return (k % np.uint64(n_parts)).astype(np.int64)
-
-
 def _partitioned_attach(
     pairs: "ray.data.Dataset",
     lookup: "ray.data.Dataset",
@@ -655,100 +633,38 @@ def _partitioned_attach(
     how: str = "inner",
     lookup_key: str = "doc_id",
 ) -> "ray.data.Dataset":
-    """Attach ``lookup[value_col]`` onto ``pairs`` rows matching
-    ``pairs[key_col] == lookup.doc_id`` WITHOUT a Ray hash join
+    """Attach ``lookup[value_col]`` as ``out_col`` onto the ``carry``
+    columns of ``pairs`` rows matching ``pairs[key_col] ==
+    lookup[lookup_key]`` (int64 keys) WITHOUT a Ray hash join
     (``how="left"`` keeps unmatched pair rows with a null value).
 
-    Ray's hash-join aggregator synthesizes a SCHEMA-LESS empty table for
-    any partition that receives zero blocks from one side and then dies
-    with ``ArrowInvalid: No match for FieldRef`` — guaranteed to trigger
-    when the candidate-pair side is sparse (few pairs, or one hot doc
-    owning every pair), which is the NORMAL case for near-dup
-    verification.  This helper is the engine's standard alternative
-    (see BASELINE.md line-dedup lessons): union both sides under one
-    conformed schema, hash-partition the join key into ``n_parts`` int64
-    parts (a key never straddles parts; empty parts simply don't
-    exist), and run ONE vectorized pandas merge per part.  Exchange
-    volume is the same as the hash join's (lookup rows cross once)."""
-    import pyarrow.compute as pc
+    Ray's hash-join aggregator dies on partitions that receive no block
+    from one side — guaranteed when the pair side is sparse (few pairs,
+    or one hot doc owning every pair), the NORMAL case for near-dup
+    verification.  Instead both sides co-locate through
+    :func:`~fetch_engines_ray.ops.exchange.co_group` and each part runs
+    one Arrow hash join, so full-range int64 ids never pass through a
+    float64 column.  Exchange volume is the same as the hash join's
+    (lookup rows cross once)."""
+    out_schema = pa.schema(list(carry) + [(out_col, value_type)])
 
-    carry_fields = [(c, t) for c, t in carry]
-
-    def conform_pairs(batch: pa.Table) -> pa.Table:
-        key = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = _mix_mod(key, n_parts)
-        cols = {
-            "part": pa.array(part, type=pa.int64()),
-            "key": pa.array(key, type=pa.int64()),
-            "role": pa.array(np.zeros(len(key), dtype=np.int8)),
-            "value": pa.nulls(len(key), type=value_type),
-        }
-        for c, t in carry_fields:
-            cols[c] = pc.cast(batch[c], t)
-        return pa.table(cols)
-
-    def conform_lookup(batch: pa.Table) -> pa.Table:
-        key = batch[lookup_key].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = _mix_mod(key, n_parts)
-        cols = {
-            "part": pa.array(part, type=pa.int64()),
-            "key": pa.array(key, type=pa.int64()),
-            "role": pa.array(np.ones(len(key), dtype=np.int8)),
-            "value": pc.cast(batch[value_col], value_type),
-        }
-        for c, t in carry_fields:
-            # integer carries pad with a 0 SENTINEL, not null: an int64
-            # column with nulls lands in pandas as float64, and float64
-            # cannot represent full-range ids (blake2b int64 doc ids
-            # corrupt silently).  Lookup rows are filtered out by role
-            # before the carries are read, so the sentinel is never seen.
-            if pa.types.is_integer(t):
-                cols[c] = pa.array(np.zeros(len(key), dtype=np.int64), type=t)
-            else:
-                cols[c] = pa.nulls(len(key), type=t)
-        return pa.table(cols)
-
-    unioned = pairs.map_batches(
-        conform_pairs, batch_format="pyarrow", batch_size=8192
-    ).union(lookup.map_batches(conform_lookup, batch_format="pyarrow", batch_size=8192))
-
-    def merge_part(group: pd.DataFrame) -> pd.DataFrame:
-        look = group[group["role"] == 1]
-        prs = group[group["role"] == 0]
-        if prs.empty or (look.empty and how == "inner"):
-            out = prs.iloc[0:0].copy()
-        elif look.empty:  # left: every pair row keeps a null value
-            out = prs.copy()
-            out["value"] = None
-        else:
-            out = prs.merge(
-                look[["key", "value"]].rename(columns={"value": "__v"}),
-                on="key",
-                how=how,
+    def attach_part(prs: pa.Table, look: pa.Table) -> pa.Table:
+        if prs.num_rows == 0 or (look.num_rows == 0 and how == "inner"):
+            return out_schema.empty_table()
+        left = pa.table(
+            {"__key": prs[key_col].cast(pa.int64()), **{c: prs[c].cast(t) for c, t in carry}}
+        )
+        right = (
+            pa.table({"__key": pa.array([], pa.int64()), out_col: pa.array([], value_type)})
+            if look.num_rows == 0
+            else pa.table(
+                {"__key": look[lookup_key].cast(pa.int64()), out_col: look[value_col].cast(value_type)}
             )
-            out["value"] = out["__v"] if "__v" in out.columns else None
-        cols = {}
-        for c, t in carry_fields:
-            # the union null-pads carry columns on lookup rows, which
-            # floats pandas int64 carries (NaN-able) — cast back after
-            # the lookup rows are gone or ids silently become floats
-            cols[c] = (
-                pa.array(out[c].astype("int64"), type=t)
-                if pa.types.is_integer(t)
-                else pa.array(out[c], type=t, from_pandas=True)
-            )
-        cols[out_col] = pa.array(out["value"], type=value_type, from_pandas=True)
-        # return Arrow, not pandas: Ray's pandas→Arrow block conversion
-        # attaches a `pandas` schema-metadata blob, which makes
-        # hash(schema) raise and defeats block-schema deduplication in
-        # every downstream operator (see fetch_engines_ray/arrowclean.py)
-        return pa.table(cols)
+        )
+        joined = left.join(right, "__key", join_type="inner" if how == "inner" else "left outer")
+        return joined.select(out_schema.names)
 
-    return unioned.groupby("part").map_groups(merge_part, batch_format="pandas")
-
-
-def _as_arrow(batch: pa.Table) -> pa.Table:
-    return batch
+    return co_group([(pairs, key_col), (lookup, lookup_key)], n_parts, attach_part)
 
 
 def filter_by_keys(
@@ -767,84 +683,26 @@ def filter_by_keys(
     key side is sparse) and without a driver broadcast.  The large-key
     side of :func:`keep_by_keys`, which callers use instead.
 
-    Same shape as :func:`_partitioned_attach` but Arrow END TO END, so
-    payload columns of any nested type (``spans``/``out_spans``
-    ``list<struct>``) ride through untouched: both sides conform to the
-    DATA schema plus ``(__part, __role)``, hash-partition on the key
-    (string or integer), and each bounded part resolves with one
-    vectorized ``pc.is_in``.  A key never straddles parts; parts with
-    no key rows resolve trivially."""
+    Both sides co-locate through
+    :func:`~fetch_engines_ray.ops.exchange.co_group`, so ``ds`` rows
+    keep their own Arrow schema (``spans``' ``list<struct>`` rides
+    through untouched) and each part resolves with one vectorized
+    ``pc.is_in``.  A null key matches nothing: semi drops the row, anti
+    keeps it.  ``batch_size`` has no effect (the exchange batches its
+    own input); it stays so existing callers keep working."""
     import pyarrow.compute as pc
 
     keys_col = keys_col or key_col
-    data_schema = ds.schema()
-    if not isinstance(data_schema.base_schema, pa.Schema):
-        # pandas blocks report object dtypes the key rows cannot null-pad
-        # with: convert to Arrow blocks and read the Arrow schema
-        ds = ds.map_batches(_as_arrow, batch_format="pyarrow", batch_size=None)
-        data_schema = ds.schema()
-    names = list(data_schema.names)
-    types = dict(zip(data_schema.names, data_schema.types))
 
-    def _part_of(col) -> np.ndarray:
-        # decide on the ARROW type, not the numpy dtype: one null in an
-        # int64 batch degrades to_numpy to float64, which would route
-        # the whole batch through the string hash while the other side
-        # uses _mix_mod — silently separating matching keys (review
-        # finding).  Null keys fill to 0 for ROUTING only; the per-part
-        # is_in below treats them as match-nothing.
-        import pyarrow.compute as _pc
-
-        ctype = col.type if hasattr(col, "type") else col.chunk(0).type
-        if pa.types.is_integer(ctype):
-            arr = _pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
-            return _mix_mod(arr.astype(np.int64), n_parts)
-        arr = col.to_numpy(zero_copy_only=False)
-        return (
-            pd.util.hash_array(np.asarray(arr, dtype=object))
-            % np.uint64(n_parts)
-        ).astype(np.int64)
-
-    def conform_data(batch: pa.Table) -> pa.Table:
-        cols = {n: batch[n] for n in names}
-        cols["__part"] = pa.array(_part_of(batch[key_col]))
-        cols["__role"] = pa.array(np.zeros(batch.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    def conform_keys(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {}
-        for name in names:
-            if name == key_col:
-                cols[name] = batch[keys_col].cast(types[name])
-            else:
-                cols[name] = pa.nulls(n, type=types[name])
-        cols["__part"] = pa.array(_part_of(batch[keys_col]))
-        cols["__role"] = pa.array(np.ones(n, dtype=np.int8))
-        return pa.table(cols)
-
-    def filter_part(group: pa.Table) -> pa.Table:
-        role = group["__role"]
-        data = group.filter(pc.equal(role, 0)).drop_columns(["__part", "__role"])
-        keyset = group.filter(pc.equal(role, 1))[key_col]
-        if len(keyset) == 0:
+    def filter_part(data: pa.Table, keyset: pa.Table) -> pa.Table:
+        if data.num_rows == 0 or keyset.num_rows == 0:
             return data.slice(0, 0) if keep_matches else data
-        keyset = pc.drop_null(keyset.combine_chunks())
-        m = pc.is_in(data[key_col], value_set=pc.unique(keyset))
-        # a NULL data key matches nothing: semi drops it, anti keeps it
-        m = pc.fill_null(m, False)
+        col = data[key_col]
+        value_set = pc.unique(pc.drop_null(keyset[keys_col].combine_chunks()))
+        m = pc.fill_null(pc.is_in(col, value_set=value_set.cast(col.type)), False)
         return data.filter(m if keep_matches else pc.invert(m))
 
-    return (
-        ds.map_batches(conform_data, batch_format="pyarrow", batch_size=batch_size)
-        .union(
-            keys.map_batches(
-                conform_keys, batch_format="pyarrow", batch_size=8192
-            )
-        )
-        .groupby("__part")
-        .map_groups(filter_part, batch_format="pyarrow")
-    )
+    return co_group([(ds, key_col), (keys, keys_col)], n_parts, filter_part)
 
 
 # Key sides up to this many keys broadcast into every filter task;
@@ -1506,6 +1364,14 @@ _VERDICT_SCHEMA = pa.schema(
 )
 
 
+_STAGE1_SCHEMA = pa.schema(
+    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("sig_a", pa.binary())]
+)
+_VERIFIED_SCHEMA = pa.schema(
+    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("est_jaccard", pa.float64())]
+)
+
+
 def _verify_minhash_pairs_ds(
     cand: "ray.data.Dataset",
     sigs: "ray.data.Dataset",
@@ -1517,130 +1383,44 @@ def _verify_minhash_pairs_ds(
     :func:`_verify_minhash_pairs`, whose pair frame is driver-resident
     by contract).
 
-    Two partitioned attach passes in the :func:`_partitioned_attach`
-    shape (union both sides under ONE conformed schema, hash-partition
-    the key, one vectorized pandas merge per part — Ray's hash join
+    Two partitioned attach passes through
+    :func:`~fetch_engines_ray.ops.exchange.co_group` (Ray's hash join
     dies on sparse candidate sides): pass 1 keys on ``doc_a`` and
     attaches that side's signature (deduping the k-band copies of each
-    pair, which all share ``mix(doc_a)`` and therefore co-locate);
-    pass 2 keys on ``doc_b``, attaches the other signature and scores
-    ``est = |equal rows| / num_perm`` inline — exactly the driver
-    path's estimator, so both paths emit identical pair sets."""
-    import pyarrow.compute as pc  # noqa: F401  (kept for parity with siblings)
+    pair, which all share ``doc_a`` and therefore co-locate); pass 2
+    keys on ``doc_b``, attaches the other signature and scores ``est =
+    |equal rows| / num_perm`` inline — exactly the driver path's
+    estimator, so both paths emit identical pair sets."""
 
-    def conform_cand(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def sig_table(look: pa.Table, key: str, sig: str) -> pa.Table:
         return pa.table(
-            {
-                "part": pa.array(_mix_mod(a, n_parts)),
-                "key": pa.array(a),
-                "other": pa.array(b),
-                "sig": pa.nulls(len(a), type=pa.binary()),
-                "sig_o": pa.nulls(len(a), type=pa.binary()),
-                "role": pa.array(np.zeros(len(a), dtype=np.int8)),
-            }
+            {key: look["doc_id"].cast(pa.int64()), sig: look["minhash_sig"].cast(pa.binary())}
         )
 
-    def conform_sigs(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def attach_a(prs: pa.Table, look: pa.Table) -> pa.Table:
+        if prs.num_rows == 0 or look.num_rows == 0:
+            return _STAGE1_SCHEMA.empty_table()
+        prs = pa.table(
+            {"doc_a": prs["doc_a"].cast(pa.int64()), "doc_b": prs["doc_b"].cast(pa.int64())}
+        ).group_by(["doc_a", "doc_b"]).aggregate([])
+        m = prs.join(sig_table(look, "doc_a", "sig_a"), "doc_a")
+        return m.select(_STAGE1_SCHEMA.names)
+
+    def score_b(prs: pa.Table, look: pa.Table) -> pa.Table:
+        if prs.num_rows == 0 or look.num_rows == 0:
+            return _VERIFIED_SCHEMA.empty_table()
+        m = prs.join(sig_table(look, "doc_b", "sig_b"), "doc_b")
+        if m.num_rows == 0:
+            return _VERIFIED_SCHEMA.empty_table()
+        est = (_decode_sigs(m["sig_a"]) == _decode_sigs(m["sig_b"])).mean(axis=1)
+        keep = pa.array(est >= threshold)
         return pa.table(
-            {
-                "part": pa.array(_mix_mod(d, n_parts)),
-                "key": pa.array(d),
-                "other": pa.array(np.zeros(len(d), dtype=np.int64)),
-                "sig": batch["minhash_sig"].cast(pa.binary()),
-                "sig_o": pa.nulls(len(d), type=pa.binary()),
-                "role": pa.array(np.ones(len(d), dtype=np.int8)),
-            }
+            [m["doc_a"].filter(keep), m["doc_b"].filter(keep), pa.array(est).filter(keep)],
+            schema=_VERIFIED_SCHEMA,
         )
 
-    def _typed_stage1_empty() -> pa.Table:
-        return pa.table(
-            {
-                "part": pa.array([], type=pa.int64()),
-                "key": pa.array([], type=pa.int64()),
-                "other": pa.array([], type=pa.int64()),
-                "sig": pa.array([], type=pa.binary()),
-                "sig_o": pa.array([], type=pa.binary()),
-                "role": pa.array([], type=pa.int8()),
-            }
-        )
-
-    def merge_attach_a(group: pd.DataFrame) -> pa.Table:
-        look = group[group["role"] == 1]
-        prs = group[group["role"] == 0]
-        if prs.empty or look.empty:
-            return _typed_stage1_empty()
-        # the k-band copies of a pair all carry the same doc_a, hence
-        # the same part — dedup here, where they are co-located
-        prs = prs.drop_duplicates(["key", "other"])
-        m = prs.merge(
-            look[["key", "sig"]].rename(columns={"sig": "__sig_a"}),
-            on="key",
-            how="inner",
-        )
-        if m.empty:
-            return _typed_stage1_empty()
-        # emit already conformed for pass 2: key becomes doc_b
-        b = m["other"].to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "part": pa.array(_mix_mod(b, n_parts)),
-                "key": pa.array(b),
-                "other": pa.array(m["key"].to_numpy(dtype=np.int64)),
-                "sig": pa.nulls(len(m), type=pa.binary()),
-                "sig_o": pa.array(m["__sig_a"], type=pa.binary(), from_pandas=True),
-                "role": pa.array(np.zeros(len(m), dtype=np.int8)),
-            }
-        )
-
-    def _typed_pairs_empty() -> pa.Table:
-        return pa.table(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "est_jaccard": pa.array([], type=pa.float64()),
-            }
-        )
-
-    def merge_score_b(group: pd.DataFrame) -> pa.Table:
-        look = group[group["role"] == 1]
-        prs = group[group["role"] == 0]
-        if prs.empty or look.empty:
-            return _typed_pairs_empty()
-        m = prs.merge(
-            look[["key", "sig"]].rename(columns={"sig": "__sig_b"}),
-            on="key",
-            how="inner",
-        )
-        if m.empty:
-            return _typed_pairs_empty()
-        mat_a = np.stack([np.frombuffer(s, dtype="<i8") for s in m["sig_o"]])
-        mat_b = np.stack([np.frombuffer(s, dtype="<i8") for s in m["__sig_b"]])
-        est = (mat_a == mat_b).mean(axis=1)
-        keep = est >= threshold
-        return pa.table(
-            {
-                "doc_a": pa.array(m["other"].to_numpy(dtype=np.int64)[keep]),
-                "doc_b": pa.array(m["key"].to_numpy(dtype=np.int64)[keep]),
-                "est_jaccard": pa.array(est[keep], type=pa.float64()),
-            }
-        )
-
-    stage1 = (
-        cand.map_batches(conform_cand, batch_format="pyarrow", batch_size=65536)
-        .union(sigs.map_batches(conform_sigs, batch_format="pyarrow", batch_size=8192))
-        .groupby("part")
-        .map_groups(merge_attach_a, batch_format="pandas")
-    )
-    return (
-        stage1.union(
-            sigs.map_batches(conform_sigs, batch_format="pyarrow", batch_size=8192)
-        )
-        .groupby("part")
-        .map_groups(merge_score_b, batch_format="pandas")
-    )
+    stage1 = co_group([(cand, "doc_a"), (sigs, "doc_id")], n_parts, attach_a)
+    return co_group([(stage1, "doc_b"), (sigs, "doc_id")], n_parts, score_b)
 
 
 def minhash_dedup_ds(
@@ -1708,40 +1488,39 @@ def minhash_dedup_ds(
 # Cross-document line-level exact dedup (C4-style)
 # ---------------------------------------------------------------------------
 
+# parts for both line_dedup exchanges; any value is correct, it only
+# sets parallelism and the per-part heap (size it near total_lines / 2M)
+_LINE_PARTS = 64
+
+
 def line_dedup(
     ds: "ray.data.Dataset",
     text_col: str = "text",
     id_col: str = "doc_id",
-    rebuild_partitions: int = 64,
-    sep: str = "\n",
 ):
     """C4/RefinedWeb-style cross-corpus line dedup: every distinct
     non-empty line survives exactly ONCE corpus-wide (first occurrence
     by ``(doc_id, line_no)``); documents are rebuilt from their
     surviving lines (docs that lose every line drop out).
 
-    ``sep`` sets the dedup granularity: the default ``"\n"`` dedups
-    LINES; ``"\n\n"`` dedups PARAGRAPHS (the MassiveWeb/Gopher
-    repeated-paragraph rule) — see :func:`paragraph_dedup`.
-
     Reference analog: the converters' per-document boilerplate removal
     (MarkdownConverter.ts postprocess) is within-doc only — this is the
     corpus-wide variant a training-data pipeline needs (C4's "discard
     duplicated lines across the corpus" step).
 
-    Scale design (two shuffles total, no joins):
+    Scale design (two :func:`~fetch_engines_ray.ops.exchange.co_group`
+    exchanges of :data:`_LINE_PARTS` parts, no joins):
 
     * Explode is a vectorized ``map_batches`` (numpy repeat/cumsum for
       line numbers) with a per-batch combiner — local duplicate lines
       collapse to their min-``(doc_id, line_no)`` witness BEFORE the
       shuffle, so repetitive corpora shuffle far less than corpus size.
-    * Winner selection shuffles on ``hash(line) % rebuild_partitions``
-      (int64 — the line string is payload, never a sort key: Ray's
-      sort-aggregate with a long-string group key measured ~4ms/row)
-      and resolves EXACTLY inside each partition with one vectorized
-      pandas ``drop_duplicates`` on the full line text — hash
-      collisions only co-locate lines, they can never merge distinct
-      ones.
+    * Winner selection partitions on the line text and resolves EXACTLY
+      inside each part with one vectorized pandas ``drop_duplicates``
+      on the full line text — hash collisions only co-locate lines,
+      they can never merge distinct ones.  (Not a Ray aggregate on the
+      line: sort-aggregating with a long-string group key measured
+      ~4 ms/row of remote time.)
     * The first-occurrence winner is the lexicographic min of
       ``(doc_id, line_no)`` carried as TWO int64 columns — NOT packed
       into ``doc_id * 2^32 + line_no``: ids are full-range int64 in the
@@ -1749,29 +1528,18 @@ def line_dedup(
       for any ``|doc_id| >= 2^31``, corrupting rebuilt doc_ids and
       merging unrelated documents that share their low 32 id bits.  The
       oracle mirrors the same rule with a ``row_number()`` window.
-    * Document reconstruction is the second shuffle, keyed on
-      ``doc_id % rebuild_partitions`` (NOT per-doc groups — Ray
-      dispatches map_groups once per group, ~2ms each, so per-doc
-      grouping was measured 200x slower than one vectorized pandas
-      groupby over the whole hash partition).  Size
-      ``rebuild_partitions`` so one partition's surviving lines fit a
-      worker's heap (≈ total_lines / 2M on a big corpus); any value is
-      correct, it only changes parallelism and peak memory.
+    * Document reconstruction partitions on ``doc_id`` (NOT per-doc
+      groups — Ray dispatches map_groups once per group, ~2ms each, so
+      per-doc grouping was measured 200x slower than one vectorized
+      pandas groupby over the whole part).
 
     Returns a Dataset of ``(doc_id, text, n_lines)``.
     """
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch[text_col].fillna("")
-        parts = texts.str.split(sep, regex=False)
+        parts = batch[text_col].fillna("").str.split("\n", regex=False)
         lens = parts.str.len().to_numpy(dtype=np.int64)
         total = int(lens.sum())
-        if total == 0:
-            return pd.DataFrame(
-                {"part": np.array([], dtype=np.int64),
-                 "pack": np.array([], dtype=np.int64),
-                 "line": np.array([], dtype=object)}
-            )
         doc_ids = batch[id_col].to_numpy(dtype=np.int64).repeat(lens)
         starts = np.repeat(np.cumsum(lens) - lens, lens)
         line_no = np.arange(total, dtype=np.int64) - starts + 1
@@ -1781,41 +1549,27 @@ def line_dedup(
             lines[pos : pos + len(p)] = p
             pos += len(p)
         keep = lines != ""
-        doc_ids, line_no, lines = doc_ids[keep], line_no[keep], lines[keep]
         df = pd.DataFrame(
-            {
-                "part": (
-                    pd.util.hash_array(lines).view(np.int64) % rebuild_partitions
-                ),
-                "doc_id": doc_ids,
-                "line_no": line_no,
-                "line": lines,
-            }
+            {"doc_id": doc_ids[keep], "line_no": line_no[keep], "line": lines[keep]}
         )
         # local combiner: one witness per distinct line before the shuffle
-        df = df.sort_values(["doc_id", "line_no"], kind="stable").drop_duplicates(
+        return df.sort_values(["doc_id", "line_no"], kind="stable").drop_duplicates(
             "line", keep="first"
         )
-        return df
 
-    def unpack_part(batch: pd.DataFrame) -> pd.DataFrame:
-        doc = batch["doc_id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "part": doc % rebuild_partitions,
-                "doc_id": doc,
-                "line_no": batch["line_no"],
-                "line": batch["line"],
-            }
+    def pick_part(t: pa.Table) -> pd.DataFrame:
+        # exact winner per DISTINCT LINE, vectorized over the whole part
+        return t.to_pandas().sort_values(["doc_id", "line_no"], kind="stable").drop_duplicates(
+            "line", keep="first"
         )
 
-    def rebuild_part(g: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized pandas groupby over the WHOLE hash partition —
-        # not a Ray call per document (per-group dispatch measured ~2ms
-        # each; pandas agg is ~10us/doc)
-        g = g.sort_values(["doc_id", "line_no"], kind="stable")
+    def rebuild_part(t: pa.Table) -> pd.DataFrame:
+        # one vectorized pandas groupby over the WHOLE part — not a Ray
+        # call per document (per-group dispatch measured ~2ms each;
+        # pandas agg is ~10us/doc)
+        g = t.to_pandas().sort_values(["doc_id", "line_no"], kind="stable")
         grp = g.groupby("doc_id", sort=True)
-        text = grp["line"].agg(sep.join)
+        text = grp["line"].agg("\n".join)
         return pd.DataFrame(
             {
                 "doc_id": text.index.to_numpy(dtype=np.int64),
@@ -1824,52 +1578,6 @@ def line_dedup(
             }
         )
 
-    def pick_part(g: pd.DataFrame) -> pd.DataFrame:
-        # exact winner per DISTINCT LINE, vectorized over the whole hash
-        # partition: pandas drop_duplicates hashes/compares the full
-        # line text in C, so hash-partitioning is only a routing step —
-        # 64-bit partition-key collisions are harmless (the lines just
-        # share a partition) and can never merge distinct lines.
-        g = g.sort_values(["doc_id", "line_no"], kind="stable").drop_duplicates(
-            "line", keep="first"
-        )
-        return g[["doc_id", "line_no", "line"]]
-
-    # winner = lexicographic-min (doc_id, line_no) per DISTINCT LINE.
-    # NOT a Ray aggregate on
-    # (hash, line): sort-aggregating with a long-string group key
-    # measured ~4ms/row of remote time (22s for a 5k-line corpus);
-    # partitioning on the int64 line-hash and resolving exactly inside
-    # each partition with one vectorized pandas pass is >30x cheaper
-    # and keeps identical semantics.
-    winners = (
-        ds.map_batches(explode, batch_format="pandas", batch_size=2048)
-        .groupby("part")
-        .map_groups(pick_part, batch_format="pandas")
-    )
-    return (
-        winners.map_batches(unpack_part, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(rebuild_part, batch_format="pandas")
-    )
-
-
-def paragraph_dedup(
-    ds: "ray.data.Dataset",
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    rebuild_partitions: int = 64,
-):
-    """Cross-corpus exact PARAGRAPH dedup (the MassiveWeb/Gopher
-    repeated-paragraph rule, Rae et al. 2021): every distinct non-empty
-    blank-line-separated paragraph survives exactly once corpus-wide,
-    first occurrence by ``(doc_id, paragraph_no)``.  Same two-shuffle
-    machinery as :func:`line_dedup` with ``sep="\\n\\n"`` — paragraphs
-    keep their internal single newlines intact."""
-    return line_dedup(
-        ds,
-        text_col=text_col,
-        id_col=id_col,
-        rebuild_partitions=rebuild_partitions,
-        sep="\n\n",
-    )
+    exploded = ds.map_batches(explode, batch_format="pandas", batch_size=2048)
+    winners = co_group([(exploded, "line")], _LINE_PARTS, pick_part)
+    return co_group([(winners, "doc_id")], _LINE_PARTS, rebuild_part)

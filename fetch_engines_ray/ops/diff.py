@@ -4,14 +4,12 @@ primitive behind "what changed since the last crawl / curation run"
 (pairs with ``ops/drift.py``, which answers the distributional form of
 the same question).
 
-Scale shape: each side collapses to ``(doc_id, content_hash)`` inside
-one vectorized ``map_batches`` — document TEXT never crosses the
-shuffle, only 16 bytes per row do.  The tagged union hash-partitions
-by id into int64 parts (a key never straddles parts; same machinery as
-``dedup._partitioned_attach``, which exists because Ray's hash join
-dies on sparse-side empty partitions) and ONE vectorized pandas merge
-per part emits the verdicts.  The output is CHANGE-sized, not
-corpus-sized: unchanged rows drop unless asked for.
+Scale shape: each side collapses to ``(id, content_hash)`` inside one
+vectorized ``map_batches`` — document TEXT never crosses the shuffle,
+only the id and 8 bytes per row do.  Both sides then co-locate by id
+through ``ops/exchange.co_group`` (a key never straddles parts) and ONE
+vectorized pandas merge per part emits the verdicts.  The output is
+CHANGE-sized, not corpus-sized: unchanged ids drop.
 """
 
 from __future__ import annotations
@@ -20,30 +18,17 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data
 
+from .exchange import co_group
 
-def _id_hash_side(
-    ds: "ray.data.Dataset", id_col: str, text_col: str, role: int, n_parts: int
-):
-    from .dedup import _mix_mod
 
+def _id_hash_side(ds: "ray.data.Dataset", id_col: str, text_col: str):
     def collapse(batch: pa.Table) -> pa.Table:
-        id_arr = batch[id_col]
-        # string ids route through a 64-bit hash for PARTITIONING only —
-        # the key column keeps the original values, so verdicts carry
-        # real ids and hash collisions merely co-locate two ids
-        if pa.types.is_integer(id_arr.type):
-            ids = id_arr.to_numpy(zero_copy_only=False).astype(np.int64)
-            part = _mix_mod(ids, n_parts)
-            key = pa.array(ids, type=pa.int64())
-        else:
-            raw = np.asarray(id_arr.to_pylist(), dtype=object)
-            part = pd.util.hash_array(
-                np.asarray([x.encode() for x in raw], dtype=object)
-            ).view(np.int64) % n_parts
-            key = pa.array(raw, type=pa.string())
+        if batch[id_col].null_count:
+            raise ValueError(
+                f"corpus_diff: null {id_col!r} in a snapshot; every document needs an id"
+            )
         # 64-bit content hash: a collision can only hide a CHANGED
         # verdict for one id, w.p. 2^-64 per changed doc.  Hash the
         # UTF-8 BYTES, not the str objects — pandas' object-string
@@ -55,16 +40,17 @@ def _id_hash_side(
                 dtype=object,
             )
         ).view(np.int64)
-        return pa.table(
-            {
-                "part": pa.array(part, type=pa.int64()),
-                "key": key,
-                "h": pa.array(h, type=pa.int64()),
-                "role": pa.array(np.full(len(key), role, dtype=np.int8)),
-            }
-        )
+        return pa.table({"key": batch[id_col], "h": pa.array(h, type=pa.int64())})
 
     return ds.map_batches(collapse, batch_format="pyarrow", batch_size=8192)
+
+
+def _keyed(side: pa.Table) -> pd.DataFrame:
+    # hashes ride as NULLABLE Int64 through the outer merge — the
+    # default NaN-padding promotes int64 to float64, rounding full-range
+    # hashes to 52-bit mantissas and silently weakening the 2^-64
+    # collision bound to ~2^-53
+    return side.to_pandas().drop_duplicates("key").astype({"h": "Int64"})
 
 
 def corpus_diff(
@@ -73,54 +59,42 @@ def corpus_diff(
     id_col: str = "doc_id",
     text_col: str = "text",
     n_parts: int = 64,
-    include_unchanged: bool = False,
 ) -> "ray.data.Dataset":
     """Diff two corpus snapshots by id + content hash.
 
-    Returns a Dataset of ``(doc_id, status)`` with status one of
+    Returns a Dataset of ``(<id_col>, status)`` with status one of
     ``added`` (id only in ``ds_new``), ``removed`` (only in
-    ``ds_old``), ``changed`` (both sides, different text hash) — plus
-    ``unchanged`` rows when ``include_unchanged=True``.  Ids are
-    assumed unique per side (the document-table contract); duplicate
-    ids keep their first row."""
-    unioned = _id_hash_side(ds_old, id_col, text_col, 0, n_parts).union(
-        _id_hash_side(ds_new, id_col, text_col, 1, n_parts)
-    )
+    ``ds_old``) or ``changed`` (both sides, different text hash).  Ids
+    are assumed unique per side (the document-table contract);
+    duplicate ids keep their first row.  A null id on either side
+    raises ``ValueError`` naming ``id_col``."""
 
-    def diff_part(group: pd.DataFrame) -> pa.Table:
-        old = group[group["role"] == 0].drop_duplicates("key")
-        new = group[group["role"] == 1].drop_duplicates("key")
-        # hashes ride as NULLABLE Int64 through the outer merge — the
-        # default NaN-padding promotes int64 to float64, rounding
-        # full-range hashes to 52-bit mantissas and silently weakening
-        # the 2^-64 collision bound to ~2^-53 (the same int64→float64
-        # trap dedup._partitioned_attach documents)
-        m = old[["key", "h"]].astype({"h": "Int64"}).merge(
-            new[["key", "h"]].astype({"h": "Int64"}),
-            on="key",
-            how="outer",
-            suffixes=("_old", "_new"),
-        )
-        old_missing = m["h_old"].isna().to_numpy()
-        new_missing = m["h_new"].isna().to_numpy()
+    def diff_part(old: pa.Table, new: pa.Table) -> pa.Table:
+        # a snapshot with no rows at all arrives without columns
+        old = old if old.num_columns else new.schema.empty_table()
+        new = new if new.num_columns else old.schema.empty_table()
+        m = _keyed(old).merge(_keyed(new), on="key", how="outer", suffixes=("_old", "_new"))
         same = (m["h_old"] == m["h_new"]).fillna(False).to_numpy(dtype=bool)
         status = np.where(
-            old_missing,
+            m["h_old"].isna().to_numpy(),
             "added",
-            np.where(new_missing, "removed", np.where(same, "unchanged", "changed")),
+            np.where(m["h_new"].isna().to_numpy(), "removed", "changed"),
         )
-        keep = np.ones(len(m), dtype=bool) if include_unchanged else status != "unchanged"
+        is_int = pa.types.is_integer(old.schema.field("key").type)
         return pa.table(
             {
                 id_col: pa.array(
-                    m["key"].to_numpy()[keep].astype(np.int64)
-                    if np.issubdtype(group["key"].dtype, np.integer)
-                    else m["key"].to_numpy()[keep].astype(object),
+                    m["key"].to_numpy()[~same], type=pa.int64() if is_int else pa.string()
                 ),
-                "status": pa.array(status[keep].tolist(), type=pa.string()),
+                "status": pa.array(status[~same], type=pa.string()),
             }
         )
 
-    return unioned.groupby("part").map_groups(
-        diff_part, batch_format="pandas"
+    return co_group(
+        [
+            (_id_hash_side(ds_old, id_col, text_col), "key"),
+            (_id_hash_side(ds_new, id_col, text_col), "key"),
+        ],
+        n_parts,
+        diff_part,
     )

@@ -1,0 +1,142 @@
+"""The engine's one hash-partitioned exchange.
+
+Ray Data's hash join dies when a partition receives no block from one
+side (its aggregator synthesizes a schema-less empty table and fails
+with ``ArrowInvalid: No match for FieldRef``), which is the normal case
+for a sparse side: few candidate pairs, a small increment, a hot key.
+Every partitioned operator in ``ops/`` therefore co-locates its sides
+here instead:
+
+- :func:`part_of` is the one routing rule from a key column to a part.
+- :func:`co_group` hash-partitions one or more sides on their keys,
+  moves them through ONE union exchange, and runs ``fn`` once per part
+  on each side's rows in that side's own Arrow schema.
+
+Each input batch ships as one Arrow IPC payload per part, so no side
+is null-padded into a shared schema: nested payload columns
+(``spans``' ``list<struct>``), full-range int64 ids and any key type
+ride through byte-for-byte.  Every batch sends every part a payload,
+empty ones included, which is how a part with no rows of a side still
+hands ``fn`` a typed empty table.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+import ray.data
+
+from .sketches import _splitmix64_vec
+
+# rows per scattered batch: small blocks coalesce up to it (otherwise
+# every exchange would output as many blocks as all its inputs had, and
+# chained exchanges, e.g. PageRank iterations, would double their block
+# count each time), and each batch costs n_parts payloads
+_BATCH_ROWS = 8192
+
+_EXCHANGE_SCHEMA = pa.schema(
+    [("part", pa.int64()), ("side", pa.int32()), ("payload", pa.large_binary())]
+)
+
+
+def part_of(column: "pa.Array | pa.ChunkedArray", n_parts: int) -> np.ndarray:
+    """int64 part in ``[0, n_parts)`` for each value of ``column``.
+
+    The part depends on the key VALUE, not its Arrow width: integers of
+    any width mix as 64-bit values through splitmix64 (so sequential and
+    strided id spaces still spread evenly), and every other type hashes
+    its Python values, so ``string`` and ``large_string`` holding the
+    same text co-locate.  Null keys route to part 0."""
+    if isinstance(column, pa.ChunkedArray):
+        column = column.combine_chunks()
+    if pa.types.is_dictionary(column.type):
+        column = column.dictionary_decode()
+    if pa.types.is_integer(column.type):
+        k = _splitmix64_vec(
+            pc.fill_null(column, 0).to_numpy(zero_copy_only=False).astype(np.uint64)
+        )
+    else:
+        k = pd.util.hash_array(
+            np.asarray(column.to_numpy(zero_copy_only=False), dtype=object)
+        )
+    part = (k % np.uint64(n_parts)).astype(np.int64)
+    if column.null_count:
+        part[~pc.is_valid(column).to_numpy(zero_copy_only=False)] = 0
+    return part
+
+
+def _payloads(table: pa.Table, part: np.ndarray, n_parts: int) -> pa.Array:
+    """One Arrow IPC stream per part, written back to back into one
+    buffer and returned as a ``large_binary`` array of ``n_parts``."""
+    order = np.argsort(part, kind="stable")
+    ordered = table.take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(n_parts + 1))
+    sink = pa.BufferOutputStream()
+    offsets = [0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        with pa.ipc.new_stream(sink, table.schema) as writer:
+            writer.write_table(ordered.slice(lo, hi - lo))
+        offsets.append(sink.tell())
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(),
+        n_parts,
+        [None, pa.array(offsets, type=pa.int64()).buffers()[1], sink.getvalue()],
+    )
+
+
+def co_group(
+    sides: Sequence["tuple[ray.data.Dataset, str]"],
+    n_parts: int,
+    fn: Callable[..., "pa.Table | pd.DataFrame"],
+) -> "ray.data.Dataset":
+    """Hash-partition every ``(dataset, key_col)`` side on its key into
+    ``n_parts`` parts and return the Dataset of ``fn(*tables)``, called
+    once per part with one ``pa.Table`` per side, in ``sides`` order.
+
+    Each table holds that side's rows in the part, in the side's own
+    Arrow schema (batches of differing schemas are unified with
+    ``pa.concat_tables`` promotion), and is a typed empty table when
+    the side has rows elsewhere but none here.  A key never straddles
+    parts, and rows whose key is equal in value meet in the same call
+    whatever their integer width or string flavour.  A side with no
+    rows and no schema anywhere arrives as an empty zero-column table.
+    """
+
+    def scatter(side: int, key_col: str):
+        def to_parts(batch: pa.Table) -> pa.Table:
+            payload = _payloads(batch, part_of(batch[key_col], n_parts), n_parts)
+            return pa.table(
+                [
+                    pa.array(np.arange(n_parts, dtype=np.int64)),
+                    pa.array(np.full(n_parts, side, dtype=np.int32)),
+                    payload,
+                ],
+                schema=_EXCHANGE_SCHEMA,
+            )
+
+        return to_parts
+
+    def gather(group: pa.Table) -> "pa.Table | pd.DataFrame":
+        tables: list[list[pa.Table]] = [[] for _ in sides]
+        for side, payload in zip(
+            group["side"].to_numpy(), group["payload"].combine_chunks()
+        ):
+            tables[side].append(pa.ipc.open_stream(payload.as_buffer()).read_all())
+        return fn(
+            *(
+                pa.concat_tables(t, promote_options="permissive") if t else pa.table({})
+                for t in tables
+            )
+        )
+
+    first, *rest = [
+        ds.map_batches(scatter(side, key_col), batch_format="pyarrow", batch_size=_BATCH_ROWS)
+        for side, (ds, key_col) in enumerate(sides)
+    ]
+    exchanged = first.union(*rest) if rest else first
+    return exchanged.groupby("part").map_groups(gather, batch_format="pyarrow")

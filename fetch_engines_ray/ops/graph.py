@@ -145,9 +145,11 @@ def pagerank_distributed(
     ops/dedup.py — applied to power iteration):
 
     - per-edge contributions: ``edges ⋈ ranks`` on ``src`` via
-      ``_partitioned_attach`` (Ray's hash join dies on partitions that
-      receive zero blocks from one side — guaranteed here, because
-      dangling nodes hold rank rows but never appear as ``src``), then
+      ``_partitioned_attach``, one Arrow join per part of the
+      ``ops/exchange.co_group`` exchange (Ray's hash join dies on
+      partitions that receive zero blocks from one side — guaranteed
+      here, because dangling nodes hold rank rows but never appear as
+      ``src``), then
       per-batch pre-aggregation by ``dst`` and ONE ``groupby(dst).sum``;
     - new ranks: contributions left-attached back onto the node table
       the same way; teleport + dangling mass folded in per batch;

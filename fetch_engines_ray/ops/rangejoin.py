@@ -113,100 +113,3 @@ def interval_join_counts(
     out = out.rename(columns={col: "n_points"})
     out["n_points"] = out["n_points"].astype("int64")
     return out.sort_values("interval_id").reset_index(drop=True)
-
-
-def asof_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    on: str,
-    by: str,
-    direction: str = "backward",
-    tolerance=None,
-    n_parts: int = 64,
-    right_suffix: str = "_right",
-) -> "ray.data.Dataset":
-    """Generic distributed AS-OF join (the time-series join Ray Data
-    lacks): for each left row, attach the nearest right row with the
-    same ``by`` key and ``on`` value <= (backward), >= (forward), or
-    closest (nearest), optionally within ``tolerance``.
-
-    Scale shape (the window.py rule — never per-key dispatch): both
-    sides get a bounded hash partition of the ``by`` key, ride ONE
-    tagged union exchange, and each partition runs a single C-level
-    ``pandas.merge_asof(by=...)`` — so the wide cost is one shuffle of
-    the two inputs regardless of key cardinality.  Column collisions
-    on the right side take ``right_suffix``; unmatched left rows
-    survive with nulls (left-join semantics, like SQL ASOF LEFT JOIN).
-    """
-    if direction not in ("backward", "forward", "nearest"):
-        raise ValueError(f"unsupported direction {direction!r}")
-    left_cols = [c for c in left.schema().names]
-    right_cols = [c for c in right.schema().names]
-    # resolve right-side name collisions (except the join keys, which
-    # merge_asof consumes) exactly once, before the union
-    renames = {
-        c: c + right_suffix
-        for c in right_cols
-        if c in left_cols and c not in (on, by)
-    }
-    if renames:
-        right = right.rename_columns(renames)
-        right_cols = [renames.get(c, c) for c in right_cols]
-    value_cols = [c for c in right_cols if c not in (on, by)]
-
-    def tag(side: int, other_cols: list):
-        def f(batch: pa.Table) -> pa.Table:
-            batch = batch.append_column(
-                "__side", pa.array(np.full(batch.num_rows, side, dtype=np.int64))
-            )
-            from .window import hash_part
-
-            batch = batch.append_column(
-                "__part", pa.array(hash_part(batch[by].to_pylist(), n_parts))
-            )
-            for c in other_cols:  # null-fill the other side's columns
-                batch = batch.append_column(c, pa.nulls(batch.num_rows))
-            return batch
-
-        return f
-
-    lt = left.map_batches(tag(0, []), batch_format="pyarrow", batch_size=8192)
-    # left columns the right side lacks get null-filled so the union
-    # schemas line up; select_columns pins identical column ORDER
-    rt = right.map_batches(
-        tag(1, [c for c in left_cols if c not in (on, by)]),
-        batch_format="pyarrow",
-        batch_size=8192,
-    )
-    all_cols = [on, by] + [c for c in left_cols if c not in (on, by)] + value_cols
-    lt_full = lt.map_batches(
-        lambda b: pa.table(
-            {
-                c: b[c] if c in b.column_names else pa.nulls(b.num_rows)
-                for c in all_cols + ["__side", "__part"]
-            }
-        ),
-        batch_format="pyarrow",
-        batch_size=8192,
-    )
-    rt_full = rt.select_columns(all_cols + ["__side", "__part"])
-
-    def join_part(group: pd.DataFrame) -> pd.DataFrame:
-        l = group[group["__side"] == 0].drop(columns=["__side", "__part"] + value_cols)
-        r = group[group["__side"] == 1][[on, by] + value_cols]
-        l = l.sort_values(on, kind="mergesort")
-        r = r.sort_values(on, kind="mergesort")
-        if len(l) == 0:
-            return l.assign(**{c: pd.Series(dtype="float64") for c in value_cols})
-        out = pd.merge_asof(
-            l,
-            r,
-            on=on,
-            by=by,
-            direction=direction,
-            tolerance=tolerance,
-        )
-        return out
-
-    tagged = lt_full.union(rt_full)
-    return tagged.groupby("__part").map_groups(join_part, batch_format="pandas")

@@ -1,0 +1,195 @@
+"""The one hash-partitioned exchange (ops/exchange.py): routing by key
+value, one ``fn`` call per part, and each side's own Arrow schema in
+every call — plus a static pin that no other module hand-rolls the
+exchange."""
+
+import ast
+import uuid
+from pathlib import Path
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _collect(ds) -> pa.Table:
+    import ray
+
+    return pa.concat_tables(t for t in ray.get(ds.to_arrow_refs()) if t.num_columns)
+
+
+def _calls(fn):
+    """Wrap ``fn`` so every output row carries an id of the call that
+    produced it."""
+
+    def tagged(*tables):
+        out = fn(*tables)
+        return out.append_column("call", pa.array([uuid.uuid4().hex] * out.num_rows))
+
+    return tagged
+
+
+def test_part_of_routes_by_value_not_width():
+    from fetch_engines_ray.ops.exchange import part_of
+
+    vals = [0, 1, -5, 2**31 - 1, 17, 123456]
+    p64 = part_of(pa.array(vals, pa.int64()), 16)
+    assert (part_of(pa.array(vals, pa.int32()), 16) == p64).all()
+    assert (part_of(pa.chunked_array([vals[:2], vals[2:]], pa.int64()), 16) == p64).all()
+    assert ((p64 >= 0) & (p64 < 16)).all()
+    words = ["a", "bb", "ccc", "", "ünïcode"]
+    ps = part_of(pa.array(words, pa.string()), 16)
+    assert (part_of(pa.array(words, pa.large_string()), 16) == ps).all()
+    assert part_of(pa.array([None, 3], pa.int64()), 16)[0] == 0
+    assert part_of(pa.array([None, "x"], pa.string()), 16)[0] == 0
+    # sequential ids spread over every part
+    assert len(np.unique(part_of(pa.array(np.arange(1000)), 16))) == 16
+
+
+def test_one_side_form_runs_fn_once_per_part(ray_session):
+    import ray.data
+
+    from fetch_engines_ray.ops.exchange import co_group
+
+    t = pa.table({"k": pa.array(np.arange(200) % 37, pa.int64()), "v": np.arange(200)})
+    ds = ray.data.from_arrow(t).repartition(3)
+    out = _collect(co_group([(ds, "k")], 5, _calls(lambda part: part)))
+    assert sorted(out["v"].to_pylist()) == list(range(200))
+    assert out.schema.field("k").type == pa.int64()
+    # every key in exactly one call
+    by_key = out.group_by("k").aggregate([("call", "count_distinct")])
+    assert set(by_key["call_count_distinct"].to_pylist()) == {1}
+    sizes = _collect(co_group([(ds, "k")], 5, lambda part: pa.table({"n": [part.num_rows]})))
+    assert sizes.num_rows == 5 and sum(sizes["n"].to_pylist()) == 200
+
+
+def test_sides_keep_their_own_typed_schema_in_every_part(ray_session):
+    """Parts holding rows of only one side still hand ``fn`` a typed
+    empty table of the other side's schema."""
+    import ray.data
+
+    from fetch_engines_ray.ops.exchange import co_group
+
+    a = pa.table({"k": pa.array([1, 2, 3, 4, 5], pa.int64()), "v": ["a", "b", "c", "d", "e"]})
+    b = pa.table({"id": pa.array([3], pa.int64()), "w": pa.array([2.5], pa.float32())})
+
+    def fn(left, right):
+        return pa.table(
+            {
+                "n_left": [left.num_rows],
+                "n_right": [right.num_rows],
+                "left_schema": [str(left.schema)],
+                "right_schema": [str(right.schema)],
+            }
+        )
+
+    out = _collect(co_group(
+        [(ray.data.from_arrow(a), "k"), (ray.data.from_arrow(b), "id")], 8, fn
+    ))
+    assert out.num_rows == 8  # one call per part
+    assert sum(out["n_left"].to_pylist()) == 5 and sum(out["n_right"].to_pylist()) == 1
+    assert 0 in out["n_right"].to_pylist()  # some parts hold no right rows
+    assert set(out["left_schema"].to_pylist()) == {str(a.schema)}
+    assert set(out["right_schema"].to_pylist()) == {str(b.schema)}
+
+
+def test_schema_less_empty_side_arrives_as_empty_table(ray_session):
+    import ray.data
+
+    from fetch_engines_ray.ops.exchange import co_group
+
+    a = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
+
+    def fn(left, right):
+        assert right.num_rows == 0 and right.num_columns == 0
+        return left
+
+    out = _collect(co_group(
+        [(ray.data.from_arrow(a), "k"), (ray.data.from_items([]), "k")], 4, fn
+    ))
+    assert sorted(out["k"].to_pylist()) == [1, 2, 3]
+
+
+def test_list_struct_payload_rides_through_unchanged(ray_session):
+    import ray.data
+
+    from fetch_engines_ray.ops.exchange import co_group
+
+    span = pa.struct([("kind", pa.string()), ("start", pa.int32()), ("attrs", pa.list_(pa.string()))])
+    spans = [
+        [{"kind": "p", "start": 0, "attrs": ["x"]}, {"kind": "h1", "start": 9, "attrs": []}],
+        [],
+        None,
+        [{"kind": "li", "start": -1, "attrs": None}],
+    ]
+    t = pa.table({"doc_id": pa.array([10, 11, 12, 13], pa.int64()), "spans": pa.array(spans, pa.list_(span))})
+    ds = ray.data.from_arrow(t).repartition(2)
+    out = _collect(co_group([(ds, "doc_id")], 3, lambda part: part))
+    assert out.schema == t.schema
+    assert out.sort_by("doc_id").equals(t)
+
+
+def test_int32_int64_and_string_flavours_co_locate(ray_session):
+    import ray.data
+
+    from fetch_engines_ray.ops.exchange import co_group
+
+    def fn(left, right):
+        keys = pa.chunked_array([left["k"].cast(pa.string()), right["k"].cast(pa.string())])
+        side = [0] * left.num_rows + [1] * right.num_rows
+        return pa.table({"k": keys, "side": side})
+
+    for ltype, rtype, vals in (
+        (pa.int32(), pa.int64(), [1, 7, -3, 2**30, 99]),
+        (pa.string(), pa.large_string(), ["a", "b", "zz", "", "ñ"]),
+    ):
+        left = ray.data.from_arrow(pa.table({"k": pa.array(vals, ltype)}))
+        right = ray.data.from_arrow(pa.table({"k": pa.array(vals[::-1], rtype)}))
+        out = _collect(co_group([(left, "k"), (right, "k")], 16, _calls(fn)))
+        assert out.num_rows == 2 * len(vals)
+        # each value's left and right rows met in one call
+        by_key = out.group_by("k").aggregate([("call", "count_distinct"), ("side", "sum")])
+        assert set(by_key["call_count_distinct"].to_pylist()) == {1}
+        assert set(by_key["side_sum"].to_pylist()) == {1}
+
+
+def test_null_keys_reach_fn(ray_session):
+    import ray.data
+
+    from fetch_engines_ray.ops.exchange import co_group
+
+    t = pa.table({"k": pa.array([None, 1, None, 2, 3], pa.int64()), "v": [0, 1, 2, 3, 4]})
+    ds = ray.data.from_arrow(t).repartition(2)
+    out = _collect(co_group([(ds, "k")], 4, _calls(lambda part: part)))
+    assert sorted(out["v"].to_pylist()) == [0, 1, 2, 3, 4]
+    nulls = out.filter(pc.is_null(out["k"]))
+    assert sorted(nulls["v"].to_pylist()) == [0, 2]
+    assert len(set(nulls["call"].to_pylist())) == 1
+
+
+def _hand_rolled_exchanges() -> list[str]:
+    """``.groupby("part")`` / ``.groupby("__part")`` calls outside
+    ops/exchange.py."""
+    found = []
+    for path in sorted((ROOT / "fetch_engines_ray").rglob("*.py")):
+        if path == ROOT / "fetch_engines_ray" / "ops" / "exchange.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby"
+                and any(
+                    isinstance(arg, ast.Constant) and arg.value in ("part", "__part")
+                    for arg in node.args + [kw.value for kw in node.keywords]
+                )
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_the_exchange_groups_by_part():
+    """Every hash-partitioned exchange goes through ops/exchange.co_group."""
+    assert _hand_rolled_exchanges() == []

@@ -37,39 +37,6 @@ def test_exact_dedup_finds_planted_dups(docs_with_dups):
     assert (out["n_dups"] >= 1).all()
 
 
-def test_paragraph_dedup_corpus(ray_session):
-    """Paragraph-granularity dedup (MassiveWeb repeated-paragraph rule):
-    blank-line-separated paragraphs dedup corpus-wide with internal
-    single newlines preserved; line-level differences inside a
-    paragraph keep it distinct."""
-    import ray.data
-
-    from fetch_engines_ray.ops.dedup import paragraph_dedup
-
-    shared = "first line of shared para\nsecond line of shared para"
-    docs = pd.DataFrame(
-        {
-            "doc_id": [1, 2, 3],
-            "text": [
-                f"intro one\n\n{shared}\n\noutro one",
-                f"{shared}\n\nunique two",
-                # same first line, different second -> distinct paragraph
-                "first line of shared para\nDIFFERENT second line",
-            ],
-        }
-    )
-    out = (
-        paragraph_dedup(ray.data.from_pandas(docs))
-        .to_pandas()
-        .sort_values("doc_id")
-        .set_index("doc_id")
-    )
-    assert out.loc[1, "text"] == f"intro one\n\n{shared}\n\noutro one"
-    assert out.loc[1, "n_lines"] == 3  # 3 paragraphs
-    assert out.loc[2, "text"] == "unique two"  # shared para lost to doc 1
-    assert out.loc[3, "text"] == "first line of shared para\nDIFFERENT second line"
-
-
 def test_line_dedup_corpus(ray_session):
     """Cross-document line dedup vs a direct DuckDB restatement of the
     rule (same SQL shape as the driver oracle): first occurrence by
@@ -1527,8 +1494,7 @@ def test_fuzzy_decontamination(ray_session):
 
 def test_corpus_diff(ray_session):
     """Snapshot diff: added/removed/changed verdicts are exact, output
-    is change-sized, identical snapshots diff empty, and
-    include_unchanged restores the full id space."""
+    is change-sized, and identical snapshots diff empty."""
     import pandas as pd
 
     import ray.data
@@ -1550,9 +1516,25 @@ def test_corpus_diff(ray_session):
 
     assert corpus_diff(a, a).to_pandas().empty  # identical snapshots
 
-    full = corpus_diff(a, b, include_unchanged=True).to_pandas()
-    assert len(full) == 11  # 10 old ids + 1 added
-    assert (full[~full.doc_id.isin([3, 5, 7, 100])]["status"] == "unchanged").all()
+
+@pytest.mark.parametrize("ids", [[1, 2, None], ["a", "b", None]], ids=["int64", "string"])
+@pytest.mark.parametrize("null_side", ["old", "new"])
+def test_corpus_diff_rejects_null_ids(ray_session, ids, null_side):
+    """A null id on either snapshot fails loudly with a ValueError that
+    names the id column — not an AttributeError inside a Ray task (string
+    ids) and not a silent diff of the int64 minimum (integer ids)."""
+    import ray.data
+
+    from fetch_engines_ray.ops.diff import corpus_diff
+
+    id_type = pa.int64() if isinstance(ids[0], int) else pa.string()
+    clean = pa.table({"url_id": pa.array(ids[:2], id_type), "text": ["x", "y"]})
+    bad = pa.table({"url_id": pa.array(ids, id_type), "text": ["x", "y", "z"]})
+    old, new = (bad, clean) if null_side == "old" else (clean, bad)
+    with pytest.raises(ray.exceptions.RayTaskError, match="ValueError: corpus_diff: null 'url_id'"):
+        corpus_diff(
+            ray.data.from_arrow(old), ray.data.from_arrow(new), id_col="url_id"
+        ).materialize()
 
 
 from hypothesis import given, settings
