@@ -4,12 +4,14 @@ Plays the role node-html-parser plays in the reference
 (/root/reference/src/utils/markdown-converter.ts:2) — parse once, run
 selector-driven pruning passes, then serialize.  Built on the Python
 stdlib only (no lxml/bs4 in this environment).  Designed for speed:
-slotted nodes, lazy class-set computation, iterative traversal.
+slotted nodes, lazy class-set computation, and one element
+:class:`Index` per tree, built inside the parser's own pass, that
+answers every selector and subtree query without walking the tree again.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -31,6 +33,48 @@ _SIBLING_CLOSERS = {
     "dd": frozenset(("dd", "dt")),
     "dt": frozenset(("dd", "dt")),
 }
+
+
+class Index:
+    """Element index of one tree: positions in document order.
+
+    ``els[i]`` is the element at pre-order position ``i`` (the tree's
+    top element is position 0); an element's descendants are exactly
+    positions ``_pre + 1 .. _end``, so a subtree is a slice and
+    "descendant of" is an interval check.  ``tags`` maps a tag, and
+    ``attrs`` an attribute name, to the ascending positions of the
+    elements carrying it.  A removed element's positions hold ``None``;
+    an element insert, a rename or a new attribute marks the index
+    ``stale`` and the next query rebuilds it (:func:`index_of`).  An
+    attribute deleted in place leaves its bucket entry: buckets may over-
+    but never under-approximate, and attribute queries re-check."""
+
+    __slots__ = ("els", "tags", "attrs", "stale")
+
+    def __init__(self) -> None:
+        self.els: list = []
+        self.tags: dict[str, list[int]] = {}
+        self.attrs: dict[str, list[int]] = {}
+        self.stale = False
+
+    def add(self, el: "Element") -> None:
+        """Give ``el`` the next position (callers add in document order)."""
+        el._ix = self
+        pos = el._pre = len(self.els)
+        self.els.append(el)
+        b = self.tags.get(el.tag)
+        if b is None:
+            self.tags[el.tag] = [pos]
+        else:
+            b.append(pos)
+        if el.attrs:
+            attrs = self.attrs
+            for name in el.attrs:
+                b = attrs.get(name)
+                if b is None:
+                    attrs[name] = [pos]
+                else:
+                    b.append(pos)
 
 
 class Node:
@@ -57,7 +101,7 @@ class Text(Node):
     __slots__ = ("data",)
 
     def __init__(self, data: str) -> None:
-        super().__init__()
+        self.parent = None
         self.data = data
 
     @property
@@ -69,20 +113,25 @@ class Text(Node):
 
 
 class Element(Node):
-    __slots__ = ("tag", "attrs", "children", "_classes")
+    # _ix/_pre/_end: the element's index and its interval there, set by
+    # the parser or by index_of(); _pre/_end are unset while _ix is None
+    __slots__ = ("tag", "attrs", "children", "_classes", "_ix", "_pre", "_end")
 
     def __init__(self, tag: str, attrs: Optional[dict] = None) -> None:
-        super().__init__()
+        self.parent = None
         self.tag = tag
         self.attrs: dict = attrs if attrs is not None else {}
         self.children: list[Node] = []
         self._classes: Optional[frozenset[str]] = None
+        self._ix: Optional[Index] = None
 
     # -- attribute helpers -------------------------------------------------
     def get(self, name: str, default=None):
         return self.attrs.get(name, default)
 
     def set(self, name: str, value: str) -> None:
+        if name not in self.attrs:
+            self._stale()
         self.attrs[name] = value
         if name == "class":
             self._classes = None
@@ -99,40 +148,68 @@ class Element(Node):
         return self._classes
 
     # -- tree ops ----------------------------------------------------------
-    def append(self, node: Node) -> None:
+    # Every mutator keeps the element index exact: a removal marks its
+    # positions dead; an element insert, a rename or a new attribute
+    # (set) marks the index stale.
+    def _indexed(self) -> Optional[Index]:
+        """This element's index if it is live there, else None."""
+        ix = self._ix
+        if ix is not None and not ix.stale and ix.els[self._pre] is self:
+            return ix
+        return None
+
+    def _drop(self, descendants_only: bool) -> None:
+        """Mark this element's subtree (or only its descendants) dead."""
+        ix = self._indexed()
+        if ix is not None:
+            lo = self._pre + descendants_only
+            ix.els[lo : self._end + 1] = [None] * (self._end + 1 - lo)
+
+    def _stale(self) -> None:
+        ix = self._indexed()
+        if ix is not None:
+            ix.stale = True
+
+    def _insert(self, node: Node) -> None:
         node.parent = self
+        if isinstance(node, Element):
+            self._stale()
+
+    def remove(self) -> None:
+        if self.parent is not None:
+            super().remove()
+            self._drop(False)
+
+    def append(self, node: Node) -> None:
+        self._insert(node)
         self.children.append(node)
 
     def prepend(self, node: Node) -> None:
-        node.parent = self
+        self._insert(node)
         self.children.insert(0, node)
+
+    def rename(self, tag: str) -> None:
+        self.tag = tag
+        self._stale()
 
     def set_text(self, text: str) -> None:
         """Replace all children with one text node (reference: `set_content`,
         markdown-converter.ts:426)."""
+        self._drop(True)
         for c in self.children:
             c.parent = None
-        self.children = [Text(text)]
-        self.children[0].parent = self
+        t = Text(text)
+        t.parent = self
+        self.children = [t]
 
     def clone(self) -> "Element":
         el = Element(self.tag, dict(self.attrs))
+        kids = el.children
         for c in self.children:
-            if isinstance(c, Element):
-                el.append(c.clone())
-            else:
-                el.append(Text(c.data))  # type: ignore[union-attr]
+            n = c.clone() if isinstance(c, Element) else Text(c.data)  # type: ignore[union-attr]
+            n.parent = el
+            kids.append(n)
         return el
-
-    def iter_elements(self) -> Iterator["Element"]:
-        """Document-order iteration over descendant elements (excl. self)."""
-        stack = [c for c in reversed(self.children) if isinstance(c, Element)]
-        while stack:
-            el = stack.pop()
-            yield el
-            for c in reversed(el.children):
-                if isinstance(c, Element):
-                    stack.append(c)
 
     @property
     def text_content(self) -> str:
@@ -180,21 +257,48 @@ def _escape_text(v: str) -> str:
     return v.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def collect_elements(root: "Element") -> list:
-    """Document-order list of descendant elements (excl. root).
-
-    List-building loop variant of ``iter_elements`` for hot paths: one
-    selector pass over a big page resumes the generator hundreds of
-    thousands of times; a plain loop into a list is ~2x faster."""
-    out: list = []
-    append = out.append
-    stack = [c for c in reversed(root.children) if isinstance(c, Element)]
+def _build_index(top: Element) -> Index:
+    """Index the tree under ``top`` (a parentless element) in one walk."""
+    ix = Index()
+    add = ix.add
+    stack = [top]
     pop = stack.pop
     push = stack.append
     while stack:
         el = pop()
-        append(el)
+        add(el)
         for c in reversed(el.children):
             if isinstance(c, Element):
                 push(c)
-    return out
+    for el in reversed(ix.els):
+        end = el._pre
+        for c in reversed(el.children):
+            if isinstance(c, Element):
+                end = c._end
+                break
+        el._end = end
+    return ix
+
+
+def index_of(el: Element) -> Index:
+    """The live index of ``el``'s tree, built on first use (clones,
+    hand-built trees, removed subtrees) or after a stale mark."""
+    ix = el._indexed()
+    if ix is None:
+        top = el
+        while top.parent is not None:
+            top = top.parent
+        ix = _build_index(top)
+    return ix
+
+
+def descendants(root: Element) -> list:
+    """Document-order descendant elements of ``root`` (excl. root)."""
+    ix = index_of(root)
+    return list(filter(None, ix.els[root._pre + 1 : root._end + 1]))
+
+
+def contains(root: Element, el: Element) -> bool:
+    """``el`` is ``root`` or one of its descendants."""
+    ix = index_of(root)
+    return el._ix is ix and ix.els[el._pre] is el and root._pre <= el._pre <= root._end

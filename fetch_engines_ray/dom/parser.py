@@ -11,13 +11,20 @@ from __future__ import annotations
 
 from html.parser import HTMLParser
 
-from .nodes import _SIBLING_CLOSERS, P_CLOSING_BLOCKS, VOID_ELEMENTS, Element, Text
+from .nodes import _SIBLING_CLOSERS, P_CLOSING_BLOCKS, VOID_ELEMENTS, Element, Index, Text
 
 
 class _TreeBuilder(HTMLParser):
+    """Builds the tree and its element :class:`Index` in one pass: elements
+    are created in document order, and an element's descendants are
+    exactly the elements created while it is open, so its interval ends
+    when it is popped."""
+
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.root = Element("#root")
+        self.index = Index()
+        self.index.add(self.root)
         self.stack: list[Element] = [self.root]
         self._open_tags: list[str] = ["#root"]
 
@@ -31,22 +38,16 @@ class _TreeBuilder(HTMLParser):
                 self._pop()
         if tag in P_CLOSING_BLOCKS and self.stack[-1].tag == "p":
             self._pop()
-        d: dict = {}
-        for k, v in attrs:
-            if k not in d:
-                d[k] = v if v is not None else ""
-        el = Element(tag, d)
-        self.stack[-1].append(el)
+        el = self._element(tag, attrs)
         if tag not in VOID_ELEMENTS:
             self.stack.append(el)
             self._open_tags.append(tag)
+        else:
+            el._end = el._pre
 
     def handle_startendtag(self, tag: str, attrs) -> None:
-        d: dict = {}
-        for k, v in attrs:
-            if k not in d:
-                d[k] = v if v is not None else ""
-        self.stack[-1].append(Element(tag, d))
+        el = self._element(tag, attrs)
+        el._end = el._pre
 
     def handle_endtag(self, tag: str) -> None:
         if tag in VOID_ELEMENTS:
@@ -61,7 +62,9 @@ class _TreeBuilder(HTMLParser):
 
     def handle_data(self, data: str) -> None:
         if data:
-            self.stack[-1].append(Text(data))
+            t = Text(data)
+            parent = t.parent = self.stack[-1]
+            parent.children.append(t)
 
     def handle_comment(self, data: str) -> None:  # dropped (comment: false)
         pass
@@ -70,9 +73,29 @@ class _TreeBuilder(HTMLParser):
         pass
 
     # -- internals ---------------------------------------------------------
+    def _element(self, tag: str, attrs) -> Element:
+        d: dict = {}
+        for k, v in attrs:
+            if k not in d:
+                d[k] = v if v is not None else ""
+        el = Element(tag, d)
+        # attached directly: Element.append would mark the index stale
+        parent = el.parent = self.stack[-1]
+        parent.children.append(el)
+        self.index.add(el)
+        return el
+
     def _pop(self) -> None:
-        self.stack.pop()
+        self.stack.pop()._end = len(self.index.els) - 1
         self._open_tags.pop()
+
+    def finish(self) -> Element:
+        """Close the intervals of the elements still open at end of input
+        (or at a parse error) and return the root."""
+        last = len(self.index.els) - 1
+        for el in self.stack:
+            el._end = last
+        return self.root
 
     def updatepos(self, i: int, j: int) -> int:
         # line/column tracking is only for getpos()/error messages,
@@ -297,13 +320,5 @@ def parse_html(html: str, _impl: str = "fast") -> Element:
     except Exception:
         # stdlib parser is tolerant; on a hard failure return what we have
         pass
-    return builder.root
+    return builder.finish()
 
-
-def parse_fragment(html: str) -> Element:
-    """Parse and return the first element child (for small snippets)."""
-    root = parse_html(html)
-    for c in root.children:
-        if isinstance(c, Element):
-            return c
-    return root

@@ -6,14 +6,22 @@ compound simple selectors (``tag``, ``#id``, ``.class``, ``[attr]``,
 ``[attr='v']``, ``[attr*='v']``, ``[attr^='v']``, ``:not(...)``) joined
 in comma-separated groups.  No combinators are needed — the reference
 never uses descendant/child selectors.
+
+Queries never walk the tree: they read the element index the parser
+built (``nodes.index_of``).  A query under ``root`` reads positions
+``root._pre + 1 .. root._end`` of the index buckets its compounds
+require (a tag, or the ``id`` / ``class`` / attribute name a tag-less
+compound tests), a bisect each; only a compound with no requirement
+makes it test every live element of the interval.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Optional
 
-from .nodes import Element
+from .nodes import Element, index_of
 
 _TOKEN = re.compile(
     r"""
@@ -104,70 +112,6 @@ def compile_selector(selector: str) -> list[Compound]:
     return sels
 
 
-_PURE_TAGSET: dict[str, Optional[frozenset]] = {}
-
-
-def _pure_tagset(selector: str, sels: list) -> Optional[frozenset]:
-    """frozenset of tags when every compound is a bare tag selector
-    ("a", "p", "h1, h2, h3" — the converter's hottest lookups), else
-    None.  Lets the select functions skip the per-element Compound
-    dispatch."""
-    ts = _PURE_TAGSET.get(selector, False)
-    if ts is False:
-        if all(
-            s.tag is not None and s.id is None and not s.classes and not s.attr_tests and not s.not_sels
-            for s in sels
-        ):
-            ts = frozenset(s.tag for s in sels)
-        else:
-            ts = None
-        _PURE_TAGSET[selector] = ts
-    return ts
-
-
-def select_all(root: Element, selector: str) -> list[Element]:
-    """Document-order matches among *descendants* of ``root`` (excl.
-    root), as one plain loop over ``collect_elements`` (a generator
-    would cost a resume per element; this is the converter's hottest
-    entry point)."""
-    sels = compile_selector(selector)
-    tagset = _pure_tagset(selector, sels)
-    from .nodes import collect_elements
-
-    els = collect_elements(root)
-    if tagset is not None:
-        return [el for el in els if el.tag in tagset]
-    g = compile_group((selector,))
-    return [el for el in els if g.matches(el)]
-
-
-def select_one(root: Element, selector: str) -> Optional[Element]:
-    """First document-order match, as a plain stack loop: a miss walks
-    the whole tree, and a generator's resume cost (one per element)
-    dominated converter profiles."""
-    sels = compile_selector(selector)
-    tagset = _pure_tagset(selector, sels)
-    g = None if tagset is not None else compile_group((selector,))
-    stack = [c for c in reversed(root.children) if isinstance(c, Element)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        el = pop()
-        if tagset is not None:
-            if el.tag in tagset:
-                return el
-        elif g.matches(el):
-            return el
-        for c in reversed(el.children):
-            if isinstance(c, Element):
-                push(c)
-    return None
-
-
-def matches(el: Element, selector: str) -> bool:
-    return any(s.matches(el) for s in compile_selector(selector))
-
-
 def closest(el: Element, selector: str) -> Optional[Element]:
     """Nearest ancestor-or-self matching ``selector`` (like DOM closest())."""
     sels = compile_selector(selector)
@@ -181,17 +125,21 @@ def closest(el: Element, selector: str) -> Optional[Element]:
 
 
 class CompiledGroup:
-    """Many selectors compiled for a SINGLE tree walk.
+    """Many selectors answered together from one tree index.
 
-    The converter's removal/count passes apply 10-20 selectors each;
-    evaluating them per-selector costs one full DOM traversal per
-    selector (~130 walks/document measured).  A group bucket-indexes
-    compounds by required tag — and tag-less compounds by a required
-    class / id — so each element only tests the few compounds that
-    could possibly match it (most test zero) — one walk total.
+    A group buckets its compounds by one requirement each: a tag, or
+    for tag-less (or generic-tag) compounds an id, a class or an
+    attribute name.  The same requirement picks the query's candidates
+    from the index (tag buckets, or the ``id`` / ``class`` / attribute-
+    name buckets), and each candidate only tests the compounds of the
+    buckets it falls in.  Only compounds with no requirement at all
+    (a bare ``:not(...)``) make a query test its whole interval;
+    ``pure`` groups (bare tags only, "a", "h1, h2, h3") test nothing.
     """
 
-    __slots__ = ("by_tag", "by_class", "by_id", "by_attr", "rest", "n_selectors")
+    __slots__ = (
+        "by_tag", "by_class", "by_id", "by_attr", "rest", "n_selectors", "attr_gates", "pure"
+    )
 
     # Tags too common to be a useful bucket key when the compound also
     # carries an attribute test (a `div[id^=...]` should gate on "has an
@@ -207,8 +155,12 @@ class CompiledGroup:
         self.by_attr: dict[str, list[tuple[int, Compound]]] = {}
         self.rest: list[tuple[int, Compound]] = []
         self.n_selectors = len(selectors)
+        pure = True
         for i, s in enumerate(selectors):
             for c in compile_selector(s):
+                pure = pure and c.tag is not None and not (
+                    c.id is not None or c.classes or c.attr_tests or c.not_sels
+                )
                 # most-selective-first bucket choice; any bucket is
                 # CORRECT as long as every element the compound could
                 # match reaches it (matches() re-checks everything)
@@ -228,8 +180,37 @@ class CompiledGroup:
                     self.by_tag.setdefault(c.tag, []).append((i, c))
                 else:
                     self.rest.append((i, c))
+        # index attribute buckets that hold every element a compound
+        # outside by_tag could match
+        self.attr_gates = tuple(
+            dict.fromkeys((["id"] if self.by_id else []) + (["class"] if self.by_class else []) + list(self.by_attr))
+        )
+        self.pure = pure
 
-    def _candidates(self, el: Element):
+    def _elements(self, root: Element) -> list:
+        """Live descendants of ``root`` in document order that could
+        match: the group's index buckets cut to root's interval, or the
+        whole interval when some compound has no bucket."""
+        ix = index_of(root)
+        els = ix.els
+        lo = root._pre + 1
+        hi = root._end + 1
+        if self.rest:
+            return list(filter(None, els[lo:hi]))
+        pos: list = []
+        n = 0
+        for buckets, names in ((ix.tags, self.by_tag), (ix.attrs, self.attr_gates)):
+            for name in names:
+                b = buckets.get(name)
+                if b:
+                    pos += b[bisect_left(b, lo) : bisect_left(b, hi)]
+                    n += 1
+        if n > 1:
+            # an element can sit in one tag bucket and several attribute buckets
+            pos = sorted(set(pos))
+        return list(filter(None, map(els.__getitem__, pos)))
+
+    def _compounds(self, el: Element):
         """Compound lists that could match ``el`` (bucket lookups only)."""
         cand = []
         b = self.by_tag.get(el.tag)
@@ -254,8 +235,8 @@ class CompiledGroup:
         return cand
 
     def matches(self, el: Element) -> bool:
-        # _candidates() inlined with early return: this runs once per
-        # element per group walk, and skipping the candidate-list build
+        # _compounds() inlined with early return: this runs once per
+        # candidate element per query, and skipping the candidate-list build
         # (most elements hit zero or one bucket) is a measurable share
         # of converter CPU.
         b = self.by_tag.get(el.tag)
@@ -291,60 +272,62 @@ class CompiledGroup:
 
     def select(self, root: Element) -> list:
         """Doc-order unique elements matching any selector of the group."""
-        from .nodes import collect_elements
+        els = self._elements(root)
+        if self.pure:
+            return els
+        m = self.matches
+        return [el for el in els if m(el)]
 
-        return [el for el in collect_elements(root) if self.matches(el)]
+    def first(self, root: Element) -> Optional[Element]:
+        """First doc-order element matching any selector of the group."""
+        for el in self._elements(root):
+            if self.pure or self.matches(el):
+                return el
+        return None
 
     def select_by_label(self, root: Element) -> list:
-        """Per-selector match lists (doc order within each), one walk.
-        Preserves selector-priority iteration semantics for callers that
-        process matches selector-by-selector."""
-        from .nodes import collect_elements
-
+        """Per-selector match lists (doc order within each).  Preserves
+        selector-priority iteration semantics for callers that process
+        matches selector-by-selector."""
         out: list = [[] for _ in range(self.n_selectors)]
-        for el in collect_elements(root):
-            for bucket in self._candidates(el):
+        for el in self._elements(root):
+            for bucket in self._compounds(el):
                 for i, c in bucket:
                     if c.matches(el):
                         out[i].append(el)
         return out
 
     def count_by_label(self, root: Element) -> list:
-        """Per-selector (element, selector) match counts in ONE walk —
-        the grouped equivalent of calling count_matches per sub-group."""
-        from .nodes import collect_elements
-
+        """Per-selector (element, selector) match counts."""
         out = [0] * self.n_selectors
-        for el in collect_elements(root):
-            for bucket in self._candidates(el):
+        for el in self._elements(root):
+            for bucket in self._compounds(el):
                 for i, c in bucket:
                     if c.matches(el):
                         out[i] += 1
         return out
 
-    def count_matches(self, root: Element) -> int:
-        """Total (element, selector) match pairs — an element matching
-        two selectors counts twice, mirroring per-selector summing."""
-        from .nodes import collect_elements
 
-        n = 0
-        for el in collect_elements(root):
-            for bucket in self._candidates(el):
-                for _, c in bucket:
-                    if c.matches(el):
-                        n += 1
-        return n
-
-
-_GROUP_CACHE: dict[tuple, CompiledGroup] = {}
+_GROUP_CACHE: dict = {}
 
 
 def compile_group(selectors) -> CompiledGroup:
-    key = tuple(selectors)
+    """The cached group for one selector string or a tuple of them."""
+    key = selectors if isinstance(selectors, str) else tuple(selectors)
     g = _GROUP_CACHE.get(key)
     if g is None:
-        g = _GROUP_CACHE[key] = CompiledGroup(key)
+        g = _GROUP_CACHE[key] = CompiledGroup((key,) if isinstance(key, str) else key)
     return g
+
+
+def select_all(root: Element, selector: str) -> list[Element]:
+    """Document-order matches among *descendants* of ``root`` (excl. root)."""
+    return compile_group(selector).select(root)
+
+
+def select_one(root: Element, selector: str) -> Optional[Element]:
+    """First document-order match among descendants of ``root``."""
+    return compile_group(selector).first(root)
 
 
 def select_group(root: Element, selectors) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urljoin, urlparse
 
-from ..dom.nodes import Element, Text
+from ..dom.nodes import Element, Text, contains, descendants
 from ..dom.parser import parse_html
 from ..dom.selectors import closest, compile_group, select_all, select_group, select_one
 from .md_serializer import serialize
@@ -278,15 +278,6 @@ def _is_likely_consent_or_interstitial(el: Element) -> bool:
     )
 
 
-def _is_attached(el: Element, root: Element) -> bool:
-    node: Optional[Element] = el
-    while node is not None:
-        if node is root:
-            return True
-        node = node.parent
-    return False
-
-
 def _link_text_length(el: Element, collapse: bool = False) -> int:
     # Reference counts every <a>'s text (link.closest("a") === link always
     # holds for well-formed trees — markdown-converter.ts:577-582).
@@ -324,7 +315,7 @@ def remove_high_link_density_elements(element: Element, threshold: float) -> Non
         "[role='navigation'], [role='menubar']",
     )
     for el in candidates:
-        if not _is_attached(el, element):
+        if not contains(element, el):
             continue
         if _is_within_protected_main_content(el):
             continue
@@ -367,7 +358,7 @@ def remove_content_subtree_boilerplate(content: Element) -> None:
 def remove_high_link_density_in_selected_content(content: Element) -> None:
     candidates = select_all(content, "div, section, nav, ul, ol, aside")
     for cand in candidates:
-        if cand is content or not _is_attached(cand, content):
+        if cand is content or not contains(content, cand):
             continue
         text = " ".join(cand.text_content.split())
         if len(text) < MIN_LINK_DENSITY_TEXT_LENGTH:
@@ -461,9 +452,8 @@ def find_semantic_main_content(root: Element) -> Optional[Element]:
     best_score = -1.0
     for el in select_all(root, "main, article, [role='main'], [role='article']"):
         text_len = len(el.text_content.strip())
-        # one walk counting all three tag families (was three select_all walks)
         heading_count = image_count = paragraph_count = 0
-        for d in el.iter_elements():
+        for d in descendants(el):
             t = d.tag
             if t in ("h1", "h2", "h3"):
                 heading_count += 1
@@ -548,9 +538,11 @@ def extract_forum_content_element(root: Element) -> Element:
             break
     if comments is not None:
         cloned = comments.clone()
+        # appended before the removal pass, so one index covers the
+        # whole container for this pass and the later content passes
+        container.append(cloned)
         for el in select_group(cloned, FORUM_OBVIOUS_NON_CONTENT_SELECTORS):
             el.remove()
-        container.append(cloned)
 
     if container.children:
         return container
@@ -595,7 +587,7 @@ def ensure_primary_heading(content: Element, provided_title: Optional[str]) -> N
         return
 
     if first_heading is not None:
-        first_heading.tag = "h1"
+        first_heading.rename("h1")
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +595,7 @@ def ensure_primary_heading(content: Element, provided_title: Optional[str]) -> N
 # ---------------------------------------------------------------------------
 
 def cleanup_content_dom(content: Element) -> None:
-    for el in [content, *content.iter_elements()]:
+    for el in [content, *descendants(content)]:
         drop = [k for k in el.attrs if _RE_FRAMEWORK_ATTR.match(k) or _RE_NG_ATTR.match(k)]
         for k in drop:
             del el.attrs[k]
@@ -680,8 +672,12 @@ def preprocess(html: str, base_url: Optional[str] = None) -> tuple[Element, str,
 
         remove_content_subtree_boilerplate(content)
         remove_high_link_density_in_selected_content(content)
-        ensure_primary_heading(content, best_title)
+        # the attribute scrub runs before the heading policy (the
+        # reference's order is the reverse): neither reads what the other
+        # writes, and the heading insert/rename is the only mutation that
+        # would invalidate the tree's element index
         cleanup_content_dom(content)
+        ensure_primary_heading(content, best_title)
         return content, best_title, is_forum
     except Exception:
         return parse_html(cleaned), "", False

@@ -144,11 +144,13 @@ class SerializedContentAssessment:
 
 def assess_html_render_need(html: str) -> HtmlRenderAssessment:
     """C4 — app-shell detector (render-detection.ts:86-128)."""
+    return _assess_html(html, strip_html_to_visible_text(html), _TITLE.search(html))
+
+
+def _assess_html(html: str, visible_text: str, title_match) -> HtmlRenderAssessment:
     html_length = len(html)
-    visible_text = strip_html_to_visible_text(html)
     visible_text_length = len(visible_text)
-    m = _TITLE.search(html)
-    title_length = len(_collapse(_entity_decode(m.group(1) if m else "")))
+    title_length = len(_collapse(_entity_decode(title_match.group(1) if title_match else "")))
     script_count = len(_SCRIPT_TAG.findall(html))
     heading_count = len(_HEADING.findall(html))
     has_main_like = _MAIN_LIKE.search(html) is not None
@@ -201,13 +203,24 @@ def assess_html_render_need(html: str) -> HtmlRenderAssessment:
 def is_soft_block_page(html: str) -> bool:
     """C5 — challenge/CAPTCHA/bot-gate detector (render-detection.ts:135-145)."""
     visible = strip_html_to_visible_text(html)
-    if len(visible) > 1500:
-        return False
-    m = _TITLE.search(html)
-    title = m.group(1) if m else ""
+    return len(visible) <= 1500 and _soft_block(html, _TITLE.search(html))
+
+
+def _soft_block(html: str, title_match) -> bool:
+    title = title_match.group(1) if title_match else ""
     if _SOFT_BLOCK_TITLE.search(title):
         return True
     return _SOFT_BLOCK_BODY.search(html) is not None
+
+
+def assess_html_route(html: str) -> tuple[HtmlRenderAssessment, bool]:
+    """C4 and C5 together, as routing needs them: ``(assess_html_render_need(html),
+    is_soft_block_page(html))`` from one visible-text strip and one title
+    search of the raw HTML."""
+    visible = strip_html_to_visible_text(html)
+    m = _TITLE.search(html)
+    soft_block = len(visible) <= 1500 and _soft_block(html, m)
+    return _assess_html(html, visible, m), soft_block
 
 
 def assess_serialized_content(content: str, content_type: str) -> SerializedContentAssessment:

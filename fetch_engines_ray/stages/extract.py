@@ -190,10 +190,13 @@ def route_document(
     full_html = "\n".join(s["text"] or "" for s in spans if s["kind"] == "html")
     has_js_shell = any(s["kind"] == "js_shell" for s in spans)
     has_pdf = any(s["kind"] == "pdf" for s in spans)
-    assessment = rd.assess_html_render_need(full_html) if full_html else None
-    soft_block = rd.is_soft_block_page(full_html) if full_html else False
-    render_needed = assessment.render_likely_needed if assessment else False
-    shell_score = assessment.render_likely_needed_score if assessment else 0
+    if full_html:
+        assessment, soft_block = rd.assess_html_route(full_html)
+        render_needed = assessment.render_likely_needed
+        shell_score = assessment.render_likely_needed_score
+    else:
+        soft_block = render_needed = False
+        shell_score = 0
     route = "warm" if (soft_block or render_needed or has_js_shell or has_pdf) else "fast"
     if force_route == "warm" or (url and any(_pattern_matches(p, url) for p in warm_url_patterns)):
         route = "warm"
@@ -544,16 +547,23 @@ def warm_extract_batch(batch: pa.Table, max_content_length: Optional[int] = None
     warm_part = batch.filter(warm_mask)
 
     rows = []
-    for r in warm_part.select(["doc_id", "raw_spans", "base_url", "archetype", "_pos"]).to_pylist():
-        # force_route="warm": the routing decision (incl. C10 /
-        # per-row overrides) was made upstream — re-deriving it here
-        # would silently demote pattern-forced docs back to "fast".
+    cols = ["doc_id", "raw_spans", "base_url", "archetype", "shell_score", "soft_block", "render_needed", "_pos"]
+    for r in warm_part.select(cols).to_pylist():
+        # the fast stage routed and sorted these spans; its decision
+        # (incl. C10 / per-row overrides) rides in the placeholder row —
+        # re-deriving it would rescan the raw HTML and could demote
+        # pattern-forced docs back to "fast"
+        spans = r["raw_spans"] or []
+        routed_rt = {
+            "route": "warm",
+            "shell_score": r["shell_score"],
+            "soft_block": r["soft_block"],
+            "render_needed": r["render_needed"],
+            "has_js_shell": any(s["kind"] == "js_shell" for s in spans),
+            "has_pdf": any(s["kind"] == "pdf" for s in spans),
+        }
         out = ex.extract_document(
-            r["doc_id"],
-            r["raw_spans"] or [],
-            r["base_url"],
-            r["archetype"] or "",
-            force_route="warm",
+            r["doc_id"], spans, r["base_url"], r["archetype"] or "", routed_rt=routed_rt
         )
         out["_pos"] = r["_pos"]
         rows.append(out)

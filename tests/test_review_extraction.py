@@ -71,6 +71,47 @@ def test_force_fast_on_warm_looking_doc_is_not_wiped_by_warm_stage():
     assert rows["normal"]["n_out_chars"] > 0
 
 
+def test_warm_stage_reuses_the_fast_stage_route(monkeypatch):
+    """Each doc is routed once: the warm stage extracts from the decision
+    carried in the placeholder row, and its rows equal a fresh
+    force_route='warm' extraction — for naturally warm docs, docs forced
+    by a force_route='warm' column (escalation) and C10 pattern-forced
+    docs."""
+    import fetch_engines_ray.stages.extract as sx
+    from fetch_engines_ray.corpus.generate import make_doc
+
+    docs = [make_doc(i, 5) for i in range(60)]
+    for i, d in enumerate(docs):
+        d["force_route"] = "warm" if i % 7 == 0 else None
+        d.pop("expected_route")
+    patterns = ("/1", "/2")  # base_urls end in /<idx>: forces idx 1, 2, 10-29
+    batch = pa.Table.from_pylist(docs)
+
+    calls = []
+    route = sx.route_document
+    monkeypatch.setattr(sx, "route_document", lambda *a, **k: calls.append(1) or route(*a, **k))
+    out = sx.warm_extract_batch(sx.extract_fast_batch(batch, warm_url_patterns=patterns)).to_pylist()
+    assert len(calls) == len(docs)
+
+    ex = sx.DocumentExtractor()
+    warm = [r for r in out if r["route"] == "warm"]
+    kinds = {"js_shell", "pdf", "forced", "pattern"}
+    seen = set()
+    for r, d in zip(out, docs):
+        if r["route"] != "warm":
+            continue
+        if d["force_route"] == "warm":
+            seen.add("forced")
+        if any(p in d["base_url"] for p in patterns):
+            seen.add("pattern")
+        seen |= {s["kind"] for s in d["spans"]} & kinds
+        want = ex.extract_document(
+            d["doc_id"], d["spans"], d["base_url"], d["archetype"], force_route="warm"
+        )
+        assert r == want
+    assert seen == kinds and len(warm) > 15
+
+
 # --------------------------------------------------- hydration escaping
 
 
