@@ -329,9 +329,7 @@ def _q_supplier_graph_pagerank(sf_dir: str) -> Any:
     edges = sup.map_batches(sup_edges, batch_format="pyarrow", batch_size=8192).union(
         nat.map_batches(nat_edges, batch_format="pyarrow", batch_size=8192)
     )
-    ranks = pagerank_distributed(
-        edges, damping=0.85, n_iters=4, tol=0.0, n_parts=8
-    ).to_pandas()
+    ranks = pagerank_distributed(edges, damping=0.85, n_iters=4, tol=0.0).to_pandas()
     ranks["rank_x1e9"] = np.floor(ranks["rank"] * 1e9 + 0.5).astype("int64")
     return ranks[["node", "rank_x1e9"]].sort_values("node").reset_index(drop=True)
 
@@ -1385,9 +1383,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # large_parts_by_brand)
         "c4_line_filters": _q_c4_line_filters,
         "doc_row_index": _q_doc_row_index,
-        # (the trivial supplier_count_by_nation broadcast-join slot was
+        # (the trivial supplier_count_by_nation left-attach slot was
         # retired for the oracled supplier_graph_pagerank under the
-        # 50-query cap; small-side join coverage remains via
+        # 50-query cap; broadcast-attach coverage remains via
         # revenue_by_orderpriority and the
         # rel.supplier_count_by_nation kernel stays pytest-covered)
         "supplier_graph_pagerank": _q_supplier_graph_pagerank,
@@ -1398,9 +1396,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # pytest-covered)
         "doc_encoding_quality": _q_doc_encoding_quality,
         # (the trivial large_parts_by_brand filter+agg slot was retired
-        # for the oracled customer_order_full_outer — the one Ray-native
-        # join type no gate query exercised; the rel kernel stays
-        # pytest-covered and filter+agg coverage remains broadly)
+        # for the oracled customer_order_full_outer — the full-outer
+        # attach, which always takes the partitioned exchange; the rel
+        # kernel stays pytest-covered and filter+agg coverage remains
+        # broadly)
         "customer_order_full_outer": _q_customer_order_full_outer,
         "distinct_users_by_event_type": rel.distinct_users_by_event_type,
         "line_dedup_corpus": _q_line_dedup_corpus,

@@ -6,6 +6,10 @@ on a bucket key whose fan-in is tiny (bucket members), never an
 all-pairs shuffle.  Candidate verification happens inside the bucket
 group (``map_groups``), so the only wide op moves (key, doc_id,
 signature) triples, not documents.
+
+The module also holds the engine's one key filter (:func:`keep_by_keys`)
+and its one join (:func:`attach`): both broadcast a lookup side of up to
+:data:`BROADCAST_BYTES` and partition a larger one.
 """
 
 from __future__ import annotations
@@ -296,7 +300,7 @@ def _band_rows(batch: pa.Table, num_bands: int) -> pa.Table:
     and deliberately do NOT carry the signature through the LSH shuffle
     — that would duplicate ~0.5 KB/doc x num_bands across the
     all-to-all exchange.  Signatures are re-attached to the (tiny)
-    candidate-pair set afterwards via hash join."""
+    candidate-pair set afterwards."""
     sigs = _decode_sigs(batch["minhash_sig"])  # (n_docs, num_perm) int64
     n = sigs.shape[0]
     bucket = _fold_band_keys(sigs, num_bands).reshape(-1)
@@ -621,52 +625,6 @@ def _consume_pairs(consume, cand: "ray.data.Dataset", empty: pd.DataFrame) -> pd
         raise
 
 
-def _partitioned_attach(
-    pairs: "ray.data.Dataset",
-    lookup: "ray.data.Dataset",
-    key_col: str,
-    carry: list[tuple[str, "pa.DataType"]],
-    value_col: str,
-    value_type: "pa.DataType",
-    out_col: str,
-    n_parts: int = 64,
-    how: str = "inner",
-    lookup_key: str = "doc_id",
-) -> "ray.data.Dataset":
-    """Attach ``lookup[value_col]`` as ``out_col`` onto the ``carry``
-    columns of ``pairs`` rows matching ``pairs[key_col] ==
-    lookup[lookup_key]`` (int64 keys) WITHOUT a Ray hash join
-    (``how="left"`` keeps unmatched pair rows with a null value).
-
-    Ray's hash-join aggregator dies on partitions that receive no block
-    from one side — guaranteed when the pair side is sparse (few pairs,
-    or one hot doc owning every pair), the NORMAL case for near-dup
-    verification.  Instead both sides co-locate through
-    :func:`~fetch_engines_ray.ops.exchange.co_group` and each part runs
-    one Arrow hash join, so full-range int64 ids never pass through a
-    float64 column.  Exchange volume is the same as the hash join's
-    (lookup rows cross once)."""
-    out_schema = pa.schema(list(carry) + [(out_col, value_type)])
-
-    def attach_part(prs: pa.Table, look: pa.Table) -> pa.Table:
-        if prs.num_rows == 0 or (look.num_rows == 0 and how == "inner"):
-            return out_schema.empty_table()
-        left = pa.table(
-            {"__key": prs[key_col].cast(pa.int64()), **{c: prs[c].cast(t) for c, t in carry}}
-        )
-        right = (
-            pa.table({"__key": pa.array([], pa.int64()), out_col: pa.array([], value_type)})
-            if look.num_rows == 0
-            else pa.table(
-                {"__key": look[lookup_key].cast(pa.int64()), out_col: look[value_col].cast(value_type)}
-            )
-        )
-        joined = left.join(right, "__key", join_type="inner" if how == "inner" else "left outer")
-        return joined.select(out_schema.names)
-
-    return co_group([(pairs, key_col), (lookup, lookup_key)], n_parts, attach_part)
-
-
 def filter_by_keys(
     ds: "ray.data.Dataset",
     keys: "ray.data.Dataset",
@@ -674,7 +632,6 @@ def filter_by_keys(
     keep_matches: bool,
     n_parts: int = 64,
     keys_col: "str | None" = None,
-    batch_size: int = 1024,
 ) -> "ray.data.Dataset":
     """Partitioned semi-join (``keep_matches=True``) / anti-join
     (``False``) filter: keep ``ds`` rows whose ``key_col`` value is /
@@ -688,8 +645,7 @@ def filter_by_keys(
     keep their own Arrow schema (``spans``' ``list<struct>`` rides
     through untouched) and each part resolves with one vectorized
     ``pc.is_in``.  A null key matches nothing: semi drops the row, anti
-    keeps it.  ``batch_size`` has no effect (the exchange batches its
-    own input); it stays so existing callers keep working."""
+    keeps it."""
     import pyarrow.compute as pc
 
     keys_col = keys_col or key_col
@@ -705,9 +661,11 @@ def filter_by_keys(
     return co_group([(ds, key_col), (keys, keys_col)], n_parts, filter_part)
 
 
-# Key sides up to this many keys broadcast into every filter task;
-# larger ones take the partitioned filter_by_keys path.
-BROADCAST_KEY_LIMIT = 2_000_000
+# The one broadcast threshold: a materialized lookup side (a key
+# filter's key column, an attach's right side) up to this many bytes
+# goes to every task once; a larger one takes the partitioned exchange.
+# A 2M-row ``doc{idx:010d}`` id column measures 34,000,000 bytes.
+BROADCAST_BYTES = 64 << 20
 
 # Broadcast key sets as hashed pandas Indexes, built once per worker
 # process and kept for the next batches and tasks: pc.is_in rebuilds its
@@ -740,6 +698,14 @@ def n_parts_for(n_rows: int) -> int:
     return max(2, 1 + n_rows // 200_000)
 
 
+def _exchange_parts(side: "ray.data.Dataset") -> int:
+    """Part count for the partitioned path of :func:`keep_by_keys` and
+    :func:`attach`, from the row count of their materialized lookup
+    side: :func:`n_parts_for`, never fewer than 64 (each part holds its
+    whole share of the other side, which only partitions at scale)."""
+    return max(64, n_parts_for(side.count()))
+
+
 def keep_by_keys(
     ds: "ray.data.Dataset",
     keys: "ray.data.Dataset",
@@ -753,16 +719,16 @@ def keep_by_keys(
 
     The key side executes once, as its narrow key column (a
     materialized Dataset holding just that column is used as it is).
-    Its measured row count picks the path: up to
-    :data:`BROADCAST_KEY_LIMIT` keys the distinct non-null keys go to
-    the object store once, each worker hashes them once into a pandas
-    Index, and every ``ds`` batch runs one vectorized lookup whose cost
-    does not grow with the key count; above it the materialized key
-    column feeds the partitioned :func:`filter_by_keys` (at least 64
-    parts), so no corpus-sized key set reaches the driver.  Both paths give the same rows: a null key on either
-    side matches nothing, so semi drops null-key rows and anti keeps
-    them.  An empty key side, with or without a schema, keeps nothing
-    (semi) or everything (anti)."""
+    Its measured size picks the path: up to :data:`BROADCAST_BYTES` the
+    distinct non-null keys go to the object store once, each worker
+    hashes them once into a pandas Index, and every ``ds`` batch runs
+    one vectorized lookup whose cost does not grow with the key count;
+    above it the materialized key column feeds the partitioned
+    :func:`filter_by_keys` (:func:`_exchange_parts` parts), so no
+    corpus-sized key set reaches the driver.  Both paths give the same
+    rows: a null key on either side matches nothing, so semi drops
+    null-key rows and anti keeps them.  An empty key side, with or
+    without a schema, keeps nothing (semi) or everything (anti)."""
     import pyarrow.compute as pc
 
     from ray.data.dataset import MaterializedDataset
@@ -771,20 +737,16 @@ def keep_by_keys(
     key_side = keys
     if not (isinstance(keys, MaterializedDataset) and keys.columns() == [keys_col]):
         key_side = keys.select_columns([keys_col]).materialize()
-    n_keys = key_side.count()
-    if n_keys > BROADCAST_KEY_LIMIT:
+    if (key_side.size_bytes() or 0) > BROADCAST_BYTES:
         return filter_by_keys(
             ds,
             key_side,
             key_col,
             keep_matches=keep,
-            # never fewer parts than the former fixed 64: each part holds
-            # its whole share of the DATA side, which only runs here at
-            # corpus scale and has not been measured above the limit
-            n_parts=max(64, n_parts_for(n_keys)),
+            n_parts=_exchange_parts(key_side),
             keys_col=keys_col,
         )
-    if n_keys == 0 and not keep:
+    if not keep and key_side.count() == 0:
         return ds
     values = [t[keys_col] for t in ray.get(key_side.to_arrow_refs()) if t.num_rows]
     value_set = (
@@ -814,6 +776,94 @@ def keep_by_keys(
     return ds.map_batches(filter_batch, batch_format="pyarrow", batch_size=1024)
 
 
+_JOIN_TYPES = {"inner": "inner", "left": "left outer", "full": "full outer"}
+
+
+def _join_tables(
+    left: pa.Table, right: pa.Table, on: str, right_on: str, how: str
+) -> pa.Table:
+    """One Arrow join of a ``left`` table with a ``right`` lookup table
+    on ``left[on] == right[right_on]``, the right key cast to the left
+    key's type and coalesced into ``on``.  A table with no columns is a
+    side with no rows and no schema."""
+    if right.num_columns == 0:
+        return left.slice(0, 0) if how == "inner" else left
+    clash = set(left.column_names) & (set(right.column_names) - {right_on})
+    if clash:
+        raise ValueError(f"attach: both sides carry columns {sorted(clash)}")
+    right = right.rename_columns([on if c == right_on else c for c in right.column_names])
+    if left.num_columns == 0:
+        return right if how == "full" else left
+    key_type = left.schema.field(on).type
+    if right.schema.field(on).type != key_type:
+        right = right.set_column(
+            right.schema.get_field_index(on), on, right[on].cast(key_type)
+        )
+    return left.join(right, on, join_type=_JOIN_TYPES[how], coalesce_keys=True)
+
+
+def attach(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset",
+    on: str,
+    right_on: "str | None" = None,
+    how: str = "inner",
+) -> "ray.data.Dataset":
+    """Join ``right``'s columns onto the ``left`` rows whose ``on`` value
+    equals ``right[right_on]`` — the engine's one join.
+
+    ``how`` is ``"inner"``, ``"left"`` (unmatched left rows keep null
+    right columns) or ``"full"`` (unmatched rows of both sides).  The
+    output carries the left columns, the key under the name ``on`` (a
+    full join's key is the coalesced key of both sides) and the right
+    non-key columns, which must not share a name with a left column.  A
+    null key matches nothing.  The right key is cast to the left key's
+    type.  An empty right side, with or without a schema, gives no rows
+    (inner) or the left rows unchanged (left).
+
+    The right side executes once (a materialized Dataset is used as it
+    is), and its measured size picks the path, as in
+    :func:`keep_by_keys`: up to :data:`BROADCAST_BYTES` it goes to the
+    object store once as one Arrow table and every ``left`` batch runs
+    one Arrow join against it; above it, and always for ``"full"``
+    (whose preserved right side cannot be broadcast), both sides
+    co-locate through :func:`~fetch_engines_ray.ops.exchange.co_group`
+    in :func:`_exchange_parts` parts, one Arrow join per part.  Neither
+    path uses Ray's hash join, whose aggregator dies on a partition
+    that receives no block from a sparse side."""
+    from ray.data.dataset import MaterializedDataset
+
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"attach: how must be one of {sorted(_JOIN_TYPES)}, got {how!r}")
+    right_on = right_on or on
+    if not isinstance(right, MaterializedDataset):
+        right = right.materialize()
+
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return _join_tables(lt, rt, on, right_on, how)
+
+    if how == "full" or (right.size_bytes() or 0) > BROADCAST_BYTES:
+        # a fresh Dataset over the same blocks: Ray walks a result's
+        # stats through every materialized ancestor without merging
+        # shared ones, and iterative callers (PageRank, label
+        # propagation) reach the previous round along two paths, so
+        # each round would double that walk
+        right = ray.data.from_arrow_refs(right.to_arrow_refs())
+        return co_group([(left, on), (right, right_on)], _exchange_parts(right), join)
+    tables = [t for t in ray.get(right.to_arrow_refs()) if t.num_columns]
+    small = (
+        pa.concat_tables(tables, promote_options="permissive").combine_chunks()
+        if tables
+        else pa.table({})
+    )
+    small_ref = ray.put(small)
+
+    def join_batch(batch: pa.Table) -> pa.Table:
+        return join(batch, ray.get(small_ref))
+
+    return left.map_batches(join_batch, batch_format="pyarrow", batch_size=65536)
+
+
 def _verify_minhash_pairs(
     cand: "ray.data.Dataset",
     sigs: "ray.data.Dataset",
@@ -831,9 +881,9 @@ def _verify_minhash_pairs(
     (0.5 KB x 2 x pairs).  Estimation is one vectorized numpy
     comparison.  This replaced two re-attach hash joins: Ray's join
     aggregator dies on sparse candidate sides (schema-less empty
-    partitions — see :func:`_partitioned_attach`), and join/groupby
-    aggregator fixed costs made verification SLOWER at higher CPU
-    counts at bench scale."""
+    partitions — see :mod:`~fetch_engines_ray.ops.exchange`), and
+    join/groupby aggregator fixed costs made verification SLOWER at
+    higher CPU counts at bench scale."""
     import pyarrow.compute as pc
 
     empty = pd.DataFrame(columns=["doc_a", "doc_b", "est_jaccard"])
@@ -1103,10 +1153,10 @@ def ngram_jaccard_pairs(
     """Near-dup pairs verified by EXACT word n-gram Jaccard.
 
     Same LSH candidate generation as :func:`minhash_lsh_pairs`, but the
-    verification joins the candidate ids back to the raw TEXTS (hash
-    join) and computes the true n-gram Jaccard — the estimator-free
-    variant for when candidate volume is small enough to afford exact
-    verification.  Returns (doc_a, doc_b, jaccard_x1000) with an
+    verification attaches the raw TEXTS to the candidate ids (two
+    :func:`attach` calls) and computes the true n-gram Jaccard — the
+    estimator-free variant for when candidate volume is small enough to
+    afford exact verification.  Returns (doc_a, doc_b, jaccard_x1000) with an
     integer-scaled score (hash-stable).
     """
     sigs, ckpt = _checkpoint_parquet(
@@ -1146,30 +1196,12 @@ def _ngram_pairs_from_sigs(
     )
     texts = ds.map_batches(
         lambda b: b.select(["doc_id", "text"]), batch_format="pyarrow", batch_size=4096
+    ).materialize()
+    left = attach(cand, texts, "doc_a", "doc_id").map_batches(
+        lambda b: b.rename_columns(["text_a" if c == "text" else c for c in b.column_names]),
+        batch_format="pyarrow",
     )
-    # partitioned attach, not hash joins: the sparse candidate side
-    # leaves join partitions block-less (see _partitioned_attach)
-    attach_parts = max(64, n_parts * 8)
-    left = _partitioned_attach(
-        cand,
-        texts,
-        key_col="doc_a",
-        carry=[("doc_a", pa.int64()), ("doc_b", pa.int64())],
-        value_col="text",
-        value_type=pa.string(),
-        out_col="text",
-        n_parts=attach_parts,
-    )
-    both = _partitioned_attach(
-        left,
-        texts,
-        key_col="doc_b",
-        carry=[("doc_a", pa.int64()), ("doc_b", pa.int64()), ("text", pa.string())],
-        value_col="text",
-        value_type=pa.string(),
-        out_col="text_b",
-        n_parts=attach_parts,
-    )
+    both = attach(left, texts, "doc_b", "doc_id")
 
     def verify(batch: pa.Table) -> pa.Table:
         # integer-exact score: jaccard_x1000 = (1000 * |intersect|) //
@@ -1177,9 +1209,9 @@ def _ngram_pairs_from_sigs(
         # the value representation can never drift (a float round() had
         # half-boundary parity risk vs SQL)
         rows = []
-        for r in batch.select(["doc_a", "doc_b", "text", "text_b"]).to_pylist():
-            ga = _ngram_set(r["text"] or "", shingle_size)
-            gb = _ngram_set(r["text_b"] or "", shingle_size)
+        for r in batch.select(["doc_a", "doc_b", "text_a", "text"]).to_pylist():
+            ga = _ngram_set(r["text_a"] or "", shingle_size)
+            gb = _ngram_set(r["text"] or "", shingle_size)
             inter = len(ga & gb)
             union = len(ga | gb) or 1
             if inter >= threshold * union:
@@ -1256,10 +1288,10 @@ def dedup_clusters_distributed(
     contract: ``(doc_id, cluster_rep, is_kept)``, min doc_id is the
     representative, so both paths produce identical tables).
 
-    Each iteration is one hash join (symmetrized edges x labels) plus a
-    min-groupby; nothing corpus-sized ever reaches the driver — the only
-    driver-side value per iteration is the int64 label checksum used for
-    the convergence test.  Iteration count is bounded by the cluster
+    Each iteration is one :func:`attach` (symmetrized edges x labels)
+    plus a min-groupby; nothing corpus-sized ever reaches the driver —
+    the only driver-side value per iteration is the int64 label
+    checksum used for the convergence test.  Iteration count is bounded by the cluster
     diameter (near-dup clusters are shallow; ``max_iters`` is a guard).
 
     The label table (one row per doc appearing in a PAIR — tiny relative
@@ -1276,8 +1308,6 @@ def dedup_clusters_distributed(
     edges = pairs.map_batches(
         symmetrize, batch_format="pyarrow", batch_size=65536
     ).materialize()
-    n_edges = edges.count()
-    n_parts = n_parts_for(n_edges)
     # initial labels: every node labels itself
     labels = (
         edges.map_batches(
@@ -1293,13 +1323,7 @@ def dedup_clusters_distributed(
     converged = False
     for _ in range(max_iters):
         # neighbor labels: edge (src, dst) joined with label(dst)
-        nbr = edges.join(
-            labels,
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("dst",),
-            right_on=("doc_id",),
-        ).map_batches(
+        nbr = attach(edges, labels, "dst", "doc_id").map_batches(
             lambda b: pa.table({"doc_id": b["src"], "label": b["label"]}),
             batch_format="pyarrow",
             batch_size=65536,

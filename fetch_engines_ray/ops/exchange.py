@@ -5,7 +5,7 @@ side (its aggregator synthesizes a schema-less empty table and fails
 with ``ArrowInvalid: No match for FieldRef``), which is the normal case
 for a sparse side: few candidate pairs, a small increment, a hot key.
 Every partitioned operator in ``ops/`` therefore co-locates its sides
-here instead:
+here instead, the engine's one join (``ops/dedup.attach``) included:
 
 - :func:`part_of` is the one routing rule from a key column to a part.
 - :func:`co_group` hash-partitions one or more sides on their keys,

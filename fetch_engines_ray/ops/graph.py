@@ -20,7 +20,7 @@ posture as ``ops/clustering.kmeans_fit``):
   (scalars).  The rank table is the only driver-resident state —
   ``O(nodes)``; :func:`pagerank_distributed` is the handoff for graphs
   whose node set outgrows the driver (ranks live as a Dataset, each
-  iteration is a partitioned attach + groupby-sum, driver state is
+  iteration is an ``ops/dedup.attach`` + groupby-sum, driver state is
   three scalars).
 
 Determinism: ranks are float64; per-iteration sums run through Ray's
@@ -134,7 +134,6 @@ def pagerank_distributed(
     damping: float = 0.85,
     n_iters: int = 20,
     tol: float = 1e-9,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """PageRank with the rank table as a DATASET — the documented
     handoff for graphs whose node set outgrows the driver (a 100-TB
@@ -144,13 +143,13 @@ def pagerank_distributed(
     Shape per iteration (the ``dedup_clusters_distributed`` posture —
     ops/dedup.py — applied to power iteration):
 
-    - per-edge contributions: ``edges ⋈ ranks`` on ``src`` via
-      ``_partitioned_attach``, one Arrow join per part of the
-      ``ops/exchange.co_group`` exchange (Ray's hash join dies on
+    - per-edge contributions: ``edges ⋈ ranks`` on ``src`` through
+      ``ops/dedup.attach``, which broadcasts a small rank table and
+      partitions a large one (never Ray's hash join, which dies on
       partitions that receive zero blocks from one side — guaranteed
       here, because dangling nodes hold rank rows but never appear as
-      ``src``), then
-      per-batch pre-aggregation by ``dst`` and ONE ``groupby(dst).sum``;
+      ``src``), then per-batch pre-aggregation by ``dst`` and ONE
+      ``groupby(dst).sum``;
     - new ranks: contributions left-attached back onto the node table
       the same way; teleport + dangling mass folded in per batch;
     - driver-side state per iteration is three SCALARS (node count,
@@ -162,7 +161,7 @@ def pagerank_distributed(
     """
     from ray.data.aggregate import Count, Sum
 
-    from fetch_engines_ray.ops.dedup import _partitioned_attach
+    from fetch_engines_ray.ops.dedup import attach
 
     nodes = (
         edges.map_batches(_node_batch_unique, batch_format="pyarrow", batch_size=8192)
@@ -179,18 +178,7 @@ def pagerank_distributed(
         )
 
     deg = edges.groupby("src").aggregate(Count(alias_name="deg"))
-    with_deg = _partitioned_attach(
-        nodes,
-        deg,
-        key_col="node",
-        carry=[("node", pa.int64())],
-        value_col="deg",
-        value_type=pa.int64(),
-        out_col="deg",
-        n_parts=n_parts,
-        how="left",
-        lookup_key="src",
-    )
+    with_deg = attach(nodes, deg, "node", "src", how="left")
 
     def init_rank(batch: pd.DataFrame) -> pa.Table:
         # left-attach null-pads deg (pandas float64) — counts are small,
@@ -220,7 +208,7 @@ def pagerank_distributed(
     def preagg_dst(batch: pd.DataFrame) -> pa.Table:
         d_u, inv = np.unique(batch["dst"].to_numpy(), return_inverse=True)
         acc = np.zeros(len(d_u))
-        np.add.at(acc, inv, batch["c"].to_numpy())
+        np.add.at(acc, inv, batch["cpe"].to_numpy())
         return pa.table(
             {
                 "dst": pa.array(d_u.astype("int64"), type=pa.int64()),
@@ -230,35 +218,15 @@ def pagerank_distributed(
 
     for _ in range(n_iters):
         dangling = ranks.filter(expr="deg == 0").sum("rank") or 0.0
-        attached = _partitioned_attach(
-            edges,
-            ranks.map_batches(to_contrib, batch_format="pyarrow"),
-            key_col="src",
-            carry=[("dst", pa.int64())],
-            value_col="cpe",
-            value_type=pa.float64(),
-            out_col="c",
-            n_parts=n_parts,
-            how="inner",
-            lookup_key="node",
+        attached = attach(
+            edges, ranks.map_batches(to_contrib, batch_format="pyarrow"), "src", "node"
         )
         sums = (
             attached.map_batches(preagg_dst, batch_format="pandas")
             .groupby("dst")
             .aggregate(Sum("c", alias_name="c"))
         )
-        joined = _partitioned_attach(
-            ranks,
-            sums,
-            key_col="node",
-            carry=[("node", pa.int64()), ("deg", pa.int64()), ("rank", pa.float64())],
-            value_col="c",
-            value_type=pa.float64(),
-            out_col="c",
-            n_parts=n_parts,
-            how="left",
-            lookup_key="dst",
-        )
+        joined = attach(ranks, sums, "node", "dst", how="left")
 
         def step(batch: pd.DataFrame, dang=dangling) -> pa.Table:
             old = batch["rank"].to_numpy()

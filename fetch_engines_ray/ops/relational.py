@@ -6,9 +6,10 @@ distinct / filter) the Ray-Data-first way:
 * aggregations pre-combine inside ``map_batches`` only when needed —
   Ray Data's ``groupby().aggregate()`` already does partial aggregation
   per block before the shuffle;
-* small-side joins are **broadcast joins**: the small table is read
-  once, put in the object store (``ray.put``), and looked up inside
-  ``map_batches`` — no all-to-all shuffle;
+* joins go through ``ops/dedup.attach``: a small right side is read
+  once, put in the object store (``ray.put``) and joined onto every
+  ``map_batches`` batch — no all-to-all shuffle — and a large one
+  co-locates with the left side through the engine's one exchange;
 * sorts that feed a ``limit(k)`` keep only per-block top-k first.
 
 Every function returns columns named to match its DuckDB oracle SQL in
@@ -22,10 +23,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
 from fetch_engines_ray.arrowclean import read_parquet_clean
+from fetch_engines_ray.ops.dedup import attach
 from ray.data.aggregate import Count, Mean, Sum
 
 
@@ -135,66 +136,15 @@ def events_value_by_type(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# Broadcast joins
+# Joins (ops/dedup.attach: broadcast a small side, partition a large one)
 # ---------------------------------------------------------------------------
 
-# Above this many build-side rows a broadcast map stops being "small"
-# (every task holds the whole table) and a distributed hash join wins.
-BROADCAST_JOIN_MAX_ROWS = 5_000_000
-
-
-def _broadcast_attach(lookup_df: pd.DataFrame, key_col: str, val_col: str):
-    """Vectorized broadcast-join attach: the small side is put in the
-    object store ONCE as a (keys, values) Arrow pair; every batch does
-    ``pc.index_in`` + ``take`` — no per-row dict lookups."""
-    keys = pa.array(lookup_df[key_col])
-    vals = pa.array(lookup_df[val_col])
-    ref = ray.put((keys, vals))
-
-    def attach(batch: pa.Table, batch_key: str, out_name: str, default=None) -> pa.Table:
-        k, v = ray.get(ref)
-        idx = pc.index_in(batch[batch_key], value_set=k)
-        got = pc.take(v, idx)
-        if default is not None:
-            got = pc.fill_null(got, default)
-        return batch.append_column(out_name, got)
-
-    return attach
-
-
 def customer_revenue_by_segment(sf_dir: str) -> pd.DataFrame:
-    """orders ⋈ customer → revenue by market segment.
-
-    Joins by broadcast (``index_in`` + ``take`` per batch) while the
-    customer table is broadcast-small; above
-    ``BROADCAST_JOIN_MAX_ROWS`` it switches to a distributed hash join
-    — at 100x scale the customer map itself is GBs and must shuffle,
-    not ship with every task."""
-    cust_ds = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+    """orders ⋈ customer → revenue by market segment (INNER, like the
+    SQL oracle: an order with no customer row drops)."""
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    n_cust = cust_ds.count()  # metadata-only on a parquet read
-    if n_cust > BROADCAST_JOIN_MAX_ROWS:
-        n_parts = max(2, min(64, n_cust // 1_000_000))
-        joined = orders.join(
-            cust_ds,
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-    else:
-        attach = _broadcast_attach(cust_ds.to_pandas(), "c_custkey", "c_mktsegment")
-
-        def attach_segment(batch: pa.Table) -> pa.Table:
-            # INNER semantics, matching the >threshold hash-join path
-            # and the SQL oracle: an order with no customer row DROPS
-            # (the old default="" kept it under a phantom "" segment, so
-            # the same input returned a different group set depending on
-            # which side of the planner threshold it landed)
-            out = attach(batch, "o_custkey", "c_mktsegment")
-            return out.filter(pc.is_valid(out["c_mktsegment"]))
-
-        joined = orders.map_batches(attach_segment, batch_format="pyarrow", batch_size=65536)
+    joined = attach(orders, cust, "o_custkey", "c_custkey")
     joined = _add_int_scaled(joined, "o_totalprice", "cents")
     out = (
         joined.groupby("c_mktsegment")
@@ -233,16 +183,15 @@ def high_value_open_orders(sf_dir: str) -> pd.DataFrame:
 
 
 def supplier_count_by_nation(sf_dir: str) -> pd.DataFrame:
-    """Broadcast join supplier↔nation (nation is tiny: ray.put once,
-    ``index_in`` + ``take`` per batch), then grouped count + balance sum."""
-    nation = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
-    attach = _broadcast_attach(nation, "n_nationkey", "n_name")
-
-    def attach_name(batch: pa.Table) -> pa.Table:
-        return attach(batch, "s_nationkey", "n_name")
-
-    ds = _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"]).map_batches(
-        attach_name, batch_format="pyarrow", batch_size=8192
+    """supplier LEFT JOIN nation, then grouped count + balance sum per
+    nation name (a supplier with no nation row counts under a null
+    name)."""
+    ds = attach(
+        _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"]),
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]),
+        "s_nationkey",
+        "n_nationkey",
+        how="left",
     )
     ds = _add_int_scaled(ds, "s_acctbal", "cents")
     out = (
@@ -313,10 +262,9 @@ def distinct_users_by_event_type(sf_dir: str) -> pd.DataFrame:
 
 
 def revenue_by_orderpriority(sf_dir: str) -> pd.DataFrame:
-    """Large-side distributed HASH JOIN (lineitem ⋈ orders on orderkey)
-    — the one relational query here where neither side is broadcast-
-    small, so it exercises Ray Data's hash-shuffle join; the grouped
-    rollup then runs on the joined stream."""
+    """lineitem ⋈ orders on orderkey, then a grouped rollup on the
+    joined stream.  ``attach`` broadcasts the orders side while it is
+    small and partitions both sides once it is not."""
     lineitem = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def revenue(batch: pa.Table) -> pa.Table:
@@ -330,27 +278,7 @@ def revenue_by_orderpriority(sf_dir: str) -> pd.DataFrame:
 
     lineitem = lineitem.map_batches(revenue, batch_format="pyarrow", batch_size=8192)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    # cost-based strategy (ops/joinplan.py) with filesystem-metadata
-    # size hints (zero execution): at bench scale the orders side is
-    # broadcast-small (zero-shuffle Arrow join per batch), at 100 TB
-    # the planner flips to the hash-shuffle join with partition count
-    # scaled to input bytes — every join partition spins up a shuffle
-    # aggregator actor, a multi-second fixed cost that dwarfs small
-    # inputs.
-    from fetch_engines_ray.ops.joinplan import auto_join, parquet_size_hint
-
-    li_bytes = parquet_size_hint(f"{sf_dir}/lineitem.parquet")
-    o_bytes = parquet_size_hint(f"{sf_dir}/orders.parquet")
-    n_parts = max(2, min(16, li_bytes // (128 << 20) + 1))
-    joined = auto_join(
-        lineitem,
-        orders,
-        on="l_orderkey",
-        right_on="o_orderkey",
-        left_bytes=li_bytes,
-        right_bytes=o_bytes,
-        num_partitions=n_parts,
-    )
+    joined = attach(lineitem, orders, "l_orderkey", "o_orderkey")
     out = (
         joined.groupby("o_orderpriority")
         .aggregate(Count(alias_name="n_items"), Sum("rev_i", alias_name="rev_i"))
@@ -609,10 +537,10 @@ def customer_order_full_outer(
     sf_dir: str,
     min_acctbal: float = 7000.0,
     min_total: float = 400000.0,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
-    """Distributed FULL OUTER join: high-balance customers vs
-    per-customer counts of high-value orders.  Both sides keep
+    """Distributed FULL OUTER join (``attach(how="full")``):
+    high-balance customers vs per-customer counts of high-value
+    orders.  Both sides keep
     unmatched rows — customers with no qualifying order carry
     ``n_orders`` 0, qualifying orders whose customer misses the balance
     cut carry ``c_acctbal_cents`` -1 — so the result is the union of
@@ -644,18 +572,10 @@ def customer_order_full_outer(
         .groupby("o_custkey")
         .aggregate(Count(alias_name="n_orders"))
     )
-    out = left.join(
-        per_cust,
-        join_type="full_outer",
-        num_partitions=num_partitions,
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    ).to_pandas()
-    # surviving key = customer key where present, else the order side's
-    key = out["c_custkey"].where(out["c_custkey"].notna(), out.get("o_custkey"))
+    out = attach(left, per_cust, "c_custkey", "o_custkey", how="full").to_pandas()
     res = pd.DataFrame(
         {
-            "custkey": key.astype("int64"),
+            "custkey": out["c_custkey"].astype("int64"),
             "c_acctbal_cents": out["c_acctbal_cents"].fillna(-1).astype("int64"),
             "n_orders": out["n_orders"].fillna(0).astype("int64"),
         }

@@ -142,7 +142,8 @@ def curate_corpus(
     distributed label propagation) so nothing pair- or cluster-sized
     rides the driver — the re-crawl/clone-heavy handoff; ``"auto"``
     (default) routes to semi_join UP FRONT when the exact-dup mass
-    exceeds ``ops.dedup.BROADCAST_KEY_LIMIT`` or the exact-clone pair
+    (times the mean winner-id bytes) exceeds
+    ``ops.dedup.BROADCAST_BYTES`` or the exact-clone pair
     mass exceeds ``clone_pair_limit`` (both read from the spilled
     exact-group table's metadata — the 500k-doc clone stress measured
     14x by skipping the driver LSH), else broadcasts.  Every key filter
@@ -328,7 +329,7 @@ def curate_corpus(
         # 1. exact dedup winners — a corpus-sized key set, semi-filtered
         #    through keep_by_keys (partitioned above its broadcast limit)
         _mark("size_count")
-        from ..ops.dedup import BROADCAST_KEY_LIMIT, _checkpoint_parquet, keep_by_keys
+        from ..ops.dedup import BROADCAST_BYTES, _checkpoint_parquet, keep_by_keys
 
         effective_strategy = drop_strategy
         if drop_strategy == "auto":
@@ -360,14 +361,16 @@ def curate_corpus(
             # quadratic candidate expansion inside identical-text
             # buckets — vs 8 s via the winner-contracted semi_join):
             # route to semi_join UP FRONT when either
-            #  * the exact-dup mass alone already exceeds the broadcast
-            #    limit (the eventual drop set provably will too), or
+            #  * the exact-dup mass alone, at the mean winner-id width,
+            #    already exceeds the broadcast bytes (the eventual drop
+            #    set provably will too), or
             #  * the exact-clone pair mass Σ n·(n−1)/2 exceeds
             #    clone_pair_limit (the candidate floor the full-corpus
             #    LSH would have to expand and land on the driver).
-            # n_winners comes from the spill's parquet footers directly
-            # (metadata only — Dataset.count() on a read+strip plan
-            # would execute a full pass); the pair-mass aggregate runs
+            # n_winners and the id bytes come from the spill's parquet
+            # footers directly (metadata only — Dataset.count() on a
+            # read+strip plan would execute a full pass); the pair-mass
+            # aggregate runs
             # ONLY when the worst-case bound D·(D+1)/2 over the
             # exact-dup mass D can even exceed the limit, so healthy
             # corpora pay zero extra passes.
@@ -375,14 +378,22 @@ def curate_corpus(
 
             import pyarrow.parquet as _pq
 
-            n_winners = sum(
-                _pq.ParquetFile(f).metadata.num_rows
+            footers = [
+                _pq.ParquetFile(f).metadata
                 for f in _glob.glob(
                     _os.path.join(_groups_ckpt, "**", "*.parquet"), recursive=True
                 )
+            ]
+            n_winners = sum(m.num_rows for m in footers)
+            id_bytes = sum(
+                rg.column(i).total_uncompressed_size
+                for m in footers
+                for rg in map(m.row_group, range(m.num_row_groups))
+                for i in range(rg.num_columns)
+                if rg.column(i).path_in_schema == "keep_doc_id"
             )
             exact_dup_mass = int(n_input) - int(n_winners)
-            route_semi = exact_dup_mass > BROADCAST_KEY_LIMIT
+            route_semi = exact_dup_mass * id_bytes > BROADCAST_BYTES * max(n_winners, 1)
             if (
                 not route_semi
                 and exact_dup_mass * (exact_dup_mass + 1) // 2 > clone_pair_limit

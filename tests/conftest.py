@@ -16,3 +16,19 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def both_join_paths(monkeypatch):
+    """Run a test body on both paths of ``ops/dedup``'s ``attach`` and
+    ``keep_by_keys``: ``for _ in both_join_paths(): ...`` runs it at the
+    default ``BROADCAST_BYTES`` (small test inputs broadcast), then at 0
+    (every non-empty lookup side takes the partitioned exchange)."""
+    from fetch_engines_ray.ops import dedup
+
+    def paths():
+        for limit in (dedup.BROADCAST_BYTES, 0):
+            monkeypatch.setattr(dedup, "BROADCAST_BYTES", limit)
+            yield limit
+
+    return paths

@@ -63,7 +63,7 @@ def test_drop_strategy_equivalence(ray_session):
         # limit 0 forces every key filter onto keep_by_keys' partitioned
         # path (and auto's clone guard to semi_join) on this tiny corpus
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dedup, "BROADCAST_KEY_LIMIT", limit)
+            mp.setattr(dedup, "BROADCAST_BYTES", limit)
             packed = curate_corpus(
                 ray.data.from_pandas(df).repartition(4),
                 max_tokens=128,
@@ -209,9 +209,9 @@ def test_filter_by_keys_null_int_keys(ray_session, tmp_path):
             f.write("run\n")
         return batch
 
-    for limit in (dedup.BROADCAST_KEY_LIMIT, 0):
+    for limit in (dedup.BROADCAST_BYTES, 0):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dedup, "BROADCAST_KEY_LIMIT", limit)
+            mp.setattr(dedup, "BROADCAST_BYTES", limit)
             for data_keys, key_values in cases:
                 data = ray.data.from_arrow(pa.table({"k": data_keys, "text": list("abcde")}))
                 keys = ray.data.from_arrow(pa.table({"key": key_values}))
@@ -247,10 +247,11 @@ def test_broadcast_key_lookup_built_once(ray_session):
     assert first.get_indexer(["b", "z"]).tolist() == [1, -1]
 
 
-def test_label_propagation_refuses_silent_truncation(ray_session):
+def test_label_propagation_refuses_silent_truncation(ray_session, both_join_paths):
     """A chain whose diameter exceeds max_iters must RAISE, not emit
     wrong cluster representatives (review finding: the output is
-    load-bearing for drop-strategy equality and the SQL oracle)."""
+    load-bearing for drop-strategy equality and the SQL oracle), with
+    the per-iteration attach broadcast and partitioned."""
     import pytest
 
     import ray.data
@@ -264,10 +265,12 @@ def test_label_propagation_refuses_silent_truncation(ray_session):
         }
     )
     pairs = ray.data.from_arrow(chain)
-    with pytest.raises(RuntimeError, match='did not converge.*drop_strategy="broadcast"'):
-        dedup_clusters_distributed(pairs, max_iters=3)
-    out = dedup_clusters_distributed(pairs, max_iters=30).to_pandas()
-    assert (out["cluster_rep"] == 0).all()
+    for limit in both_join_paths():
+        with pytest.raises(RuntimeError, match='did not converge.*drop_strategy="broadcast"'):
+            dedup_clusters_distributed(pairs, max_iters=3)
+        out = dedup_clusters_distributed(pairs, max_iters=30).to_pandas()
+        assert (out["cluster_rep"] == 0).all(), limit
+        assert sorted(out["doc_id"]) == list(range(13)), limit
 
 
 def test_auto_clone_guard_routes_semijoin(ray_session, monkeypatch):

@@ -1,7 +1,8 @@
 """The one hash-partitioned exchange (ops/exchange.py): routing by key
 value, one ``fn`` call per part, and each side's own Arrow schema in
-every call — plus a static pin that no other module hand-rolls the
-exchange."""
+every call; the one join built on it (ops/dedup.attach), checked on its
+broadcast and partitioned paths — plus static pins that no other module
+hand-rolls the exchange or calls Ray's ``Dataset.join``."""
 
 import ast
 import uuid
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,3 +195,142 @@ def _hand_rolled_exchanges() -> list[str]:
 def test_only_the_exchange_groups_by_part():
     """Every hash-partitioned exchange goes through ops/exchange.co_group."""
     assert _hand_rolled_exchanges() == []
+
+
+SF = "/root/testdata/sf0.001"
+
+
+def _rows(table: pa.Table, cols: list) -> list:
+    return sorted(
+        zip(*(table[c].to_pylist() for c in cols)),
+        key=lambda r: tuple((v is None, v) for v in r),
+    )
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "full"])
+def test_attach_matches_duckdb_on_both_paths(ray_session, both_join_paths, how):
+    """orders ⋈ customer at sf0.001, plus one order with no customer,
+    equals DuckDB's join; the right key is dropped (inner, left) or
+    coalesced (full) under the left name."""
+    import duckdb
+
+    import ray.data
+
+    from fetch_engines_ray.arrowclean import read_parquet_clean
+    from fetch_engines_ray.ops.dedup import attach
+
+    sql_how = {"inner": "JOIN", "left": "LEFT JOIN", "full": "FULL JOIN"}[how]
+    want = duckdb.connect().execute(
+        "SELECT COALESCE(o_custkey, c_custkey) AS o_custkey, o_orderkey, c_mktsegment"
+        f" FROM (SELECT o_custkey, o_orderkey FROM read_parquet('{SF}/orders.parquet')"
+        f" UNION ALL SELECT 99999999, -1) o {sql_how}"
+        f" read_parquet('{SF}/customer.parquet') c ON o_custkey = c_custkey"
+    ).arrow()
+    cols = ["o_custkey", "o_orderkey", "c_mktsegment"]
+    for limit in both_join_paths():
+        orders = read_parquet_clean(f"{SF}/orders.parquet", columns=["o_custkey", "o_orderkey"])
+        orphan = ray.data.from_items([{"o_custkey": 99999999, "o_orderkey": -1}])
+        cust = read_parquet_clean(f"{SF}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
+        got = _collect(attach(orders.union(orphan), cust, "o_custkey", "c_custkey", how=how))
+        assert sorted(got.column_names) == sorted(cols), limit
+        assert got.num_rows == want.num_rows, limit
+        assert _rows(got, cols) == _rows(want, cols), limit
+        assert ((99999999, -1, None) in _rows(got, cols)) == (how != "inner"), limit
+
+
+def test_attach_casts_the_right_key_to_the_left_key_type(ray_session, both_join_paths):
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import attach
+
+    for limit in both_join_paths():
+        for ltype, rtype in ((pa.int32(), pa.int64()), (pa.int64(), pa.int32())):
+            left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3], ltype), "a": ["x", "y", "z"]}))
+            right = ray.data.from_arrow(pa.table({"rk": pa.array([3, 1, 9], rtype), "b": ["R3", "R1", "R9"]}))
+            got = _collect(attach(left, right, "k", "rk"))
+            assert got.schema.field("k").type == ltype, limit
+            assert _rows(got, ["k", "a", "b"]) == [(1, "x", "R1"), (3, "z", "R3")], limit
+
+
+def test_attach_null_keys_match_nothing(ray_session, both_join_paths):
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import attach
+
+    left = pa.table({"k": pa.array([1, None, 2], pa.int64()), "a": ["x", "n", "y"]})
+    right = pa.table({"rk": pa.array([1, None], pa.int64()), "b": ["R1", "RN"]})
+    want = {
+        "inner": [(1, "x", "R1")],
+        "left": [(1, "x", "R1"), (2, "y", None), (None, "n", None)],
+        "full": [(1, "x", "R1"), (2, "y", None), (None, "n", None), (None, None, "RN")],
+    }
+    for limit in both_join_paths():
+        for how, rows in want.items():
+            got = _collect(
+                attach(ray.data.from_arrow(left), ray.data.from_arrow(right), "k", "rk", how=how)
+            )
+            assert _rows(got, ["k", "a", "b"]) == rows, (how, limit)
+
+
+def test_attach_empty_right_side(ray_session, both_join_paths):
+    """An empty right side, typed or schema-less, keeps no rows (inner)
+    or every left row (left), null-padded where its columns are known."""
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import attach
+
+    left = pa.table({"k": pa.array([1, 2], pa.int64()), "a": ["x", "y"]})
+    typed = pa.table({"k": pa.array([], pa.int64()), "b": pa.array([], pa.string())})
+    for limit in both_join_paths():
+        for right in (ray.data.from_arrow(typed), ray.data.from_items([])):
+            inner = attach(ray.data.from_arrow(left), right, "k").to_pandas()
+            assert len(inner) == 0, limit
+            kept = _collect(attach(ray.data.from_arrow(left), right, "k", how="left"))
+            assert _rows(kept, ["k", "a"]) == [(1, "x"), (2, "y")], limit
+            if "b" in kept.column_names:
+                assert kept["b"].null_count == 2, limit
+        kept = _collect(attach(ray.data.from_arrow(left), ray.data.from_arrow(typed), "k", how="left"))
+        assert kept.schema.field("b").type == pa.string(), limit
+
+
+def test_attach_rejects_bad_input(ray_session, both_join_paths):
+    import ray
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import attach
+
+    left = ray.data.from_arrow(pa.table({"k": [1], "a": ["x"]}))
+    with pytest.raises(ValueError, match="how must be one of"):
+        attach(left, left, "k", how="right")
+    clash = ray.data.from_arrow(pa.table({"k": [1], "a": ["dup"]}))
+    for _ in both_join_paths():
+        with pytest.raises(ray.exceptions.RayTaskError, match="both sides carry columns"):
+            attach(left, clash, "k").materialize()
+
+
+def _ray_joins() -> list[str]:
+    """``Dataset.join`` calls (an ``on=`` / ``right_on=`` /
+    ``num_partitions=`` keyword; ``pa.Table.join`` takes ``keys=``) and
+    imports of the deleted join planner under fetch_engines_ray/."""
+    found = []
+    for path in sorted((ROOT / "fetch_engines_ray").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join"
+                and {kw.arg for kw in node.keywords} & {"on", "right_on", "num_partitions"}
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and "joinplan" in f"{node.module or ''}.{'.'.join(a.name for a in node.names)}"
+            ) or (
+                isinstance(node, ast.Import) and any("joinplan" in a.name for a in node.names)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_no_ray_dataset_join_under_the_engine():
+    """Every join goes through ops/dedup.attach, so no sparse side can
+    reach Ray's hash-join aggregator."""
+    assert _ray_joins() == []

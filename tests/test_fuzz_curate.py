@@ -87,7 +87,7 @@ def test_curate_never_crashes_and_holds_invariants(ray_session, cfg):
         kwargs["corpus_line_dedup"] = True
     with pytest.MonkeyPatch.context() as mp:
         if cfg["seed"] % 2:
-            mp.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+            mp.setattr(dedup, "BROADCAST_BYTES", 0)
         packed = curate_corpus(ds, **kwargs).to_pandas()
     if packed.empty:
         return  # everything filtered: a legal outcome, not a crash

@@ -55,15 +55,15 @@ def test_pagerank_larger_random_graph_parity(ray_session):
     assert np.allclose(got["rank"], want["rank"], atol=1e-9)
 
 
-def test_pagerank_distributed_matches_broadcast(ray_session):
+def test_pagerank_distributed_matches_broadcast(ray_session, both_join_paths):
     """The join-based rank-table form must match the broadcast-vector
     fast path at 1e-9 — hub fixture (dangling node, authority) AND a
-    random graph; early-stop convergence behaves the same."""
+    random graph, with its attaches broadcast and partitioned."""
     from fetch_engines_ray.ops.graph import pagerank, pagerank_distributed
 
     # fixed iteration count on both forms: parity is per-iteration, so
     # it pins the whole update rule without waiting for convergence
-    for edges, iters in (
+    cases = (
         (_hub_graph(), 12),
         (
             list(
@@ -75,32 +75,35 @@ def test_pagerank_distributed_matches_broadcast(ray_session):
             ),
             6,
         ),
-    ):
-        got = (
-            pagerank_distributed(_ds(edges), n_iters=iters)
-            .to_pandas()
-            .sort_values("node")
-            .reset_index(drop=True)
-        )
-        want = pagerank(_ds(edges), n_iters=iters).sort_values("node").reset_index(drop=True)
-        assert got["node"].tolist() == want["node"].tolist()
-        assert np.allclose(got["rank"], want["rank"], atol=1e-9)
-        assert abs(got["rank"].sum() - 1.0) < 1e-9
+    )
+    for limit in both_join_paths():
+        for edges, iters in cases:
+            got = (
+                pagerank_distributed(_ds(edges), n_iters=iters)
+                .to_pandas()
+                .sort_values("node")
+                .reset_index(drop=True)
+            )
+            want = pagerank(_ds(edges), n_iters=iters).sort_values("node").reset_index(drop=True)
+            assert got["node"].tolist() == want["node"].tolist(), limit
+            assert np.allclose(got["rank"], want["rank"], atol=1e-9), limit
+            assert abs(got["rank"].sum() - 1.0) < 1e-9, limit
 
 
-def test_pagerank_distributed_single_pair(ray_session):
+def test_pagerank_distributed_single_pair(ray_session, both_join_paths):
     """Tiny sparse graph (1 edge, 1 dangling node) — exactly the shape
-    that kills Ray's hash join with schema-less empty partitions; the
-    partitioned-attach path must survive it."""
+    that kills Ray's hash join with schema-less empty partitions; both
+    attach paths must survive it."""
     from fetch_engines_ray.ops.graph import pagerank, pagerank_distributed
 
     edges = [(7, 13)]
-    got = pagerank_distributed(_ds(edges), n_iters=4).to_pandas().sort_values("node")
     want = pagerank(_ds(edges), n_iters=4).sort_values("node")
-    assert np.allclose(got["rank"].to_numpy(), want["rank"].to_numpy(), atol=1e-9)
+    for limit in both_join_paths():
+        got = pagerank_distributed(_ds(edges), n_iters=4).to_pandas().sort_values("node")
+        assert np.allclose(got["rank"].to_numpy(), want["rank"].to_numpy(), atol=1e-9), limit
 
 
-def test_pagerank_distributed_empty_graph(ray_session):
+def test_pagerank_distributed_empty_graph(ray_session, both_join_paths):
     import ray.data
 
     from fetch_engines_ray.ops.graph import pagerank_distributed
@@ -108,8 +111,8 @@ def test_pagerank_distributed_empty_graph(ray_session):
     empty = ray.data.from_pandas(
         pd.DataFrame({"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")})
     )
-    out = pagerank_distributed(empty)
-    assert out.count() == 0
+    for limit in both_join_paths():
+        assert pagerank_distributed(empty).count() == 0, limit
 
 
 def test_pagerank_empty_graph(ray_session):

@@ -228,7 +228,7 @@ def test_curate_media_semi_join_matches_broadcast(ray_session, monkeypatch):
     # stay byte-identical to both other paths
     from fetch_engines_ray.ops import dedup
 
-    monkeypatch.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
     f = curate_media(ray.data.from_items(docs), drop_strategy="auto")
     assert f["n_dropped"] == b["n_dropped"]
     pf = f["pairs"].to_pandas().sort_values(key).reset_index(drop=True)

@@ -105,7 +105,7 @@ def test_simhash_finds_dups(docs_with_dups):
     assert (0, 100) in found and (0, 101) in found
 
 
-def test_ngram_jaccard(ray_session):
+def test_ngram_jaccard(ray_session, both_join_paths):
     import ray.data
 
     from fetch_engines_ray.ops.dedup import ngram_jaccard_pairs
@@ -119,13 +119,14 @@ def test_ngram_jaccard(ray_session):
         5: "h i j k l m n CHANGED",  # 5 of 7 distinct 3-grams shared with 4
     }
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())}))
-    pairs = ngram_jaccard_pairs(ds, threshold=0.5)
-    found = {(a, b): j for a, b, j in zip(pairs["doc_a"], pairs["doc_b"], pairs["jaccard_x1000"])}
-    assert found[(0, 1)] == 1000
-    assert (2, 3) not in found
-    assert found[(4, 5)] == (1000 * 5) // 7
-    assert 0 < found[(4, 5)] < 1000
-    assert set(found) == {(0, 1), (4, 5)}
+    for limit in both_join_paths():
+        pairs = ngram_jaccard_pairs(ds, threshold=0.5)
+        found = {(a, b): j for a, b, j in zip(pairs["doc_a"], pairs["doc_b"], pairs["jaccard_x1000"])}
+        assert found[(0, 1)] == 1000, limit
+        assert (2, 3) not in found
+        assert found[(4, 5)] == (1000 * 5) // 7
+        assert 0 < found[(4, 5)] < 1000
+        assert set(found) == {(0, 1), (4, 5)}
 
 
 @pytest.fixture(scope="module")
@@ -300,14 +301,15 @@ def test_gopher_quality_flags():
     assert rows[2]["symbol_ratio_x1000"] > 100  # symbol-heavy rejected
 
 
-def test_ngram_jaccard_pairs_exact_verification(docs_with_dups):
+def test_ngram_jaccard_pairs_exact_verification(docs_with_dups, both_join_paths):
     from fetch_engines_ray.ops.dedup import ngram_jaccard_pairs
 
-    pairs = ngram_jaccard_pairs(docs_with_dups, threshold=0.5)
-    found = {(a, b): j for a, b, j in zip(pairs["doc_a"], pairs["doc_b"], pairs["jaccard_x1000"])}
-    assert found[(0, 100)] == 1000  # exact dup → jaccard exactly 1.0
-    assert found[(0, 101)] == 1000
-    assert (1, 102) in found and found[(1, 102)] < 1000  # near-dup strictly below 1
+    for limit in both_join_paths():
+        pairs = ngram_jaccard_pairs(docs_with_dups, threshold=0.5)
+        found = {(a, b): j for a, b, j in zip(pairs["doc_a"], pairs["doc_b"], pairs["jaccard_x1000"])}
+        assert found[(0, 100)] == 1000, limit  # exact dup → jaccard exactly 1.0
+        assert found[(0, 101)] == 1000
+        assert (1, 102) in found and found[(1, 102)] < 1000  # near-dup strictly below 1
 
 
 def test_dedup_clusters_union_find(docs_with_dups):
@@ -872,8 +874,8 @@ def test_corpus_diff_detects_change_after_nul_byte(ray_session):
     assert list(zip(d["doc_id"], d["status"])) == [("x", "changed")]
 
 
-def test_full_outer_join_vs_duckdb(ray_session):
-    """Ray-native full_outer join against DuckDB: both sides keep their
+def test_full_outer_join_vs_duckdb(ray_session, both_join_paths):
+    """The full-outer attach against DuckDB: both sides keep their
     orphans (order-less high-balance customers, high-value orders whose
     customer misses the balance cut)."""
     import duckdb
@@ -881,7 +883,6 @@ def test_full_outer_join_vs_duckdb(ray_session):
     from fetch_engines_ray.ops.relational import customer_order_full_outer
 
     sf = "/root/testdata/sf0.001"
-    got = customer_order_full_outer(sf)
     con = duckdb.connect()
     want = con.execute(
         "WITH hc AS (SELECT c_custkey, CAST(round(c_acctbal * 100) AS BIGINT)"
@@ -895,12 +896,14 @@ def test_full_outer_join_vs_duckdb(ray_session):
         "  COALESCE(n_orders, 0) AS n_orders"
         " FROM hc FULL OUTER JOIN hv ON c_custkey = o_custkey ORDER BY custkey"
     ).fetchdf()
-    assert got["custkey"].tolist() == want["custkey"].astype("int64").tolist()
-    assert got["c_acctbal_cents"].tolist() == want["c_acctbal_cents"].astype("int64").tolist()
-    assert got["n_orders"].tolist() == want["n_orders"].astype("int64").tolist()
-    # both orphan classes genuinely present
-    assert (got["n_orders"] == 0).any()
-    assert (got["c_acctbal_cents"] == -1).any()
+    for limit in both_join_paths():
+        got = customer_order_full_outer(sf)
+        assert got["custkey"].tolist() == want["custkey"].astype("int64").tolist(), limit
+        assert got["c_acctbal_cents"].tolist() == want["c_acctbal_cents"].astype("int64").tolist()
+        assert got["n_orders"].tolist() == want["n_orders"].astype("int64").tolist()
+        # both orphan classes genuinely present
+        assert (got["n_orders"] == 0).any()
+        assert (got["c_acctbal_cents"] == -1).any()
 
 
 def test_word_counts_vocab(ray_session):
@@ -1284,7 +1287,7 @@ def test_pack_sequences_chunk_oversize(ray_session):
     assert (flagged["chunk_idx"] == 0).all()
 
 
-def test_dedup_families_on_corpus_with_zero_near_dups(ray_session):
+def test_dedup_families_on_corpus_with_zero_near_dups(ray_session, both_join_paths):
     """A corpus of fully-distinct docs (no shared shingles, so ZERO LSH
     bucket collisions) must yield empty pair frames, not the
     schema-less-empty-stream join crash it used to (ArrowInvalid:
@@ -1304,7 +1307,8 @@ def test_dedup_families_on_corpus_with_zero_near_dups(ray_session):
     ]
     ds = ray.data.from_pandas(pd.DataFrame(rows))
     assert minhash_lsh_pairs(ds).empty
-    assert ngram_jaccard_pairs(ds).empty
+    for limit in both_join_paths():
+        assert ngram_jaccard_pairs(ds).empty, limit
     sim = simhash_pairs(ds)
     # simhash buckets are 16-bit quarters — spurious collisions possible
     # but must be hamming-verified; fully-distinct docs produce none
@@ -1340,16 +1344,15 @@ def test_incremental_dedup_with_zero_collisions(ray_session, tmp_path):
     assert pairs.empty
 
 
-def test_partitioned_attach_inner_left_and_extreme_ids(ray_session):
-    """The join-replacement helper: inner and left forms match pandas
-    merge exactly, including full-range negative int64 ids (the float64
-    corruption trap) and keys missing from the lookup."""
-    import pyarrow as pa
-
+def test_partitioned_attach_inner_left_and_extreme_ids(ray_session, monkeypatch):
+    """``attach`` on its partitioned path: inner and left forms match
+    pandas merge exactly, including full-range negative int64 ids (the
+    float64 corruption trap) and keys missing from the lookup."""
     import ray.data
 
-    from fetch_engines_ray.ops.dedup import _partitioned_attach
+    from fetch_engines_ray.ops import dedup
 
+    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
     big = -(2**62) - 12345  # cannot round-trip float64
     pairs = pd.DataFrame(
         {
@@ -1365,15 +1368,11 @@ def test_partitioned_attach_inner_left_and_extreme_ids(ray_session):
     )
     for how, expect_rows in (("inner", 3), ("left", 4)):
         out = (
-            _partitioned_attach(
+            dedup.attach(
                 ray.data.from_pandas(pairs).repartition(3),
                 ray.data.from_pandas(lookup),
-                key_col="doc_a",
-                carry=[("doc_a", pa.int64()), ("doc_b", pa.int64())],
-                value_col="text",
-                value_type=pa.string(),
-                out_col="text",
-                n_parts=16,
+                "doc_a",
+                "doc_id",
                 how=how,
             )
             .to_pandas()

@@ -77,7 +77,7 @@ def test_refresh_join_path_matches_broadcast(corpora, ray_session, monkeypatch):
     from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
 
-    monkeypatch.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
     prev, new, _c, removed_id = corpora
     prev_out = extract_corpus(prev).materialize()
     refreshed, stats = refresh_extract(prev, new, prev_out)
@@ -117,7 +117,7 @@ def test_refresh_full_churn_join_path(ray_session, tmp_path, monkeypatch):
         f"{new}/part-00000.parquet",
     )
     prev_out = extract_corpus(prev).materialize()
-    monkeypatch.setattr(dedup, "BROADCAST_KEY_LIMIT", 0)
+    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
     refreshed, stats = refresh_extract(prev, new, prev_out)
     assert stats["changed"] == 20 and stats["reextracted"] == 20
     assert stats["added"] == 0 and stats["removed"] == 0

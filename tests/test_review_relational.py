@@ -1,37 +1,9 @@
-"""Regression pins for the relational/window review findings (planner
-schema parity, typed empty blocks, floor-division windows, rounding
-modes, batched quantile narrowing)."""
+"""Regression pins for the relational/window review findings (typed
+empty blocks, floor-division windows, rounding modes, batched quantile
+narrowing)."""
 
 import numpy as np
 import pandas as pd
-
-
-def test_auto_join_broadcast_left_keeps_left_key_name(ray_session):
-    """The flipped broadcast_left strategy must present the join key
-    under the caller's left-key name, exactly like the shuffle and
-    broadcast_right strategies — it used to drop BOTH key columns, so a
-    downstream groupby broke only once data crossed the planner
-    threshold (review finding)."""
-    import ray.data
-
-    from fetch_engines_ray.ops.joinplan import auto_join
-
-    cust = ray.data.from_items(
-        [{"c_custkey": i, "seg": f"s{i % 3}"} for i in range(10)]
-    )
-    orders = ray.data.from_items(
-        [{"o_custkey": i % 10, "price": float(i)} for i in range(200)]
-    )
-    # tiny left + big right → planner flips to broadcast_left
-    out = auto_join(
-        cust, orders, on="c_custkey", right_on="o_custkey",
-        left_bytes=100, right_bytes=10**9,
-    ).to_pandas()
-    assert "c_custkey" in out.columns
-    assert "o_custkey" not in out.columns
-    assert len(out) == 200
-    # and the key VALUES are the join keys, usable for grouping
-    assert out.groupby("c_custkey")["price"].count().sum() == 200
 
 
 def test_heavy_hitters_exact_blocks_without_candidates(ray_session):
@@ -84,10 +56,11 @@ def test_revenue_by_segment_consistent_across_join_strategies(
     ray_session, tmp_path, monkeypatch
 ):
     """An order with no customer row must be dropped (INNER, the SQL
-    oracle's semantics) in BOTH the broadcast and hash-join paths — the
+    oracle's semantics) in BOTH the broadcast and partitioned paths — the
     broadcast path used to keep it under a phantom '' segment (review
     finding)."""
     import fetch_engines_ray.ops.relational as rel
+    from fetch_engines_ray.ops import dedup
 
     cust = pd.DataFrame(
         {"c_custkey": [1, 2], "c_mktsegment": ["AUTO", "HOUSE"]}
@@ -101,7 +74,7 @@ def test_revenue_by_segment_consistent_across_join_strategies(
     orders.to_parquet(sf / "orders.parquet")
 
     broadcast = rel.customer_revenue_by_segment(str(sf))
-    monkeypatch.setattr(rel, "BROADCAST_JOIN_MAX_ROWS", 0)
+    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
     hashed = rel.customer_revenue_by_segment(str(sf))
     pd.testing.assert_frame_equal(
         broadcast.reset_index(drop=True), hashed.reset_index(drop=True)
@@ -124,3 +97,43 @@ def test_exact_int_quantiles_multi_rank_batched(ray_session):
     ranks = [0, 100, 9_999, 19_000, 19_999]
     got = exact_int_quantiles(ds, "v", ranks, bins=256)
     assert got == [int(s[r]) for r in ranks]
+
+
+def test_supplier_count_by_nation_null_key_matches_nothing(
+    ray_session, tmp_path, both_join_paths
+):
+    """A null ``s_nationkey`` must not pick up the name of a null-key
+    nation row (SQL and Arrow joins match nothing on a null key): the
+    supplier counts under a null ``n_name`` on both attach paths."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import fetch_engines_ray.ops.relational as rel
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(
+        pa.table(
+            {
+                "n_nationkey": pa.array([0, 1, None], pa.int64()),
+                "n_name": ["ALGERIA", "BRAZIL", "NULL KEY ROW"],
+            }
+        ),
+        sf / "nation.parquet",
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "s_nationkey": pa.array([0, 0, 1, None], pa.int64()),
+                "s_acctbal": [1.0, 2.0, 3.0, 4.0],
+            }
+        ),
+        sf / "supplier.parquet",
+    )
+    for limit in both_join_paths():
+        out = rel.supplier_count_by_nation(str(sf))
+        by = {
+            (None if pd.isna(n) else n): (c, t)
+            for n, c, t in zip(out["n_name"], out["n_suppliers"], out["total_acctbal"])
+        }
+        assert by == {"ALGERIA": (2, 3.0), "BRAZIL": (1, 3.0), None: (1, 4.0)}, limit
