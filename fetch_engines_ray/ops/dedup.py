@@ -1280,9 +1280,7 @@ def dedup_clusters(pairs: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["doc_id", "cluster_rep", "is_kept"])
 
 
-def dedup_clusters_distributed(
-    pairs: "ray.data.Dataset", max_iters: int = 50
-) -> "ray.data.Dataset":
+def dedup_clusters_distributed(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
     """Distributed min-label propagation over a near-dup PAIR edge set —
     the cluster-scale form of :func:`dedup_clusters` (same output
     contract: ``(doc_id, cluster_rep, is_kept)``, min doc_id is the
@@ -1291,8 +1289,10 @@ def dedup_clusters_distributed(
     Each iteration is one :func:`attach` (symmetrized edges x labels)
     plus a min-groupby; nothing corpus-sized ever reaches the driver —
     the only driver-side value per iteration is the int64 label
-    checksum used for the convergence test.  Iteration count is bounded by the cluster
-    diameter (near-dup clusters are shallow; ``max_iters`` is a guard).
+    checksum.  Min-labels only ever decrease, so an unchanged checksum
+    is the fixed point: the loop runs as many iterations as the
+    largest cluster's diameter needs, with no budget that could cut a
+    long chain short and emit wrong representatives.
 
     The label table (one row per doc appearing in a PAIR — tiny relative
     to the corpus) is ``materialize()``d per iteration: without it the
@@ -1320,8 +1320,7 @@ def dedup_clusters_distributed(
         .materialize()
     )
     prev_sum = None
-    converged = False
-    for _ in range(max_iters):
+    while True:
         # neighbor labels: edge (src, dst) joined with label(dst)
         nbr = attach(edges, labels, "dst", "doc_id").map_batches(
             lambda b: pa.table({"doc_id": b["src"], "label": b["label"]}),
@@ -1335,24 +1334,9 @@ def dedup_clusters_distributed(
             .materialize()
         )
         cur_sum = labels.sum("label")
-        if cur_sum == prev_sum:  # fixed point: min-labels can only decrease
-            converged = True
+        if cur_sum == prev_sum:
             break
         prev_sum = cur_sum
-    if not converged:
-        # silent truncation would emit WRONG cluster_rep/is_kept (a
-        # drifting-template chain longer than max_iters keeps docs the
-        # exact-closure contract drops) — and this function's output is
-        # load-bearing for curate drop-strategy equality and the
-        # neardup_cluster_verdicts SQL oracle.  Near-dup clusters are
-        # shallow in practice; no caller passes max_iters, so the error
-        # names the route that has no iteration budget.
-        raise RuntimeError(
-            f"label propagation did not converge within max_iters={max_iters} "
-            "(cluster diameter exceeds the iteration budget); rerun with "
-            'drop_strategy="broadcast", which resolves the clusters on the '
-            "driver by union-find with no iteration budget"
-        )
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -1365,22 +1349,6 @@ def dedup_clusters_distributed(
 
     out = labels.map_batches(finish, batch_format="pyarrow", batch_size=65536)
     return out.sort("doc_id")
-
-
-def minhash_dedup(
-    ds: "ray.data.Dataset",
-    threshold: float = 0.7,
-    **lsh_kwargs,
-) -> pd.DataFrame:
-    """End-to-end near-dedup: LSH pairs → clusters → per-doc keep/drop
-    decision (docs in no cluster are kept).
-
-    Cluster resolution runs driver-side union-find over the (tiny) pair
-    list; :func:`dedup_clusters_distributed` is the drop-in for scales
-    where even the pair table must stay distributed (pytest pins both
-    paths to identical output)."""
-    pairs = minhash_lsh_pairs(ds, threshold=threshold, **lsh_kwargs)
-    return dedup_clusters(pairs)
 
 
 _VERDICT_SCHEMA = pa.schema(
@@ -1455,21 +1423,25 @@ def minhash_dedup_ds(
     shingle_size: int = 3,
     hash_fn: str = "sip",
 ) -> "ray.data.Dataset":
-    """Cluster-scale end-to-end near-dedup: the DISTRIBUTED form of
-    :func:`minhash_dedup` — identical decision contract (``(doc_id,
-    cluster_rep, is_kept)``, one row per doc appearing in a verified
-    pair, min ``doc_id`` kept per cluster; docs in no pair simply have
-    no row) but the candidate pairs, the verification and the cluster
-    resolution all stay Datasets end to end.  Nothing pair-, cluster-
-    or drop-set-sized ever reaches the driver, so this is the handoff
-    for clone-heavy corpora where the duplicate mass outgrows it
-    (``curate_corpus(drop_strategy="semi_join")`` routes here).
+    """End-to-end MinHash-LSH near-dedup verdicts as a Dataset:
+    ``(doc_id, cluster_rep, is_kept)``, one row per doc appearing in a
+    verified pair, min ``doc_id`` kept per cluster; docs in no pair
+    simply have no row.
 
-    Cost shape: one signature pass + checkpoint, the same bounded-part
-    bucket groupby as the driver path, two partitioned attach passes
-    over the candidate set, one (tiny) verified-pair checkpoint, then
-    label propagation's per-iteration join — each wide op moves keys
-    and 0.5 KB signatures, never documents."""
+    One signature pass + checkpoint, then the bounded-part bucket
+    exchange builds the candidate table, which is materialized once.
+    Its measured size picks where the verdicts resolve, the way
+    :func:`keep_by_keys` and :func:`attach` pick theirs: the driver
+    would hold at most ``candidate rows x (16 + 2 x num_perm x 8)``
+    bytes (an id pair plus both signatures per row).  Up to
+    :data:`BROADCAST_BYTES` the candidates are verified on the driver
+    (:func:`_verify_minhash_pairs`) and resolved by union-find
+    (:func:`dedup_clusters`); above it two partitioned attach passes
+    verify them (:func:`_verify_minhash_pairs_ds`) and label
+    propagation resolves the clusters
+    (:func:`dedup_clusters_distributed`), so nothing pair-, cluster- or
+    drop-set-sized reaches the driver.  Both paths give the same
+    table."""
     sig_stream = ds.map_batches(
         minhash_batch,
         fn_kwargs={
@@ -1482,13 +1454,25 @@ def minhash_dedup_ds(
     )
     sigs, sig_ckpt = _checkpoint_parquet(sig_stream, "minhash_sigs_ds")
     pairs_ckpt = None
+    empty = ray.data.from_arrow(_VERDICT_SCHEMA.empty_table())
     try:
         banded = sigs.map_batches(
             lambda b: _band_rows(b, num_bands), batch_format="pyarrow", batch_size=1024
         )
-        n_docs = sigs.count()
-        n_parts = n_parts_for(n_docs)
-        cand = _lsh_candidate_pairs(banded, n_parts)
+        n_parts = n_parts_for(sigs.count())
+        cand = _lsh_candidate_pairs(banded, n_parts).materialize()
+        n_cand = cand.count()
+        if n_cand == 0:
+            return empty
+        if n_cand * (16 + 2 * num_perm * 8) <= BROADCAST_BYTES:
+            pairs = _verify_minhash_pairs(cand, sigs, threshold)
+            if pairs.empty:
+                return empty
+            return ray.data.from_arrow(
+                pa.Table.from_pandas(
+                    dedup_clusters(pairs), schema=_VERDICT_SCHEMA, preserve_index=False
+                )
+            )
         pair_stream = _verify_minhash_pairs_ds(
             cand, sigs, threshold, n_parts=max(16, n_parts * 8)
         )
@@ -1498,7 +1482,7 @@ def minhash_dedup_ds(
         # attach passes
         pairs, pairs_ckpt = _checkpoint_parquet(pair_stream, "minhash_pairs_ds")
         if pairs.count() == 0:
-            return ray.data.from_arrow(_VERDICT_SCHEMA.empty_table())
+            return empty
         # materializes its label table internally, consuming both
         # checkpoints — the returned lazy tail only reads those labels
         return dedup_clusters_distributed(pairs)

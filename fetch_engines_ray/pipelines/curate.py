@@ -4,12 +4,11 @@ chain.
 
     documents
       → exact dedup        (md5 groupby winners, keep_by_keys semi-filter)
-      → near dedup         (MinHash-LSH → keep/drop decisions, resolved
-                            on the driver or, for clone-heavy corpora
-                            whose duplicate mass outgrows it, as a
-                            distributed verdict Dataset — drop_strategy
-                            auto|broadcast|semi_join; the dropped ids
-                            leave through a keep_by_keys anti-filter)
+      → near dedup         (MinHash-LSH verdicts over the exact-dedup
+                            winners, resolved on the driver or
+                            distributed as the measured candidate-table
+                            size decides; the dropped ids leave through
+                            a keep_by_keys anti-filter)
       → semantic dedup     (optional: SemDeDup over an embeddings
                             table — cluster-bucketed cosine groups,
                             one keeper per group; the flagged ids
@@ -51,7 +50,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..ops.dedup import exact_dedup_groups, minhash_dedup
+from ..ops.dedup import exact_dedup_groups
 from ..ops.packing import pack_sequences
 from ..ops.textstats import add_gopher_quality_flags, add_pii_redacted
 
@@ -95,8 +94,6 @@ def curate_corpus(
     tokenizer: str = "whitespace",
     bpe_merges: int = 200,
     unigram_vocab_size: int = 512,
-    drop_strategy: str = "auto",
-    clone_pair_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """Run the full curation chain; returns the packed-sequence Dataset
     (``seq_id, doc_ids, n_docs, total_tokens, oversize``) over the
@@ -135,23 +132,18 @@ def curate_corpus(
     redaction — the model-based cut that composes with (not replaces)
     the rule-based Gopher gate.
 
-    ``drop_strategy`` picks where the near-dup verdicts resolve:
-    ``"broadcast"`` runs the LSH decisions on the driver (pair-bounded);
-    ``"semi_join"`` keeps verdicts a Dataset end to end
-    (``ops/dedup.minhash_dedup_ds`` over the exact-dedup winners +
-    distributed label propagation) so nothing pair- or cluster-sized
-    rides the driver — the re-crawl/clone-heavy handoff; ``"auto"``
-    (default) routes to semi_join UP FRONT when the exact-dup mass
-    (times the mean winner-id bytes) exceeds
-    ``ops.dedup.BROADCAST_BYTES`` or the exact-clone pair
-    mass exceeds ``clone_pair_limit`` (both read from the spilled
-    exact-group table's metadata — the 500k-doc clone stress measured
-    14x by skipping the driver LSH), else broadcasts.  Every key filter
-    of the chain (exact-dedup winners, near-dup drops, SemDeDup drops)
-    is one ``ops/dedup.keep_by_keys`` call, which broadcasts a small
-    key set and partitions a large one.  The survivor set is identical
-    across strategies (pytest-pinned), so the resume fingerprint
-    excludes the strategy.
+    Near-dedup is one ``ops/dedup.minhash_dedup_ds`` call over the
+    exact-dedup winners (exact clones share signatures, so the
+    contraction keeps cluster topology and min-id representatives while
+    candidate expansion stops being quadratic in clone group size).  It
+    resolves the verdicts on the driver when its materialized candidate
+    table, with both signatures per pair, fits
+    ``ops.dedup.BROADCAST_BYTES``, and as a distributed verdict Dataset
+    otherwise.  Every key filter of the chain (exact-dedup winners,
+    near-dup drops, SemDeDup drops) is one ``ops/dedup.keep_by_keys``
+    call, which broadcasts a small key set and partitions a large one.
+    The survivor set is identical on either side of the threshold
+    (pytest-pinned), so the resume fingerprint does not depend on it.
 
     ``ppl_lm`` picks the perplexity-gate model: ``"unigram"`` (CCNet
     add-alpha, the default) or ``"backoff"`` (Stupid-Backoff trigram,
@@ -190,10 +182,6 @@ def curate_corpus(
         raise ValueError(
             "fuzzy_decontam_threshold requires benchmark_texts — without "
             "them no decontamination runs at all"
-        )
-    if drop_strategy not in ("auto", "broadcast", "semi_join"):
-        raise ValueError(
-            f"unknown drop_strategy {drop_strategy!r} (auto|broadcast|semi_join)"
         )
 
     # 0. optional C4 line-level cleaning (Raffel et al. 2020): boilerplate
@@ -281,9 +269,9 @@ def curate_corpus(
             n += _pq.ParquetFile(f).metadata.num_rows
         _funnel[stage] = n
 
-    # One count pass serves the empty short-circuit, the join sizing AND
-    # the resume fingerprint.  When any step-0 stage is attached the
-    # chain FIRST spills the cleaned input to one parquet checkpoint:
+    # One count pass serves the empty short-circuit AND the resume
+    # fingerprint.  When any step-0 stage is attached the chain FIRST
+    # spills the cleaned input to one parquet checkpoint:
     # the table below is consumed by this count, the exact-dedup
     # groupby, its semi-filter data side AND the minhash view, and
     # without the spill each consumer would re-execute the step-0 work
@@ -299,16 +287,16 @@ def curate_corpus(
         _mark("step0_checkpoint")
 
     def _release_step0() -> None:
-        """Remove upstream spills (step 0, the semi_join dedup-winner
-        spill) once a DOWNSTREAM eager spill (named survivor
-        checkpoint / 3b anonymous spill / tokenizer clean checkpoint)
-        has fully consumed them — the _checkpoint_parquet contract says
-        the caller cleans up after consumption, and without this every
-        gated run leaked a full-cleaned-corpus-sized directory under
-        FER_CHECKPOINT_DIR.  When NO downstream spill point runs, the
-        returned lazy Dataset still streams from these files, so the
-        directories intentionally stay (respects FER_KEEP_CHECKPOINTS=1
-        like every checkpoint)."""
+        """Remove the upstream step-0 spill once a DOWNSTREAM eager
+        spill (named survivor checkpoint / 3b anonymous spill /
+        tokenizer clean checkpoint) has fully consumed it — the
+        _checkpoint_parquet contract says the caller cleans up after
+        consumption, and without this every gated run leaked a
+        full-cleaned-corpus-sized directory under FER_CHECKPOINT_DIR.
+        When NO downstream spill point runs, the returned lazy Dataset
+        still streams from these files, so the directory intentionally
+        stays (respects FER_KEEP_CHECKPOINTS=1 like every
+        checkpoint)."""
         if _consumable_ckpts:
             from ..ops.dedup import _cleanup_checkpoint
 
@@ -329,147 +317,40 @@ def curate_corpus(
         # 1. exact dedup winners — a corpus-sized key set, semi-filtered
         #    through keep_by_keys (partitioned above its broadcast limit)
         _mark("size_count")
-        from ..ops.dedup import BROADCAST_BYTES, _checkpoint_parquet, keep_by_keys
+        from ..ops.dedup import keep_by_keys, minhash_dedup_ds
 
-        effective_strategy = drop_strategy
-        if drop_strategy == "auto":
-            # In auto mode the exact-group table (hash, winner id,
-            # group size — no text) spills once: the winners filter
-            # reads it back instead of re-running the groupby, and its
-            # parquet FOOTERS answer the clone-mass guard below.
-            # Explicit broadcast/semi_join runs keep the lazy
-            # groupby-into-filter (no spill — they never read the
-            # metadata).
-            groups_ck, _groups_ckpt = _checkpoint_parquet(
-                exact_dedup_groups(ds, text_col, id_col), "curate_exactgroups"
-            )
-            _consumable_ckpts.append(_groups_ckpt)
-            winners = groups_ck
-        else:
-            winners = exact_dedup_groups(ds, text_col, id_col)
         deduped = keep_by_keys(
             ds.select_columns([id_col, text_col]),
-            winners,
+            exact_dedup_groups(ds, text_col, id_col),
             id_col,
             keep=True,
             keys_col="keep_doc_id",
         )
 
-        if drop_strategy == "auto":
-            # pre-pass clone-mass guard (measured: a 500k-doc corpus of
-            # 100-clone groups took 117 s through the driver LSH — the
-            # quadratic candidate expansion inside identical-text
-            # buckets — vs 8 s via the winner-contracted semi_join):
-            # route to semi_join UP FRONT when either
-            #  * the exact-dup mass alone, at the mean winner-id width,
-            #    already exceeds the broadcast bytes (the eventual drop
-            #    set provably will too), or
-            #  * the exact-clone pair mass Σ n·(n−1)/2 exceeds
-            #    clone_pair_limit (the candidate floor the full-corpus
-            #    LSH would have to expand and land on the driver).
-            # n_winners and the id bytes come from the spill's parquet
-            # footers directly (metadata only — Dataset.count() on a
-            # read+strip plan would execute a full pass); the pair-mass
-            # aggregate runs
-            # ONLY when the worst-case bound D·(D+1)/2 over the
-            # exact-dup mass D can even exceed the limit, so healthy
-            # corpora pay zero extra passes.
-            import glob as _glob
-
-            import pyarrow.parquet as _pq
-
-            footers = [
-                _pq.ParquetFile(f).metadata
-                for f in _glob.glob(
-                    _os.path.join(_groups_ckpt, "**", "*.parquet"), recursive=True
-                )
-            ]
-            n_winners = sum(m.num_rows for m in footers)
-            id_bytes = sum(
-                rg.column(i).total_uncompressed_size
-                for m in footers
-                for rg in map(m.row_group, range(m.num_row_groups))
-                for i in range(rg.num_columns)
-                if rg.column(i).path_in_schema == "keep_doc_id"
-            )
-            exact_dup_mass = int(n_input) - int(n_winners)
-            route_semi = exact_dup_mass * id_bytes > BROADCAST_BYTES * max(n_winners, 1)
-            if (
-                not route_semi
-                and exact_dup_mass * (exact_dup_mass + 1) // 2 > clone_pair_limit
-            ):
-
-                def _pair_mass_batch(b: pa.Table) -> pa.Table:
-                    import pyarrow.compute as pc
-
-                    n = pc.cast(b["n_dups"], pa.int64())
-                    return pa.table(
-                        {"pm": pc.divide(pc.multiply(n, pc.subtract(n, 1)), 2)}
-                    )
-
-                pair_mass = groups_ck.map_batches(
-                    _pair_mass_batch, batch_format="pyarrow", batch_size=65536
-                ).sum("pm")
-                route_semi = (pair_mass or 0) > clone_pair_limit
-            if route_semi:
-                effective_strategy = "semi_join"
-                _mark("auto_clone_guard")
-
-        # 2. near-dedup drop — strategy-dependent verdicts (survivor set
-        #    is IDENTICAL across strategies, pytest-pinned, so the
-        #    resume fingerprint deliberately excludes drop_strategy):
-        #
-        #    * broadcast: decisions resolve on the driver (the pair
-        #      frame is near-dup-PAIR-bounded by the minhash_dedup
-        #      contract — tiny on healthy corpora).
-        #    * semi_join: the verdict table stays a DATASET end to end
-        #      (minhash_dedup_ds + distributed label propagation) —
-        #      nothing pair- or cluster-sized ever rides the driver.
-        #      The handoff for clone-heavy / re-crawl corpora (~90 %
-        #      duplicate mass makes the drop set corpus-scale).
-        #
-        #    Either way the ids whose is_kept is False leave through one
-        #    keep_by_keys anti-filter.
-        #
-        #    The semi_join verdicts run over the exact-dedup WINNERS
-        #    (spilled once — consumed by the signature pass and the
-        #    filter), not the full input: exact clones carry identical
+        # 2. near-dedup drop: MinHash-LSH verdicts over the exact-dedup
+        #    WINNERS, not the full input.  Exact clones carry identical
         #    signatures (same text, same shingles), so contracting each
         #    exact group to its min-id winner preserves both the LSH
-        #    cluster topology and the min-id representative — while the
+        #    cluster topology and the min-id representative, while the
         #    candidate-pair expansion stops being quadratic in clone
-        #    group size (the media path's exact-collapse-then-LSH rule,
-        #    pipelines/mmcurate.py, applied to text).
-        def _rename_dedup_view(view):
-            # the dedup module keys on its canonical (doc_id, text)
-            # names — rename so the verdicts carry THIS chain's id
-            # column (a silent column mismatch here once no-opped the
-            # near-dup drop entirely)
-            renames = {
-                old: new
-                for old, new in ((id_col, "doc_id"), (text_col, "text"))
-                if old != new
-            }
-            return view.rename_columns(renames) if renames else view
-
-        if effective_strategy == "semi_join":
-            from ..ops.dedup import minhash_dedup_ds
-
-            deduped, _dedup_ckpt = _checkpoint_parquet(deduped, "curate_dedup1")
-            _consumable_ckpts.append(_dedup_ckpt)
-            verdicts = minhash_dedup_ds(
-                _rename_dedup_view(deduped), threshold=near_dup_threshold
-            )
-            dropped = verdicts.filter(expr="is_kept == False")
-            _mark("near_dedup_verdicts")
-        else:
-            dedup_view = _rename_dedup_view(ds.select_columns([id_col, text_col]))
-            decisions = minhash_dedup(dedup_view, threshold=near_dup_threshold)
-            drop_ids = decisions.loc[~decisions["is_kept"], "doc_id"]
-            dropped = ray.data.from_arrow(
-                pa.table({"doc_id": drop_ids.to_numpy(dtype="int64")})
-            )
-            _mark("near_dedup_decisions")
+        #    group size (the media chain's exact-collapse-then-LSH rule,
+        #    pipelines/mmcurate.py, applied to text).  minhash_dedup_ds
+        #    resolves the verdicts on the driver or distributed by the
+        #    measured size of its candidate table; the ids whose is_kept
+        #    is False leave through one keep_by_keys anti-filter.
+        #    The dedup module keys on its canonical (doc_id, text) names
+        #    — rename so the verdicts carry THIS chain's id column (a
+        #    silent column mismatch here once no-opped the near-dup drop
+        #    entirely).
+        renames = {
+            old: new
+            for old, new in ((id_col, "doc_id"), (text_col, "text"))
+            if old != new
+        }
+        dedup_view = deduped.rename_columns(renames) if renames else deduped
+        verdicts = minhash_dedup_ds(dedup_view, threshold=near_dup_threshold)
+        dropped = verdicts.filter(expr="is_kept == False")
+        _mark("near_dedup_decisions")
         survived = keep_by_keys(deduped, dropped, id_col, keep=False, keys_col="doc_id")
 
         # 2b. optional semantic dedup (SemDeDup) over a parallel embeddings

@@ -10,8 +10,8 @@ extraction (the image/audio/video sibling of ``pipelines/curate.py``):
       ├─ decode + perceptual fingerprint      (actor pool; real PNG/WAV/
       │    GIF codecs; 8-byte hashes out, pixels never shuffled)
       ├─ per-kind lossless hamming LSH        (ops.imagehash.hamming64_pairs)
-      ├─ near-dup drop set                    (pair-bounded, tiny →
-      │    broadcast, never a shuffle join)
+      ├─ near-dup verdicts                    (a Dataset; the dropped
+      │    refs leave through one keep_by_keys anti-filter)
       └─ caption pairs for SURVIVING media    (ops.captions, doc-local)
 
 Keep rule: one representative per visual/audible duplicate cluster
@@ -238,18 +238,16 @@ def apply_media_quality_gates(
 
 
 def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
-    """Shared per-kind exact-collapse + rep-level LSH (the single
-    implementation behind BOTH drop strategies, so they cannot
-    diverge): collapse each h64 group to its min-ref representative,
-    pair the DISTINCT fingerprints with the lossless hamming LSH, and
-    resolve rep-level clusters.
+    """Per-kind exact-collapse + rep-level LSH: collapse each h64 group
+    to its min-ref representative, pair the DISTINCT fingerprints with
+    the lossless hamming LSH, and resolve rep-level clusters.
 
-    Returns ``(rep_pairs, affected, rep_root, group_rep)`` — or None
-    when the kind has no duplicate structure at all.  ``affected``
-    holds only groups needing ref-level expansion (exact-dup groups and
-    LSH-paired ones); unique-fingerprint groups are filtered
-    DISTRIBUTED before any ``to_pandas``, so driver pull is bounded by
-    the duplicate mass."""
+    Returns ``(rep_root, group_rep)`` (rep → cluster root, h64 → rep)
+    — or None when the kind has no duplicate structure at all.
+    ``group_rep`` holds only groups needing ref-level expansion
+    (exact-dup groups and LSH-paired ones); unique-fingerprint groups
+    are filtered DISTRIBUTED before any ``to_pandas``, so driver pull is
+    bounded by the duplicate mass."""
     import ray.data
     from ray.data.aggregate import Count, Min
 
@@ -288,15 +286,15 @@ def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
     ).rename(columns={"doc_id": "rep"})
     rep_root = dict(zip(cl["rep"], cl["cluster_rep"]))
     group_rep = dict(zip(affected["h64"].astype("int64"), affected["rep"]))
-    return rep_pairs, affected, rep_root, group_rep
+    return rep_root, group_rep
 
 
-def media_near_dup_drop_set(
+def media_near_dup_verdicts(
     sigs: "ray.data.Dataset", max_hamming: int = 3
-) -> tuple[pd.DataFrame, pd.DataFrame]:
+) -> "ray.data.Dataset":
     """Per-kind near-dup resolution over the signature table →
-    ``(pairs, clusters)`` frames; dropped refs are the non-kept cluster
-    members (min-ref representative).
+    ref-level keep/drop verdicts as a DATASET; dropped refs are the
+    non-kept cluster members (min-ref representative).
 
     EXACT collapse before the LSH (the same exact-before-near
     composition ``curate_corpus`` uses for text): identical
@@ -306,86 +304,17 @@ def media_near_dup_drop_set(
     shares the rep's exact hash, transitive closure over reps equals
     closure over refs — the ref-level verdicts are IDENTICAL to the
     naive all-refs form, but pair expansion is bounded by distinct
-    hashes instead of refs.  On the sf0.1 planted corpus (4 543 images
-    whose structured patterns collapse heavily) the naive form expanded
-    1.61M ref-level pairs in 27 s; the collapsed form emits a spanning
-    structure instead: rep-level LSH pairs plus one (rep, member,
-    hamming=0) exact row per collapsed ref — every duplicate
-    relationship still derivable, nothing quadratic.
+    hashes instead of refs (on the sf0.1 planted corpus the naive form
+    expanded 1.61M ref-level pairs in 27 s).
 
-    The signature Dataset is materialized ONCE (narrow fixed-width
-    rows — the minhash-signature-checkpoint posture) so the per-kind
-    sweeps never re-execute the decode stage.  Driver pull is bounded
-    by the DUPLICATE mass (affected groups + their members), never the
-    corpus: unique-fingerprint groups are filtered out before
-    ``to_pandas``."""
-    import ray.data
-
-    from fetch_engines_ray.ops.dedup import keep_by_keys
-
-    sigs = sigs.materialize()
-    all_pairs, all_clusters = [], []
-    for kind in ("image", "audio", "video"):
-        k_sigs = sigs.filter(expr=f"kind == '{kind}' and ok == 1")
-        rep = _kind_rep_level(k_sigs, max_hamming)
-        if rep is None:
-            continue
-        rep_pairs, affected, rep_root, group_rep = rep
-        # members of affected groups (ONE streaming filter over the
-        # narrow signature table; driver pull = duplicate mass only)
-        members = (
-            keep_by_keys(
-                k_sigs,
-                ray.data.from_arrow(
-                    pa.table({"h64": pa.array(affected["h64"].astype("int64"))})
-                ),
-                "h64",
-                keep=True,
-            )
-            .select_columns(["media_ref", "h64"])
-            .to_pandas()
-        )
-        members["rep"] = members["h64"].astype("int64").map(group_rep)
-        members["cluster_rep"] = members["rep"].map(lambda r: rep_root.get(r, r))
-        members["is_kept"] = members["media_ref"] == members["cluster_rep"]
-        all_clusters.append(
-            members[["media_ref", "cluster_rep", "is_kept"]].assign(kind=kind)
-        )
-        exact_rows = members[members["media_ref"] != members["rep"]]
-        exact_pairs = pd.DataFrame(
-            {
-                "ref_a": exact_rows["rep"].to_numpy(),
-                "ref_b": exact_rows["media_ref"].to_numpy(),
-                "hamming": 0,
-            }
-        )
-        all_pairs.append(
-            pd.concat([rep_pairs, exact_pairs], ignore_index=True).assign(kind=kind)
-        )
-    empty_p = pd.DataFrame(columns=["ref_a", "ref_b", "hamming", "kind"])
-    empty_c = pd.DataFrame(columns=["media_ref", "cluster_rep", "is_kept", "kind"])
-    return (
-        pd.concat(all_pairs, ignore_index=True) if all_pairs else empty_p,
-        pd.concat(all_clusters, ignore_index=True) if all_clusters else empty_c,
-    )
-
-
-def media_near_dup_verdicts(
-    sigs: "ray.data.Dataset", max_hamming: int = 3
-) -> "ray.data.Dataset":
-    """Ref-level keep/drop verdicts as a DATASET — the 100-TB handoff
-    for clone-heavy corpora where even the duplicate mass outgrows the
-    driver (``media_near_dup_drop_set``'s frames are bounded by dup
-    mass; this form is bounded by nothing driver-side except the
-    rep-level maps, which are distinct-hash-cluster-sized).
-
-    Same exact-collapse-then-LSH computation as
-    :func:`media_near_dup_drop_set` (shared ``_kind_rep_level``);
-    member verdicts are emitted in ONE distributed pass with the
-    (h64 → rep, rep → cluster root) maps broadcast via ``ray.put``.
-    Emits rows ONLY for refs in duplicate groups or LSH clusters:
-    absent refs are implicitly kept.
-    Schema: ``(media_ref, kind, cluster_rep, is_kept)``."""
+    The signature Dataset is materialized ONCE so the per-kind sweeps
+    never re-execute the decode stage.  Member verdicts are emitted in
+    one distributed pass per kind with the (h64 → rep, rep → cluster
+    root) maps broadcast via ``ray.put``; the driver holds only those
+    rep-level maps, which are distinct-hash-cluster-sized.  Emits rows
+    ONLY for refs in duplicate groups or LSH clusters: absent refs are
+    implicitly kept.  Schema: ``(media_ref, kind, cluster_rep,
+    is_kept)``."""
     import ray
     import ray.data
 
@@ -396,7 +325,7 @@ def media_near_dup_verdicts(
         rep = _kind_rep_level(k_sigs, max_hamming)
         if rep is None:
             continue
-        _, _, rep_root, group_rep = rep
+        rep_root, group_rep = rep
         maps_ref = ray.put((group_rep, rep_root))
 
         # bind per-iteration values as DEFAULTS: the map_batches UDF
@@ -453,7 +382,6 @@ def curate_media(
     max_caption_chars: int = 400,
     require_caption: bool = False,
     concurrency=(1, 8),
-    drop_strategy: str = "auto",
     min_width: Optional[int] = None,
     min_height: Optional[int] = None,
     max_aspect: Optional[float] = None,
@@ -461,10 +389,10 @@ def curate_media(
 ) -> dict:
     """End-to-end multimodal curation over extraction output.
 
-    Returns ``{"pairs": Dataset, "dup_pairs": DataFrame|None,
-    "clusters": DataFrame|Dataset, "n_dropped": int, "n_gated": int}``
-    where ``pairs`` streams ``(doc_id, media_ref, kind, caption, ...)``
-    for every occurrence of every KEPT media item.
+    Returns ``{"pairs": Dataset, "clusters": Dataset, "n_dropped": int,
+    "n_gated": int}`` where ``pairs`` streams ``(doc_id, media_ref,
+    kind, caption, ...)`` for every occurrence of every KEPT media item
+    and ``clusters`` is the :func:`media_near_dup_verdicts` Dataset.
 
     Optional LAION-style quality gates (``min_width`` / ``min_height``
     / ``max_aspect`` for image+video, ``min_duration_ms`` for
@@ -472,28 +400,13 @@ def curate_media(
     pairs and never enter the LSH (no point electing a representative
     the gate would drop anyway).
 
-    ``drop_strategy`` picks where the near-dup verdicts resolve:
-    ``"broadcast"`` and ``"auto"`` (default) build the pair and cluster
-    frames on the driver (dup-bounded on healthy corpora);
-    ``"semi_join"`` keeps the verdicts a DATASET end to end — the
-    handoff for clone-heavy corpora where even the dup mass outgrows
-    the driver — so ``dup_pairs`` is None there (the pair frame is a
-    driver-side observability artifact by contract) and ``clusters``
-    is the verdict Dataset.  Either way the dropped and gated refs
-    leave the captions through one ``ops/dedup.keep_by_keys``
-    anti-filter, which broadcasts a small drop set and partitions a
-    large one."""
-    import ray
-    import ray.data
-
+    The near-dup verdicts stay a Dataset end to end, so nothing
+    ref-sized rides the driver.  The dropped and gated refs leave the
+    captions through one ``ops/dedup.keep_by_keys`` anti-filter, which
+    broadcasts a small drop set and partitions a large one."""
     from fetch_engines_ray.ops.captions import mine_caption_pairs
     from fetch_engines_ray.ops.dedup import keep_by_keys
     from fetch_engines_ray.ops.multimodal import media_spans_dataset
-
-    if drop_strategy not in ("auto", "broadcast", "semi_join"):
-        raise ValueError(
-            f"unknown drop_strategy {drop_strategy!r} (auto|broadcast|semi_join)"
-        )
 
     spans = media_spans_dataset(extracted_ds)
     sigs = media_signatures(spans, concurrency=concurrency)
@@ -516,47 +429,17 @@ def curate_media(
     captions = mine_caption_pairs(
         extracted_ds, max_chars=max_caption_chars, require_caption=require_caption
     )
-    if drop_strategy == "semi_join":
-        verdicts = media_near_dup_verdicts(sigs, max_hamming=max_hamming).materialize()
-        dropped_ds = verdicts.filter(expr="is_kept == False").select_columns(
-            ["media_ref"]
-        )
-        if gated_ds is not None and n_gated:
-            dropped_ds = dropped_ds.union(gated_ds)
-        dropped_ds = dropped_ds.materialize()  # counted, then the key side
-        n_dropped = dropped_ds.count()
-        if n_dropped:
-            captions = keep_by_keys(captions, dropped_ds, "media_ref", keep=False)
-        return {
-            "pairs": captions,
-            "dup_pairs": None,
-            "clusters": verdicts,
-            "n_dropped": n_dropped,
-            "n_gated": n_gated,
-        }
-    dup_pairs, clusters = media_near_dup_drop_set(sigs, max_hamming=max_hamming)
-    dropped = (
-        frozenset(clusters.loc[~clusters["is_kept"], "media_ref"])
-        if len(clusters)
-        else frozenset()
-    )
+    verdicts = media_near_dup_verdicts(sigs, max_hamming=max_hamming).materialize()
+    dropped_ds = verdicts.filter(expr="is_kept == False").select_columns(["media_ref"])
     if gated_ds is not None and n_gated:
-        # gated refs lose their captions too (bounded by the gated
-        # mass; the semi_join strategy keeps even this distributed)
-        dropped = dropped | frozenset(gated_ds.to_pandas()["media_ref"])
-    if dropped:
-        captions = keep_by_keys(
-            captions,
-            ray.data.from_arrow(
-                pa.table({"media_ref": pa.array(sorted(dropped), type=pa.string())})
-            ),
-            "media_ref",
-            keep=False,
-        )
+        dropped_ds = dropped_ds.union(gated_ds)
+    dropped_ds = dropped_ds.materialize()  # counted, then the key side
+    n_dropped = dropped_ds.count()
+    if n_dropped:
+        captions = keep_by_keys(captions, dropped_ds, "media_ref", keep=False)
     return {
         "pairs": captions,
-        "dup_pairs": dup_pairs,
-        "clusters": clusters,
-        "n_dropped": len(dropped),
+        "clusters": verdicts,
+        "n_dropped": n_dropped,
         "n_gated": n_gated,
     }

@@ -154,14 +154,6 @@ def main() -> None:
         help="also gate on the published Gopher repeated-n-gram thresholds",
     )
     ap.add_argument(
-        "--drop-strategy", choices=("auto", "broadcast", "semi_join"), default="auto",
-        help="where near-dup verdicts resolve: semi_join keeps them a "
-        "Dataset end to end (clone-heavy re-crawls); auto detects clone "
-        "mass up front and otherwise resolves them on the driver.  Every "
-        "key filter broadcasts a small key set and partitions a large one",
-    )
-    ap.add_argument("--clone-pair-limit", type=int, default=5_000_000)
-    ap.add_argument(
         "--checkpoint-name",
         default=None,
         help="make the run resumable: spill the post-dedup survivor table "
@@ -226,8 +218,6 @@ def main() -> None:
         jsonl_export_path=args.jsonl_export,
         jsonl_compression=args.jsonl_compression,
         n_shards=args.n_shards,
-        drop_strategy=args.drop_strategy,
-        clone_pair_limit=args.clone_pair_limit,
     )
     if os.path.isdir(args.output):
         _clear_stale_parquet(args.output)

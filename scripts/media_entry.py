@@ -7,8 +7,7 @@ On a real cluster:
     ray job submit --working-dir . -- \
         python scripts/media_entry.py \
         --input /data/extracted --output /data/media_text_pairs \
-        --min-width 200 --min-height 200 --max-aspect 3.0 \
-        --drop-strategy semi_join
+        --min-width 200 --min-height 200 --max-aspect 3.0
 
 Locally (sandbox) it runs the same thing against a local session.  The
 script owns the Ray session (the library never calls ray.init).  A
@@ -48,13 +47,6 @@ def main() -> None:
         "--require-caption", action="store_true",
         help="drop media with no adjacent text at all",
     )
-    ap.add_argument(
-        "--drop-strategy", choices=("auto", "broadcast", "semi_join"), default="auto",
-        help="where near-dup verdicts resolve: semi_join keeps them a "
-        "Dataset end to end (clone-heavy corpora); auto and broadcast "
-        "resolve them on the driver.  The caption drop is one key filter "
-        "that broadcasts a small drop set and partitions a large one",
-    )
     ap.add_argument("--min-width", type=int, default=None)
     ap.add_argument("--min-height", type=int, default=None)
     ap.add_argument("--max-aspect", type=float, default=None)
@@ -80,7 +72,6 @@ def main() -> None:
         max_hamming=args.max_hamming,
         max_caption_chars=args.max_caption_chars,
         require_caption=args.require_caption,
-        drop_strategy=args.drop_strategy,
         min_width=args.min_width,
         min_height=args.min_height,
         max_aspect=args.max_aspect,
@@ -96,7 +87,6 @@ def main() -> None:
         "pairs_written": int(n_pairs),
         "media_dropped": int(out["n_dropped"]),
         "media_gated": int(out.get("n_gated", 0)),
-        "drop_strategy": args.drop_strategy,
         "wall_sec": round(time.time() - t0, 3),
         "output": args.output,
     }

@@ -1,13 +1,16 @@
-"""Near-dup drop-strategy equivalence: curate_corpus must produce the
-IDENTICAL survivor set whether the drop handoff is the driver broadcast,
-the auto flip, or the fully distributed semi-join — the clone-heavy
-re-crawl scenario is exactly where the strategies diverge in mechanism
-(corpus-scale drop mass) while the contract pins their OUTPUT equal.
+"""Near-dup verdict equivalence: curate_corpus runs one near-dup path
+(``ops/dedup.minhash_dedup_ds`` over the exact-dedup winners) whose
+verdicts resolve on the driver or distributed by the measured size of
+the candidate table.  On either side of ``BROADCAST_BYTES`` the survivor
+set must equal a reference built from the primitives (min-id exact
+winners minus the union-find drops over the full corpus) — the
+clone-heavy re-crawl scenario is exactly where the two verdict paths
+diverge in mechanism while the contract pins their OUTPUT equal.
 
-Also pins minhash_dedup vs minhash_dedup_ds decision parity (the
-distributed verdict pipeline: Dataset candidate pairs, two partitioned
-signature-attach passes, label propagation) and the upstream-checkpoint
-cleanup contract (advice finding: gated runs leaked the step-0 spill).
+Also pins that exact clones never reach the LSH candidate table, both
+verdict paths against ``dedup_clusters(minhash_lsh_pairs(...))``, and
+the upstream-checkpoint cleanup contract (advice finding: gated runs
+leaked the step-0 spill).
 """
 import glob
 import os
@@ -51,76 +54,114 @@ def _survivor_ids(packed: pd.DataFrame) -> list:
     return sorted(int(i) for ids in packed["doc_ids"].tolist() for i in ids)
 
 
-def test_drop_strategy_equivalence(ray_session):
+def _reference_survivors(df: pd.DataFrame) -> list:
+    """Dedup survivors from primitives that stay: min-id exact winners
+    minus the union-find drops of the LSH pairs over the FULL corpus."""
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import dedup_clusters, minhash_lsh_pairs
+
+    winners = set(df.groupby("text")["doc_id"].min())
+    clusters = dedup_clusters(
+        minhash_lsh_pairs(ray.data.from_pandas(df), threshold=0.7)
+    )
+    dropped = set(clusters.loc[~clusters["is_kept"], "doc_id"])
+    return sorted(int(i) for i in winners - dropped)
+
+
+def test_drop_strategy_equivalence(ray_session, both_join_paths):
+    import ray.data
+
+    from fetch_engines_ray.pipelines.curate import curate_corpus
+
+    df = _clone_heavy_corpus()
+    expected = _reference_survivors(df)
+    # the clone mass must actually be dropped (dedup does work)
+    assert 0 < len(expected) <= 60
+    runs = {}
+    # BROADCAST_BYTES 0 forces the distributed verdicts and every key
+    # filter onto keep_by_keys' partitioned path on this tiny corpus
+    for limit in both_join_paths():
+        packed = curate_corpus(
+            ray.data.from_pandas(df).repartition(4), max_tokens=128
+        ).to_pandas()
+        runs[limit] = (_survivor_ids(packed), int(packed["total_tokens"].sum()))
+    texts = dict(zip(df["doc_id"], df["text"]))
+    tokens = sum(len(texts[i].split()) for i in expected)
+    for limit, (survivors, mass) in runs.items():
+        assert survivors == expected, f"BROADCAST_BYTES={limit}: survivor set diverged"
+        assert mass == tokens, f"BROADCAST_BYTES={limit}: token mass diverged"
+
+
+def test_near_dup_candidates_never_pair_exact_clones(
+    ray_session, monkeypatch, both_join_paths
+):
+    """Near-dup LSH runs over the exact-dedup winners, so no candidate
+    pair ever joins two exact clones — whatever the clone-pair mass,
+    on the driver and the distributed verdict path alike.  20 docs x
+    30 exact clones is a pair mass far below the old clone-guard limit,
+    which sent the full corpus through driver LSH and expanded every
+    clone group into candidate pairs."""
+    import ray
     import ray.data
 
     from fetch_engines_ray.ops import dedup
     from fetch_engines_ray.pipelines.curate import curate_corpus
 
-    df = _clone_heavy_corpus()
+    df = _clone_heavy_corpus(n_base=20, clones_per_doc=30)
+    texts = dict(zip(df["doc_id"], df["text"]))
+    seen = []
 
-    def run(strategy: str, limit: int = 2_000_000) -> tuple:
-        # limit 0 forces every key filter onto keep_by_keys' partitioned
-        # path (and auto's clone guard to semi_join) on this tiny corpus
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dedup, "BROADCAST_BYTES", limit)
-            packed = curate_corpus(
-                ray.data.from_pandas(df).repartition(4),
-                max_tokens=128,
-                drop_strategy=strategy,
-            ).to_pandas()
-        return _survivor_ids(packed), int(packed["total_tokens"].sum())
+    def spy(verify):
+        def wrapped(cand, *args, **kwargs):
+            for t in cand.to_arrow_refs():
+                t = ray.get(t)
+                if t.num_rows:
+                    seen.extend(zip(t["doc_a"].to_pylist(), t["doc_b"].to_pylist()))
+            return verify(cand, *args, **kwargs)
 
-    runs = {
-        (strategy, limit): run(strategy, limit)
-        for strategy in ("broadcast", "semi_join", "auto")
-        for limit in (2_000_000, 0)
-    }
-    broadcast, tok_b = runs[("broadcast", 2_000_000)]
-    for key, (survivors, tokens) in runs.items():
-        assert survivors == broadcast, f"{key} survivor set diverged from broadcast"
-        assert tokens == tok_b, f"{key} token mass diverged"
-    # the clone mass must actually have been dropped (dedup did work)
-    assert len(set(broadcast)) <= 60, f"{len(set(broadcast))} survivors — dedup no-op?"
+        return wrapped
+
+    monkeypatch.setattr(dedup, "_verify_minhash_pairs", spy(dedup._verify_minhash_pairs))
+    monkeypatch.setattr(
+        dedup, "_verify_minhash_pairs_ds", spy(dedup._verify_minhash_pairs_ds)
+    )
+    expected = _reference_survivors(df)
+    for limit in both_join_paths():
+        seen.clear()
+        packed = curate_corpus(
+            ray.data.from_pandas(df).repartition(4), max_tokens=128
+        ).to_pandas()
+        assert seen, f"BROADCAST_BYTES={limit}: no candidate pair reached verification"
+        clone_pairs = [(a, b) for a, b in seen if texts[a] == texts[b]]
+        assert clone_pairs == [], f"{len(clone_pairs)} candidate pairs join exact clones"
+        assert _survivor_ids(packed) == expected, limit
 
 
-def test_drop_strategy_validation(ray_session):
-    import pytest
-
+def test_minhash_dedup_ds_parity(ray_session, both_join_paths):
+    """Both verdict paths of minhash_dedup_ds (driver union-find at the
+    default BROADCAST_BYTES, distributed label propagation at 0) equal
+    dedup_clusters over minhash_lsh_pairs, including the zero-pair
+    corpus (typed empty verdict table)."""
     import ray.data
 
-    from fetch_engines_ray.pipelines.curate import curate_corpus
-
-    ds = ray.data.from_pandas(pd.DataFrame({"doc_id": [1], "text": ["x"]}))
-    with pytest.raises(ValueError, match="drop_strategy"):
-        curate_corpus(ds, drop_strategy="bogus")
-
-
-def test_minhash_dedup_ds_parity(ray_session):
-    """Distributed verdicts == driver union-find decisions, including
-    the zero-pair corpus (typed empty verdict table)."""
-    import ray.data
-
-    from fetch_engines_ray.ops.dedup import minhash_dedup, minhash_dedup_ds
+    from fetch_engines_ray.ops.dedup import (
+        dedup_clusters,
+        minhash_dedup_ds,
+        minhash_lsh_pairs,
+    )
 
     df = _clone_heavy_corpus(n_base=20, clones_per_doc=3)
     ds = ray.data.from_pandas(df).repartition(3)
-    drv = (
-        minhash_dedup(ds, threshold=0.7)
+    cols = ["doc_id", "cluster_rep", "is_kept"]
+    types = {"doc_id": "int64", "cluster_rep": "int64", "is_kept": "bool"}
+    ref = (
+        dedup_clusters(minhash_lsh_pairs(ds, threshold=0.7))
         .sort_values("doc_id")
-        .reset_index(drop=True)[["doc_id", "cluster_rep", "is_kept"]]
+        .reset_index(drop=True)[cols]
+        .astype(types)
     )
-    dist = (
-        minhash_dedup_ds(ds, threshold=0.7)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)[["doc_id", "cluster_rep", "is_kept"]]
-    )
-    pd.testing.assert_frame_equal(
-        drv.astype({"doc_id": "int64", "cluster_rep": "int64", "is_kept": "bool"}),
-        dist.astype({"doc_id": "int64", "cluster_rep": "int64", "is_kept": "bool"}),
-    )
-
+    assert not ref["is_kept"].all()
     uniq = ray.data.from_pandas(
         pd.DataFrame(
             {
@@ -132,9 +173,18 @@ def test_minhash_dedup_ds_parity(ray_session):
             }
         )
     )
-    empty = minhash_dedup_ds(uniq, threshold=0.7)
-    assert empty.count() == 0
-    assert set(empty.schema().names) == {"doc_id", "cluster_rep", "is_kept"}
+    for limit in both_join_paths():
+        got = (
+            minhash_dedup_ds(ds, threshold=0.7)
+            .to_pandas()
+            .sort_values("doc_id")
+            .reset_index(drop=True)[cols]
+            .astype(types)
+        )
+        pd.testing.assert_frame_equal(ref, got, obj=f"BROADCAST_BYTES={limit}")
+        empty = minhash_dedup_ds(uniq, threshold=0.7)
+        assert empty.count() == 0, limit
+        assert set(empty.schema().names) == set(cols), limit
 
 
 def test_step0_checkpoint_released_after_survivor_spill(
@@ -248,12 +298,11 @@ def test_broadcast_key_lookup_built_once(ray_session):
 
 
 def test_label_propagation_refuses_silent_truncation(ray_session, both_join_paths):
-    """A chain whose diameter exceeds max_iters must RAISE, not emit
-    wrong cluster representatives (review finding: the output is
-    load-bearing for drop-strategy equality and the SQL oracle), with
-    the per-iteration attach broadcast and partitioned."""
-    import pytest
-
+    """Label propagation runs to its fixed point: a 12-hop chain (far
+    deeper than real near-dup clusters) resolves every node to rep 0
+    rather than being cut short with wrong cluster representatives
+    (the output is load-bearing for the curate survivor set and the SQL
+    oracle), with the per-iteration attach broadcast and partitioned."""
     import ray.data
 
     from fetch_engines_ray.ops.dedup import dedup_clusters_distributed
@@ -266,30 +315,6 @@ def test_label_propagation_refuses_silent_truncation(ray_session, both_join_path
     )
     pairs = ray.data.from_arrow(chain)
     for limit in both_join_paths():
-        with pytest.raises(RuntimeError, match='did not converge.*drop_strategy="broadcast"'):
-            dedup_clusters_distributed(pairs, max_iters=3)
-        out = dedup_clusters_distributed(pairs, max_iters=30).to_pandas()
+        out = dedup_clusters_distributed(pairs).to_pandas()
         assert (out["cluster_rep"] == 0).all(), limit
         assert sorted(out["doc_id"]) == list(range(13)), limit
-
-
-def test_auto_clone_guard_routes_semijoin(ray_session, monkeypatch):
-    """With the clone-pair mass over the limit, auto must route to the
-    distributed path BEFORE the driver LSH runs (the 500k clone stress
-    measured 14x; the driver pass is the thing being skipped)."""
-    import ray.data
-
-    import fetch_engines_ray.pipelines.curate as cur
-    from fetch_engines_ray.pipelines.curate import curate_corpus
-
-    def bomb(*a, **k):
-        raise AssertionError("driver minhash ran despite the clone guard")
-
-    monkeypatch.setattr(cur, "minhash_dedup", bomb)
-    df = _clone_heavy_corpus(n_base=10, clones_per_doc=4)
-    packed = curate_corpus(
-        ray.data.from_pandas(df).repartition(2),
-        max_tokens=128,
-        clone_pair_limit=0,
-    ).to_pandas()
-    assert len(packed) > 0

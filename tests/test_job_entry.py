@@ -138,9 +138,9 @@ def test_curate_entry_smoke(tmp_path):
     assert 0 in packed_docs and 1 in packed_docs
 
 
-def test_curate_entry_semi_join_strategy(tmp_path):
-    """--drop-strategy semi_join through the CLI: same survivors as the
-    default auto path on a corpus with exact + near dups."""
+def test_curate_entry_drops_exact_and_near_dups(tmp_path):
+    """Near-dedup through the CLI: the exact clone and the near clone
+    both drop, and their min-id representatives survive."""
     import numpy as np
     import pandas as pd
 
@@ -156,20 +156,15 @@ def test_curate_entry_semi_join_strategy(tmp_path):
     docs = str(tmp_path / "docs.parquet")
     pd.DataFrame(rows).to_parquet(docs)
 
-    survivors = {}
-    for strat in ("auto", "semi_join"):
-        out = str(tmp_path / f"packed_{strat}")
-        res = _run_curate(
-            ["--input", docs, "--output", out, "--max-tokens", "256",
-             "--drop-strategy", strat]
-        )
-        assert res["sequences"] > 0
-        packed = pd.concat(
-            pd.read_parquet(os.path.join(root, f))
-            for root, _d, files in os.walk(out)
-            for f in files
-            if f.endswith(".parquet")
-        )
-        survivors[strat] = sorted(d for ids in packed["doc_ids"] for d in ids)
-    assert survivors["auto"] == survivors["semi_join"]
-    assert 100 not in survivors["auto"]
+    out = str(tmp_path / "packed")
+    res = _run_curate(["--input", docs, "--output", out, "--max-tokens", "256"])
+    assert res["sequences"] > 0
+    packed = pd.concat(
+        pd.read_parquet(os.path.join(root, f))
+        for root, _d, files in os.walk(out)
+        for f in files
+        if f.endswith(".parquet")
+    )
+    survivors = sorted(d for ids in packed["doc_ids"] for d in ids)
+    assert 100 not in survivors and 101 not in survivors
+    assert 0 in survivors and 1 in survivors

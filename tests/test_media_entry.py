@@ -57,7 +57,6 @@ def test_media_entry_smoke(tmp_path):
             "--input", str(inp),
             "--output", out,
             "--num-cpus", "2",
-            "--drop-strategy", "semi_join",
         ],
         capture_output=True,
         text=True,
@@ -70,7 +69,6 @@ def test_media_entry_smoke(tmp_path):
     assert lines, proc.stdout[-500:]
     report = json.loads(lines[-1])
     assert report["pairs_written"] >= 2  # both logo occurrences + the clip
-    assert report["drop_strategy"] == "semi_join"
     assert os.path.exists(os.path.join(out, "_REPORT.json"))
     import pandas as pd
 

@@ -11,9 +11,16 @@ from fetch_engines_ray.ops.imagehash import dhash64
 from fetch_engines_ray.ops.png import decode_png, encode_png, planted_png_for_ref
 from fetch_engines_ray.pipelines.mmcurate import (
     curate_media,
-    media_near_dup_drop_set,
+    media_near_dup_verdicts,
     media_signatures,
 )
+
+
+def _dropped_refs(verdicts) -> set:
+    """Non-kept refs of a verdict Dataset (an empty Dataset converts to
+    a frame with no columns)."""
+    v = verdicts.to_pandas()
+    return set(v.loc[~v["is_kept"], "media_ref"]) if len(v) else set()
 
 
 def _png(seed: int) -> bytes:
@@ -54,9 +61,10 @@ def test_media_drop_set_controlled_payloads(ray_session):
             {"media_ref": "img/3", "kind": "image", "payload": _png(99)},
         ]
     )
-    pairs, clusters = media_near_dup_drop_set(media_signatures(ds))
-    assert set(zip(pairs["ref_a"], pairs["ref_b"])) == {("img/1", "img/2")}
-    assert (pairs["hamming"] == 0).all()
+    clusters = media_near_dup_verdicts(media_signatures(ds)).to_pandas()
+    # the re-encoded clone is an exact-hash twin; img/3 is in no cluster
+    assert set(clusters["media_ref"]) == {"img/1", "img/2"}
+    assert (clusters["cluster_rep"] == "img/1").all()
     dropped = set(clusters.loc[~clusters["is_kept"], "media_ref"])
     assert dropped == {"img/2"}  # min-ref representative kept
 
@@ -137,7 +145,7 @@ def test_curate_media_end_to_end_self_consistent(ray_session):
     docs = _docs()
     out = curate_media(ray.data.from_items(docs))
     expected_dropped = _expected_drop_set(docs)
-    got_dropped = set(out["clusters"].loc[~out["clusters"]["is_kept"], "media_ref"])
+    got_dropped = _dropped_refs(out["clusters"])
     assert got_dropped == expected_dropped
     assert out["n_dropped"] == len(expected_dropped)
     pairs = out["pairs"].to_pandas()
@@ -159,15 +167,21 @@ def test_curate_media_empty_corpus(ray_session):
     out = curate_media(ds)
     assert out["n_dropped"] == 0
     assert out["pairs"].count() == 0
-    assert out["dup_pairs"].empty and out["clusters"].empty
+    assert out["clusters"].count() == 0
+    from fetch_engines_ray.ops.multimodal import media_spans_dataset
+
+    verdicts = media_near_dup_verdicts(media_signatures(media_spans_dataset(ds)))
+    assert verdicts.count() == 0
+    assert verdicts.schema().names == ["media_ref", "kind", "cluster_rep", "is_kept"]
 
 
-def test_curate_media_semi_join_matches_broadcast(ray_session, monkeypatch):
-    """The Dataset-native semi-join path keeps exactly the same caption
-    rows as the broadcast path and reports the same drop count — on a
-    doc set with REAL near-dups: media://probe/{0,2} are planted refs
-    whose dHashes land at hamming 1 of each other (probed offline and
-    re-asserted here so a corpus-generation change fails loudly)."""
+def test_curate_media_semi_join_matches_broadcast(ray_session, both_join_paths):
+    """curate_media keeps exactly the caption rows the brute-force
+    drop set allows, at both BROADCAST_BYTES values (the caption
+    anti-filter broadcast, then partitioned) — on a doc set with REAL
+    near-dups: media://probe/{0,2} are planted refs whose dHashes land
+    at hamming 1 of each other (probed offline and re-asserted here so
+    a corpus-generation change fails loudly)."""
     import ray.data
 
     a = dhash64(decode_png(planted_png_for_ref("media://probe/0"))["pixels"])
@@ -204,35 +218,23 @@ def test_curate_media_semi_join_matches_broadcast(ray_session, monkeypatch):
             "out_spans": [span("audio", ref="media://probe-audio/30")],
         },
     ]
-    b = curate_media(ray.data.from_items(docs))
-    s = curate_media(ray.data.from_items(docs), drop_strategy="semi_join")
-    assert b["n_dropped"] >= 3  # a probe near-dup must drop in EVERY kind
-    assert set(b["clusters"].loc[~b["clusters"]["is_kept"], "kind"]) == {
-        "image", "audio", "video",
-    }
-    assert s["n_dropped"] == b["n_dropped"]
-    assert s["dup_pairs"] is None
+    expected_dropped = _expected_drop_set(docs)
     key = ["doc_id", "media_ref", "span_index"]
-    pb = b["pairs"].to_pandas().sort_values(key).reset_index(drop=True)
-    ps = s["pairs"].to_pandas().sort_values(key).reset_index(drop=True)
-    assert list(pb.columns) == list(ps.columns)
-    pd.testing.assert_frame_equal(pb, ps)
-    assert "media://probe/2" not in set(ps["media_ref"])  # min-ref kept
-    v = s["clusters"].to_pandas()
-    c = b["clusters"]
-    assert set(v.loc[~v["is_kept"], "media_ref"]) == set(
-        c.loc[~c["is_kept"], "media_ref"]
-    )
-    # drop set over the broadcast limit: driver frames, but the
-    # caption filter takes keep_by_keys' partitioned path — output must
-    # stay byte-identical to both other paths
-    from fetch_engines_ray.ops import dedup
-
-    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
-    f = curate_media(ray.data.from_items(docs), drop_strategy="auto")
-    assert f["n_dropped"] == b["n_dropped"]
-    pf = f["pairs"].to_pandas().sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(pb, pf)
+    runs = []
+    for limit in both_join_paths():
+        out = curate_media(ray.data.from_items(docs))
+        v = out["clusters"].to_pandas()
+        assert set(v.loc[~v["is_kept"], "media_ref"]) == expected_dropped, limit
+        # a probe near-dup must drop in EVERY kind
+        assert set(v.loc[~v["is_kept"], "kind"]) == {"image", "audio", "video"}, limit
+        assert out["n_dropped"] == len(expected_dropped) >= 3, limit
+        pairs = out["pairs"].to_pandas().sort_values(key).reset_index(drop=True)
+        assert not set(pairs["media_ref"]) & expected_dropped, limit
+        assert "media://probe/2" in expected_dropped
+        assert "media://probe/0" in set(pairs["media_ref"])  # min-ref kept
+        runs.append(pairs)
+    assert list(runs[0].columns) == list(runs[1].columns)
+    pd.testing.assert_frame_equal(runs[0], runs[1])
 
 
 def test_media_quality_gates_unit(ray_session):
@@ -266,9 +268,10 @@ def test_media_quality_gates_unit(ray_session):
     assert out.loc["f", "gate_ok"] == 1
 
 
-def test_curate_media_gates_end_to_end(ray_session):
+def test_curate_media_gates_end_to_end(ray_session, both_join_paths):
     """Dimension gates over resolver-planted media: expected gated refs
-    computed from the same decodes; both strategies agree."""
+    computed from the same decodes; the broadcast and the partitioned
+    caption filter agree."""
     import ray.data
 
     from fetch_engines_ray.ops.png import decode_png, planted_png_for_ref
@@ -282,15 +285,14 @@ def test_curate_media_gates_end_to_end(ray_session):
                 dec = decode_png(planted_png_for_ref(s["media_ref"]))
                 if dec["width"] < 10:
                     expected_gated.add(s["media_ref"])
-    b = curate_media(ray.data.from_items(docs), min_width=10)
-    assert b["n_gated"] == len(expected_gated)
-    pairs_b = b["pairs"].to_pandas()
-    assert not set(pairs_b["media_ref"]) & expected_gated
-    s = curate_media(ray.data.from_items(docs), min_width=10, drop_strategy="semi_join")
-    assert s["n_gated"] == b["n_gated"]
-    assert s["n_dropped"] == b["n_dropped"]
-    pairs_s = s["pairs"].to_pandas()
-    assert set(pairs_s["media_ref"]) == set(pairs_b["media_ref"])
+    runs = []
+    for limit in both_join_paths():
+        out = curate_media(ray.data.from_items(docs), min_width=10)
+        assert out["n_gated"] == len(expected_gated), limit
+        refs = set(out["pairs"].to_pandas()["media_ref"])
+        assert not refs & expected_gated, limit
+        runs.append((out["n_dropped"], refs))
+    assert runs[0] == runs[1]
 
 
 def test_media_signatures_corrupt_occurrence_does_not_poison_group(ray_session):
@@ -317,7 +319,7 @@ def test_media_signatures_corrupt_occurrence_does_not_poison_group(ray_session):
     assert sigs.loc["m/x", "h64"] != sigs.loc["m/y", "h64"]
     assert sigs.loc["m/z", "ok"] == 0 and sigs.loc["m/z", "h64"] == 0
     # and no spurious exact-dup cluster between x and y
-    pairs, clusters = media_near_dup_drop_set(media_signatures(ds))
+    clusters = media_near_dup_verdicts(media_signatures(ds)).to_pandas()
     refs = set(clusters["media_ref"]) if len(clusters) else set()
     assert not ({"m/x", "m/y"} <= refs)
 

@@ -313,9 +313,9 @@ def test_ngram_jaccard_pairs_exact_verification(docs_with_dups, both_join_paths)
 
 
 def test_dedup_clusters_union_find(docs_with_dups):
-    from fetch_engines_ray.ops.dedup import minhash_dedup
+    from fetch_engines_ray.ops.dedup import dedup_clusters, minhash_lsh_pairs
 
-    out = minhash_dedup(docs_with_dups, threshold=0.5)
+    out = dedup_clusters(minhash_lsh_pairs(docs_with_dups, threshold=0.5))
     by_doc = out.set_index("doc_id")
     # 0/100/101 form one cluster represented (and kept) by 0
     assert by_doc.loc[0, "is_kept"] and by_doc.loc[0, "cluster_rep"] == 0
@@ -1295,7 +1295,7 @@ def test_dedup_families_on_corpus_with_zero_near_dups(ray_session, both_join_pat
     import ray.data
 
     from fetch_engines_ray.ops.dedup import (
-        minhash_dedup,
+        minhash_dedup_ds,
         minhash_lsh_pairs,
         ngram_jaccard_pairs,
         simhash_pairs,
@@ -1309,12 +1309,11 @@ def test_dedup_families_on_corpus_with_zero_near_dups(ray_session, both_join_pat
     assert minhash_lsh_pairs(ds).empty
     for limit in both_join_paths():
         assert ngram_jaccard_pairs(ds).empty, limit
+        assert minhash_dedup_ds(ds).count() == 0, limit
     sim = simhash_pairs(ds)
     # simhash buckets are 16-bit quarters — spurious collisions possible
     # but must be hamming-verified; fully-distinct docs produce none
     assert sim.empty
-    decisions = minhash_dedup(ds)
-    assert decisions.empty or decisions["is_kept"].all()
 
 
 def test_incremental_dedup_with_zero_collisions(ray_session, tmp_path):
