@@ -706,6 +706,17 @@ def _exchange_parts(side: "ray.data.Dataset") -> int:
     return max(64, n_parts_for(side.count()))
 
 
+def _driver_table(side: "ray.data.Dataset") -> pa.Table:
+    """A materialized side that fits :data:`BROADCAST_BYTES` as one
+    Arrow table on the driver: its blocks concatenated (schemas unified
+    with promotion), or a zero-column table when no block has a schema
+    (a side with no rows at all)."""
+    tables = [t for t in ray.get(side.to_arrow_refs()) if t.num_columns]
+    if not tables:
+        return pa.table({})
+    return pa.concat_tables(tables, promote_options="permissive").combine_chunks()
+
+
 def keep_by_keys(
     ds: "ray.data.Dataset",
     keys: "ray.data.Dataset",
@@ -850,13 +861,7 @@ def attach(
         # each round would double that walk
         right = ray.data.from_arrow_refs(right.to_arrow_refs())
         return co_group([(left, on), (right, right_on)], _exchange_parts(right), join)
-    tables = [t for t in ray.get(right.to_arrow_refs()) if t.num_columns]
-    small = (
-        pa.concat_tables(tables, promote_options="permissive").combine_chunks()
-        if tables
-        else pa.table({})
-    )
-    small_ref = ray.put(small)
+    small_ref = ray.put(_driver_table(right))
 
     def join_batch(batch: pa.Table) -> pa.Table:
         return join(batch, ray.get(small_ref))

@@ -5,11 +5,15 @@ primitive behind "what changed since the last crawl / curation run"
 the same question).
 
 Scale shape: each side collapses to ``(id, content_hash)`` inside one
-vectorized ``map_batches`` — document TEXT never crosses the shuffle,
-only the id and 8 bytes per row do.  Both sides then co-locate by id
-through ``ops/exchange.co_group`` (a key never straddles parts) and ONE
-vectorized pandas merge per part emits the verdicts.  The output is
-CHANGE-sized, not corpus-sized: unchanged ids drop.
+vectorized ``map_batches`` (the text's bytes hash as they are, no
+per-row Python strings) — document TEXT never leaves that stage, only
+the id and 8 bytes per row do.  Both hashed sides then execute, and
+their measured size picks the diff path under the engine's one
+broadcast threshold (``ops/dedup.BROADCAST_BYTES``): small sides are
+diffed by ONE vectorized pandas merge on the driver, with no shuffle;
+larger ones co-locate by id through ``ops/exchange.co_group`` (a key
+never straddles parts) and the same merge runs once per part.  The
+output is CHANGE-sized, not corpus-sized: unchanged ids drop.
 """
 
 from __future__ import annotations
@@ -17,10 +21,25 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
+from . import dedup
 from .exchange import co_group
+
+
+def _content_hash(text: "pa.Array | pa.ChunkedArray") -> np.ndarray:
+    """int64 content hash per row of a string column.
+
+    64 bits: a collision can only hide a CHANGED verdict for one id,
+    w.p. 2^-64 per changed doc.  It hashes the UTF-8 BYTES (the
+    column's own data, viewed as binary), not str objects — pandas'
+    object-string hashing truncates at the first NUL (C-string
+    semantics), so str hashing would mask any change after an embedded
+    \x00.  A null text hashes as ``b""``."""
+    data = pc.fill_null(text.cast(pa.binary()), b"")
+    return pd.util.hash_array(data.to_numpy(zero_copy_only=False)).view(np.int64)
 
 
 def _id_hash_side(ds: "ray.data.Dataset", id_col: str, text_col: str):
@@ -29,20 +48,13 @@ def _id_hash_side(ds: "ray.data.Dataset", id_col: str, text_col: str):
             raise ValueError(
                 f"corpus_diff: null {id_col!r} in a snapshot; every document needs an id"
             )
-        # 64-bit content hash: a collision can only hide a CHANGED
-        # verdict for one id, w.p. 2^-64 per changed doc.  Hash the
-        # UTF-8 BYTES, not the str objects — pandas' object-string
-        # hashing truncates at the first NUL (C-string semantics), so
-        # str hashing would mask any change after an embedded \x00
-        h = pd.util.hash_array(
-            np.asarray(
-                [(t or "").encode() for t in batch[text_col].to_pylist()],
-                dtype=object,
-            )
-        ).view(np.int64)
+        h = _content_hash(batch[text_col])
         return pa.table({"key": batch[id_col], "h": pa.array(h, type=pa.int64())})
 
-    return ds.map_batches(collapse, batch_format="pyarrow", batch_size=8192)
+    # whole blocks (batch_size=None): the collapse is per row, so it
+    # fuses into the stage that produced the text instead of taking a
+    # re-batching hop through the object store
+    return ds.map_batches(collapse, batch_format="pyarrow", batch_size=None)
 
 
 def _keyed(side: pa.Table) -> pd.DataFrame:
@@ -58,7 +70,6 @@ def corpus_diff(
     ds_new: "ray.data.Dataset",
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Diff two corpus snapshots by id + content hash.
 
@@ -67,7 +78,14 @@ def corpus_diff(
     ``ds_old``) or ``changed`` (both sides, different text hash).  Ids
     are assumed unique per side (the document-table contract);
     duplicate ids keep their first row.  A null id on either side
-    raises ``ValueError`` naming ``id_col``."""
+    raises ``ValueError`` naming ``id_col``.
+
+    Both hashed ``(id, hash)`` sides execute here, at the call.  When
+    their measured sizes sum to at most ``dedup.BROADCAST_BYTES`` the
+    diff runs once on the driver and comes back as an in-memory
+    Dataset (two snapshots with no rows at all give an empty one);
+    above it both sides go through ``co_group``, sized by
+    ``dedup._exchange_parts`` of the larger side."""
 
     def diff_part(old: pa.Table, new: pa.Table) -> pa.Table:
         # a snapshot with no rows at all arrives without columns
@@ -90,11 +108,17 @@ def corpus_diff(
             }
         )
 
-    return co_group(
-        [
-            (_id_hash_side(ds_old, id_col, text_col), "key"),
-            (_id_hash_side(ds_new, id_col, text_col), "key"),
-        ],
-        n_parts,
-        diff_part,
-    )
+    sides = [
+        _id_hash_side(ds_old, id_col, text_col).materialize(),
+        _id_hash_side(ds_new, id_col, text_col).materialize(),
+    ]
+    if sum(side.size_bytes() or 0 for side in sides) > dedup.BROADCAST_BYTES:
+        return co_group(
+            [(side, "key") for side in sides],
+            max(dedup._exchange_parts(side) for side in sides),
+            diff_part,
+        )
+    old, new = (dedup._driver_table(side) for side in sides)
+    if not (old.num_columns or new.num_columns):
+        return ray.data.from_items([])
+    return ray.data.from_arrow(diff_part(old, new))

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -121,29 +122,50 @@ def extract_corpus(input_path: str, cfg: Optional[PipelineConfig] = None) -> "ra
     return build_pipeline(read_corpus(input_path, cfg), cfg)
 
 
+def _view_text(batch: pa.Table) -> "pa.Array | pa.ChunkedArray":
+    """The change-detection key of every row of a corpus batch:
+    ``archetype\x1fbase_url``, then one ``kind\x1ftext\x1fmedia_ref``
+    per span, all joined by ``\x1e`` (a null field reads as ``""``, a
+    null or empty span list gives the header alone), then
+    ``\x1d force_route`` when the row carries a non-null override."""
+    if not batch.num_rows:
+        return pa.array([], pa.string())
+    # one chunk per column, zero-copy when a column already is one
+    batch = batch.combine_chunks()
+    spans = batch["spans"].chunk(0)
+    # .offsets index .values, the whole child array: a sliced batch
+    # keeps its slice offset there (pc.list_flatten would drop it)
+    values = spans.values
+
+    def field(name):
+        return pc.fill_null(pc.struct_field(values, name), "")
+
+    per_span = pc.binary_join_element_wise(field("kind"), field("text"), field("media_ref"), "\x1f")
+    joined = pc.binary_join(type(spans).from_arrays(spans.offsets, per_span), "\x1e")
+    header = pc.binary_join_element_wise(
+        pc.fill_null(batch["archetype"], ""), pc.fill_null(batch["base_url"], ""), "\x1f"
+    )
+    has_spans = pc.fill_null(pc.greater(pc.list_value_length(spans), 0), False)
+    text = pc.if_else(has_spans, pc.binary_join_element_wise(header, joined, "\x1e"), header)
+    if "force_route" in batch.column_names:
+        text = pc.binary_join_element_wise(text, batch["force_route"], "\x1d", null_handling="skip")
+    return text
+
+
 def _content_view(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Collapse each corpus row to ``(doc_id, text)`` where text is a
-    canonical serialization of everything extraction consumes (spans +
-    archetype + base_url) — the change-detection key for refresh."""
+    canonical serialization of everything extraction consumes (spans,
+    archetype, base_url and a non-null per-row ``force_route``) — the
+    change-detection key for refresh.  Built with Arrow compute kernels
+    (:func:`_view_text`), no per-row Python; a row with a null override,
+    or from a corpus without the column, is keyed by its spans,
+    archetype and base_url alone."""
 
     def view(batch: pa.Table) -> pa.Table:
-        texts = []
-        for spans, arch, base in zip(
-            batch["spans"].to_pylist(),
-            batch["archetype"].to_pylist(),
-            batch["base_url"].to_pylist(),
-        ):
-            parts = [f"{arch or ''}\x1f{base or ''}"]
-            for s in spans or []:
-                parts.append(
-                    f"{s.get('kind') or ''}\x1f{s.get('text') or ''}\x1f{s.get('media_ref') or ''}"
-                )
-            texts.append("\x1e".join(parts))
-        return pa.table(
-            {"doc_id": batch["doc_id"], "text": pa.array(texts, type=pa.string())}
-        )
+        return pa.table({"doc_id": batch["doc_id"], "text": _view_text(batch)})
 
-    return ds.map_batches(view, batch_format="pyarrow", batch_size=1024)
+    # whole blocks: the view is per row, so it fuses into the read
+    return ds.map_batches(view, batch_format="pyarrow", batch_size=None)
 
 
 def refresh_extract(
@@ -157,9 +179,15 @@ def refresh_extract(
     everything else — extraction is the expensive stage, and week-over-
     week crawl churn is a small fraction of the corpus.
 
-    Mechanics: both corpora collapse to (id, content-hash) views and
-    diff via ``ops.diff.corpus_diff`` (output is CHURN-sized — only
-    added/changed/removed rows, materialized once).  The churn ids then
+    Mechanics: both corpora collapse to (id, content-hash) views —
+    Arrow-compute keys (:func:`_content_view`) hashed as bytes, in one
+    fused stage per corpus — and diff via ``ops.diff.corpus_diff``,
+    whose 16-byte-per-row hashed sides are measured: up to
+    ``BROADCAST_BYTES`` the diff runs on the driver with no shuffle,
+    above it through the partitioned exchange.  Its output is
+    CHURN-sized (only added/changed/removed rows, materialized once).
+    A per-row ``force_route`` override is part of the key, so a changed
+    override re-extracts its row.  The churn ids then
     drive two ``ops.dedup.keep_by_keys`` filters: a semi-filter picks
     the new corpus rows to re-extract (removed ids are absent from the
     new corpus, so the whole churn id set selects exactly added ∪
@@ -170,8 +198,6 @@ def refresh_extract(
 
     Returns ``(dataset, stats)`` with stats counting added / changed /
     removed / reextracted."""
-    import pyarrow.compute as pc
-
     from ..ops.dedup import keep_by_keys
     from ..ops.diff import corpus_diff
 
@@ -179,7 +205,7 @@ def refresh_extract(
     old_view = _content_view(read_corpus(prev_corpus_path, cfg))
     new_view = _content_view(read_corpus(new_corpus_path, cfg))
     # the status counts and the id set read the churn table back
-    # instead of re-running the diff shuffle
+    # instead of re-running the diff
     churn = corpus_diff(old_view, new_view).materialize()
 
     def status_counts(batch: pa.Table) -> pa.Table:
@@ -380,8 +406,6 @@ def extract_with_escalation(
     second = escalate_low_quality(input_path, first, cfg, min_quality)
     if second is None:
         return first
-
-    import pyarrow.compute as pc
 
     from ..functions import errors as errs
 

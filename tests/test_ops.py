@@ -856,10 +856,11 @@ def test_high_value_open_orders_vs_duckdb(ray_session):
     assert len(got) > 0
 
 
-def test_corpus_diff_detects_change_after_nul_byte(ray_session):
+def test_corpus_diff_detects_change_after_nul_byte(ray_session, both_join_paths):
     """Regression: pandas' object-string hashing truncates at NUL
     (C-string semantics), which masked any change AFTER an embedded
-    \x00; the diff now hashes UTF-8 bytes.  Also covers string ids."""
+    \x00; the diff now hashes UTF-8 bytes.  Also covers string ids,
+    on the driver path and through the exchange."""
     import ray.data
 
     from fetch_engines_ray.ops.diff import corpus_diff
@@ -870,8 +871,9 @@ def test_corpus_diff_detects_change_after_nul_byte(ray_session):
     b = pd.DataFrame(
         {"doc_id": ["x", "y"], "text": ["prefix\x00NEW TAIL", "clean"]}
     )
-    d = corpus_diff(ray.data.from_pandas(a), ray.data.from_pandas(b)).to_pandas()
-    assert list(zip(d["doc_id"], d["status"])) == [("x", "changed")]
+    for _ in both_join_paths():
+        d = corpus_diff(ray.data.from_pandas(a), ray.data.from_pandas(b)).to_pandas()
+        assert list(zip(d["doc_id"], d["status"])) == [("x", "changed")]
 
 
 def test_full_outer_join_vs_duckdb(ray_session, both_join_paths):
@@ -1490,9 +1492,10 @@ def test_fuzzy_decontamination(ray_session):
     assert (clean["max_bench_jaccard"] == 0.0).all()
 
 
-def test_corpus_diff(ray_session):
+def test_corpus_diff(ray_session, both_join_paths):
     """Snapshot diff: added/removed/changed verdicts are exact, output
-    is change-sized, and identical snapshots diff empty."""
+    is change-sized, and identical snapshots diff empty — on the driver
+    path and through the exchange."""
     import pandas as pd
 
     import ray.data
@@ -1509,18 +1512,45 @@ def test_corpus_diff(ray_session):
     )  # 100 added
 
     a, b = ray.data.from_pandas(old), ray.data.from_pandas(new)
-    got = corpus_diff(a, b).to_pandas().set_index("doc_id")["status"].to_dict()
-    assert got == {3: "removed", 5: "changed", 7: "changed", 100: "added"}
+    for _ in both_join_paths():
+        got = corpus_diff(a, b).to_pandas().set_index("doc_id")["status"].to_dict()
+        assert got == {3: "removed", 5: "changed", 7: "changed", 100: "added"}
 
-    assert corpus_diff(a, a).to_pandas().empty  # identical snapshots
+        assert corpus_diff(a, a).to_pandas().empty  # identical snapshots
+
+
+@pytest.mark.parametrize("empty_side", ["old", "new", "both"])
+def test_corpus_diff_empty_snapshots(ray_session, both_join_paths, empty_side):
+    """A snapshot with no rows diffs as all-added / all-removed against
+    a populated one, and two empty snapshots diff to an empty Dataset,
+    whether the empty side carries a schema or none at all."""
+    import ray.data
+
+    from fetch_engines_ray.ops.diff import corpus_diff
+
+    full = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()), "text": ["a", "b", "c"]})
+    typed_empty = full.schema.empty_table()
+    want_status = {"old": "added", "new": "removed", "both": None}[empty_side]
+    for _ in both_join_paths():
+        for empty in (ray.data.from_arrow(typed_empty), ray.data.from_items([])):
+            old = empty if empty_side in ("old", "both") else ray.data.from_arrow(full)
+            new = empty if empty_side in ("new", "both") else ray.data.from_arrow(full)
+            got = corpus_diff(old, new).to_pandas()
+            if want_status is None:
+                assert got.empty
+            else:
+                assert sorted(zip(got["doc_id"], got["status"])) == [
+                    (i, want_status) for i in (1, 2, 3)
+                ]
 
 
 @pytest.mark.parametrize("ids", [[1, 2, None], ["a", "b", None]], ids=["int64", "string"])
 @pytest.mark.parametrize("null_side", ["old", "new"])
-def test_corpus_diff_rejects_null_ids(ray_session, ids, null_side):
+def test_corpus_diff_rejects_null_ids(ray_session, both_join_paths, ids, null_side):
     """A null id on either snapshot fails loudly with a ValueError that
     names the id column — not an AttributeError inside a Ray task (string
-    ids) and not a silent diff of the int64 minimum (integer ids)."""
+    ids) and not a silent diff of the int64 minimum (integer ids) — on
+    either diff path."""
     import ray.data
 
     from fetch_engines_ray.ops.diff import corpus_diff
@@ -1529,13 +1559,14 @@ def test_corpus_diff_rejects_null_ids(ray_session, ids, null_side):
     clean = pa.table({"url_id": pa.array(ids[:2], id_type), "text": ["x", "y"]})
     bad = pa.table({"url_id": pa.array(ids, id_type), "text": ["x", "y", "z"]})
     old, new = (bad, clean) if null_side == "old" else (clean, bad)
-    with pytest.raises(ray.exceptions.RayTaskError, match="ValueError: corpus_diff: null 'url_id'"):
-        corpus_diff(
-            ray.data.from_arrow(old), ray.data.from_arrow(new), id_col="url_id"
-        ).materialize()
+    for _ in both_join_paths():
+        with pytest.raises(ray.exceptions.RayTaskError, match="ValueError: corpus_diff: null 'url_id'"):
+            corpus_diff(
+                ray.data.from_arrow(old), ray.data.from_arrow(new), id_col="url_id"
+            ).materialize()
 
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 
@@ -1553,14 +1584,19 @@ def _diff_reference(old_rows, new_rows):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     st.dictionaries(st.integers(0, 40), st.text(max_size=6), max_size=25),
     st.dictionaries(st.integers(0, 40), st.text(max_size=6), max_size=25),
 )
-def test_corpus_diff_matches_dict_reference(ray_session, old_map, new_map):
+def test_corpus_diff_matches_dict_reference(ray_session, both_join_paths, old_map, new_map):
     """corpus_diff == the obvious dict diff for ANY pair of snapshots
-    (including empty sides, disjoint id spaces, and equal texts)."""
+    (including empty sides, disjoint id spaces, and equal texts), on
+    the driver path and through the exchange."""
     import pandas as pd
 
     import ray.data
@@ -1576,10 +1612,11 @@ def test_corpus_diff_matches_dict_reference(ray_session, old_map, new_map):
                                "text": pd.Series([], dtype="object")})
         )
 
-    got_df = corpus_diff(to_ds(old_map), to_ds(new_map), n_parts=4).to_pandas()
-    # a fully-empty pair of snapshots yields a schema-less empty frame
-    got = {} if got_df.empty else dict(zip(got_df["doc_id"], got_df["status"]))
-    assert got == _diff_reference(old_map.items(), new_map.items())
+    for _ in both_join_paths():
+        got_df = corpus_diff(to_ds(old_map), to_ds(new_map)).to_pandas()
+        # a fully-empty pair of snapshots yields a schema-less empty frame
+        got = {} if got_df.empty else dict(zip(got_df["doc_id"], got_df["status"]))
+        assert got == _diff_reference(old_map.items(), new_map.items())
 
 
 def test_pack_sequences_bfd(ray_session):

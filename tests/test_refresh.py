@@ -125,3 +125,107 @@ def test_refresh_full_churn_join_path(ray_session, tmp_path, monkeypatch):
     want = extract_corpus(new).to_pandas().sort_values("doc_id").reset_index(drop=True)
     for col in ("doc_id", "archetype", "route", "n_out_chars"):
         assert got[col].tolist() == want[col].tolist(), col
+
+
+def test_refresh_reextracts_a_changed_force_route(ray_session, tmp_path):
+    """A per-row ``force_route`` override is part of what extraction
+    reads, so a row whose override changed (spans untouched) re-extracts:
+    the refreshed routes equal a full re-extraction of the new corpus."""
+    import os
+
+    from fetch_engines_ray.corpus.generate import INPUT_SCHEMA, make_doc
+    from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
+
+    schema = INPUT_SCHEMA.append(pa.field("force_route", pa.string()))
+    rows = [make_doc(i, 5) for i in range(40)]
+
+    def write(name, force_route):
+        path = str(tmp_path / name)
+        os.makedirs(path)
+        table = pa.Table.from_pylist([{**r, "force_route": force_route} for r in rows], schema=schema)
+        pq.write_table(table, f"{path}/part-00000.parquet")
+        return path
+
+    prev, new = write("v1", None), write("v2", "warm")
+    prev_out = extract_corpus(prev).materialize()
+
+    _same, stats = refresh_extract(prev, prev, prev_out)
+    assert stats == {"added": 0, "changed": 0, "removed": 0, "reextracted": 0}
+
+    refreshed, stats = refresh_extract(prev, new, prev_out)
+    assert stats == {"added": 0, "changed": 40, "removed": 0, "reextracted": 40}
+    got = refreshed.to_pandas().sort_values("doc_id")
+    want = extract_corpus(new).to_pandas().sort_values("doc_id")
+    assert got["route"].tolist() == want["route"].tolist() == ["warm"] * 40
+
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+# the change-detection key as a per-row Python loop: the reference the
+# Arrow-compute view must reproduce byte for byte
+def _reference_view_text(batch: pa.Table) -> list:
+    texts = []
+    for spans, arch, base in zip(
+        batch["spans"].to_pylist(),
+        batch["archetype"].to_pylist(),
+        batch["base_url"].to_pylist(),
+    ):
+        parts = [f"{arch or ''}\x1f{base or ''}"]
+        for s in spans or []:
+            parts.append(
+                f"{s.get('kind') or ''}\x1f{s.get('text') or ''}\x1f{s.get('media_ref') or ''}"
+            )
+        texts.append("\x1e".join(parts))
+    return texts
+
+
+def _reference_hash(texts: list):
+    import numpy as np
+    import pandas as pd
+
+    return pd.util.hash_array(
+        np.asarray([(t or "").encode() for t in texts], dtype=object)
+    ).view(np.int64)
+
+
+_field_text = st.none() | st.text(
+    st.sampled_from("\x00\x1d\x1e\x1fa é€𝄞") | st.characters(codec="utf-8"), max_size=6
+)
+_span = st.fixed_dictionaries(
+    {"kind": _field_text, "text": _field_text, "media_ref": _field_text, "offset": st.integers(0, 9)}
+)
+_row = st.fixed_dictionaries(
+    {
+        "spans": st.none() | st.lists(_span, max_size=4),
+        "archetype": _field_text,
+        "base_url": _field_text,
+    }
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_row, max_size=12), st.data())
+def test_content_view_is_byte_identical_to_the_row_loop(rows, data):
+    """The Arrow-compute view and its content hashes equal the per-row
+    loop's over null and empty span lists, null fields, NUL bytes and
+    non-ASCII text, sliced batches (offset != 0) and multi-chunk
+    columns; a null ``force_route`` leaves a row's key unchanged."""
+    from fetch_engines_ray.corpus.generate import INPUT_SCHEMA
+    from fetch_engines_ray.ops.diff import _content_hash
+    from fetch_engines_ray.pipelines.extract import _view_text
+
+    schema = pa.schema([INPUT_SCHEMA.field(c) for c in ("spans", "archetype", "base_url")])
+    table = pa.Table.from_pylist(rows, schema=schema)
+    lo = data.draw(st.integers(0, len(rows)))
+    batch = table.slice(lo, data.draw(st.integers(0, len(rows) - lo)))
+    cut = data.draw(st.integers(0, batch.num_rows))
+    if data.draw(st.booleans()):
+        batch = pa.concat_tables([batch.slice(0, cut), batch.slice(cut)])
+    if data.draw(st.booleans()):
+        batch = batch.append_column("force_route", pa.nulls(batch.num_rows, pa.string()))
+
+    want = _reference_view_text(batch)
+    got = _view_text(batch)
+    assert got.to_pylist() == want
+    assert _content_hash(got).tolist() == _reference_hash(want).tolist()
