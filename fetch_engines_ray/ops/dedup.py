@@ -8,8 +8,9 @@ group (``map_groups``), so the only wide op moves (key, doc_id,
 signature) triples, not documents.
 
 The module also holds the engine's one key filter (:func:`keep_by_keys`)
-and its one join (:func:`attach`): both broadcast a lookup side of up to
-:data:`BROADCAST_BYTES` and partition a larger one.
+and its one join (:func:`attach`): both broadcast a lookup side that
+``ops/exchange.measured`` returns as a driver table and partition one
+it returns as a Dataset.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import pyarrow as pa
 import ray.data
 
 from fetch_engines_ray.arrowclean import read_parquet_clean
-from fetch_engines_ray.ops.exchange import co_group
+from fetch_engines_ray.ops import exchange
+from fetch_engines_ray.ops.exchange import co_group, measured, n_parts_for, parts_for
 from ray.data.aggregate import Count, Min
 
 
@@ -661,12 +663,6 @@ def filter_by_keys(
     return co_group([(ds, key_col), (keys, keys_col)], n_parts, filter_part)
 
 
-# The one broadcast threshold: a materialized lookup side (a key
-# filter's key column, an attach's right side) up to this many bytes
-# goes to every task once; a larger one takes the partitioned exchange.
-# A 2M-row ``doc{idx:010d}`` id column measures 34,000,000 bytes.
-BROADCAST_BYTES = 64 << 20
-
 # Broadcast key sets as hashed pandas Indexes, built once per worker
 # process and kept for the next batches and tasks: pc.is_in rebuilds its
 # hash table from the whole value set on EVERY call, which cost about
@@ -691,35 +687,9 @@ def _key_lookup(value_ref: "ray.ObjectRef", col_type: pa.DataType) -> pd.Index:
     return index
 
 
-def n_parts_for(n_rows: int) -> int:
-    """Shuffle part count for a table of ``n_rows``: one part per 200k
-    rows and at least 2.  No ceiling — a fixed cap turns each part into
-    a straggler once the table outgrows it."""
-    return max(2, 1 + n_rows // 200_000)
-
-
-def _exchange_parts(side: "ray.data.Dataset") -> int:
-    """Part count for the partitioned path of :func:`keep_by_keys` and
-    :func:`attach`, from the row count of their materialized lookup
-    side: :func:`n_parts_for`, never fewer than 64 (each part holds its
-    whole share of the other side, which only partitions at scale)."""
-    return max(64, n_parts_for(side.count()))
-
-
-def _driver_table(side: "ray.data.Dataset") -> pa.Table:
-    """A materialized side that fits :data:`BROADCAST_BYTES` as one
-    Arrow table on the driver: its blocks concatenated (schemas unified
-    with promotion), or a zero-column table when no block has a schema
-    (a side with no rows at all)."""
-    tables = [t for t in ray.get(side.to_arrow_refs()) if t.num_columns]
-    if not tables:
-        return pa.table({})
-    return pa.concat_tables(tables, promote_options="permissive").combine_chunks()
-
-
 def keep_by_keys(
     ds: "ray.data.Dataset",
-    keys: "ray.data.Dataset",
+    keys: "ray.data.Dataset | pa.Table",
     key_col: str,
     keep: bool,
     keys_col: "str | None" = None,
@@ -728,41 +698,31 @@ def keep_by_keys(
     anti-filter) the ``ds`` rows whose ``key_col`` value is in
     ``keys[keys_col]`` — the engine's one key filter.
 
-    The key side executes once, as its narrow key column (a
-    materialized Dataset holding just that column is used as it is).
-    Its measured size picks the path: up to :data:`BROADCAST_BYTES` the
-    distinct non-null keys go to the object store once, each worker
-    hashes them once into a pandas Index, and every ``ds`` batch runs
-    one vectorized lookup whose cost does not grow with the key count;
-    above it the materialized key column feeds the partitioned
-    :func:`filter_by_keys` (:func:`_exchange_parts` parts), so no
-    corpus-sized key set reaches the driver.  Both paths give the same
+    A key Dataset executes once, as its narrow key column, through
+    ``exchange.measured``; a key table already on the driver is used as
+    it is.  A side that fits ``exchange.BROADCAST_BYTES`` sends its
+    distinct non-null keys to the object store once, each worker hashes
+    them once into a pandas Index, and every ``ds`` batch runs one
+    vectorized lookup whose cost does not grow with the key count; a
+    larger one feeds the partitioned :func:`filter_by_keys`
+    (``exchange.parts_for`` parts), so no corpus-sized key set reaches
+    the driver.  Both paths give the same
     rows: a null key on either side matches nothing, so semi drops
     null-key rows and anti keeps them.  An empty key side, with or
     without a schema, keeps nothing (semi) or everything (anti)."""
     import pyarrow.compute as pc
 
-    from ray.data.dataset import MaterializedDataset
-
     keys_col = keys_col or key_col
-    key_side = keys
-    if not (isinstance(keys, MaterializedDataset) and keys.columns() == [keys_col]):
-        key_side = keys.select_columns([keys_col]).materialize()
-    if (key_side.size_bytes() or 0) > BROADCAST_BYTES:
+    key_side = measured(keys if isinstance(keys, pa.Table) else keys.select_columns([keys_col]))
+    if not isinstance(key_side, pa.Table):
         return filter_by_keys(
-            ds,
-            key_side,
-            key_col,
-            keep_matches=keep,
-            n_parts=_exchange_parts(key_side),
-            keys_col=keys_col,
+            ds, key_side, key_col, keep, n_parts=parts_for(key_side), keys_col=keys_col
         )
-    if not keep and key_side.count() == 0:
+    if not keep and key_side.num_rows == 0:
         return ds
-    values = [t[keys_col] for t in ray.get(key_side.to_arrow_refs()) if t.num_rows]
     value_set = (
-        pc.unique(pc.drop_null(pa.chunked_array(values).combine_chunks()))
-        if values
+        pc.unique(pc.drop_null(key_side[keys_col]))
+        if key_side.num_rows
         else pa.array([], type=pa.null())
     )
     value_ref = ray.put(value_set)
@@ -815,7 +775,7 @@ def _join_tables(
 
 def attach(
     left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
+    right: "ray.data.Dataset | pa.Table",
     on: str,
     right_on: "str | None" = None,
     how: str = "inner",
@@ -832,41 +792,38 @@ def attach(
     type.  An empty right side, with or without a schema, gives no rows
     (inner) or the left rows unchanged (left).
 
-    The right side executes once (a materialized Dataset is used as it
-    is), and its measured size picks the path, as in
-    :func:`keep_by_keys`: up to :data:`BROADCAST_BYTES` it goes to the
-    object store once as one Arrow table and every ``left`` batch runs
-    one Arrow join against it; above it, and always for ``"full"``
-    (whose preserved right side cannot be broadcast), both sides
-    co-locate through :func:`~fetch_engines_ray.ops.exchange.co_group`
-    in :func:`_exchange_parts` parts, one Arrow join per part.  Neither
+    The right side executes once through ``exchange.measured`` (a right
+    table already on the driver is used as it is).  A driver table goes
+    to the object store once and every ``left`` batch runs one Arrow
+    join against it; a larger side, and any right side of a ``"full"``
+    join (whose preserved right side cannot be broadcast), co-locates
+    with the left side through ``exchange.co_group`` in
+    ``exchange.parts_for`` parts, one Arrow join per part.  Neither
     path uses Ray's hash join, whose aggregator dies on a partition
     that receives no block from a sparse side."""
-    from ray.data.dataset import MaterializedDataset
-
     if how not in _JOIN_TYPES:
         raise ValueError(f"attach: how must be one of {sorted(_JOIN_TYPES)}, got {how!r}")
     right_on = right_on or on
-    if not isinstance(right, MaterializedDataset):
-        right = right.materialize()
+    right = measured(right)
 
     def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
         return _join_tables(lt, rt, on, right_on, how)
 
-    if how == "full" or (right.size_bytes() or 0) > BROADCAST_BYTES:
+    if isinstance(right, pa.Table) and how != "full":
+        small_ref = ray.put(right)
+
+        def join_batch(batch: pa.Table) -> pa.Table:
+            return join(batch, ray.get(small_ref))
+
+        return left.map_batches(join_batch, batch_format="pyarrow", batch_size=65536)
+    if not isinstance(right, pa.Table):
         # a fresh Dataset over the same blocks: Ray walks a result's
         # stats through every materialized ancestor without merging
         # shared ones, and iterative callers (PageRank, label
         # propagation) reach the previous round along two paths, so
         # each round would double that walk
         right = ray.data.from_arrow_refs(right.to_arrow_refs())
-        return co_group([(left, on), (right, right_on)], _exchange_parts(right), join)
-    small_ref = ray.put(_driver_table(right))
-
-    def join_batch(batch: pa.Table) -> pa.Table:
-        return join(batch, ray.get(small_ref))
-
-    return left.map_batches(join_batch, batch_format="pyarrow", batch_size=65536)
+    return co_group([(left, on), (right, right_on)], parts_for(right), join)
 
 
 def _verify_minhash_pairs(
@@ -880,35 +837,24 @@ def _verify_minhash_pairs(
     The verified pair frame is this function's RETURN VALUE and has
     been driver-resident by contract since round 1; the unverified
     candidate list is the same size class (true pairs + spurious band
-    collisions), so it lands on the driver first, its key set
-    broadcasts via ``ray.put``, and ONE streaming filter pass over the
-    signature table brings back only the candidates' signatures
-    (0.5 KB x 2 x pairs).  Estimation is one vectorized numpy
-    comparison.  This replaced two re-attach hash joins: Ray's join
-    aggregator dies on sparse candidate sides (schema-less empty
-    partitions — see :mod:`~fetch_engines_ray.ops.exchange`), and
-    join/groupby aggregator fixed costs made verification SLOWER at
-    higher CPU counts at bench scale."""
-    import pyarrow.compute as pc
-
+    collisions), so it lands on the driver first, and its id set drives
+    ONE :func:`keep_by_keys` semi-filter over the signature table that
+    brings back only the candidates' signatures (0.5 KB x 2 x pairs).
+    Estimation is one vectorized numpy comparison.  This replaced two
+    re-attach hash joins: Ray's join aggregator dies on sparse
+    candidate sides (schema-less empty partitions — see
+    :mod:`~fetch_engines_ray.ops.exchange`), and join/groupby
+    aggregator fixed costs made verification SLOWER at higher CPU
+    counts at bench scale."""
     empty = pd.DataFrame(columns=["doc_a", "doc_b", "est_jaccard"])
     cand_pd = _consume_pairs(lambda: cand.to_pandas(), cand, empty)
     if cand_pd.empty:
         return empty
     cand_pd = cand_pd.drop_duplicates(["doc_a", "doc_b"])
-    keys_ref = ray.put(
-        pa.array(
-            np.union1d(cand_pd["doc_a"].to_numpy(), cand_pd["doc_b"].to_numpy())
-        )
+    cand_ids = pa.table(
+        {"doc_id": np.union1d(cand_pd["doc_a"].to_numpy(), cand_pd["doc_b"].to_numpy())}
     )
-
-    def only_candidates(batch: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)
-        return batch.filter(pc.is_in(batch["doc_id"], value_set=keys.cast(batch["doc_id"].type)))
-
-    sig_pd = sigs.map_batches(
-        only_candidates, batch_format="pyarrow", batch_size=4096
-    ).to_pandas()
+    sig_pd = keep_by_keys(sigs, cand_ids, "doc_id", keep=True).to_pandas()
     if sig_pd.empty:
         return empty
     sig_ix = {int(d): i for i, d in enumerate(sig_pd["doc_id"])}
@@ -1435,11 +1381,11 @@ def minhash_dedup_ds(
 
     One signature pass + checkpoint, then the bounded-part bucket
     exchange builds the candidate table, which is materialized once.
-    Its measured size picks where the verdicts resolve, the way
-    :func:`keep_by_keys` and :func:`attach` pick theirs: the driver
+    Its measured size picks where the verdicts resolve, under the
+    threshold :func:`keep_by_keys` and :func:`attach` use: the driver
     would hold at most ``candidate rows x (16 + 2 x num_perm x 8)``
     bytes (an id pair plus both signatures per row).  Up to
-    :data:`BROADCAST_BYTES` the candidates are verified on the driver
+    ``exchange.BROADCAST_BYTES`` the candidates are verified on the driver
     (:func:`_verify_minhash_pairs`) and resolved by union-find
     (:func:`dedup_clusters`); above it two partitioned attach passes
     verify them (:func:`_verify_minhash_pairs_ds`) and label
@@ -1469,7 +1415,7 @@ def minhash_dedup_ds(
         n_cand = cand.count()
         if n_cand == 0:
             return empty
-        if n_cand * (16 + 2 * num_perm * 8) <= BROADCAST_BYTES:
+        if n_cand * (16 + 2 * num_perm * 8) <= exchange.BROADCAST_BYTES:
             pairs = _verify_minhash_pairs(cand, sigs, threshold)
             if pairs.empty:
                 return empty

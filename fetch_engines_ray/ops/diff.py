@@ -7,13 +7,14 @@ the same question).
 Scale shape: each side collapses to ``(id, content_hash)`` inside one
 vectorized ``map_batches`` (the text's bytes hash as they are, no
 per-row Python strings) — document TEXT never leaves that stage, only
-the id and 8 bytes per row do.  Both hashed sides then execute, and
-their measured size picks the diff path under the engine's one
-broadcast threshold (``ops/dedup.BROADCAST_BYTES``): small sides are
-diffed by ONE vectorized pandas merge on the driver, with no shuffle;
-larger ones co-locate by id through ``ops/exchange.co_group`` (a key
-never straddles parts) and the same merge runs once per part.  The
-output is CHANGE-sized, not corpus-sized: unchanged ids drop.
+the id and 8 bytes per row do.  Both hashed sides then execute once
+through ``ops/exchange.measured``, under the engine's one broadcast
+threshold (``exchange.BROADCAST_BYTES``): when both fit they are
+diffed by ONE vectorized pandas merge on the driver, with no shuffle,
+and the diff stays a driver Arrow table; otherwise they co-locate by
+id through ``ops/exchange.co_group`` (a key never straddles parts) and
+the same merge runs once per part.  The output is CHANGE-sized, not
+corpus-sized: unchanged ids drop.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from . import dedup
-from .exchange import co_group
+from .exchange import co_group, measured, parts_for
 
 
 def _content_hash(text: "pa.Array | pa.ChunkedArray") -> np.ndarray:
@@ -70,24 +70,28 @@ def corpus_diff(
     ds_new: "ray.data.Dataset",
     id_col: str = "doc_id",
     text_col: str = "text",
-) -> "ray.data.Dataset":
+) -> "pa.Table | ray.data.Dataset":
     """Diff two corpus snapshots by id + content hash.
 
-    Returns a Dataset of ``(<id_col>, status)`` with status one of
+    Returns the table of ``(<id_col>, status)`` with status one of
     ``added`` (id only in ``ds_new``), ``removed`` (only in
     ``ds_old``) or ``changed`` (both sides, different text hash).  Ids
     are assumed unique per side (the document-table contract);
     duplicate ids keep their first row.  A null id on either side
     raises ``ValueError`` naming ``id_col``.
 
-    Both hashed ``(id, hash)`` sides execute here, at the call.  When
-    their measured sizes sum to at most ``dedup.BROADCAST_BYTES`` the
-    diff runs once on the driver and comes back as an in-memory
-    Dataset (two snapshots with no rows at all give an empty one);
-    above it both sides go through ``co_group``, sized by
-    ``dedup._exchange_parts`` of the larger side."""
+    Both hashed ``(id, hash)`` sides execute here, at the call, through
+    ``exchange.measured``.  When both fit ``exchange.BROADCAST_BYTES``
+    the diff runs once on the driver and comes back as a ``pa.Table``
+    (two snapshots with no rows at all give an empty one); otherwise
+    both sides go through ``co_group``, sized by ``exchange.parts_for``
+    of the larger side, and the diff comes back as a lazy Dataset.
+    Either one converts with ``.to_pandas()``."""
 
     def diff_part(old: pa.Table, new: pa.Table) -> pa.Table:
+        if not (old.num_columns or new.num_columns):
+            # two snapshots with no rows at all
+            return pa.table({id_col: pa.nulls(0), "status": pa.array([], pa.string())})
         # a snapshot with no rows at all arrives without columns
         old = old if old.num_columns else new.schema.empty_table()
         new = new if new.num_columns else old.schema.empty_table()
@@ -108,17 +112,7 @@ def corpus_diff(
             }
         )
 
-    sides = [
-        _id_hash_side(ds_old, id_col, text_col).materialize(),
-        _id_hash_side(ds_new, id_col, text_col).materialize(),
-    ]
-    if sum(side.size_bytes() or 0 for side in sides) > dedup.BROADCAST_BYTES:
-        return co_group(
-            [(side, "key") for side in sides],
-            max(dedup._exchange_parts(side) for side in sides),
-            diff_part,
-        )
-    old, new = (dedup._driver_table(side) for side in sides)
-    if not (old.num_columns or new.num_columns):
-        return ray.data.from_items([])
-    return ray.data.from_arrow(diff_part(old, new))
+    old, new = (measured(_id_hash_side(ds, id_col, text_col)) for ds in (ds_old, ds_new))
+    if isinstance(old, pa.Table) and isinstance(new, pa.Table):
+        return diff_part(old, new)
+    return co_group([(old, "key"), (new, "key")], max(parts_for(old), parts_for(new)), diff_part)

@@ -12,6 +12,11 @@ here instead, the engine's one join (``ops/dedup.attach``) included:
   moves them through ONE union exchange, and runs ``fn`` once per part
   on each side's rows in that side's own Arrow schema.
 
+The one choice between this exchange and the driver lives here too:
+:func:`measured` executes a lookup side once and returns one driver
+Arrow table when it fits :data:`BROADCAST_BYTES`, the materialized
+Dataset (sized for :func:`co_group` by :func:`parts_for`) otherwise.
+
 Each input batch ships as one Arrow IPC payload per part, so no side
 is null-padded into a shared schema: nested payload columns
 (``spans``' ``list<struct>``), full-range int64 ids and any key type
@@ -30,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from .sketches import _splitmix64_vec
 
@@ -42,6 +48,56 @@ _BATCH_ROWS = 8192
 _EXCHANGE_SCHEMA = pa.schema(
     [("part", pa.int64()), ("side", pa.int32()), ("payload", pa.large_binary())]
 )
+
+
+# The one broadcast threshold: a measured lookup side (a key filter's
+# key column, a join's right side, a diff's hashed snapshot) of up to
+# this many bytes comes to the driver as one Arrow table; a larger one
+# takes the exchange.  A 2M-row ``doc{idx:010d}`` id column measures
+# 34,000,000 bytes.
+BROADCAST_BYTES = 64 << 20
+
+
+def n_parts_for(n_rows: int) -> int:
+    """Shuffle part count for a table of ``n_rows``: one part per 200k
+    rows and at least 2.  No ceiling — a fixed cap turns each part into
+    a straggler once the table outgrows it."""
+    return max(2, 1 + n_rows // 200_000)
+
+
+def n_rows(side: "pa.Table | ray.data.Dataset") -> int:
+    """Row count of a :func:`measured` side (metadata only for a
+    materialized Dataset)."""
+    return side.num_rows if isinstance(side, pa.Table) else side.count()
+
+
+def parts_for(side: "pa.Table | ray.data.Dataset") -> int:
+    """Part count for a :func:`co_group` over a measured lookup side:
+    :func:`n_parts_for` of its rows, never fewer than 64 (each part
+    holds its whole share of the other side, which only partitions at
+    scale)."""
+    return max(64, n_parts_for(n_rows(side)))
+
+
+def measured(
+    side: "ray.data.Dataset | pa.Table",
+) -> "pa.Table | MaterializedDataset":
+    """Execute ``side`` once.  Up to :data:`BROADCAST_BYTES` it comes
+    back as one driver Arrow table: its blocks concatenated (schemas
+    unified with promotion), or a zero-column table when no block has a
+    schema (no rows at all).  Above it the ``MaterializedDataset`` comes
+    back.  A ``pa.Table`` comes back unchanged, and a materialized
+    Dataset does not execute again."""
+    if isinstance(side, pa.Table):
+        return side
+    if not isinstance(side, MaterializedDataset):
+        side = side.materialize()
+    if (side.size_bytes() or 0) > BROADCAST_BYTES:
+        return side
+    tables = [t for t in ray.get(side.to_arrow_refs()) if t.num_columns]
+    if not tables:
+        return pa.table({})
+    return pa.concat_tables(tables, promote_options="permissive").combine_chunks()
 
 
 def part_of(column: "pa.Array | pa.ChunkedArray", n_parts: int) -> np.ndarray:
@@ -90,13 +146,15 @@ def _payloads(table: pa.Table, part: np.ndarray, n_parts: int) -> pa.Array:
 
 
 def co_group(
-    sides: Sequence["tuple[ray.data.Dataset, str]"],
+    sides: Sequence["tuple[ray.data.Dataset | pa.Table, str]"],
     n_parts: int,
     fn: Callable[..., "pa.Table | pd.DataFrame"],
 ) -> "ray.data.Dataset":
     """Hash-partition every ``(dataset, key_col)`` side on its key into
     ``n_parts`` parts and return the Dataset of ``fn(*tables)``, called
     once per part with one ``pa.Table`` per side, in ``sides`` order.
+    A side given as a driver ``pa.Table`` (a :func:`measured` side next
+    to one that did not fit) goes to the object store once.
 
     Each table holds that side's rows in the part, in the side's own
     Arrow schema (batches of differing schemas are unified with
@@ -135,7 +193,9 @@ def co_group(
         )
 
     first, *rest = [
-        ds.map_batches(scatter(side, key_col), batch_format="pyarrow", batch_size=_BATCH_ROWS)
+        (ray.data.from_arrow(ds) if isinstance(ds, pa.Table) else ds).map_batches(
+            scatter(side, key_col), batch_format="pyarrow", batch_size=_BATCH_ROWS
+        )
         for side, (ds, key_col) in enumerate(sides)
     ]
     exchanged = first.union(*rest) if rest else first

@@ -116,11 +116,8 @@ def hamming64_pairs(
     (pigeonhole) — the result equals exact all-pairs hamming.  Same
     partitioned run-expansion machinery as ``simhash_pairs``
     (ops/dedup.py); shuffle partition count scales with the input."""
-    from fetch_engines_ray.ops.dedup import (
-        _consume_pairs,
-        _lsh_candidate_pairs,
-        n_parts_for,
-    )
+    from fetch_engines_ray.ops.dedup import _consume_pairs, _lsh_candidate_pairs
+    from fetch_engines_ray.ops.exchange import n_parts_for
 
     if max_hamming > 3:
         raise ValueError(

@@ -138,7 +138,7 @@ def curate_corpus(
     candidate expansion stops being quadratic in clone group size).  It
     resolves the verdicts on the driver when its materialized candidate
     table, with both signatures per pair, fits
-    ``ops.dedup.BROADCAST_BYTES``, and as a distributed verdict Dataset
+    ``ops.exchange.BROADCAST_BYTES``, and as a distributed verdict Dataset
     otherwise.  Every key filter of the chain (exact-dedup winners,
     near-dup drops, SemDeDup drops) is one ``ops/dedup.keep_by_keys``
     call, which broadcasts a small key set and partitions a large one.
@@ -687,10 +687,7 @@ def curate_corpus(
             sel = dsir_resample(weighted, n=dsir_n, seed=dsir_seed, id_col=id_col)
             _mark("dsir_select")
             clean = keep_by_keys(
-                weighted,
-                ray.data.from_arrow(pa.table({id_col: pa.array(sel[id_col])})),
-                id_col,
-                keep=True,
+                weighted, pa.table({id_col: pa.array(sel[id_col])}), id_col, keep=True
             ).drop_columns(["dsir_logw"])
 
     # 5c. optional DOCUMENT-level JSONL delivery: the cleaned, redacted,

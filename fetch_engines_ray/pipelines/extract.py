@@ -183,49 +183,47 @@ def refresh_extract(
     Arrow-compute keys (:func:`_content_view`) hashed as bytes, in one
     fused stage per corpus — and diff via ``ops.diff.corpus_diff``,
     whose 16-byte-per-row hashed sides are measured: up to
-    ``BROADCAST_BYTES`` the diff runs on the driver with no shuffle,
-    above it through the partitioned exchange.  Its output is
-    CHURN-sized (only added/changed/removed rows, materialized once).
-    A per-row ``force_route`` override is part of the key, so a changed
-    override re-extracts its row.  The churn ids then
-    drive two ``ops.dedup.keep_by_keys`` filters: a semi-filter picks
-    the new corpus rows to re-extract (removed ids are absent from the
-    new corpus, so the whole churn id set selects exactly added ∪
-    changed), and an anti-filter drops every churned id from the
-    previous output.  ``keep_by_keys`` broadcasts a small churn id set
-    and switches to its partitioned path for a large one (a full
-    re-crawl), so no corpus-sized id set ever rides the driver.
+    ``exchange.BROADCAST_BYTES`` the diff runs on the driver with no
+    shuffle and its CHURN-sized table (only added/changed/removed rows)
+    stays there.  A larger diff executes once through
+    ``exchange.measured``, which brings a churn that fits to the driver
+    too; one that does not (a full re-crawl) stays materialized.  The
+    status counts are ``pc.value_counts`` in process, over the table or
+    streamed block by block.  A per-row ``force_route`` override is
+    part of the key, so a changed override re-extracts its row.  The
+    churn then keys two ``ops.dedup.keep_by_keys`` filters: a
+    semi-filter picks the new corpus rows to re-extract (removed ids
+    are absent from the new corpus, so the whole churn id set selects
+    exactly added ∪ changed), and an anti-filter drops every churned id
+    from the previous output.  A churn Dataset's ids take the filters'
+    partitioned path when they do not fit, so no corpus-sized id set
+    ever rides the driver.
 
     Returns ``(dataset, stats)`` with stats counting added / changed /
     removed / reextracted."""
     from ..ops.dedup import keep_by_keys
     from ..ops.diff import corpus_diff
+    from ..ops.exchange import measured
 
     cfg = cfg or PipelineConfig()
     old_view = _content_view(read_corpus(prev_corpus_path, cfg))
     new_view = _content_view(read_corpus(new_corpus_path, cfg))
-    # the status counts and the id set read the churn table back
-    # instead of re-running the diff
-    churn = corpus_diff(old_view, new_view).materialize()
-
-    def status_counts(batch: pa.Table) -> pa.Table:
-        counts = pc.value_counts(batch["status"])
-        return pa.table({"status": counts.field(0), "n": counts.field(1)})
+    churn = measured(corpus_diff(old_view, new_view))
 
     stats = {"added": 0, "changed": 0, "removed": 0}
-    for row in churn.map_batches(
-        status_counts, batch_format="pyarrow", batch_size=None
-    ).take_all():
-        stats[row["status"]] += int(row["n"])
+    blocks = (
+        [churn]
+        if isinstance(churn, pa.Table)
+        else churn.select_columns(["status"]).iter_batches(batch_format="pyarrow", batch_size=None)
+    )
+    for block in blocks:
+        for row in pc.value_counts(block["status"]).to_pylist():
+            stats[row["values"]] += row["counts"]
     stats["reextracted"] = stats["added"] + stats["changed"]
 
-    # one materialized id column serves both filters as their key side
-    churn_ids = churn.select_columns(["doc_id"]).materialize()
-    out = keep_by_keys(prev_output, churn_ids, "doc_id", keep=False)
+    out = keep_by_keys(prev_output, churn, "doc_id", keep=False)
     if stats["reextracted"]:
-        fresh = keep_by_keys(
-            read_corpus(new_corpus_path, cfg), churn_ids, "doc_id", keep=True
-        )
+        fresh = keep_by_keys(read_corpus(new_corpus_path, cfg), churn, "doc_id", keep=True)
         out = out.union(build_pipeline(fresh, cfg))
     return out, stats
 
@@ -354,23 +352,24 @@ def escalate_low_quality(
     re-fetch with a heavier engine when the fast result is poor).
 
     Docs whose fast extraction scored below ``min_quality`` are re-run
-    through the warm path (forced route).  The low-quality ids feed one
+    through the warm path (forced route).  The low-quality ids execute
+    once through ``ops/exchange.measured`` and feed one
     ``ops/dedup.keep_by_keys`` semi-filter over the corpus re-read, so
-    the nested ``spans`` column rides through as Arrow and a large id
-    set takes the partitioned path instead of the driver.  Returns the
-    re-extracted rows (union with the kept rows is the caller's
-    choice), or None when no row scored below ``min_quality``.
+    the nested ``spans`` column rides through as Arrow, a small id set
+    stays one driver table and a large one takes the partitioned path.
+    Returns the re-extracted rows (union with the kept rows is the
+    caller's choice), or None when no row scored below ``min_quality``.
     """
     from ..ops.dedup import keep_by_keys
+    from ..ops.exchange import measured, n_rows
 
     cfg = cfg or PipelineConfig()
-    low = (
+    low = measured(
         extracted.select_columns(["doc_id", "quality_score"])
         .filter(expr=f"quality_score < {int(min_quality)}")
         .select_columns(["doc_id"])
-        .materialize()
     )
-    if low.count() == 0:
+    if n_rows(low) == 0:
         return None  # type: ignore[return-value]
     matched = keep_by_keys(read_corpus(input_path, cfg), low, "doc_id", keep=True)
 

@@ -11,7 +11,7 @@ extraction (the image/audio/video sibling of ``pipelines/curate.py``):
       │    GIF codecs; 8-byte hashes out, pixels never shuffled)
       ├─ per-kind lossless hamming LSH        (ops.imagehash.hamming64_pairs)
       ├─ near-dup verdicts                    (a Dataset; the dropped
-      │    refs leave through one keep_by_keys anti-filter)
+      │    refs leave through a keep_by_keys anti-filter)
       └─ caption pairs for SURVIVING media    (ops.captions, doc-local)
 
 Keep rule: one representative per visual/audible duplicate cluster
@@ -248,7 +248,6 @@ def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
     (exact-dup groups and LSH-paired ones); unique-fingerprint groups
     are filtered DISTRIBUTED before any ``to_pandas``, so driver pull is
     bounded by the duplicate mass."""
-    import ray.data
     from ray.data.aggregate import Count, Min
 
     from fetch_engines_ray.ops.dedup import dedup_clusters, keep_by_keys
@@ -270,9 +269,7 @@ def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
         # to_pandas would pull every unique fingerprint)
         in_pairs = keep_by_keys(
             groups,
-            ray.data.from_arrow(
-                pa.table({"rep": pa.array(sorted(paired_reps), type=pa.string())})
-            ),
+            pa.table({"rep": pa.array(sorted(paired_reps), type=pa.string())}),
             "rep",
             keep=True,
         ).to_pandas()  # bounded: one row per paired rep
@@ -401,11 +398,14 @@ def curate_media(
     the gate would drop anyway).
 
     The near-dup verdicts stay a Dataset end to end, so nothing
-    ref-sized rides the driver.  The dropped and gated refs leave the
-    captions through one ``ops/dedup.keep_by_keys`` anti-filter, which
-    broadcasts a small drop set and partitions a large one."""
+    ref-sized rides the driver.  The dropped refs and the gated refs
+    each execute once through ``ops/exchange.measured``, which also
+    counts them, and each set leaves the captions through an
+    ``ops/dedup.keep_by_keys`` anti-filter, which broadcasts a small
+    drop set and partitions a large one."""
     from fetch_engines_ray.ops.captions import mine_caption_pairs
     from fetch_engines_ray.ops.dedup import keep_by_keys
+    from fetch_engines_ray.ops.exchange import measured, n_rows
     from fetch_engines_ray.ops.multimodal import media_spans_dataset
 
     spans = media_spans_dataset(extracted_ds)
@@ -413,8 +413,7 @@ def curate_media(
     gates_on = any(
         g is not None for g in (min_width, min_height, max_aspect, min_duration_ms)
     )
-    gated_ds = None
-    n_gated = 0
+    drop_sides = []
     if gates_on:
         sigs = apply_media_quality_gates(
             sigs,
@@ -423,20 +422,22 @@ def curate_media(
             max_aspect=max_aspect,
             min_duration_ms=min_duration_ms,
         ).materialize()
-        gated_ds = sigs.filter(expr="gate_ok == 0").select_columns(["media_ref"])
-        n_gated = gated_ds.count()
+        drop_sides.append(measured(sigs.filter(expr="gate_ok == 0").select_columns(["media_ref"])))
         sigs = sigs.filter(expr="gate_ok == 1")
+    n_gated = n_rows(drop_sides[0]) if gates_on else 0
     captions = mine_caption_pairs(
         extracted_ds, max_chars=max_caption_chars, require_caption=require_caption
     )
     verdicts = media_near_dup_verdicts(sigs, max_hamming=max_hamming).materialize()
-    dropped_ds = verdicts.filter(expr="is_kept == False").select_columns(["media_ref"])
-    if gated_ds is not None and n_gated:
-        dropped_ds = dropped_ds.union(gated_ds)
-    dropped_ds = dropped_ds.materialize()  # counted, then the key side
-    n_dropped = dropped_ds.count()
-    if n_dropped:
-        captions = keep_by_keys(captions, dropped_ds, "media_ref", keep=False)
+    drop_sides.append(
+        measured(verdicts.filter(expr="is_kept == False").select_columns(["media_ref"]))
+    )
+    n_dropped = sum(n_rows(side) for side in drop_sides)
+    # gated refs never reach the verdicts, so the two drop sets are
+    # disjoint; each leaves through its own anti-filter (an empty one
+    # hands the captions back as they are)
+    for side in drop_sides:
+        captions = keep_by_keys(captions, side, "media_ref", keep=False)
     return {
         "pairs": captions,
         "clusters": verdicts,

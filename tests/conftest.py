@@ -20,15 +20,16 @@ def ray_session():
 
 @pytest.fixture
 def both_join_paths(monkeypatch):
-    """Run a test body on both paths of ``ops/dedup``'s ``attach`` and
-    ``keep_by_keys``: ``for _ in both_join_paths(): ...`` runs it at the
-    default ``BROADCAST_BYTES`` (small test inputs broadcast), then at 0
-    (every non-empty lookup side takes the partitioned exchange)."""
-    from fetch_engines_ray.ops import dedup
+    """Run a test body on both paths of every ``ops/exchange.measured``
+    site (``attach``, ``keep_by_keys``, ``corpus_diff``): ``for _ in
+    both_join_paths(): ...`` runs it at the default ``BROADCAST_BYTES``
+    (small test inputs come to the driver), then at 0 (every non-empty
+    lookup side takes the partitioned exchange)."""
+    from fetch_engines_ray.ops import exchange
 
     def paths():
-        for limit in (dedup.BROADCAST_BYTES, 0):
-            monkeypatch.setattr(dedup, "BROADCAST_BYTES", limit)
+        for limit in (exchange.BROADCAST_BYTES, 0):
+            monkeypatch.setattr(exchange, "BROADCAST_BYTES", limit)
             yield limit
 
     return paths

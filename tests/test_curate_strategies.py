@@ -247,7 +247,7 @@ def test_filter_by_keys_null_int_keys(ray_session, tmp_path):
     empty key side — and its key side executes exactly once."""
     import ray.data
 
-    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.ops import dedup, exchange
     from fetch_engines_ray.ops.dedup import filter_by_keys
 
     data = ray.data.from_arrow(
@@ -279,9 +279,9 @@ def test_filter_by_keys_null_int_keys(ray_session, tmp_path):
             f.write("run\n")
         return batch
 
-    for limit in (dedup.BROADCAST_BYTES, 0):
+    for limit in (exchange.BROADCAST_BYTES, 0):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dedup, "BROADCAST_BYTES", limit)
+            mp.setattr(exchange, "BROADCAST_BYTES", limit)
             for data_keys, key_values in cases:
                 data = ray.data.from_arrow(pa.table({"k": data_keys, "text": list("abcde")}))
                 keys = ray.data.from_arrow(pa.table({"key": key_values}))

@@ -334,3 +334,105 @@ def test_no_ray_dataset_join_under_the_engine():
     """Every join goes through ops/dedup.attach, so no sparse side can
     reach Ray's hash-join aggregator."""
     assert _ray_joins() == []
+
+
+def test_every_measured_site_takes_the_exchange_only_at_zero(
+    ray_session, both_join_paths, monkeypatch, tmp_path
+):
+    """``keep_by_keys``, ``attach``, ``corpus_diff`` and
+    ``refresh_extract`` all read the one ``exchange.BROADCAST_BYTES``:
+    at 0 each of them calls ``co_group``, at the default none does.  A
+    site holding its own copy of the threshold would otherwise leave one
+    of its paths untested without any test failing."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from fetch_engines_ray.corpus.generate import INPUT_SCHEMA, make_doc
+    from fetch_engines_ray.ops import dedup, diff
+    from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
+
+    calls = []
+
+    def spying(real):
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        return spy
+
+    for module in (dedup, diff):
+        monkeypatch.setattr(module, "co_group", spying(module.co_group))
+
+    rows = [make_doc(i, 3) for i in range(8)]
+    for name, version in (("v1", rows), ("v2", rows[1:])):
+        os.makedirs(tmp_path / name)
+        pq.write_table(pa.Table.from_pylist(version, schema=INPUT_SCHEMA), tmp_path / name / "part-0.parquet")
+    prev, new = str(tmp_path / "v1"), str(tmp_path / "v2")
+    prev_out = extract_corpus(prev).materialize()
+
+    data = ray.data.from_arrow(pa.table({"doc_id": [1, 2, 3], "text": ["a", "b", "c"]}))
+    edited = ray.data.from_arrow(pa.table({"doc_id": [2, 3], "text": ["b", "C"]}))
+    right = ray.data.from_arrow(pa.table({"doc_id": [2], "b": ["B"]}))
+    sites = {
+        "keep_by_keys": lambda: dedup.keep_by_keys(data, edited, "doc_id", keep=True).materialize(),
+        "attach": lambda: dedup.attach(data, right, "doc_id").materialize(),
+        "corpus_diff": lambda: diff.corpus_diff(data, edited).to_pandas(),
+        "refresh_extract": lambda: refresh_extract(prev, new, prev_out)[0].materialize(),
+    }
+    for limit in both_join_paths():
+        took = {}
+        for name, run in sites.items():
+            calls.clear()
+            run()
+            took[name] = bool(calls)
+        assert took == dict.fromkeys(sites, limit == 0), limit
+
+
+def _stale_thresholds() -> list[str]:
+    """Outside ops/exchange.py, in the engine, ``__ray_entry__.py``,
+    ``bench.py`` and ``scripts/``: ``.size_bytes()`` calls, and any
+    ``BROADCAST_BYTES`` that is not a read of ``exchange.BROADCAST_BYTES``
+    (a bare name is an imported or assigned copy that a change to the
+    one threshold would not reach)."""
+    sources = [
+        *(ROOT / "fetch_engines_ray").rglob("*.py"),
+        ROOT / "__ray_entry__.py",
+        ROOT / "bench.py",
+        *(ROOT / "scripts").glob("*.py"),
+    ]
+    found = []
+    for path in sorted(sources):
+        if path == ROOT / "fetch_engines_ray" / "ops" / "exchange.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "size_bytes"
+                )
+                or (isinstance(node, ast.Name) and node.id == "BROADCAST_BYTES")
+                or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "BROADCAST_BYTES"
+                    and not (
+                        isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "exchange"
+                    )
+                )
+                or (
+                    isinstance(node, ast.ImportFrom)
+                    and any(a.name == "BROADCAST_BYTES" for a in node.names)
+                )
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_the_exchange_measures_sides():
+    """The broadcast-or-partition decision has one home: no other
+    source measures a Dataset or keeps its own copy of the threshold."""
+    assert _stale_thresholds() == []

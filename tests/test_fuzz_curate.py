@@ -57,7 +57,7 @@ def _build(cfg) -> tuple[pd.DataFrame, list, list]:
 def test_curate_never_crashes_and_holds_invariants(ray_session, cfg):
     import ray.data
 
-    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.ops import exchange
     from fetch_engines_ray.pipelines.curate import curate_corpus
 
     df, bench, target = _build(cfg)
@@ -83,7 +83,7 @@ def test_curate_never_crashes_and_holds_invariants(ray_session, cfg):
         # key filters and joins on these small corpora too, so every
         # handoff fuzzes across every shape
         if cfg["broadcast_bytes"] == 0:
-            mp.setattr(dedup, "BROADCAST_BYTES", 0)
+            mp.setattr(exchange, "BROADCAST_BYTES", 0)
         packed = curate_corpus(ds, **kwargs).to_pandas()
     if packed.empty:
         return  # everything filtered: a legal outcome, not a crash

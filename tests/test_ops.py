@@ -1351,9 +1351,9 @@ def test_partitioned_attach_inner_left_and_extreme_ids(ray_session, monkeypatch)
     float64 corruption trap) and keys missing from the lookup."""
     import ray.data
 
-    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.ops import dedup, exchange
 
-    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     big = -(2**62) - 12345  # cannot round-trip float64
     pairs = pd.DataFrame(
         {
@@ -1495,7 +1495,7 @@ def test_fuzzy_decontamination(ray_session):
 def test_corpus_diff(ray_session, both_join_paths):
     """Snapshot diff: added/removed/changed verdicts are exact, output
     is change-sized, and identical snapshots diff empty — on the driver
-    path and through the exchange."""
+    path (a ``pa.Table``) and through the exchange (a Dataset)."""
     import pandas as pd
 
     import ray.data
@@ -1512,8 +1512,10 @@ def test_corpus_diff(ray_session, both_join_paths):
     )  # 100 added
 
     a, b = ray.data.from_pandas(old), ray.data.from_pandas(new)
-    for _ in both_join_paths():
-        got = corpus_diff(a, b).to_pandas().set_index("doc_id")["status"].to_dict()
+    for limit in both_join_paths():
+        diffed = corpus_diff(a, b)
+        assert isinstance(diffed, pa.Table) == (limit > 0)  # the driver path stays Arrow
+        got = diffed.to_pandas().set_index("doc_id")["status"].to_dict()
         assert got == {3: "removed", 5: "changed", 7: "changed", 100: "added"}
 
         assert corpus_diff(a, a).to_pandas().empty  # identical snapshots
@@ -1522,7 +1524,7 @@ def test_corpus_diff(ray_session, both_join_paths):
 @pytest.mark.parametrize("empty_side", ["old", "new", "both"])
 def test_corpus_diff_empty_snapshots(ray_session, both_join_paths, empty_side):
     """A snapshot with no rows diffs as all-added / all-removed against
-    a populated one, and two empty snapshots diff to an empty Dataset,
+    a populated one, and two empty snapshots diff to an empty result,
     whether the empty side carries a schema or none at all."""
     import ray.data
 
@@ -1614,7 +1616,7 @@ def test_corpus_diff_matches_dict_reference(ray_session, both_join_paths, old_ma
 
     for _ in both_join_paths():
         got_df = corpus_diff(to_ds(old_map), to_ds(new_map)).to_pandas()
-        # a fully-empty pair of snapshots yields a schema-less empty frame
+        # a fully-empty pair of snapshots yields an empty frame
         got = {} if got_df.empty else dict(zip(got_df["doc_id"], got_df["status"]))
         assert got == _diff_reference(old_map.items(), new_map.items())
 

@@ -71,13 +71,13 @@ def test_refresh_no_churn_reuses_everything(corpora, ray_session):
 
 
 def test_refresh_join_path_matches_broadcast(corpora, ray_session, monkeypatch):
-    """A zero broadcast limit forces keep_by_keys onto its partitioned
-    path (the 100%-churn/full-re-crawl posture): stats and output must
+    """A zero broadcast limit forces the diff and keep_by_keys onto
+    their partitioned paths (the 100%-churn/full-re-crawl posture): stats and output must
     be identical to the broadcast path on the same corpora."""
-    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.ops import exchange
     from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
 
-    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     prev, new, _c, removed_id = corpora
     prev_out = extract_corpus(prev).materialize()
     refreshed, stats = refresh_extract(prev, new, prev_out)
@@ -96,7 +96,7 @@ def test_refresh_full_churn_join_path(ray_session, tmp_path, monkeypatch):
     import os
 
     from fetch_engines_ray.corpus.generate import generate_corpus
-    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.ops import exchange
     from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
 
     prev = str(tmp_path / "v1")
@@ -117,7 +117,7 @@ def test_refresh_full_churn_join_path(ray_session, tmp_path, monkeypatch):
         f"{new}/part-00000.parquet",
     )
     prev_out = extract_corpus(prev).materialize()
-    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     refreshed, stats = refresh_extract(prev, new, prev_out)
     assert stats["changed"] == 20 and stats["reextracted"] == 20
     assert stats["added"] == 0 and stats["removed"] == 0

@@ -60,7 +60,7 @@ def test_revenue_by_segment_consistent_across_join_strategies(
     broadcast path used to keep it under a phantom '' segment (review
     finding)."""
     import fetch_engines_ray.ops.relational as rel
-    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.ops import exchange
 
     cust = pd.DataFrame(
         {"c_custkey": [1, 2], "c_mktsegment": ["AUTO", "HOUSE"]}
@@ -74,7 +74,7 @@ def test_revenue_by_segment_consistent_across_join_strategies(
     orders.to_parquet(sf / "orders.parquet")
 
     broadcast = rel.customer_revenue_by_segment(str(sf))
-    monkeypatch.setattr(dedup, "BROADCAST_BYTES", 0)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     hashed = rel.customer_revenue_by_segment(str(sf))
     pd.testing.assert_frame_equal(
         broadcast.reset_index(drop=True), hashed.reset_index(drop=True)
