@@ -153,16 +153,17 @@ def _view_text(batch: pa.Table) -> "pa.Array | pa.ChunkedArray":
 
 
 def _content_view(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Collapse each corpus row to ``(doc_id, text)`` where text is a
-    canonical serialization of everything extraction consumes (spans,
-    archetype, base_url and a non-null per-row ``force_route``) — the
-    change-detection key for refresh.  Built with Arrow compute kernels
-    (:func:`_view_text`), no per-row Python; a row with a null override,
-    or from a corpus without the column, is keyed by its spans,
-    archetype and base_url alone."""
+    """Append ``text`` to each corpus row: a canonical serialization of
+    everything extraction consumes (spans, archetype, base_url and a
+    non-null per-row ``force_route``), the change-detection key for
+    refresh.  Built with Arrow compute kernels (:func:`_view_text`), no
+    per-row Python; a row with a null override, or from a corpus without
+    the column, is keyed by its spans, archetype and base_url alone.
+    The corpus columns stay, so the rows that changed can be extracted
+    from the same pass."""
 
     def view(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch["doc_id"], "text": _view_text(batch)})
+        return batch.append_column("text", _view_text(batch))
 
     # whole blocks: the view is per row, so it fuses into the read
     return ds.map_batches(view, batch_format="pyarrow", batch_size=None)
@@ -179,25 +180,25 @@ def refresh_extract(
     everything else — extraction is the expensive stage, and week-over-
     week crawl churn is a small fraction of the corpus.
 
-    Mechanics: both corpora collapse to (id, content-hash) views —
-    Arrow-compute keys (:func:`_content_view`) hashed as bytes, in one
-    fused stage per corpus — and diff via ``ops.diff.corpus_diff``,
-    whose 16-byte-per-row hashed sides are measured: up to
-    ``exchange.BROADCAST_BYTES`` the diff runs on the driver with no
-    shuffle and its CHURN-sized table (only added/changed/removed rows)
-    stays there.  A larger diff executes once through
-    ``exchange.measured``, which brings a churn that fits to the driver
-    too; one that does not (a full re-crawl) stays materialized.  The
+    Mechanics: each corpus is read once.  Both gain an Arrow-compute
+    change key (:func:`_content_view`) and go to ``ops.diff.corpus_diff``,
+    which hashes the old corpus down to ``(doc_id, hash)`` and classifies
+    the new corpus against those hashes in the same pass that reads it,
+    so the added and changed rows it returns carry the corpus columns
+    extraction needs.  The diff executes once through
+    ``exchange.measured``: a CHURN-sized table (only added / changed /
+    removed rows) that fits ``exchange.BROADCAST_BYTES`` comes to the
+    driver, and a larger one (a full re-crawl) stays materialized.  The
     status counts are ``pc.value_counts`` in process, over the table or
-    streamed block by block.  A per-row ``force_route`` override is
-    part of the key, so a changed override re-extracts its row.  The
-    churn then keys two ``ops.dedup.keep_by_keys`` filters: a
-    semi-filter picks the new corpus rows to re-extract (removed ids
-    are absent from the new corpus, so the whole churn id set selects
-    exactly added ∪ changed), and an anti-filter drops every churned id
-    from the previous output.  A churn Dataset's ids take the filters'
-    partitioned path when they do not fit, so no corpus-sized id set
-    ever rides the driver.
+    streamed block by block.  A per-row ``force_route`` override is part
+    of the key, so a changed override re-extracts its row.  One
+    ``ops.dedup.keep_by_keys`` anti-filter drops every churned id from
+    the previous output, and the added and changed churn rows are
+    extracted as they are: a driver table enters Ray in blocks of
+    ``cfg.batch_size`` rows, so the re-extraction still spreads over
+    tasks.  A churn Dataset's ids take the filter's partitioned path
+    when they do not fit, so no corpus-sized id set ever rides the
+    driver.
 
     Returns ``(dataset, stats)`` with stats counting added / changed /
     removed / reextracted."""
@@ -223,8 +224,18 @@ def refresh_extract(
 
     out = keep_by_keys(prev_output, churn, "doc_id", keep=False)
     if stats["reextracted"]:
-        fresh = keep_by_keys(read_corpus(new_corpus_path, cfg), churn, "doc_id", keep=True)
-        out = out.union(build_pipeline(fresh, cfg))
+
+        def fresh(block: pa.Table) -> pa.Table:
+            return block.filter(pc.not_equal(block["status"], "removed")).drop_columns(["status"])
+
+        if isinstance(churn, pa.Table):
+            rows = fresh(churn)
+            rows = ray.data.from_arrow(
+                [rows.slice(i, cfg.batch_size) for i in range(0, rows.num_rows, cfg.batch_size)]
+            )
+        else:
+            rows = churn.map_batches(fresh, batch_format="pyarrow", batch_size=None)
+        out = out.union(build_pipeline(rows, cfg))
     return out, stats
 
 

@@ -293,6 +293,36 @@ def test_attach_empty_right_side(ray_session, both_join_paths):
         assert kept.schema.field("b").type == pa.string(), limit
 
 
+@pytest.mark.parametrize("how", ["inner", "left", "full"])
+def test_attach_carries_nested_columns_on_both_sides(ray_session, both_join_paths, how):
+    """``spans``-typed ``list<struct>`` columns on the left and on the
+    right side ride through the join byte for byte (Arrow's hash join
+    rejects them as non-key fields), unmatched rows null-padded."""
+    import ray.data
+
+    from fetch_engines_ray.ops.dedup import attach
+
+    span = pa.struct([("kind", pa.string()), ("text", pa.string()), ("media_ref", pa.string())])
+    spans = [
+        [{"kind": "p", "text": "a\x00b", "media_ref": None}, {"kind": "h1", "text": "é", "media_ref": "m"}],
+        [],
+        None,
+        [{"kind": None, "text": None, "media_ref": None}],
+    ]
+    left = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()), "spans": pa.array(spans, pa.list_(span))})
+    right = pa.table(
+        {"rk": pa.array([4, 2, 9, 1], pa.int64()), "rspans": pa.array(spans[::-1], pa.list_(span))}
+    )
+    lspans = dict(zip([1, 2, 3, 4], spans))
+    rspans = dict(zip([4, 2, 9, 1], spans[::-1]))
+    keys = {"inner": [1, 2, 4], "left": [1, 2, 3, 4], "full": [1, 2, 3, 4, 9]}[how]
+    want = [{"k": k, "spans": lspans.get(k), "rspans": rspans.get(k)} for k in keys]
+    for limit in both_join_paths():
+        got = _collect(attach(ray.data.from_arrow(left), ray.data.from_arrow(right), "k", "rk", how=how))
+        assert got.schema.field("spans").type == got.schema.field("rspans").type == pa.list_(span), limit
+        assert got.sort_by("k").to_pylist() == want, limit
+
+
 def test_attach_rejects_bad_input(ray_session, both_join_paths):
     import ray
     import ray.data

@@ -1586,6 +1586,24 @@ def _diff_reference(old_rows, new_rows):
     return out
 
 
+_SPAN = pa.struct([("kind", pa.string()), ("text", pa.string()), ("media_ref", pa.string())])
+_spans = st.none() | st.lists(
+    st.fixed_dictionaries(
+        {"kind": st.none() | st.text(max_size=3), "text": st.none() | st.text(max_size=4), "media_ref": st.none()}
+    ),
+    max_size=3,
+)
+
+
+def _diff_rows(diffed) -> list:
+    """A diff's rows as dicts, from the driver table or the Dataset."""
+    import ray
+
+    if isinstance(diffed, pa.Table):
+        return diffed.to_pylist()
+    return [r for t in ray.get(diffed.to_arrow_refs()) for r in t.to_pylist()]
+
+
 @settings(
     max_examples=25,
     deadline=None,
@@ -1593,32 +1611,61 @@ def _diff_reference(old_rows, new_rows):
 )
 @given(
     st.dictionaries(st.integers(0, 40), st.text(max_size=6), max_size=25),
-    st.dictionaries(st.integers(0, 40), st.text(max_size=6), max_size=25),
+    st.dictionaries(st.integers(0, 40), st.tuples(st.text(max_size=6), _spans), max_size=25),
 )
 def test_corpus_diff_matches_dict_reference(ray_session, both_join_paths, old_map, new_map):
     """corpus_diff == the obvious dict diff for ANY pair of snapshots
     (including empty sides, disjoint id spaces, and equal texts), on
-    the driver path and through the exchange."""
-    import pandas as pd
-
+    the driver path and through the exchange.  Added and changed rows
+    carry the new side's nested ``spans`` column byte-identical, and
+    removed rows carry null there."""
     import ray.data
 
     from fetch_engines_ray.ops.diff import corpus_diff
 
-    def to_ds(m):
-        ids = sorted(m)
-        return ray.data.from_pandas(
-            pd.DataFrame({"doc_id": ids, "text": [m[i] for i in ids]})
-            if ids
-            else pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                               "text": pd.Series([], dtype="object")})
-        )
-
+    old_ids, new_ids = sorted(old_map), sorted(new_map)
+    old = pa.table(
+        {"doc_id": pa.array(old_ids, pa.int64()), "text": pa.array([old_map[i] for i in old_ids], pa.string())}
+    )
+    new = pa.table(
+        {
+            "doc_id": pa.array(new_ids, pa.int64()),
+            "text": pa.array([new_map[i][0] for i in new_ids], pa.string()),
+            "spans": pa.array([new_map[i][1] for i in new_ids], pa.list_(_SPAN)),
+        }
+    )
+    want = _diff_reference(old_map.items(), ((i, t) for i, (t, _) in new_map.items()))
     for _ in both_join_paths():
-        got_df = corpus_diff(to_ds(old_map), to_ds(new_map)).to_pandas()
-        # a fully-empty pair of snapshots yields an empty frame
-        got = {} if got_df.empty else dict(zip(got_df["doc_id"], got_df["status"]))
-        assert got == _diff_reference(old_map.items(), new_map.items())
+        rows = _diff_rows(corpus_diff(ray.data.from_arrow(old), ray.data.from_arrow(new)))
+        assert {r["doc_id"]: r["status"] for r in rows} == want
+        assert len(rows) == len(want)
+        for r in rows:
+            assert r.get("spans") == (None if r["status"] == "removed" else new_map[r["doc_id"]][1])
+
+
+def test_corpus_diff_duplicate_ids_keep_their_first_row(ray_session, both_join_paths):
+    """A duplicated id is diffed by its first row on either side, and
+    comes back once, carrying its first new row's columns."""
+    import ray.data
+
+    from fetch_engines_ray.ops.diff import corpus_diff
+
+    old = pa.table({"doc_id": [1, 1, 2, 2, 3, 3], "text": ["a", "b", "c", "x", "d", "d"]})
+    new = pa.table(
+        {
+            "doc_id": [1, 1, 2, 2, 4, 4],
+            "text": ["a", "z", "x", "c", "e", "f"],
+            "spans": pa.array([[{"text": t}] for t in "012345"], pa.list_(pa.struct([("text", pa.string())]))),
+        }
+    )
+    want = [
+        {"doc_id": 2, "status": "changed", "spans": [{"text": "2"}]},
+        {"doc_id": 3, "status": "removed", "spans": None},
+        {"doc_id": 4, "status": "added", "spans": [{"text": "4"}]},
+    ]
+    for limit in both_join_paths():
+        rows = _diff_rows(corpus_diff(ray.data.from_arrow(old), ray.data.from_arrow(new)))
+        assert sorted(rows, key=lambda r: r["doc_id"]) == want, limit
 
 
 def test_pack_sequences_bfd(ray_session):

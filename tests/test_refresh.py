@@ -229,3 +229,36 @@ def test_content_view_is_byte_identical_to_the_row_loop(rows, data):
     got = _view_text(batch)
     assert got.to_pylist() == want
     assert _content_hash(got).tolist() == _reference_hash(want).tolist()
+
+
+def test_refresh_reads_each_corpus_once(corpora, ray_session, both_join_paths, monkeypatch):
+    """On both diff paths, refresh reads the old and the new corpus once
+    each, and its one key filter is the anti-filter over the previous
+    output: the rows to re-extract come from the diff's own pass over
+    the new corpus, not from a second read and a semi-filter."""
+    from fetch_engines_ray.ops import dedup
+    from fetch_engines_ray.pipelines import extract
+
+    prev, new, _c, _r = corpora
+    prev_out = extract.extract_corpus(prev).materialize()
+    reads, keeps = [], []
+
+    def read_corpus(path, cfg=None):
+        reads.append(path)
+        return real_read(path, cfg)
+
+    def keep_by_keys(*args, **kwargs):
+        keeps.append(kwargs.get("keep", args[3] if len(args) > 3 else None))
+        return real_keep(*args, **kwargs)
+
+    real_read, real_keep = extract.read_corpus, dedup.keep_by_keys
+    monkeypatch.setattr(extract, "read_corpus", read_corpus)
+    monkeypatch.setattr(dedup, "keep_by_keys", keep_by_keys)
+    for limit in both_join_paths():
+        reads.clear()
+        keeps.clear()
+        refreshed, stats = extract.refresh_extract(prev, new, prev_out)
+        refreshed.materialize()
+        assert stats == {"added": 1, "changed": 2, "removed": 1, "reextracted": 3}, limit
+        assert reads == [prev, new], limit
+        assert keeps == [False], limit
