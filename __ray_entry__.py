@@ -441,9 +441,8 @@ def _q_domain_mixture(sf_dir: str) -> Any:
     SQL-oracled with the md5 priority kernel: the oracle recomputes
     priorities, the per-domain window cumulative sums and the budget
     cut.  (This slot replaced the trivial md5 train/val split under the
-    50-query cap — that kernel stays pinned vs DuckDB in
-    tests/test_mixing.py::test_retired_train_val_split_vs_duckdb, and
-    the md5-hash-order idea lives on here, strictly richer.)"""
+    50-query cap; the md5-hash-order idea lives on here, strictly
+    richer.)"""
     from fetch_engines_ray.ops.mixing import sample_token_budget
 
     out = (
@@ -1358,48 +1357,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # relational operator parity (SQL oracles)
         "lineitem_pricing_summary": rel.lineitem_pricing_summary,
         "token_budget_selection": _q_token_budget_selection,
-        # (the trivial events_value_by_type groupby-sum slot was retired
-        # for the oracled lineitem_pricing_rollup under the 50-query
-        # cap; the rel.events_value_by_type kernel stays pytest-covered
-        # and plain groupby-sum coverage remains via
-        # customer_revenue_by_segment / lineitem_pricing_summary)
         "lineitem_pricing_rollup": _q_lineitem_rollup,
-        # (the customer_revenue_by_segment join+groupby slot was retired
-        # for the oracled jpeg_decode under the 50-query cap; its kernel
-        # stays pytest-covered and the join+groupby shape remains
-        # oracled via supplier_count_by_nation / revenue_by_orderpriority)
         "jpeg_decode": _q_jpeg_decode,
         "top_tokens_exact": _q_top_tokens,
-        # (the trivial top10_orders_by_price slot was retired for the
-        # oracled doc_dup_ngram_stats under the 50-query cap; sort+limit
-        # coverage remains via top20_longest_docs and the
-        # rel.top10_orders_by_price kernel stays pytest-covered)
         "doc_dup_ngram_stats": _q_doc_dup_ngram_stats,
         "top20_longest_docs": _q_top20_longest_docs,
-        # (the trivial high_value_open_orders filter slot was retired
-        # for the oracled c4_line_filters under the 50-query cap; the
-        # rel.high_value_open_orders kernel stays pytest-covered in
-        # tests/test_ops.py and plain-filter coverage remains via
-        # large_parts_by_brand)
         "c4_line_filters": _q_c4_line_filters,
         "doc_row_index": _q_doc_row_index,
-        # (the trivial supplier_count_by_nation left-attach slot was
-        # retired for the oracled supplier_graph_pagerank under the
-        # 50-query cap; broadcast-attach coverage remains via
-        # revenue_by_orderpriority and the
-        # rel.supplier_count_by_nation kernel stays pytest-covered)
         "supplier_graph_pagerank": _q_supplier_graph_pagerank,
-        # (the trivial orders_per_month temporal-rollup slot was retired
-        # for the oracled doc_encoding_quality under the 50-query cap;
-        # temporal coverage remains via events_tumbling_window /
-        # events_hopping_window and rel.orders_per_month stays
-        # pytest-covered)
         "doc_encoding_quality": _q_doc_encoding_quality,
-        # (the trivial large_parts_by_brand filter+agg slot was retired
-        # for the oracled customer_order_full_outer — the full-outer
-        # attach, which always takes the partitioned exchange; the rel
-        # kernel stays pytest-covered and filter+agg coverage remains
-        # broadly)
         "customer_order_full_outer": _q_customer_order_full_outer,
         "distinct_users_by_event_type": rel.distinct_users_by_event_type,
         "line_dedup_corpus": _q_line_dedup_corpus,

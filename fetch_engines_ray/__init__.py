@@ -11,19 +11,16 @@ Public surface (reference analog: /root/reference/src/index.ts:1-9):
   chain (dedup → semantic dedup → decontamination → perplexity gate →
   quality → PII → DSIR selection → packing → sharded export; every
   stage optional past the dedup core).
-* :func:`pipelines.search.build_search_index` / ``hybrid_search`` —
-  persisted IVFPQ + BM25 hybrid retrieval.
 * ``sources`` / ``ops`` submodules — readers/sinks and the
-  training-data operator families (dedup incl. line-level +
-  incremental + SemDeDup, similarity incl. PQ/IVFPQ, retrieval
-  (BM25/RRF), LM perplexity, DSIR, text stats incl. decontamination
-  (exact n-gram + fuzzy MinHash) + mixture sampling, learned
-  tokenizers (BPE + unigram-LM), Stupid-Backoff n-gram LM, binary
-  token-shard delivery, windows, graph (PageRank), corpus snapshot
-  diff, expectations, drift, datacard, sketches, profiling,
-  partitioning incl. sharded export, multimodal codecs and perceptual
-  hashes).  ``curate_corpus`` runs are resumable via named
-  fingerprinted checkpoints.
+  training-data operator families (dedup incl. line-level + SemDeDup,
+  similarity incl. PQ/IVFPQ, LM perplexity, DSIR, text stats incl.
+  decontamination (exact n-gram + fuzzy MinHash), learned tokenizers
+  (BPE + unigram-LM), Stupid-Backoff n-gram LM, binary token-shard
+  delivery, windows, graph (PageRank), corpus snapshot diff,
+  expectations, drift, datacard, sketches, profiling, partitioning
+  incl. sharded export, multimodal codecs and perceptual hashes).
+  ``curate_corpus`` runs are resumable via named fingerprinted
+  checkpoints.
 """
 
 from .functions.converter import convert  # noqa: F401

@@ -338,17 +338,6 @@ def capture_rendered_dom_snapshot(html: str) -> RenderedDomSnapshot:
     )
 
 
-def should_auto_wait_for_rendered_dom(snapshot: RenderedDomSnapshot, is_spa_mode: bool) -> bool:
-    """``shouldAutoWaitForRenderedDom``
-    (/root/reference/src/PlaywrightEngine.ts:377-385): spa mode always
-    waits; otherwise wait when the DOM still scores shell-like."""
-    if is_spa_mode:
-        return True
-    if snapshot.shell_score >= 4:
-        return True
-    return snapshot.title_length == 0 and snapshot.text_length < 200
-
-
 def rendered_snapshot_has_meaningful_content(
     snapshot: RenderedDomSnapshot, initial: RenderedDomSnapshot
 ) -> bool:

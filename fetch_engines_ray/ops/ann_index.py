@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -71,7 +71,24 @@ def build_ivf_index(
     cents = kmeans_fit(
         ds, n_clusters, n_iters=n_iters, seed=seed, id_col=id_col, vec_col=vec_col
     )
-    n = _assign_and_write(ds, cents, path, vec_col)
+    ref = ray.put(cents)
+
+    def assign(batch: pa.Table) -> pa.Table:
+        c = ray.get(ref)
+        mat = _normalize(_to_matrix(batch[vec_col]))
+        best = (mat @ c.T).argmax(axis=1).astype(np.int64)
+        batch = batch.append_column("cluster_id", pa.array(best, type=pa.int64()))
+        # string partition key gives stable lexicographic dir names
+        return batch.append_column(
+            "cluster", pa.array([f"{b:05d}" for b in best], type=pa.string())
+        )
+
+    ds.map_batches(assign, batch_format="pyarrow", batch_size=8192).write_parquet(
+        path, partition_cols=["cluster"]
+    )
+    # the row count WRITTEN, from the parquet footers (metadata only);
+    # the fresh-dir refusal makes every file here this build's output
+    n = sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
     pq.write_table(
         pa.table(
             {
@@ -95,12 +112,11 @@ def _require_fresh_index_dir(path: str) -> None:
     stale partitions (assigned under the obsolete centroids) into the
     new index — searches would score old rows twice while the meta
     under-reports n.  A periodic rebuild goes to a fresh path (then
-    swap); incremental growth uses append_ivf_index/append_ivfpq_index."""
+    swap)."""
     if os.path.isdir(path) and _parquet_files(path):
         raise ValueError(
             f"index path {path!r} already contains parquet files — rebuild "
-            "into a fresh directory (then swap), or use the append_* API "
-            "to grow the existing index"
+            "into a fresh directory (then swap)"
         )
     os.makedirs(path, exist_ok=True)
 
@@ -110,51 +126,6 @@ def _parquet_files(path: str) -> set[str]:
     for root, _dirs, names in os.walk(path):
         out.update(os.path.join(root, n) for n in names if n.endswith(".parquet"))
     return out
-
-
-def _assign_and_write(
-    ds: "ray.data.Dataset", cents: np.ndarray, path: str, vec_col: str
-) -> int:
-    """Assign + write; returns the row count WRITTEN, taken from the
-    new files' parquet footers (metadata only — no second data pass
-    over the input lineage)."""
-    before = _parquet_files(path)
-    ref = ray.put(cents)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(ref)
-        mat = _normalize(_to_matrix(batch[vec_col]))
-        best = (mat @ c.T).argmax(axis=1).astype(np.int64)
-        batch = batch.append_column("cluster_id", pa.array(best, type=pa.int64()))
-        # string partition key gives stable lexicographic dir names
-        return batch.append_column(
-            "cluster", pa.array([f"{b:05d}" for b in best], type=pa.string())
-        )
-
-    ds.map_batches(assign, batch_format="pyarrow", batch_size=8192).write_parquet(
-        path, partition_cols=["cluster"]
-    )
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path) - before
-    )
-
-
-def append_ivf_index(ds: "ray.data.Dataset", path: str) -> int:
-    """Ingest NEW vectors into an existing index without refitting:
-    assign against the saved centroids and append files into the
-    partition dirs (parquet writes use fresh unique file names, so
-    existing data is never touched).  This is the standard IVF
-    maintenance path — centroids drift only with distribution shift,
-    handled by a periodic rebuild.  Returns the new total count."""
-    with open(os.path.join(path, _META)) as f:
-        meta = json.load(f)
-    ctab = pq.read_table(os.path.join(path, _CENTROIDS))
-    cents = np.asarray([np.asarray(v) for v in ctab["centroid"].to_pylist()])
-    n_new = _assign_and_write(ds, cents, path, meta["vec_col"])
-    meta["n"] = int(meta["n"]) + n_new
-    with open(os.path.join(path, _META), "w") as f:
-        json.dump(meta, f)
-    return meta["n"]
 
 
 def probed_partitions(
@@ -251,33 +222,6 @@ def search_ivf_index(
 _PQ_CODEBOOKS = "_ivf_pq_codebooks.parquet"
 
 
-def _make_assign_encode(ref, residual: bool, m: int, dsub: int, id_col: str, vec_col: str):
-    """The IVFPQ encode kernel (normalize → coarse assign → optional
-    residual → per-subspace nearest code), shared by build AND append so
-    build-time and append-time codes can never desynchronize."""
-
-    def assign_encode(batch: pa.Table) -> pa.Table:
-        c, cb = ray.get(ref)
-        mat = _normalize(_to_matrix(batch[vec_col]))
-        best = (mat @ c.T).argmax(axis=1).astype(np.int64)
-        enc = mat - c[best] if residual else mat
-        codes = np.empty((len(mat), m), dtype=np.uint8)
-        for j in range(m):
-            sub = enc[:, j * dsub : (j + 1) * dsub]
-            d = -2.0 * (sub @ cb[j].T) + (cb[j] ** 2).sum(axis=1)
-            codes[:, j] = d.argmin(axis=1)
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "cluster_id": pa.array(best, type=pa.int64()),
-                "pq_code": pa.array([r.tobytes() for r in codes], type=pa.binary()),
-                "cluster": pa.array([f"{b:05d}" for b in best], type=pa.string()),
-            }
-        )
-
-    return assign_encode
-
-
 def build_ivfpq_index(
     ds: "ray.data.Dataset",
     path: str,
@@ -328,13 +272,32 @@ def build_ivfpq_index(
     ref = ray.put((cents, codebooks))
     m, ksub, dsub = codebooks.shape
 
-    assign_encode = _make_assign_encode(ref, residual, m, dsub, id_col, vec_col)
+    def assign_encode(batch: pa.Table) -> pa.Table:
+        # normalize → coarse assign → optional residual → per-subspace
+        # nearest code
+        c, cb = ray.get(ref)
+        mat = _normalize(_to_matrix(batch[vec_col]))
+        best = (mat @ c.T).argmax(axis=1).astype(np.int64)
+        enc = mat - c[best] if residual else mat
+        codes = np.empty((len(mat), m), dtype=np.uint8)
+        for j in range(m):
+            sub = enc[:, j * dsub : (j + 1) * dsub]
+            d = -2.0 * (sub @ cb[j].T) + (cb[j] ** 2).sum(axis=1)
+            codes[:, j] = d.argmin(axis=1)
+        return pa.table(
+            {
+                id_col: batch[id_col],
+                "cluster_id": pa.array(best, type=pa.int64()),
+                "pq_code": pa.array([r.tobytes() for r in codes], type=pa.binary()),
+                "cluster": pa.array([f"{b:05d}" for b in best], type=pa.string()),
+            }
+        )
+
     ds.map_batches(assign_encode, batch_format="pyarrow", batch_size=8192).write_parquet(
         path, partition_cols=["cluster"]
     )
     # the entry-time fresh-dir refusal guarantees every parquet file
-    # here is this build's output (no before/after diff needed — that
-    # machinery lives in the append_* paths, where it is load-bearing)
+    # here is this build's output
     n = sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
     pq.write_table(
         pa.table(
@@ -459,36 +422,3 @@ def search_ivfpq_index(
     topk = cand.groupby("query_idx", sort=True).head(k).copy()
     topk["rank"] = topk.groupby("query_idx").cumcount() + 1
     return topk[["query_idx", "neighbor_id", "rank"]].reset_index(drop=True)
-
-
-def append_ivfpq_index(ds: "ray.data.Dataset", path: str) -> int:
-    """Ingest NEW vectors into an existing IVFPQ index without refit:
-    assign against the saved coarse centroids, encode with the saved
-    codebooks, append code files into the partition dirs (unique file
-    names — existing data untouched).  Same maintenance contract as
-    `append_ivf_index`; centroid/codebook drift is handled by a
-    periodic rebuild.  Returns the new total count."""
-    with open(os.path.join(path, _META)) as f:
-        meta = json.load(f)
-    if "pq_m" not in meta:
-        raise ValueError(f"{path} is not an IVFPQ index (no pq meta)")
-    ctab = pq.read_table(os.path.join(path, _CENTROIDS))
-    cents = np.asarray([np.asarray(v) for v in ctab["centroid"].to_pylist()])
-    codebooks = _load_pq_codebooks(path, meta)
-    id_col, vec_col = meta["id_col"], meta["vec_col"]
-    m, ksub, dsub = codebooks.shape
-    before = _parquet_files(path)
-    ref = ray.put((cents, codebooks))
-
-    residual = bool(meta.get("residual"))
-    assign_encode = _make_assign_encode(ref, residual, m, dsub, id_col, vec_col)
-    ds.map_batches(assign_encode, batch_format="pyarrow", batch_size=8192).write_parquet(
-        path, partition_cols=["cluster"]
-    )
-    n_new = sum(
-        pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path) - before
-    )
-    meta["n"] = int(meta["n"]) + n_new
-    with open(os.path.join(path, _META), "w") as f:
-        json.dump(meta, f)
-    return meta["n"]

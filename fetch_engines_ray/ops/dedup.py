@@ -314,10 +314,7 @@ def _band_rows(batch: pa.Table, num_bands: int) -> pa.Table:
 
 
 def _lsh_candidate_pairs(
-    banded: "ray.data.Dataset",
-    n_parts: int = 2,
-    carry: tuple = (),
-    require_flag: "str | None" = None,
+    banded: "ray.data.Dataset", n_parts: int, carry: tuple = ()
 ) -> "ray.data.Dataset":
     """All co-bucket candidate pairs (doc_a < doc_b): band rows are
     hash-partitioned by bucket into a bounded number of parts (a bucket
@@ -342,17 +339,8 @@ def _lsh_candidate_pairs(
     ``carry`` columns (small, fixed-width — e.g. an 8-byte simhash)
     ride through as ``<col>`` / ``<col>_b``.  A pair that collides in k
     bands appears k times; dedup happens on the (tiny) verified
-    output.
-
-    ``require_flag``: name of a 0/1 int column — only pairs where at
-    least one member has flag=1 are emitted, and runs with NO flagged
-    member are skipped BEFORE expansion.  This is the incremental-dedup
-    shape (new×all, never old×old): on a small increment against a big
-    checkpoint almost every colliding run is all-old, so the skip keeps
-    the expansion bounded by buckets the increment actually touches."""
+    output."""
     carry = tuple(carry)
-    if require_flag is not None and require_flag not in carry:
-        carry = carry + (require_flag,)
 
     def pairs_part(t: pa.Table) -> pa.Table:
         b = t["bucket"].to_numpy()
@@ -373,11 +361,6 @@ def _lsh_candidate_pairs(
         edge = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1], [True])))
         lens = np.diff(edge)
         starts = edge[:-1]
-        if require_flag is not None:
-            # skip all-old runs wholesale before any expansion
-            fl = cvals[require_flag].astype(np.int64)
-            has_new = np.add.reduceat(fl, starts) > 0
-            starts, lens = starts[has_new], lens[has_new]
         ia_parts, ib_parts = [], []
         # expand runs batched BY LENGTH: all runs of length L stack into
         # a (k, L) index matrix and share one triu_indices expansion
@@ -394,9 +377,6 @@ def _lsh_candidate_pairs(
         # rows sort by (bucket, doc_id), so d[ia] <= d[ib]; equal ids
         # (the same doc landing twice in one bucket) are dropped
         keep = d[ia] < d[ib]
-        if require_flag is not None:
-            fl = cvals[require_flag].astype(np.int64)
-            keep &= (fl[ia] + fl[ib]) > 0
         ia, ib = ia[keep], ib[keep]
         data = {"doc_a": d[ia], "doc_b": d[ib]}
         for c in carry:
@@ -632,7 +612,7 @@ def filter_by_keys(
     keys: "ray.data.Dataset",
     key_col: str,
     keep_matches: bool,
-    n_parts: int = 64,
+    n_parts: int,
     keys_col: "str | None" = None,
 ) -> "ray.data.Dataset":
     """Partitioned semi-join (``keep_matches=True``) / anti-join
@@ -905,102 +885,6 @@ def _verify_minhash_pairs(
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-def build_minhash_checkpoint(
-    ds: "ray.data.Dataset",
-    path: str,
-    num_perm: int = 64,
-    shingle_size: int = 3,
-) -> None:
-    """Write the corpus's ``(doc_id, minhash_sig)`` table to ``path`` as
-    parquet — the persistent signature index for
-    :func:`minhash_incremental_pairs`.  On a cluster, point ``path`` at
-    shared storage."""
-    ds.map_batches(
-        minhash_batch,
-        fn_kwargs={"num_perm": num_perm, "shingle_size": shingle_size},
-        batch_format="pyarrow",
-        batch_size=1024,
-    ).write_parquet(path)
-
-
-def minhash_incremental_pairs(
-    new_ds: "ray.data.Dataset",
-    checkpoint_path: str,
-    num_perm: int = 64,
-    num_bands: int = 16,
-    shingle_size: int = 3,
-    threshold: float = 0.7,
-    persist_new: bool = True,
-) -> pd.DataFrame:
-    """Continuous-ingest dedup: near-dup pairs between a NEW document
-    batch and the existing corpus, plus within the new batch, WITHOUT
-    recomputing the old corpus's signatures.
-
-    This is the 100-TB ingestion shape: the baseline corpus is
-    represented only by its signature checkpoint (written by
-    :func:`build_minhash_checkpoint` / a prior increment), so each
-    increment costs O(new + index-scan) instead of O(corpus).  The LSH
-    join is new-side x all-sides — old-old pairs are structurally
-    excluded (the left side only carries new docs), new-old and new-new
-    pairs surface exactly as in the batch path.  With ``persist_new``
-    the new signatures are appended to the checkpoint directory
-    (Ray writes uniquely-named files), so the next increment dedups
-    against old + new.
-
-    Returns the same ``(doc_a, doc_b, est_jaccard)`` contract as
-    :func:`minhash_lsh_pairs`.
-    """
-    new_sigs_stream = new_ds.map_batches(
-        minhash_batch,
-        fn_kwargs={"num_perm": num_perm, "shingle_size": shingle_size},
-        batch_format="pyarrow",
-        batch_size=1024,
-    )
-    # signatures are consumed by banding, both verify joins, and the
-    # optional persist — checkpoint once, stream back per consumer
-    new_sigs, tmp = _checkpoint_parquet(new_sigs_stream, "minhash_new")
-    try:
-        base_sigs = read_parquet_clean(checkpoint_path)
-        all_sigs = base_sigs.union(new_sigs)
-        band = lambda b: _band_rows(b, num_bands)  # noqa: E731
-
-        # tag band rows new/old and run the SAME partitioned run
-        # expansion as the full sweep with ``require_flag`` — all-old
-        # runs are skipped before expansion, and only new×all pairs
-        # emit.  (The former Ray hash join on the bucket key died with
-        # schema-less empty partitions whenever a small increment's few
-        # band rows didn't cover every join partition — the NORMAL
-        # shape for continuous ingest against a big checkpoint.)
-        def tag(flag: int):
-            def _t(b: pa.Table) -> pa.Table:
-                t = band(b)
-                return t.append_column(
-                    "is_new", pa.array(np.full(len(t), flag, dtype=np.int8))
-                )
-
-            return _t
-
-        tagged = new_sigs.map_batches(
-            tag(1), batch_format="pyarrow", batch_size=1024
-        ).union(
-            base_sigs.map_batches(tag(0), batch_format="pyarrow", batch_size=1024)
-        )
-        n_parts = n_parts_for(all_sigs.count())
-        cand = _lsh_candidate_pairs(
-            tagged, n_parts, require_flag="is_new"
-        ).map_batches(
-            lambda b: b.select(["doc_a", "doc_b"]),
-            batch_format="pyarrow",
-            batch_size=65536,
-        )
-        pairs = _verify_minhash_pairs(cand, all_sigs, threshold)
-        if persist_new:
-            new_sigs.write_parquet(checkpoint_path)
-        return pairs
-    finally:
-        _cleanup_checkpoint(tmp)
-
-
 # ---------------------------------------------------------------------------
 # SimHash near-dup
 # ---------------------------------------------------------------------------
@@ -1104,10 +988,6 @@ def simhash_pairs(
         hash_col="simhash",
         id_col="doc_id",
         max_hamming=max_hamming,
-        # partition count scales with the INPUT table (same formula as
-        # the minhash path); the generic materializes the signature
-        # stage so nothing executes twice
-        n_parts=n_parts_for(ds.count()),
     )
 
 
@@ -1347,7 +1227,7 @@ def _verify_minhash_pairs_ds(
     cand: "ray.data.Dataset",
     sigs: "ray.data.Dataset",
     threshold: float,
-    n_parts: int = 64,
+    n_parts: int,
 ) -> "ray.data.Dataset":
     """Distributed verification of LSH candidate pairs — Dataset in,
     Dataset out; nothing pair-sized ever touches the driver (contrast

@@ -15,29 +15,21 @@ shuffle, nothing row-sized leaves the workers):
 - ``unique(col)``                   — no duplicate values in ``col``
   (exact, via one distinct-count groupby — the only check that
   shuffles; HLL would be cheaper but approximate)
-- ``in_range(col, lo, hi)``         — min/max bounds (nulls ignored)
-- ``accepted_values(col, values)``  — value domain (nulls ignored)
 - ``row_count(lo, hi)``             — total row bounds
-- ``null_ratio_below(col, ratio)``  — bounded null fraction
 
-``validate`` returns a report frame (check, ok, observed) and
-``enforce`` raises ``ExpectationError`` listing every failed gate.
+``validate`` returns a report frame (check, ok, observed);
+``ops/datacard.write_datacard`` renders it as the card's gate table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 if TYPE_CHECKING:  # pragma: no cover
     import ray
-
-
-class ExpectationError(AssertionError):
-    """One or more data-quality gates failed."""
 
 
 @dataclass(frozen=True)
@@ -46,17 +38,10 @@ class Check:
     col: Optional[str] = None
     lo: Any = None
     hi: Any = None
-    values: tuple = field(default_factory=tuple)
 
     def label(self) -> str:
         if self.kind == "row_count":
             return f"row_count[{self.lo},{self.hi}]"
-        if self.kind == "in_range":
-            return f"in_range({self.col})[{self.lo},{self.hi}]"
-        if self.kind == "accepted_values":
-            return f"accepted_values({self.col})"
-        if self.kind == "null_ratio_below":
-            return f"null_ratio_below({self.col})<{self.hi}"
         return f"{self.kind}({self.col})"
 
 
@@ -68,20 +53,8 @@ def unique(col: str) -> Check:
     return Check("unique", col)
 
 
-def in_range(col: str, lo, hi) -> Check:
-    return Check("in_range", col, lo=lo, hi=hi)
-
-
-def accepted_values(col: str, values: Sequence) -> Check:
-    return Check("accepted_values", col, values=tuple(values))
-
-
 def row_count(lo: int, hi: Optional[int] = None) -> Check:
     return Check("row_count", lo=lo, hi=hi if hi is not None else (1 << 62))
-
-
-def null_ratio_below(col: str, ratio: float) -> Check:
-    return Check("null_ratio_below", col, hi=float(ratio))
 
 
 def validate(ds: "ray.data.Dataset", checks: Sequence[Check]) -> pd.DataFrame:
@@ -90,37 +63,12 @@ def validate(ds: "ray.data.Dataset", checks: Sequence[Check]) -> pd.DataFrame:
     All non-unique checks share ONE map_batches pass (per-batch partial
     counters reduced on the driver); each ``unique`` check adds one
     distinct-count groupby."""
-    import pyarrow.compute as pc
-
-    scan = [c for c in checks if c.kind != "unique"]
-    cols = sorted({c.col for c in scan if c.col is not None})
+    cols = sorted({c.col for c in checks if c.kind == "not_null"})
 
     def partial(batch: pa.Table) -> pa.Table:
         rec: dict[str, Any] = {"__rows": batch.num_rows}
         for col in cols:
-            a = batch[col]
-            rec[f"{col}__nulls"] = a.null_count
-        for c in scan:
-            if c.kind == "in_range":
-                a = batch[c.col].drop_null()
-                bad = 0
-                if len(a):
-                    bad = int(
-                        pc.sum(
-                            pc.cast(
-                                pc.or_(pc.less(a, c.lo), pc.greater(a, c.hi)), pa.int64()
-                            )
-                        ).as_py()
-                        or 0
-                    )
-                rec[f"viol::{c.label()}"] = bad
-            elif c.kind == "accepted_values":
-                a = batch[c.col].drop_null()
-                bad = 0
-                if len(a):
-                    ok_mask = pc.is_in(a, value_set=pa.array(list(c.values), type=a.type))
-                    bad = len(a) - int(pc.sum(pc.cast(ok_mask, pa.int64())).as_py() or 0)
-                rec[f"viol::{c.label()}"] = bad
+            rec[f"{col}__nulls"] = batch[col].null_count
         return pa.Table.from_pylist([rec])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=8192).to_pandas()
@@ -135,13 +83,6 @@ def validate(ds: "ray.data.Dataset", checks: Sequence[Check]) -> pd.DataFrame:
         elif c.kind == "not_null":
             nulls = int(totals.get(f"{c.col}__nulls", 0))
             rows.append((c.label(), nulls == 0, nulls))
-        elif c.kind == "null_ratio_below":
-            nulls = int(totals.get(f"{c.col}__nulls", 0))
-            ratio = nulls / n_rows if n_rows else 0.0
-            rows.append((c.label(), ratio < c.hi, round(ratio, 6)))
-        elif c.kind in ("in_range", "accepted_values"):
-            bad = int(totals.get(f"viol::{c.label()}", 0))
-            rows.append((c.label(), bad == 0, bad))
         elif c.kind == "unique":
             from ray.data.aggregate import Count
 
@@ -150,16 +91,3 @@ def validate(ds: "ray.data.Dataset", checks: Sequence[Check]) -> pd.DataFrame:
         else:  # pragma: no cover
             raise ValueError(f"unknown check kind {c.kind}")
     return pd.DataFrame(rows, columns=["check", "ok", "observed"])
-
-
-def enforce(ds: "ray.data.Dataset", checks: Sequence[Check]) -> pd.DataFrame:
-    """Validate and raise ``ExpectationError`` naming every failed gate;
-    returns the report when everything passes."""
-    report = validate(ds, checks)
-    failed = report[~report["ok"]]
-    if len(failed):
-        details = "; ".join(
-            f"{r.check} (observed={r.observed})" for r in failed.itertuples()
-        )
-        raise ExpectationError(f"{len(failed)} data-quality gate(s) failed: {details}")
-    return report

@@ -35,7 +35,7 @@ LSH machinery consumes unchanged.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
@@ -107,7 +107,6 @@ def hamming64_pairs(
     hash_col: str = "dhash",
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    n_parts: Optional[int] = None,
 ) -> pd.DataFrame:
     """Near-dup pairs over ANY 64-bit hash column: bucket by each
     16-bit chunk, verify popcount ≤ ``max_hamming``.
@@ -148,14 +147,11 @@ def hamming64_pairs(
 
     # materialize the (narrow, 8-bytes-per-hash) signature table before
     # counting: sigs is usually a lazy decode+hash chain, and a bare
-    # count() would execute every codec decode once just to size the
-    # shuffle, then the pair consume would execute it all again (the
-    # double-execution simhash_pairs' n_parts comment warns about)
+    # count() would execute every decode once just to size the shuffle,
+    # then the pair consume would execute it all again
     sigs = sigs.materialize()
     banded = sigs.map_batches(explode, batch_format="pyarrow", batch_size=2048)
-    if n_parts is None:
-        n_parts = n_parts_for(sigs.count())
-    cand = _lsh_candidate_pairs(banded, n_parts, carry=("h64",))
+    cand = _lsh_candidate_pairs(banded, n_parts_for(sigs.count()), carry=("h64",))
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

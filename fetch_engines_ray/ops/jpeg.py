@@ -706,15 +706,3 @@ def jpeg_oracle_sql(source: str = "documents") -> str:
         "  width * height * level AS pixel_sum"
         " FROM lv ORDER BY doc_id"
     )
-
-
-def planted_decoded_gray(key: int) -> int:
-    """The closed-form decoded level of :func:`planted_jpeg` — kept in
-    one place so pytest can pin engine == closed form == SQL oracle."""
-    q = int(scaled_quant(QUANT_LUMA, PLANTED_QUALITY)[0])
-    g = planted_gray(key)
-    c = 8.0 * (g - 128)
-    # encoder quantization is half-away-from-zero (sign * floor(|c|/q + 0.5))
-    dcq = int(np.sign(c) * np.floor(abs(c) / q + 0.5))
-    level = int(np.floor(dcq * q / 8.0 + 0.5)) + 128
-    return max(0, min(255, level))

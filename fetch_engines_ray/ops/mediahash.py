@@ -1,8 +1,8 @@
-"""Audio and video perceptual fingerprints.
+"""Audio perceptual fingerprints (and the video convention).
 
 Completes the multimodal dedup family: text (``ops/dedup.py`` minhash /
-simhash), images (``ops/imagehash.py`` dHash), and — here — audio and
-video, all funneling into the SAME lossless 64-bit hamming LSH
+simhash), images (``ops/imagehash.py`` dHash), and — here — audio;
+video is the dHash of one decoded frame.  All funnel into the SAME lossless 64-bit hamming LSH
 (``ops.imagehash.hamming64_pairs``) inside ``curate_media``.
 
 Public-knowledge basis:
@@ -16,14 +16,14 @@ Public-knowledge basis:
   is bit-deterministic across platforms and exactly gain-invariant for
   integer scalings.
 - **Video**: frame-hash fingerprinting (the standard pHash-family
-  practice for clip dedup): perceptual-hash a representative frame —
-  the MIDDLE frame, matching the ``gif_decode`` oracle's midpoint pin —
-  after applying the palette, so a re-encoded GIF with a permuted
-  palette (same rendered pixels) hashes identically.
+  practice for clip dedup): ``curate_media`` dHashes a representative
+  frame — the MIDDLE frame, matching the ``gif_decode`` oracle's
+  midpoint pin — after applying the palette, so a re-encoded GIF with
+  a permuted palette (same rendered pixels) hashes identically.
 
 Ray-Data shape: ``curate_media``'s actor-pool decode+hash stage
 (``pipelines/mmcurate.MediaRefFingerprinter``, over the repo's own real
-WAV / GIF codecs) calls these, 8-byte hashes out, pixels/PCM never
+WAV / GIF codecs) calls this, 8-byte hashes out, pixels/PCM never
 transit the shuffle; pairing reuses the partitioned run expansion from
 ``ops/dedup.py`` unchanged.  The reference engine carries media spans
 opaquely (`src/MarkdownConverter.ts` media_ref placeholders); this
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fetch_engines_ray.ops.imagehash import _pack_bits64, dhash64, pool_mean
+from fetch_engines_ray.ops.imagehash import _pack_bits64, pool_mean
 
 
 def band_energy_matrix(
@@ -88,13 +88,3 @@ def audio_fingerprint64(samples: np.ndarray, sample_rate: int) -> int:
         return 0
     g = pool_mean(e, 8, 9)
     return _pack_bits64(g[:, 1:] > g[:, :-1])
-
-
-def video_fingerprint64(frames: list[np.ndarray]) -> int:
-    """dHash of the middle RGB frame (``frames[n//2]``) — the same
-    midpoint convention the ``gif_decode`` oracle pins.  Palette
-    permutations cancel because hashing happens AFTER palette
-    application (rendered pixels, not indices)."""
-    if not frames:
-        return 0
-    return dhash64(frames[len(frames) // 2])

@@ -5,11 +5,6 @@ DoReMi / The Pile / LLaMA report domain weights): given per-domain
 TOKEN budgets, select documents per domain in a deterministic seeded
 priority order until each budget fills.
 
-(Sibling operator: ``ops/textstats.sample_mixture`` selects by
-per-group DOC-COUNT quotas with the same hash-rank idea; this module
-is the TOKEN-budget form — named ``sample_token_budget`` so the two
-cannot be confused.)
-
 Scale design: one vectorized ``map_batches`` pass computes
 ``(id, domain, n_tokens, priority)`` (ids + small ints only — document
 text never shuffles), then ONE ``groupby(domain)`` resolves each
@@ -199,18 +194,4 @@ def sample_token_budget(
         ds.map_batches(featurize, batch_format="pyarrow", batch_size=4096)
         .groupby(domain_col)
         .map_groups(cut_domain, batch_format="pandas")
-    )
-
-
-def mixture_report(selected: "ray.data.Dataset", domain_col: str = "domain") -> pd.DataFrame:
-    """Per-domain achieved doc/token totals of a selection — the tiny
-    summary an operator checks against the intended weights."""
-    from ray.data.aggregate import Count, Sum
-
-    return (
-        selected.groupby(domain_col)
-        .aggregate(Count(alias_name="n_docs"), Sum("n_tokens", alias_name="total_tokens"))
-        .to_pandas()
-        .sort_values(domain_col)
-        .reset_index(drop=True)
     )

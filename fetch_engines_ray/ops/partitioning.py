@@ -106,8 +106,7 @@ def assign_shards(
     seeded global shuffle that is reproducible across runs, machines
     and engines (DuckDB mirror:
     ``('0x' || substr(md5(seed || ':' || id), 1, 8))::BIGINT % n`` /
-    ``substr(..., 1, 15)``).  Per-row md5 is Python but O(1)/row, the
-    same trade documented for :func:`textstats.add_split_assignment`.
+    ``substr(..., 1, 15)``).  Per-row md5 is Python but O(1)/row.
     """
     import hashlib
 

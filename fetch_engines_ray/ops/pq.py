@@ -29,9 +29,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import pyarrow as pa
 
-from fetch_engines_ray.ops.similarity import _normalize, _to_matrix
+from fetch_engines_ray.ops.similarity import _normalize
 
 if TYPE_CHECKING:  # pragma: no cover
     import ray
@@ -118,37 +117,3 @@ def pq_train_matrix(
             for j in range(m)
         ]
     )
-
-
-def pq_reconstruction_error(
-    ds: "ray.data.Dataset",
-    codebooks: np.ndarray,
-    vec_col: str = "embedding",
-) -> float:
-    """Mean squared reconstruction error of the codebooks over the
-    corpus (one streaming pass) — the PQ quality diagnostic."""
-    import ray
-
-    m, ksub, dsub = codebooks.shape
-    cb_ref = ray.put(np.ascontiguousarray(codebooks))
-
-    def err(batch: pa.Table) -> pa.Table:
-        cb = ray.get(cb_ref)
-        mat = _normalize(_to_matrix(batch[vec_col]))
-        total = np.zeros(len(mat))
-        for j in range(m):
-            # ||x-c||^2 = ||x||^2 - 2 x.c + ||c||^2 (keeps the temp at
-            # n x ksub instead of n x ksub x dsub)
-            sub = mat[:, j * dsub : (j + 1) * dsub]
-            d = (sub**2).sum(axis=1, keepdims=True) - 2.0 * (sub @ cb[j].T) + (cb[j] ** 2).sum(axis=1)
-            total += d.min(axis=1)
-        return pa.table({"se": pa.array(total, type=pa.float64()), "n": pa.array(np.ones(len(mat), dtype=np.int64))})
-
-    from ray.data.aggregate import Sum
-
-    agg = ds.map_batches(err, batch_format="pyarrow", batch_size=1024).aggregate(
-        Sum("se", alias_name="se"), Sum("n", alias_name="n")
-    )
-    if agg["se"] is None:  # empty dataset: Sum of no rows is None
-        raise ValueError("pq_reconstruction_error needs a non-empty dataset")
-    return float(agg["se"]) / max(1, int(agg["n"]))

@@ -78,19 +78,6 @@ def _batch_partials(batch: pa.Table, columns: list[str]) -> pa.Table:
     )
 
 
-def _scan_partials(ds: "ray.data.Dataset", columns):
-    """ONE per-block partials scan shared by profile_table and
-    write_profile_artifact — two hand-copies of this block once drifted
-    risk (review finding)."""
-    columns = columns or ds.schema().names
-    parts = ds.map_batches(
-        lambda b: _batch_partials(b, columns),
-        batch_format="pyarrow",
-        batch_size=65536,
-    ).to_pandas()
-    return parts, columns
-
-
 def profile_table(
     ds: "ray.data.Dataset",
     columns: list[str] | None = None,
@@ -106,16 +93,19 @@ def profile_table(
     The merge is driver-side over per-block partials only — O(blocks x
     columns) tiny rows, never the data.
     """
-    parts, columns = _scan_partials(ds, columns)
+    columns = columns or ds.schema().names
+    parts = ds.map_batches(
+        lambda b: _batch_partials(b, columns),
+        batch_format="pyarrow",
+        batch_size=65536,
+    ).to_pandas()
     return _render(_merge_partial_frame(parts, columns))
 
 
 def _merge_partial_frame(parts: pd.DataFrame, columns: list[str]) -> pd.DataFrame:
-    """Merge partial rows (per block, or per RUN when merging saved
-    artifacts) to one mergeable-state row per column: exact counts,
-    typed pickled extrema, max-merged HLL registers.  HLL register max
-    IS the union sketch, so merging artifacts from disjoint runs gives
-    bit-identical registers to one pass over the concatenated data."""
+    """Merge per-block partial rows to one row per column: exact counts,
+    typed pickled extrema, max-merged HLL registers (register max IS
+    the union sketch)."""
     if "column" not in parts.columns:
         # an EMPTY dataset's to_pandas() is column-less (the recurring
         # empty-partition hazard): profile it as zero rows per column
@@ -183,39 +173,3 @@ def _render(merged: pd.DataFrame) -> pd.DataFrame:
             "max_repr",
         ],
     )
-
-
-def write_profile_artifact(
-    ds: "ray.data.Dataset",
-    path: str,
-    columns: list[str] | None = None,
-) -> pd.DataFrame:
-    """Profile ``ds`` and persist the MERGEABLE state (one row per
-    column: counts, pickled extrema, HLL registers) as a parquet
-    artifact — the cross-run story: profile each crawl increment where
-    it lands, then :func:`merge_profile_artifacts` folds any set of
-    artifacts into the profile of the union without touching the data
-    again.  Returns the rendered profile of this run."""
-    parts, columns = _scan_partials(ds, columns)
-    merged = _merge_partial_frame(parts, columns)
-    import pyarrow.parquet as pq
-
-    tmp = path + ".tmp"
-    pq.write_table(pa.Table.from_pandas(merged, preserve_index=False), tmp)
-    import os
-
-    os.replace(tmp, path)  # artifact appears atomically
-    return _render(merged)
-
-
-def merge_profile_artifacts(paths: list[str]) -> pd.DataFrame:
-    """Fold saved profile artifacts into the profile of the UNION of
-    their inputs: counts add, extrema compare typed, HLL registers
-    max-merge (lossless for distinct-count union).  Driver-side over
-    O(runs × columns) rows — never the data."""
-    import pyarrow.parquet as pq
-
-    frames = [pq.read_table(p).to_pandas() for p in paths]
-    allp = pd.concat(frames, ignore_index=True)
-    columns = list(dict.fromkeys(allp["column"]))
-    return _render(_merge_partial_frame(allp, columns))

@@ -34,28 +34,6 @@ def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
     return read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _add_int_scaled(ds, col: str, out_col: str, scale: float = 100.0):
-    """Append ``out_col`` = round(col * scale) as int64.  Money/value
-    columns in the test tables are exact 2-decimal values; summing them
-    as scaled integers makes every aggregate EXACT and block-order
-    independent — float sums land on either side of a round(3) half
-    boundary depending on summation order, which flakes the DuckDB
-    oracle hash (seen on lineitem_pricing_summary at sf0.001).
-
-    The round mode is pinned to ``half_towards_infinity`` here and at
-    every inline ``pc.round`` site below: pyarrow's default is
-    half-to-even while DuckDB's ``round()`` is half-away-from-zero
-    (``pc.round(0.5)`` = 0 vs SQL ``round(0.5)`` = 1) — current inputs
-    are 2-decimal-exact and never land on a half, but a finer-precision
-    column would silently diverge under the default."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(batch[col], pa.scalar(scale)), round_mode="half_towards_infinity"), pa.int64())
-        return batch.append_column(out_col, v)
-
-    return ds.map_batches(f, batch_format="pyarrow", batch_size=65536)
-
-
 def _round_cols(df: pd.DataFrame, cols: list[str], nd: int = 3) -> pd.DataFrame:
     for c in cols:
         df[c] = df[c].round(nd)
@@ -122,130 +100,9 @@ def lineitem_pricing_summary(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
-def events_value_by_type(sf_dir: str) -> pd.DataFrame:
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    ds = _add_int_scaled(ds, "value", "cents")
-    out = (
-        ds.groupby("event_type")
-        .aggregate(Count(alias_name="n_events"), Sum("cents", alias_name="cents"))
-        .to_pandas()
-    )
-    out["total_value"] = out["cents"] / 100.0
-    out = out.drop(columns=["cents"])
-    return _round_cols(out, ["total_value"]).sort_values("event_type").reset_index(drop=True)
-
-
 # ---------------------------------------------------------------------------
-# Joins (ops/dedup.attach: broadcast a small side, partition a large one)
+# Distinct, joins (ops/dedup.attach), windows, top-k
 # ---------------------------------------------------------------------------
-
-def customer_revenue_by_segment(sf_dir: str) -> pd.DataFrame:
-    """orders ⋈ customer → revenue by market segment (INNER, like the
-    SQL oracle: an order with no customer row drops)."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    joined = attach(orders, cust, "o_custkey", "c_custkey")
-    joined = _add_int_scaled(joined, "o_totalprice", "cents")
-    out = (
-        joined.groupby("c_mktsegment")
-        .aggregate(Count(alias_name="n_orders"), Sum("cents", alias_name="cents"))
-        .to_pandas()
-    )
-    out["revenue"] = out["cents"] / 100.0
-    out = out.drop(columns=["cents"])
-    return _round_cols(out, ["revenue"]).sort_values("c_mktsegment").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Sort / top-k / distinct / filter
-# ---------------------------------------------------------------------------
-
-def top10_orders_by_price(sf_dir: str) -> pd.DataFrame:
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    out = ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10).to_pandas()
-    return _round_cols(out, ["o_totalprice"])
-
-
-def high_value_open_orders(sf_dir: str) -> pd.DataFrame:
-    """Vectorized filter inside map_batches (no row-wise ds.filter)."""
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus", "o_totalprice"])
-
-    def flt(batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.equal(batch["o_orderstatus"], pa.scalar("O")),
-            pc.greater(batch["o_totalprice"], pa.scalar(200000.0)),
-        )
-        return batch.filter(mask)
-
-    out = ds.map_batches(flt, batch_format="pyarrow", batch_size=65536).to_pandas()
-    out = _round_cols(out, ["o_totalprice"])
-    return out.sort_values("o_orderkey").reset_index(drop=True)
-
-
-def supplier_count_by_nation(sf_dir: str) -> pd.DataFrame:
-    """supplier LEFT JOIN nation, then grouped count + balance sum per
-    nation name (a supplier with no nation row counts under a null
-    name)."""
-    ds = attach(
-        _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"]),
-        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]),
-        "s_nationkey",
-        "n_nationkey",
-        how="left",
-    )
-    ds = _add_int_scaled(ds, "s_acctbal", "cents")
-    out = (
-        ds.groupby("n_name")
-        .aggregate(Count(alias_name="n_suppliers"), Sum("cents", alias_name="cents"))
-        .to_pandas()
-    )
-    out["total_acctbal"] = out["cents"] / 100.0
-    out = out.drop(columns=["cents"])
-    out = _round_cols(out, ["total_acctbal"])
-    return out.sort_values("n_name").reset_index(drop=True)
-
-
-def orders_per_month(sf_dir: str) -> pd.DataFrame:
-    """Temporal rollup: orders and revenue per calendar month."""
-
-    def month(batch: pa.Table) -> pa.Table:
-        m = pc.strftime(batch.column("o_orderdate"), format="%Y-%m")
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("o_totalprice"), pa.scalar(100.0)), round_mode="half_towards_infinity"), pa.int64()
-        )
-        return pa.table({"month": m, "cents": cents})
-
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"]).map_batches(
-        month, batch_format="pyarrow", batch_size=8192
-    )
-    out = (
-        ds.groupby("month")
-        .aggregate(Count(alias_name="n_orders"), Sum("cents", alias_name="cents"))
-        .to_pandas()
-    )
-    out["revenue"] = out["cents"] / 100.0
-    out = out.drop(columns=["cents"])
-    out = _round_cols(out, ["revenue"])
-    return out.sort_values("month").reset_index(drop=True)
-
-
-def large_parts_by_brand(sf_dir: str) -> pd.DataFrame:
-    """Filter pushdown + grouped sum: parts with p_size >= 25.  The
-    money aggregate is emitted as integer cents — float means round
-    differently across summation orders (distributed partials vs the
-    oracle's sequential scan), integers hash identically."""
-    ds = _read(sf_dir, "part", columns=["p_brand", "p_size", "p_retailprice"]).filter(
-        expr="p_size >= 25"
-    )
-    ds = _add_int_scaled(ds, "p_retailprice", "total_cents")
-    out = (
-        ds.groupby("p_brand")
-        .aggregate(Count(alias_name="n_parts"), Sum("total_cents", alias_name="total_cents"))
-        .to_pandas()
-    )
-    out["total_cents"] = out["total_cents"].astype("int64")
-    return out.sort_values("p_brand").reset_index(drop=True)
-
 
 def distinct_users_by_event_type(sf_dir: str) -> pd.DataFrame:
     """COUNT(DISTINCT …) composed from two grouped passes: the first

@@ -47,16 +47,6 @@ def rollup_sets(keys: Sequence[str]) -> list[tuple[str, ...]]:
     return [tuple(ks[:i]) for i in range(len(ks), -1, -1)]
 
 
-def cube_sets(keys: Sequence[str]) -> list[tuple[str, ...]]:
-    """The ANSI CUBE lattice: every subset, in DuckDB's emission order
-    (by descending set size, then position)."""
-    ks = list(keys)
-    out: list[tuple[str, ...]] = []
-    for mask in range(2 ** len(ks)):
-        out.append(tuple(k for i, k in enumerate(ks) if not (mask >> (len(ks) - 1 - i)) & 1))
-    return sorted(out, key=lambda s: (len(ks) - len(s), s))
-
-
 def _grouping_id(keys: Sequence[str], gset: Sequence[str]) -> int:
     """SQL ``GROUPING(k1, .., kn)``: bit i (MSB-first) set iff key i is
     aggregated away in this set."""

@@ -1,4 +1,6 @@
-"""Distributed sketches: HyperLogLog distinct counting.
+"""Distributed sketches: HyperLogLog registers (the distinct counts of
+``ops/profile``), histogram quantiles, Misra-Gries heavy hitters and
+Bloom membership.
 
 The scale-right shape for COUNT(DISTINCT) over 10^12 rows: each block
 reduces to a fixed 2^p-byte register array inside ``map_batches`` (the
@@ -67,57 +69,13 @@ def _estimate(regs: np.ndarray, p: int) -> float:
     return float(est)
 
 
-class HllDistinct(AggregateFnV2):
-    """``approx COUNT(DISTINCT on)`` as a first-class Ray Data
-    aggregation: ``ds.aggregate(HllDistinct(on="user_id"))`` or
-    ``ds.groupby(k).aggregate(HllDistinct(on="user_id"))``.
-
-    The accumulator is the fixed 2^p-byte HLL register blob; blocks
-    reduce to one blob each (``aggregate_block``), blobs merge by
-    elementwise max (``combine``) — nothing that scales with raw
-    cardinality ever moves, which is the whole point at 10^12 rows.
-    Nulls are skipped (matching SQL COUNT(DISTINCT)).
-    """
-
-    def __init__(self, on: str, p: int = 12, alias_name: str | None = None):
-        self._p = p
-        m = 1 << p
-        super().__init__(
-            alias_name or f"hll_distinct({on})",
-            zero_factory=lambda: bytes(m),
-            on=on,
-            ignore_nulls=True,
-        )
-
-    def aggregate_block(self, block) -> bytes:
-        from ray.data.block import BlockAccessor
-
-        col = BlockAccessor.for_block(block).to_arrow().column(self._target_col_name)
-        return _registers_for(col.drop_null().to_pylist(), self._p).tobytes()
-
-    def combine(self, current_accumulator: bytes, new: bytes) -> bytes:
-        return np.maximum(
-            np.frombuffer(current_accumulator, dtype=np.uint8),
-            np.frombuffer(new, dtype=np.uint8),
-        ).tobytes()
-
-    def finalize(self, accumulator: bytes) -> float:
-        return _estimate(np.frombuffer(accumulator, dtype=np.uint8), self._p)
-
-
-def hll_distinct(ds: "ray.data.Dataset", column: str, p: int = 12) -> float:
-    """Approximate COUNT(DISTINCT column).  ~1.04/sqrt(2^p) std error
-    (p=12 → ~1.6%)."""
-    return float(ds.aggregate(HllDistinct(on=column, p=p, alias_name="approx_distinct"))["approx_distinct"])
-
-
 # ---------------------------------------------------------------------------
 # Approximate quantiles: two-pass fixed-width histogram
 # ---------------------------------------------------------------------------
 
 class HistogramSketch(AggregateFnV2):
     """Fixed-width histogram over a known [lo, hi] domain as a Ray Data
-    aggregation — the quantile analog of :class:`HllDistinct`.
+    aggregation.
 
     Accumulator = int64 count array of ``bins`` buckets (+1 overflow
     bucket for values == hi); blocks reduce to one array each, arrays
@@ -378,14 +336,6 @@ class HeavyHitters(AggregateFnV2):
 
     def finalize(self, accumulator: dict) -> dict:
         return accumulator
-
-
-def heavy_hitters(ds: "ray.data.Dataset", column: str, k: int = 16) -> pd.DataFrame:
-    """(value, min_count) rows for the <= k Misra-Gries survivors,
-    sorted by descending lower-bound count."""
-    counters = ds.aggregate(HeavyHitters(on=column, k=k, alias_name="hh"))["hh"]
-    rows = sorted(counters.items(), key=lambda t: (-t[1], str(t[0])))
-    return pd.DataFrame(rows, columns=["value", "min_count"])
 
 
 def heavy_hitters_exact(

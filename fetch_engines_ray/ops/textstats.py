@@ -67,24 +67,6 @@ def add_normalized_text(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("norm_text", x)
 
 
-def add_split_assignment(
-    batch: pa.Table, id_col: str = "doc_id", val_pct: int = 10
-) -> pa.Table:
-    """Deterministic train/val assignment: md5 of the row id picks a
-    stable bucket in [0, 100) — reproducible across runs, machines and
-    engines (oracle: DuckDB md5 over the same string id)."""
-    import hashlib
-
-    ids = batch[id_col].to_pylist()
-    buckets = [
-        int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) % 100 for i in ids
-    ]
-    split = pa.array(
-        ["val" if b < val_pct else "train" for b in buckets], type=pa.string()
-    )
-    return batch.append_column("split", split)
-
-
 # RE2-safe PII patterns (no lookbehind/lookahead) — identical semantics
 # in pyarrow and DuckDB, both RE2-based.  Applied in a fixed order so
 # overlapping matches resolve the same way everywhere.
@@ -531,42 +513,6 @@ def dup_ngram_oracle_sql(
     )
 
 
-def sample_per_group(
-    ds: "ray.data.Dataset",
-    group_col: str,
-    n_per_group: int,
-    id_col: str = "doc_id",
-) -> "ray.data.Dataset":
-    """Deterministic stratified sample: the ``n_per_group`` rows with the
-    smallest ``md5(id)`` rank within each group — engine-stable (same
-    rows on every run, machine, partitioning), the same mechanism
-    :func:`add_split_assignment` uses for the train/val split.
-
-    Scale shape: the md5 rank is computed vectorized per batch, then ONE
-    ``groupby(group_col).map_groups`` keeps each group's top-n — the
-    shuffle moves (group, id, rank) plus payload once; no driver-side
-    state.  For heavily skewed groups the group task holds only its own
-    rows (Ray Data splits oversized groups' blocks downstream)."""
-    import hashlib
-
-    import pandas as pd
-
-    def add_rank(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        ranks = [
-            int(hashlib.md5(str(i).encode()).hexdigest()[:16], 16) for i in ids
-        ]
-        return batch.append_column("_sample_rank", pa.array(ranks, type=pa.uint64()))
-
-    def top_n(group: pd.DataFrame) -> pd.DataFrame:
-        return group.nsmallest(n_per_group, "_sample_rank").drop(
-            columns=["_sample_rank"]
-        )
-
-    ranked = ds.map_batches(add_rank, batch_format="pyarrow", batch_size=8192)
-    return ranked.groupby(group_col).map_groups(top_n, batch_format="pandas")
-
-
 def word_counts(
     ds: "ray.data.Dataset",
     text_col: str = "text",
@@ -612,136 +558,3 @@ def word_counts(
     if min_count > 1:
         rolled = rolled.filter(expr=f"n >= {min_count}")
     return rolled
-
-
-def sample_mixture(
-    ds: "ray.data.Dataset",
-    weights: dict,
-    total: int,
-    group_col: str = "source",
-    id_col: str = "doc_id",
-) -> "ray.data.Dataset":
-    """Deterministic data-mixture sampling: draw ~``total`` rows whose
-    group composition follows ``weights`` (e.g. ``{"web": 0.6, "books":
-    0.3, "code": 0.1}``) — the mixing step every pretraining run does
-    over its sources.  Groups absent from ``weights`` are dropped;
-    per-group quotas are ``floor(weight / sum(weights) * total)``, and
-    a group smaller than its quota contributes everything it has (the
-    realized mixture is then reported by the caller's own counts).
-
-    Selection per group is the engine-stable md5-rank bottom-n (same
-    mechanism as :func:`sample_per_group` / the train/val split), so
-    the sample is reproducible across runs, machines and partitionings,
-    and SQL-mirrorable (``row_number() OVER (PARTITION BY g ORDER BY
-    md5(id)) <= quota``).
-
-    Scale shape: ONE ``groupby(group_col).map_groups`` with the quota
-    dict riding in the closure (it is weights-sized, tiny); ranks are
-    vectorized per batch; no driver-side data."""
-    import hashlib
-
-    import pandas as pd
-
-    wsum = float(sum(weights.values()))
-    quotas = {g: int(w / wsum * total) for g, w in weights.items()}
-
-    def add_rank(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        ranks = [int(hashlib.md5(str(i).encode()).hexdigest()[:16], 16) for i in ids]
-        return batch.append_column("_sample_rank", pa.array(ranks, type=pa.uint64()))
-
-    def take_quota(group: pd.DataFrame) -> pd.DataFrame:
-        q = quotas.get(group[group_col].iloc[0], 0)
-        return group.nsmallest(q, "_sample_rank").drop(columns=["_sample_rank"])
-
-    ranked = ds.map_batches(add_rank, batch_format="pyarrow", batch_size=8192)
-    return ranked.groupby(group_col).map_groups(take_quota, batch_format="pandas")
-
-
-def mixture_weights_temperature(group_counts: dict, alpha: float) -> dict:
-    """Temperature-scaled mixture weights: ``p_g ∝ n_g ** alpha``
-    (XLM-R / mT5 style multilingual rebalancing; Conneau et al. 2020,
-    arXiv:1911.02116 §3.1).  ``alpha=1`` reproduces the corpus's
-    natural proportions, ``alpha=0`` is uniform, and values in between
-    up-sample low-resource groups without letting any head group
-    dominate.  Pure driver-side math over the group-cardinality-sized
-    counts dict; feed the result straight into :func:`sample_mixture`.
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    powered = {g: float(n) ** alpha for g, n in group_counts.items() if n > 0}
-    total = sum(powered.values())
-    if total == 0:
-        return {}
-    return {g: v / total for g, v in powered.items()}
-
-
-def mix_corpora(
-    sources: "dict[str, ray.data.Dataset]",
-    total: int,
-    weights: dict | None = None,
-    alpha: float | None = None,
-    id_col: str = "doc_id",
-) -> "ray.data.Dataset":
-    """The data-recipe entry point: take NAMED corpora (one Dataset per
-    source — web, books, code, ...), tag each with a ``source`` column,
-    union lazily, and draw the deterministic mixture — either at
-    explicit ``weights`` or self-weighted at temperature ``alpha``
-    (``p_g ∝ n_g^alpha``, the XLM-R/mT5 recipe).  Exactly one of
-    ``weights`` / ``alpha`` must be given.
-
-    Ids must be unique ACROSS sources (the md5-rank selection and
-    every downstream dedup key on them); offset per-source ids
-    upstream if needed.  The union is lazy — nothing reads until the
-    mixture executes — and tagging is one constant-column append per
-    batch."""
-    if (weights is None) == (alpha is None):
-        raise ValueError("pass exactly one of weights / alpha")
-    if not sources:
-        raise ValueError("mix_corpora needs at least one source corpus")
-
-    def tag(name: str):
-        def f(batch: pa.Table) -> pa.Table:
-            # re-mixing a previous mix (or any input that already
-            # carries a source tag) must not create a DUPLICATE column —
-            # Arrow allows it and the downstream groupby dies obscurely
-            if "source" in batch.column_names:
-                batch = batch.drop_columns(["source"])
-            return batch.append_column(
-                "source", pa.array([name] * batch.num_rows, type=pa.string())
-            )
-
-        return f
-
-    tagged = [
-        ds.map_batches(tag(name), batch_format="pyarrow", batch_size=8192)
-        for name, ds in sources.items()
-    ]
-    union = tagged[0]
-    if len(tagged) > 1:
-        union = union.union(*tagged[1:])
-    if weights is not None:
-        return sample_mixture(union, weights, total, id_col=id_col)
-    return sample_mixture_temperature(union, alpha, total, id_col=id_col)
-
-
-def sample_mixture_temperature(
-    ds: "ray.data.Dataset",
-    alpha: float,
-    total: int,
-    group_col: str = "source",
-    id_col: str = "doc_id",
-) -> "ray.data.Dataset":
-    """Temperature-based data-mixture sampling: derive the weights from
-    the corpus's OWN group counts (one small ``groupby().count()`` —
-    output is group-cardinality-sized) at temperature ``alpha``, then
-    run the deterministic md5-rank :func:`sample_mixture`.  The one
-    extra pass over the input is the price of not knowing the group
-    histogram up front; callers that do should call
-    :func:`mixture_weights_temperature` + :func:`sample_mixture`
-    directly."""
-    counts_df = ds.groupby(group_col).count().to_pandas()
-    count_col = "count()" if "count()" in counts_df.columns else "count"
-    counts = dict(zip(counts_df[group_col], counts_df[count_col].astype(int)))
-    weights = mixture_weights_temperature(counts, alpha)
-    return sample_mixture(ds, weights, total, group_col=group_col, id_col=id_col)

@@ -88,8 +88,8 @@ class MediaRefFingerprinter:
 
         def fp_video(ref: str, payload: Optional[bytes]):
             # selective decode: LZW-inflate ONLY the middle frame (the
-            # fingerprint's input) — same hash as video_fingerprint64
-            # over the full decode, (n-1)/n of the LZW cost skipped
+            # fingerprint's input) — the dHash of the full decode's
+            # middle frame, (n-1)/n of the LZW cost skipped
             try:
                 dec = decode_gif_frame(
                     payload if payload is not None else planted_gif_for_ref(ref)

@@ -91,33 +91,6 @@ def test_search_empty_probe_set(ray_session, index):
     assert len(out) == 5
 
 
-def test_append_without_refit(ray_session, tmp_path):
-    """Half-build then append the rest: totals update, appended vectors
-    are searchable, and a clone query finds its appended twin first."""
-    from fetch_engines_ray.ops.ann_index import append_ivf_index
-
-    ids, mat = _vectors(seed=33)
-    half = len(ids) // 2
-
-    def _ds(lo, hi):
-        tbl = pa.table(
-            {"vec_id": pa.array(ids[lo:hi], type=pa.int64()),
-             "embedding": pa.array(mat[lo:hi].tolist(), type=pa.list_(pa.float64()))}
-        )
-        return ray.data.from_arrow(tbl).repartition(3)
-
-    path = str(tmp_path / "index")
-    build_ivf_index(_ds(0, half), path, n_clusters=6, n_iters=3)
-    total = append_ivf_index(_ds(half, len(ids)), path)
-    assert total == len(ids)
-    assert ray.data.read_parquet(path).count() == len(ids)
-
-    # query with an appended vector: it must find ITSELF at rank 1
-    appended_id = int(ids[half + 7])
-    got = search_ivf_index(path, mat[[half + 7]], k=3, nprobe=2)
-    assert int(got.loc[got["rank"] == 1, "neighbor_id"].iloc[0]) == appended_id
-
-
 # ---------------------------------------------------------------------------
 # IVFPQ (compressed codes-only index)
 # ---------------------------------------------------------------------------
@@ -276,15 +249,10 @@ def test_ivfpq_residual_encoding_cuts_reconstruction_error(ray_session, tmp_path
     assert errs[True] < errs[False] * 0.7, errs  # decisively better
 
 
-def test_ivfpq_residual_search_and_append(ray_session, tmp_path):
+def test_ivfpq_residual_search(ray_session, tmp_path):
     """Residual-index search returns blob-correct neighbors through the
-    q·c + q·r correction, and append re-encodes new vectors with the
-    stored residual flag (appended clones become findable)."""
-    from fetch_engines_ray.ops.ann_index import (
-        append_ivfpq_index,
-        build_ivfpq_index,
-        search_ivfpq_index,
-    )
+    q·c + q·r correction."""
+    from fetch_engines_ray.ops.ann_index import build_ivfpq_index, search_ivfpq_index
 
     ids, mat = _vectors(seed=37)
     tbl = pa.table(
@@ -303,24 +271,11 @@ def test_ivfpq_residual_search_and_append(ray_session, tmp_path):
         assert len(got) == 10
         assert (got // 80 == p // 80).all()  # all from the query's blob
 
-    # append exact clones of the queries under fresh ids
-    clone_ids = [9000 + i for i in range(len(qpos))]
-    ctbl = pa.table(
-        {"vec_id": pa.array(clone_ids, type=pa.int64()),
-         "embedding": pa.array(mat[qpos].tolist(), type=pa.list_(pa.float64()))}
-    )
-    append_ivfpq_index(ray.data.from_arrow(ctbl), path)
-    out2 = search_ivfpq_index(path, mat[qpos], k=5, nprobe=3)
-    for qi, cid in enumerate(clone_ids):
-        got = set(out2[out2["query_idx"] == qi]["neighbor_id"])
-        assert cid in got  # the appended exact clone surfaces
-
 
 def test_build_into_existing_index_dir_refuses(ray_session, tmp_path):
     """Rebuilding into a populated index path would MIX stale partition
     files (assigned under obsolete centroids) into the new index —
-    searches would score old rows twice.  The build APIs must refuse;
-    growth goes through append_*."""
+    searches would score old rows twice.  The build APIs must refuse."""
     import numpy as np
     import pytest
 

@@ -145,7 +145,6 @@ def test_rendered_dom_snapshot_weight_set():
     from fetch_engines_ray.functions.render_detection import (
         capture_rendered_dom_snapshot,
         rendered_snapshot_has_meaningful_content,
-        should_auto_wait_for_rendered_dom,
     )
 
     shell = "<html><head></head><body><div id='root'></div></body></html>"
@@ -153,8 +152,6 @@ def test_rendered_dom_snapshot_weight_set():
     # title=0 (+2), text<80 (+3), html<2000 (+1), empty root & text<120
     # (+2), no main/heading & text<140 (+1) = 9
     assert s.shell_score == 9 and s.quality_score == 0
-    assert should_auto_wait_for_rendered_dom(s, is_spa_mode=False)
-    assert should_auto_wait_for_rendered_dom(s, is_spa_mode=True)
 
     body = "x" * 130
     rich = (
@@ -167,7 +164,6 @@ def test_rendered_dom_snapshot_weight_set():
     # heading>=12 -> +1
     assert r.quality_score == 3 + 1 + 2 + 1
     assert r.shell_score == 1  # only html<2000
-    assert not should_auto_wait_for_rendered_dom(r, is_spa_mode=False)
     assert rendered_snapshot_has_meaningful_content(r, s)
     assert not rendered_snapshot_has_meaningful_content(s, s)
 

@@ -12,12 +12,23 @@ from fetch_engines_ray.ops.jpeg import (
     decode_jpeg,
     encode_jpeg,
     jpeg_oracle_sql,
-    planted_decoded_gray,
     planted_dims,
     planted_gray,
     planted_jpeg,
     scaled_quant,
 )
+
+
+def planted_decoded_gray(key: int) -> int:
+    """The closed-form decoded level of :func:`planted_jpeg`, so the
+    tests can pin engine == closed form == SQL oracle."""
+    q = int(scaled_quant(QUANT_LUMA, PLANTED_QUALITY)[0])
+    g = planted_gray(key)
+    c = 8.0 * (g - 128)
+    # encoder quantization is half-away-from-zero (sign * floor(|c|/q + 0.5))
+    dcq = int(np.sign(c) * np.floor(abs(c) / q + 0.5))
+    level = int(np.floor(dcq * q / 8.0 + 0.5)) + 128
+    return max(0, min(255, level))
 
 
 def _psnr(a: np.ndarray, b: np.ndarray) -> float:

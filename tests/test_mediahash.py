@@ -1,14 +1,17 @@
-"""Audio/video perceptual fingerprints (ops/mediahash.py): exact-integer
+"""Audio/video perceptual fingerprints (ops/mediahash.py, and the
+middle-frame dHash ``pipelines/mmcurate.py`` takes of a GIF): exact-integer
 band energies, gain invariance and palette-permutation invariance."""
 
 import numpy as np
 
-from fetch_engines_ray.ops.gif import encode_gif, planted_frames, planted_palette
-from fetch_engines_ray.ops.mediahash import (
-    audio_fingerprint64,
-    band_energy_matrix,
-    video_fingerprint64,
+from fetch_engines_ray.ops.gif import (
+    decode_gif_frame,
+    encode_gif,
+    planted_frames,
+    planted_palette,
 )
+from fetch_engines_ray.ops.imagehash import dhash64
+from fetch_engines_ray.ops.mediahash import audio_fingerprint64, band_energy_matrix
 from fetch_engines_ray.ops.wav import decode_wav, encode_wav
 
 RATE = 8000
@@ -83,17 +86,18 @@ def test_video_fingerprint_palette_permutation_invariant():
     remapped = [perm[f] for f in frames]
     from fetch_engines_ray.ops.gif import decode_gif
 
-    d1 = decode_gif(encode_gif(frames, palette, [10] * len(frames)))
-    d2 = decode_gif(encode_gif(remapped, permuted_palette, [10] * len(frames)))
+    g1 = encode_gif(frames, palette, [10] * len(frames))
+    g2 = encode_gif(remapped, permuted_palette, [10] * len(frames))
+    d1, d2 = decode_gif(g1), decode_gif(g2)
     assert np.array_equal(d1["frames"][0], d2["frames"][0])  # rendered pixels equal
-    assert video_fingerprint64(d1["frames"]) == video_fingerprint64(d2["frames"])
+    assert dhash64(decode_gif_frame(g1)["frame"]) == dhash64(decode_gif_frame(g2)["frame"])
 
 
 def test_video_fingerprint_separates_distinct_animations():
-    from fetch_engines_ray.ops.gif import decode_gif, planted_gif
+    from fetch_engines_ray.ops.gif import planted_gif
 
-    f1 = video_fingerprint64(decode_gif(planted_gif(3))["frames"])
-    f2 = video_fingerprint64(decode_gif(planted_gif(977))["frames"])
+    f1 = dhash64(decode_gif_frame(planted_gif(3))["frame"])
+    f2 = dhash64(decode_gif_frame(planted_gif(977))["frame"])
     xor = np.uint64(f1) ^ np.uint64(f2)
     assert bin(int(xor)).count("1") > 3
 

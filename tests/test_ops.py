@@ -241,20 +241,21 @@ def test_text_features(ray_session):
 def test_hll_distinct_accuracy(ray_session):
     import ray.data
 
-    from fetch_engines_ray.ops.sketches import hll_distinct
+    from fetch_engines_ray.ops.profile import profile_table
 
     ds = ray.data.from_items([{"v": f"item-{i % 4000}", "k": i % 2} for i in range(40000)])
-    est = hll_distinct(ds, "v")
+    est = profile_table(ds, columns=["v"])["approx_distinct"].iloc[0]
     assert abs(est - 4000) / 4000 < 0.05  # p=12 → ~1.6% std error
 
 
 def test_hll_small_range_linear_counting(ray_session):
     import ray.data
 
-    from fetch_engines_ray.ops.sketches import hll_distinct
+    from fetch_engines_ray.ops.profile import profile_table
 
     ds = ray.data.from_items([{"v": i % 37} for i in range(5000)])
-    assert round(hll_distinct(ds, "v")) == 37  # linear-counting regime is exact-ish
+    est = profile_table(ds, columns=["v"])["approx_distinct"].iloc[0]
+    assert round(est) == 37  # linear-counting regime is exact-ish
 
 
 def test_winnowing_fingerprint_position_robust():
@@ -522,7 +523,7 @@ def test_exact_int_quantiles_vs_numpy(ray_session):
 def test_heavy_hitters_finds_planted(ray_session):
     import ray.data
 
-    from fetch_engines_ray.ops.sketches import heavy_hitters
+    from fetch_engines_ray.ops.sketches import HeavyHitters
 
     rng = np.random.RandomState(12)
     # long tail of 5000 rare values + two planted heavies
@@ -530,47 +531,14 @@ def test_heavy_hitters_finds_planted(ray_session):
     planted = ["HOT-A"] * 9000 + ["HOT-B"] * 6000
     df = pd.DataFrame({"v": tail + planted})
     ds = ray.data.from_pandas(df.sample(frac=1.0, random_state=3)).repartition(8)
-    out = heavy_hitters(ds, "v", k=8)
+    top = ds.aggregate(HeavyHitters(on="v", k=8, alias_name="hh"))["hh"]
     # MG guarantee: freq > N/(k+1) must survive; counts undercount by <= N/(k+1)
     n = len(df)
-    top = dict(zip(out["value"], out["min_count"]))
+    assert len(top) <= 8
     assert "HOT-A" in top and "HOT-B" in top
     assert top["HOT-A"] >= 9000 - n // 9
     assert top["HOT-B"] >= 6000 - n // 9
-    assert out.iloc[0]["value"] == "HOT-A"
-
-
-def test_sample_per_group_deterministic(ray_session):
-    import ray.data
-
-    from fetch_engines_ray.ops.textstats import sample_per_group
-
-    rng = np.random.RandomState(21)
-    df = pd.DataFrame(
-        {
-            "doc_id": np.arange(1000),
-            "lang": rng.choice(["en", "de", "fr"], 1000, p=[0.8, 0.15, 0.05]),
-        }
-    )
-    ds = ray.data.from_pandas(df).repartition(8)
-    out1 = sample_per_group(ds, "lang", 10).to_pandas().sort_values("doc_id")
-    out2 = sample_per_group(ds, "lang", 10).to_pandas().sort_values("doc_id")
-    assert out1["doc_id"].tolist() == out2["doc_id"].tolist()  # engine-stable
-    counts = out1.groupby("lang").size()
-    assert (counts == 10).all()
-    # matches the closed-form md5 ranking
-    import hashlib
-
-    for lang in ("en", "de", "fr"):
-        members = df[df["lang"] == lang]["doc_id"]
-        want = sorted(
-            members, key=lambda i: int(hashlib.md5(str(i).encode()).hexdigest()[:16], 16)
-        )[:10]
-        got = out1[out1["lang"] == lang]["doc_id"].tolist()
-        assert sorted(got) == sorted(want)
-    # groups smaller than n come back whole
-    tiny = ray.data.from_pandas(df.head(5))
-    assert sample_per_group(tiny, "lang", 10).count() == 5
+    assert max(top, key=top.get) == "HOT-A"
 
 
 def test_dup_ngram_stats_reference_and_oracle(ray_session):
@@ -637,41 +605,6 @@ def test_dup_ngram_stats_reference_and_oracle(ray_session):
     con.register("bothdocs", both)
     orc = con.sql(dup_ngram_oracle_sql("SELECT doc_id, text FROM bothdocs")).df()
     pd.testing.assert_frame_equal(eng, orc, check_dtype=False)
-
-
-def test_mix_corpora_recipe(ray_session):
-    """Named-source mixing: explicit weights hit their quotas, the
-    temperature form rebalances toward small sources, and the selection
-    is deterministic across calls."""
-    import ray.data
-
-    from fetch_engines_ray.ops.textstats import mix_corpora
-
-    def corpus(name, lo, n):
-        return ray.data.from_pandas(
-            pd.DataFrame({"doc_id": range(lo, lo + n), "text": [f"{name} doc"] * n})
-        )
-
-    sources = {
-        "web": corpus("web", 0, 800),
-        "books": corpus("books", 10_000, 100),
-        "code": corpus("code", 20_000, 100),
-    }
-    out = mix_corpora(sources, total=200, weights={"web": 0.5, "books": 0.25, "code": 0.25}).to_pandas()
-    comp = out["source"].value_counts().to_dict()
-    assert comp == {"web": 100, "books": 50, "code": 50}
-    again = mix_corpora(sources, total=200, weights={"web": 0.5, "books": 0.25, "code": 0.25}).to_pandas()
-    assert sorted(out["doc_id"]) == sorted(again["doc_id"])  # deterministic
-
-    # temperature alpha=0 → uniform over sources despite 8:1:1 sizes
-    t = mix_corpora(sources, total=150, alpha=0.0).to_pandas()
-    compt = t["source"].value_counts().to_dict()
-    assert compt == {"web": 50, "books": 50, "code": 50}
-
-    with pytest.raises(ValueError):
-        mix_corpora(sources, total=10)
-    with pytest.raises(ValueError):
-        mix_corpora(sources, total=10, weights={"web": 1}, alpha=0.5)
 
 
 def test_encoding_quality_signals(ray_session):
@@ -745,115 +678,6 @@ def test_gopher_repetition_flags_and_curate_gate(ray_session):
     ids_without = sorted(i for ids in without["doc_ids"] for i in ids)
     assert ids_with == [2]
     assert ids_without == [1, 2]
-
-
-def test_top10_orders_by_price_vs_duckdb(ray_session):
-    """Kernel coverage for the retired query slot (its registry entry
-    was swapped for doc_dup_ngram_stats under the 50-query cap)."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import top10_orders_by_price
-
-    sf = "/root/testdata/sf0.001"
-    got = top10_orders_by_price(sf)
-    want = duckdb.sql(
-        "SELECT o_orderkey, round(o_totalprice, 3) AS o_totalprice"
-        f" FROM read_parquet('{sf}/orders.parquet')"
-        " ORDER BY o_totalprice DESC, o_orderkey LIMIT 10"
-    ).df()
-    assert got["o_orderkey"].tolist() == want["o_orderkey"].tolist()
-    assert got["o_totalprice"].tolist() == want["o_totalprice"].tolist()
-
-
-def test_events_value_by_type_vs_duckdb(ray_session):
-    """Kernel coverage for the retired query slot (its registry entry
-    was swapped for lineitem_pricing_rollup under the 50-query cap)."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import events_value_by_type
-
-    sf = "/root/testdata/sf0.001"
-    got = events_value_by_type(sf)
-    want = duckdb.sql(
-        "SELECT event_type, count(*) AS n_events,"
-        " round(sum(CAST(round(value * 100) AS BIGINT)) / 100.0, 3) AS total_value"
-        f" FROM read_parquet('{sf}/events.parquet')"
-        " GROUP BY event_type ORDER BY event_type"
-    ).df()
-    assert got["event_type"].tolist() == want["event_type"].tolist()
-    assert got["n_events"].tolist() == want["n_events"].tolist()
-    assert got["total_value"].tolist() == want["total_value"].tolist()
-
-
-def test_customer_revenue_by_segment_vs_duckdb(ray_session):
-    """Kernel coverage for the retired query slot (its registry entry
-    was swapped for jpeg_decode under the 50-query cap)."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import customer_revenue_by_segment
-
-    sf = "/root/testdata/sf0.001"
-    got = customer_revenue_by_segment(sf)
-    want = duckdb.sql(
-        "SELECT c_mktsegment, count(*) AS n_orders,"
-        " round(sum(CAST(round(o_totalprice * 100) AS BIGINT)) / 100.0, 3) AS revenue"
-        f" FROM read_parquet('{sf}/orders.parquet') o"
-        f" JOIN read_parquet('{sf}/customer.parquet') c ON o_custkey = c_custkey"
-        " GROUP BY c_mktsegment ORDER BY c_mktsegment"
-    ).df()
-    assert got["c_mktsegment"].tolist() == want["c_mktsegment"].tolist()
-    assert got["n_orders"].tolist() == want["n_orders"].tolist()
-    assert got["revenue"].tolist() == want["revenue"].tolist()
-
-
-def test_retired_rollup_kernels_vs_duckdb(ray_session):
-    """Kernel coverage for the two slots retired in favor of
-    doc_encoding_quality / customer_order_full_outer."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import (
-        large_parts_by_brand,
-        orders_per_month,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    con = duckdb.connect()
-    got = orders_per_month(sf)
-    want = con.execute(
-        "SELECT strftime(o_orderdate, '%Y-%m') AS month, count(*) AS n_orders"
-        f" FROM read_parquet('{sf}/orders.parquet') GROUP BY month ORDER BY month"
-    ).fetchdf()
-    assert got["month"].tolist() == want["month"].tolist()
-    assert got["n_orders"].tolist() == want["n_orders"].astype("int64").tolist()
-
-    got2 = large_parts_by_brand(sf)
-    want2 = con.execute(
-        "SELECT p_brand, count(*) AS n_parts"
-        f" FROM read_parquet('{sf}/part.parquet') WHERE p_size >= 25"
-        " GROUP BY p_brand ORDER BY p_brand"
-    ).fetchdf()
-    assert got2["p_brand"].tolist() == want2["p_brand"].tolist()
-    assert got2["n_parts"].tolist() == want2["n_parts"].astype("int64").tolist()
-
-
-def test_high_value_open_orders_vs_duckdb(ray_session):
-    """Kernel coverage for the retired query slot (its registry entry
-    was swapped for c4_line_filters under the 50-query cap)."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import high_value_open_orders
-
-    sf = "/root/testdata/sf0.001"
-    got = high_value_open_orders(sf)
-    want = duckdb.sql(
-        "SELECT o_orderkey, o_orderstatus, round(o_totalprice, 3) AS o_totalprice"
-        f" FROM read_parquet('{sf}/orders.parquet')"
-        " WHERE o_orderstatus = 'O' AND o_totalprice > 200000.0"
-        " ORDER BY o_orderkey"
-    ).df()
-    assert got["o_orderkey"].tolist() == want["o_orderkey"].tolist()
-    assert got["o_totalprice"].tolist() == want["o_totalprice"].tolist()
-    assert len(got) > 0
 
 
 def test_corpus_diff_detects_change_after_nul_byte(ray_session, both_join_paths):
@@ -930,93 +754,6 @@ def test_word_counts_vocab(ray_session):
     # min_count pruning
     pruned = word_counts(ds, min_count=5).to_pandas()
     assert set(pruned["word"]) == {w for w, c in truth.items() if c >= 5}
-
-
-def test_embed_texts_end_to_end(ray_session):
-    """Batched-inference stage: deterministic embeddings, near-dup texts
-    land close in cosine space, and the output feeds the similarity ops
-    directly."""
-    import ray.data
-
-    from fetch_engines_ray.ops.embed import embed_texts
-    from fetch_engines_ray.ops.similarity import knn_bruteforce
-
-    rng = np.random.RandomState(41)
-    words = [f"tok{i}" for i in range(500)]
-    rows = []
-    for i in range(80):
-        rows.append({"doc_id": i, "text": " ".join(rng.choice(words, size=60))})
-    near = rows[0]["text"].split()
-    near[3] = "CHANGED"
-    rows.append({"doc_id": 900, "text": " ".join(near)})  # near-dup of 0
-    rows.append({"doc_id": 901, "text": rows[0]["text"]})  # exact dup of 0
-    ds = ray.data.from_items(rows).repartition(4)
-
-    emb = embed_texts(ds, dim=32, concurrency=2, batch_size=16)
-    df = emb.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert len(df) == 82 and all(len(v) == 32 for v in df["embedding"])
-
-    # determinism across runs/actors
-    df2 = embed_texts(ds, dim=32, concurrency=1).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert all(np.allclose(a, b) for a, b in zip(df["embedding"], df2["embedding"]))
-
-    # exact dup -> identical embedding; near-dup -> nearest neighbor of 0
-    by_id = {int(r["doc_id"]): np.asarray(r["embedding"]) for _, r in df.iterrows()}
-    assert np.allclose(by_id[0], by_id[901])
-    knn = knn_bruteforce(
-        emb.map_batches(
-            lambda b: b.rename_columns(["vec_id", "embedding"]), batch_format="pyarrow"
-        ),
-        query_ids=[0],
-        k=2,
-    )
-    assert set(knn["neighbor_id"]) == {900, 901}
-
-
-def test_profile_artifacts_merge_equals_one_pass(ray_session, tmp_path):
-    """Cross-run profile merging: profile two disjoint halves into
-    artifacts, merge them, and get EXACTLY the one-pass profile of the
-    whole table (counts/extrema exact; HLL register max-merge is
-    lossless for union, so even the estimate matches bit-for-bit)."""
-    import pyarrow.compute as pc_
-
-    from fetch_engines_ray.arrowclean import read_parquet_clean
-    from fetch_engines_ray.ops.profile import (
-        merge_profile_artifacts,
-        profile_table,
-        write_profile_artifact,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    cols = ["l_orderkey", "l_quantity", "l_shipdate", "l_returnflag"]
-    full = read_parquet_clean(f"{sf}/lineitem.parquet", columns=cols)
-    lo = full.map_batches(
-        lambda b: b.filter(pc_.less(b["l_orderkey"], pa.scalar(750))),
-        batch_format="pyarrow",
-    )
-    hi = full.map_batches(
-        lambda b: b.filter(pc_.greater_equal(b["l_orderkey"], pa.scalar(750))),
-        batch_format="pyarrow",
-    )
-    p1, p2 = str(tmp_path / "lo.parquet"), str(tmp_path / "hi.parquet")
-    r1 = write_profile_artifact(lo, p1, columns=cols)
-    write_profile_artifact(hi, p2, columns=cols)
-    assert r1["n_rows"].iloc[0] < full.count()  # halves are proper subsets
-
-    merged = merge_profile_artifacts([p1, p2])
-    want = profile_table(full, columns=cols)
-    pd.testing.assert_frame_equal(merged, want)
-
-    # an EMPTY increment profiles as zero rows and merges as a no-op
-    empty = full.map_batches(
-        lambda b: b.filter(pc_.less(b["l_orderkey"], pa.scalar(-1))),
-        batch_format="pyarrow",
-    )
-    p3 = str(tmp_path / "empty.parquet")
-    r3 = write_profile_artifact(empty, p3, columns=cols)
-    assert r3["n_rows"].tolist() == [0, 0, 0, 0]
-    merged3 = merge_profile_artifacts([p1, p2, p3])
-    pd.testing.assert_frame_equal(merged3, want)
 
 
 def test_profile_table_duckdb_parity(ray_session):
@@ -1124,138 +861,6 @@ def test_decontamination_duckdb_parity(ray_session):
     assert got["contaminated"].sum() >= 1
 
 
-def test_minhash_incremental_pairs(ray_session, docs_with_dups, tmp_path):
-    """Continuous-ingest dedup against a signature checkpoint: a new
-    batch finds its clones of OLD docs (new-old) and of itself
-    (new-new) without recomputing old signatures; old-old pairs are
-    structurally excluded; persisting grows the index so the next
-    increment sees the previous batch."""
-    import ray.data
-
-    from fetch_engines_ray.ops.dedup import (
-        build_minhash_checkpoint,
-        minhash_incremental_pairs,
-        minhash_lsh_pairs,
-    )
-
-    ckpt = str(tmp_path / "sigs")
-    build_minhash_checkpoint(docs_with_dups, ckpt)
-
-    old = {r["doc_id"]: r["text"] for r in docs_with_dups.take_all()}
-    new1 = ray.data.from_pandas(
-        pd.DataFrame(
-            {
-                "doc_id": [500, 501, 502, 503],
-                "text": [
-                    old[0],  # clone of an old doc -> new-old pair
-                    "completely novel words nothing shared here at all",
-                    old[7],  # new-new clone pair with 503
-                    old[7],
-                ],
-            }
-        )
-    )
-    pairs = minhash_incremental_pairs(new1, ckpt, threshold=0.7)
-    found = {(a, b) for a, b in zip(pairs["doc_a"], pairs["doc_b"])}
-    assert (0, 500) in found  # new-old
-    assert (100, 500) in found and (101, 500) in found  # old clones of 0
-    assert (502, 503) in found  # new-new
-    assert (7, 502) in found and (7, 503) in found
-    # old-old pairs are excluded even though they exist in the corpus
-    full = minhash_lsh_pairs(docs_with_dups, threshold=0.7)
-    assert (0, 100) in {(a, b) for a, b in zip(full["doc_a"], full["doc_b"])}
-    assert (0, 100) not in found
-    assert not any(a < 500 and b < 500 for a, b in found)
-
-    # the persisted index now contains batch 1: a clone of 501 is found
-    new2 = ray.data.from_pandas(
-        pd.DataFrame({"doc_id": [600], "text": [
-            "completely novel words nothing shared here at all"
-        ]})
-    )
-    pairs2 = minhash_incremental_pairs(new2, ckpt, threshold=0.7, persist_new=False)
-    found2 = {(a, b) for a, b in zip(pairs2["doc_a"], pairs2["doc_b"])}
-    assert (501, 600) in found2
-    assert all(b == 600 for _, b in found2)  # only pairs touching the new doc
-
-
-def test_sample_mixture_duckdb_parity(ray_session):
-    """Mixture sampling vs the exact SQL restatement (md5-rank bottom-n
-    per group with per-group quotas): reproducible row selection,
-    quota-capped composition, unlisted groups dropped, undersized
-    groups contribute everything they have."""
-    import duckdb
-
-    import ray.data
-
-    from fetch_engines_ray.ops.textstats import sample_mixture
-
-    sf = "/root/testdata/sf0.001"
-    ds = ray.data.read_parquet(f"{sf}/documents.parquet", columns=["doc_id", "source"])
-    # src0 weighted heavier than its 25 rows can supply at total=120:
-    # quota floor(0.5*120)=60 > 25 -> contributes all 25
-    weights = {"src0": 0.5, "src1": 0.25, "src2": 0.25}
-    got = (
-        sample_mixture(ds, weights, total=120)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-    con = duckdb.connect()
-    want = con.execute(
-        f"""
-        WITH ranked AS (
-          SELECT doc_id, source,
-                 row_number() OVER (PARTITION BY source ORDER BY
-                   ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 15))::BIGINT,
-                   md5(CAST(doc_id AS VARCHAR))) AS rn
-          FROM read_parquet('{sf}/documents.parquet')
-          WHERE source IN ('src0', 'src1', 'src2'))
-        SELECT doc_id, source FROM ranked
-        WHERE (source = 'src0' AND rn <= 60)
-           OR (source = 'src1' AND rn <= 30)
-           OR (source = 'src2' AND rn <= 30)
-        ORDER BY doc_id
-        """
-    ).df()
-    pd.testing.assert_frame_equal(got, want, check_dtype=True)
-    sizes = got.groupby("source").size()
-    assert sizes["src0"] == 25  # undersized group gives everything
-    assert sizes["src1"] == 25 and sizes["src2"] == 25  # quota 30 > 25
-    # determinism across a second run
-    got2 = (
-        sample_mixture(ds, weights, total=120)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, got2)
-
-    # BINDING quotas (20 of 25 rows per group): the md5-rank cut must
-    # select exactly the SQL's bottom-20 rows, not just the right count
-    got3 = (
-        sample_mixture(ds, {"src3": 0.5, "src4": 0.5}, total=40)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    want3 = con.execute(
-        f"""
-        WITH ranked AS (
-          SELECT doc_id, source,
-                 row_number() OVER (PARTITION BY source ORDER BY
-                   ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 15))::BIGINT,
-                   md5(CAST(doc_id AS VARCHAR))) AS rn
-          FROM read_parquet('{sf}/documents.parquet')
-          WHERE source IN ('src3', 'src4'))
-        SELECT doc_id, source FROM ranked WHERE rn <= 20 ORDER BY doc_id
-        """
-    ).df()
-    pd.testing.assert_frame_equal(got3, want3, check_dtype=True)
-    assert (got3.groupby("source").size() == 20).all()
-
-
 def test_pack_sequences_chunk_oversize(ray_session):
     """chunk_oversize=True: over-budget docs split into full chunks +
     remainder, every sequence fits the budget, token totals conserve,
@@ -1316,33 +921,6 @@ def test_dedup_families_on_corpus_with_zero_near_dups(ray_session, both_join_pat
     # simhash buckets are 16-bit quarters — spurious collisions possible
     # but must be hamming-verified; fully-distinct docs produce none
     assert sim.empty
-
-
-def test_incremental_dedup_with_zero_collisions(ray_session, tmp_path):
-    """The incremental path inherits the zero-candidate guard: a new
-    batch sharing nothing with the checkpoint (or itself) yields an
-    empty pair frame, not a join crash."""
-    import ray.data
-
-    from fetch_engines_ray.ops.dedup import (
-        build_minhash_checkpoint,
-        minhash_incremental_pairs,
-    )
-
-    base = ray.data.from_pandas(
-        pd.DataFrame(
-            {"doc_id": range(10), "text": [" ".join(f"a{i}b{j}" for j in range(25)) for i in range(10)]}
-        )
-    )
-    ckpt = str(tmp_path / "sigs")
-    build_minhash_checkpoint(base, ckpt)
-    new = ray.data.from_pandas(
-        pd.DataFrame(
-            {"doc_id": range(100, 108), "text": [" ".join(f"z{i}q{j}" for j in range(25)) for i in range(100, 108)]}
-        )
-    )
-    pairs = minhash_incremental_pairs(new, ckpt, persist_new=False)
-    assert pairs.empty
 
 
 def test_partitioned_attach_inner_left_and_extreme_ids(ray_session, monkeypatch):
@@ -1720,55 +1298,6 @@ def test_pack_sequences_bfd(ray_session):
         pack_sequences(bds, max_tokens=128, strategy="worst-fit").take_all()
 
 
-def test_mixture_weights_temperature(ray_session):
-    """Temperature rebalancing: alpha=1 == natural proportions,
-    alpha=0 == uniform, alpha=0.5 matches the closed form, and the
-    self-counting wrapper realizes the implied quotas exactly."""
-    import math
-
-    import ray.data
-
-    from fetch_engines_ray.ops.textstats import (
-        mixture_weights_temperature,
-        sample_mixture_temperature,
-    )
-
-    counts = {"a": 80, "b": 20}
-    w1 = mixture_weights_temperature(counts, alpha=1.0)
-    assert abs(w1["a"] - 0.8) < 1e-12 and abs(w1["b"] - 0.2) < 1e-12
-    w0 = mixture_weights_temperature(counts, alpha=0.0)
-    assert abs(w0["a"] - 0.5) < 1e-12 and abs(w0["b"] - 0.5) < 1e-12
-    wh = mixture_weights_temperature(counts, alpha=0.5)
-    za, zb = math.sqrt(80), math.sqrt(20)
-    assert abs(wh["a"] - za / (za + zb)) < 1e-12
-    assert abs(wh["b"] - zb / (za + zb)) < 1e-12
-    # zero-count groups drop; negative alpha rejected
-    assert "c" not in mixture_weights_temperature({"a": 5, "c": 0}, 0.5)
-    assert mixture_weights_temperature({}, 0.5) == {}
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="alpha"):
-        mixture_weights_temperature(counts, -0.1)
-
-    rows = [{"doc_id": i, "source": "a" if i < 80 else "b"} for i in range(100)]
-    ds = ray.data.from_items(rows)
-    # sqrt temperature: quotas floor(2/3*30)=20 and floor(1/3*30)=10
-    got = sample_mixture_temperature(ds, alpha=0.5, total=30).to_pandas()
-    sizes = got.groupby("source").size()
-    assert sizes["a"] == 20 and sizes["b"] == 10
-    # natural proportions at alpha=1: 24 / 6
-    got1 = sample_mixture_temperature(ds, alpha=1.0, total=30).to_pandas()
-    sizes1 = got1.groupby("source").size()
-    assert sizes1["a"] == 24 and sizes1["b"] == 6
-    # uniform at alpha=0: 15 / 15
-    got0 = sample_mixture_temperature(ds, alpha=0.0, total=30).to_pandas()
-    sizes0 = got0.groupby("source").size()
-    assert sizes0["a"] == 15 and sizes0["b"] == 15
-    # deterministic row identity across runs
-    got_b = sample_mixture_temperature(ds, alpha=0.5, total=30).to_pandas()
-    assert sorted(got["doc_id"]) == sorted(got_b["doc_id"])
-
-
 def test_heavy_hitters_exact_parity(ray_session):
     """heavy_hitters_exact = sketch candidates + exact recount: counts
     match a full value_counts, guarantee flag set when the k-th count
@@ -1911,53 +1440,6 @@ def test_line_dedup_full_range_int64_doc_ids(ray_session):
     assert out.loc[big, "text"] == "epsilon"
     assert out.loc[7, "text"] == "zeta"
     assert int(out["n_lines"].sum()) == 7
-
-
-def test_mix_corpora_remix_and_validation(ray_session):
-    """Re-mixing a previous mix (input already tagged 'source') must not
-    create a duplicate column; an empty sources dict raises (review
-    finding)."""
-    import pandas as pd
-    import pytest
-
-    import ray.data
-    from fetch_engines_ray.ops.textstats import mix_corpora
-
-    a = ray.data.from_pandas(
-        pd.DataFrame({"doc_id": range(0, 40), "text": ["aa"] * 40})
-    )
-    b = ray.data.from_pandas(
-        pd.DataFrame({"doc_id": range(100, 140), "text": ["bb"] * 40})
-    )
-    first = mix_corpora({"a": a, "b": b}, total=40, weights={"a": 0.5, "b": 0.5})
-    # remix the tagged output under a new name
-    second = mix_corpora({"remix": first}, total=10, weights={"remix": 1.0})
-    out = second.to_pandas()
-    assert list(out.columns).count("source") == 1
-    assert set(out["source"]) == {"remix"}
-    with pytest.raises(ValueError, match="at least one source"):
-        mix_corpora({}, total=5, weights={})
-
-
-def test_supplier_count_by_nation_vs_duckdb(ray_session):
-    """Kernel coverage for the retired query slot (its registry entry
-    was swapped for supplier_graph_pagerank under the 50-query cap)."""
-    import duckdb
-
-    from fetch_engines_ray.ops.relational import supplier_count_by_nation
-
-    sf = "/root/testdata/sf0.001"
-    got = supplier_count_by_nation(sf)
-    want = duckdb.sql(
-        "SELECT n_name, count(*) AS n_suppliers,"
-        " round(sum(CAST(round(s_acctbal * 100) AS BIGINT)) / 100.0, 3) AS total_acctbal"
-        f" FROM read_parquet('{sf}/supplier.parquet') s"
-        f" JOIN read_parquet('{sf}/nation.parquet') n ON s_nationkey = n_nationkey"
-        " GROUP BY n_name ORDER BY n_name"
-    ).df()
-    assert got["n_name"].tolist() == want["n_name"].tolist()
-    assert got["n_suppliers"].tolist() == want["n_suppliers"].tolist()
-    assert got["total_acctbal"].tolist() == want["total_acctbal"].tolist()
 
 
 def test_supplier_graph_pagerank_query_properties(ray_session):

@@ -52,35 +52,52 @@ def test_tumbling_window_floors_pre_epoch_timestamps(ray_session, tmp_path):
     assert got["window_start"].iloc[0] == -3600
 
 
-def test_revenue_by_segment_consistent_across_join_strategies(
-    ray_session, tmp_path, monkeypatch
-):
-    """An order with no customer row must be dropped (INNER, the SQL
-    oracle's semantics) in BOTH the broadcast and partitioned paths — the
-    broadcast path used to keep it under a phantom '' segment (review
-    finding)."""
-    import fetch_engines_ray.ops.relational as rel
-    from fetch_engines_ray.ops import exchange
+def _orders_and_lineitem(sf, orderkeys, line_keys):
+    """``orders`` rows ``(o_orderkey, o_orderpriority)`` and one
+    lineitem per ``line_keys`` entry (price 10, no discount)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    cust = pd.DataFrame(
-        {"c_custkey": [1, 2], "c_mktsegment": ["AUTO", "HOUSE"]}
-    )
-    orders = pd.DataFrame(
-        {"o_custkey": [1, 1, 2, 99], "o_totalprice": [10.0, 20.0, 30.0, 999.0]}
-    )
-    sf = tmp_path / "sf"
     sf.mkdir()
-    cust.to_parquet(sf / "customer.parquet")
-    orders.to_parquet(sf / "orders.parquet")
-
-    broadcast = rel.customer_revenue_by_segment(str(sf))
-    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
-    hashed = rel.customer_revenue_by_segment(str(sf))
-    pd.testing.assert_frame_equal(
-        broadcast.reset_index(drop=True), hashed.reset_index(drop=True)
+    pq.write_table(
+        pa.table(
+            {
+                "o_orderkey": pa.array([k for k, _ in orderkeys], pa.int64()),
+                "o_orderpriority": [p for _, p in orderkeys],
+            }
+        ),
+        sf / "orders.parquet",
     )
-    assert broadcast["c_mktsegment"].tolist() == ["AUTO", "HOUSE"]
-    assert float(broadcast["revenue"].sum()) == 60.0
+    pq.write_table(
+        pa.table(
+            {
+                "l_orderkey": pa.array(line_keys, pa.int64()),
+                "l_extendedprice": [10.0] * len(line_keys),
+                "l_discount": [0.0] * len(line_keys),
+            }
+        ),
+        sf / "lineitem.parquet",
+    )
+    return str(sf)
+
+
+def test_revenue_by_orderpriority_consistent_across_join_strategies(
+    ray_session, tmp_path, both_join_paths
+):
+    """A lineitem with no orders row must be dropped (INNER, the SQL
+    oracle's semantics) in BOTH the broadcast and partitioned paths — the
+    broadcast path used to keep such a row under a phantom '' group
+    (review finding)."""
+    import fetch_engines_ray.ops.relational as rel
+
+    sf = _orders_and_lineitem(
+        tmp_path / "sf", [(1, "1-URGENT"), (2, "2-HIGH")], [1, 1, 2, 99]
+    )
+    outs = [rel.revenue_by_orderpriority(sf) for _ in both_join_paths()]
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+    assert outs[0]["o_orderpriority"].tolist() == ["1-URGENT", "2-HIGH"]
+    assert outs[0]["n_items"].tolist() == [2, 1]
+    assert float(outs[0]["revenue"].sum()) == 30.0
 
 
 def test_exact_int_quantiles_multi_rank_batched(ray_session):
@@ -99,41 +116,20 @@ def test_exact_int_quantiles_multi_rank_batched(ray_session):
     assert got == [int(s[r]) for r in ranks]
 
 
-def test_supplier_count_by_nation_null_key_matches_nothing(
+def test_revenue_by_orderpriority_null_key_matches_nothing(
     ray_session, tmp_path, both_join_paths
 ):
-    """A null ``s_nationkey`` must not pick up the name of a null-key
-    nation row (SQL and Arrow joins match nothing on a null key): the
-    supplier counts under a null ``n_name`` on both attach paths."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
+    """A null ``l_orderkey`` must not pick up the priority of a null-key
+    orders row (SQL and Arrow joins match nothing on a null key): the
+    inner join drops it on both attach paths."""
     import fetch_engines_ray.ops.relational as rel
 
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    pq.write_table(
-        pa.table(
-            {
-                "n_nationkey": pa.array([0, 1, None], pa.int64()),
-                "n_name": ["ALGERIA", "BRAZIL", "NULL KEY ROW"],
-            }
-        ),
-        sf / "nation.parquet",
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "s_nationkey": pa.array([0, 0, 1, None], pa.int64()),
-                "s_acctbal": [1.0, 2.0, 3.0, 4.0],
-            }
-        ),
-        sf / "supplier.parquet",
+    sf = _orders_and_lineitem(
+        tmp_path / "sf",
+        [(0, "1-URGENT"), (1, "2-HIGH"), (None, "NULL KEY ROW")],
+        [0, 0, 1, None],
     )
     for limit in both_join_paths():
-        out = rel.supplier_count_by_nation(str(sf))
-        by = {
-            (None if pd.isna(n) else n): (c, t)
-            for n, c, t in zip(out["n_name"], out["n_suppliers"], out["total_acctbal"])
-        }
-        assert by == {"ALGERIA": (2, 3.0), "BRAZIL": (1, 3.0), None: (1, 4.0)}, limit
+        out = rel.revenue_by_orderpriority(sf)
+        by = dict(zip(out["o_orderpriority"], out["n_items"]))
+        assert by == {"1-URGENT": 2, "2-HIGH": 1}, limit

@@ -10,20 +10,17 @@ SF = "/root/testdata/sf0.001"
 # ---------------------------------------------------------------- rollup
 
 
-def test_rollup_and_cube_lattices():
-    from fetch_engines_ray.ops.rollup import cube_sets, rollup_sets
+def test_rollup_lattice():
+    from fetch_engines_ray.ops.rollup import rollup_sets
 
     assert rollup_sets(["a", "b"]) == [("a", "b"), ("a",), ()]
-    cs = cube_sets(["a", "b"])
-    assert set(cs) == {("a", "b"), ("a",), ("b",), ()}
-    assert len(cube_sets(["a", "b", "c"])) == 8
 
 
 def test_grouping_sets_aggregate_duckdb_parity(ray_session):
     import duckdb
 
     import ray.data
-    from fetch_engines_ray.ops.rollup import cube_sets, grouping_sets_aggregate
+    from fetch_engines_ray.ops.rollup import grouping_sets_aggregate
 
     rng = np.random.default_rng(7)
     n = 5000
@@ -57,8 +54,9 @@ def test_grouping_sets_aggregate_duckdb_parity(ray_session):
     )
 
     # CUBE: the (b)-only level too, same one-shuffle operator
+    cube = [("a", "b"), ("a",), ("b",), ()]
     got_cube = grouping_sets_aggregate(
-        ds, keys=["a", "b"], sum_cols=["v"], sets=cube_sets(["a", "b"]), count_alias="n"
+        ds, keys=["a", "b"], sum_cols=["v"], sets=cube, count_alias="n"
     )
     want_cube = con.execute(
         "SELECT a, b, CAST(GROUPING(a, b) AS BIGINT) AS grouping_id,"
