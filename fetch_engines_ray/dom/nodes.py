@@ -47,14 +47,23 @@ class Index:
     an element insert, a rename or a new attribute marks the index
     ``stale`` and the next query rebuilds it (:func:`index_of`).  An
     attribute deleted in place leaves its bucket entry: buckets may over-
-    but never under-approximate, and attribute queries re-check."""
+    but never under-approximate, and attribute queries re-check.
 
-    __slots__ = ("els", "tags", "attrs", "stale")
+    ``tlen[i]`` is the text length of the subtree at position ``i``,
+    ``len(els[i].text_content)``: the parser takes it as the difference
+    of the running text-length prefix sum at the element's close and at
+    its open.  Every text change under a live element (``remove``,
+    ``set_text``, a text node inserted or removed) adds its delta to the
+    element and its ancestors, so the entries of live elements stay
+    exact."""
+
+    __slots__ = ("els", "tags", "attrs", "tlen", "stale")
 
     def __init__(self) -> None:
         self.els: list = []
         self.tags: dict[str, list[int]] = {}
         self.attrs: dict[str, list[int]] = {}
+        self.tlen: list[int] = []
         self.stale = False
 
     def add(self, el: "Element") -> None:
@@ -90,6 +99,11 @@ class Node:
                 p.children.remove(self)
             except ValueError:
                 pass
+            else:
+                if isinstance(self, Text):
+                    ix = p._indexed()
+                    if ix is not None:
+                        p._add_text(ix, -len(self.data))
             self.parent = None
 
     @property
@@ -170,13 +184,30 @@ class Element(Node):
         if ix is not None:
             ix.stale = True
 
+    def _add_text(self, ix: Index, delta: int) -> None:
+        """Add ``delta`` to the text length of this live element and of
+        its ancestors."""
+        tlen = ix.tlen
+        el: Optional[Element] = self
+        while el is not None:
+            tlen[el._pre] += delta
+            el = el.parent
+
     def _insert(self, node: Node) -> None:
         node.parent = self
         if isinstance(node, Element):
             self._stale()
+        else:
+            ix = self._indexed()
+            if ix is not None:
+                self._add_text(ix, len(node.data))  # type: ignore[attr-defined]
 
     def remove(self) -> None:
-        if self.parent is not None:
+        p = self.parent
+        if p is not None:
+            ix = self._indexed()
+            if ix is not None:
+                p._add_text(ix, -ix.tlen[self._pre])
             super().remove()
             self._drop(False)
 
@@ -195,6 +226,9 @@ class Element(Node):
     def set_text(self, text: str) -> None:
         """Replace all children with one text node (reference: `set_content`,
         markdown-converter.ts:426)."""
+        ix = self._indexed()
+        if ix is not None:
+            self._add_text(ix, len(text) - ix.tlen[self._pre])
         self._drop(True)
         for c in self.children:
             c.parent = None
@@ -270,13 +304,18 @@ def _build_index(top: Element) -> Index:
         for c in reversed(el.children):
             if isinstance(c, Element):
                 push(c)
+    tlen = ix.tlen = [0] * len(ix.els)
     for el in reversed(ix.els):
         end = el._pre
-        for c in reversed(el.children):
+        n = 0
+        for c in el.children:
             if isinstance(c, Element):
                 end = c._end
-                break
+                n += tlen[c._pre]
+            else:
+                n += len(c.data)  # type: ignore[attr-defined]
         el._end = end
+        tlen[el._pre] = n
     return ix
 
 
@@ -290,6 +329,11 @@ def index_of(el: Element) -> Index:
             top = top.parent
         ix = _build_index(top)
     return ix
+
+
+def text_length(el: Element) -> int:
+    """``len(el.text_content)``, read from the index."""
+    return index_of(el).tlen[el._pre]
 
 
 def descendants(root: Element) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urljoin, urlparse
 
-from ..dom.nodes import Element, Text, contains, descendants
+from ..dom.nodes import Element, Text, contains, descendants, text_length
 from ..dom.parser import parse_html
 from ..dom.selectors import closest, compile_group, select_all, select_group, select_one
 from .md_serializer import serialize
@@ -114,6 +114,10 @@ _RE_TEMPLATE_VAR = re.compile(r"\{\{\s*[^}\s]+\s*}}")
 _RE_CONTROL = re.compile(r"[\x00-\x08\x0B\x0C\x0E-\x1F\x7F]")
 _RE_NONHTTP_SCHEME = re.compile(r"^(?:mailto:|tel:|sms:|javascript:|data:|blob:|about:|file:)", re.I)
 _RE_ABS_SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*:", re.I)
+# what sends a root-relative path ("/a/b") to urljoin: a second slash
+# (protocol-relative or an empty segment), a dot segment, a query,
+# fragment or params, a backslash, or the tab/CR/LF urlsplit removes
+_RE_NOT_PLAIN_PATH = re.compile(r"//|/\.|[?#;\\\t\r\n]")
 _RE_FRAMEWORK_ATTR = re.compile(r"^data-(?:reactid|reactroot|react-|testid|v-|js-|qa-|cy-)")
 _RE_NG_ATTR = re.compile(r"^(?:ng-|_ngcontent-)")
 
@@ -155,10 +159,15 @@ def cleanup_html(html: str) -> str:
 # M4 — URL absolutization (markdown-converter.ts:361-407)
 # ---------------------------------------------------------------------------
 
-def _resolve_url(raw: str, base: str) -> Optional[str]:
+def _resolve_url(raw: str, base: str, origin: Optional[str] = None) -> Optional[str]:
+    """``raw`` made absolute against ``base``.  ``origin`` is ``base``'s
+    ``scheme://netloc`` when its scheme is http(s): a plain root-relative
+    path then joins it as is, which is what urljoin returns for it."""
     value = raw.strip()
     if not value:
         return None
+    if origin is not None and value[0] == "/" and _RE_NOT_PLAIN_PATH.search(value) is None:
+        return origin + value
     if _RE_NONHTTP_SCHEME.match(value):
         return value
     if _RE_ABS_SCHEME.match(value):
@@ -175,15 +184,16 @@ def absolutize_relative_urls(root: Element, base_url: Optional[str]) -> None:
     p = urlparse(base_url)
     if not p.scheme or not p.netloc:
         return
+    origin = f"{p.scheme}://{p.netloc}" if p.scheme in ("http", "https") else None
     for el in select_all(root, "a[href], img[src], source[src], video[src], audio[src], track[src]"):
         href = el.get("href")
         if href:
-            resolved = _resolve_url(href, base_url)
+            resolved = _resolve_url(href, base_url, origin)
             if resolved:
                 el.set("href", resolved)
         src = el.get("src")
         if src:
-            resolved = _resolve_url(src, base_url)
+            resolved = _resolve_url(src, base_url, origin)
             if resolved:
                 el.set("src", resolved)
 
@@ -264,42 +274,42 @@ def _is_within_protected_main_content(el: Element) -> bool:
     return closest(el, "main, article, [role='main'], [role='article']") is not None
 
 
-def _is_likely_consent_or_interstitial(el: Element) -> bool:
+_CONSENT_PHRASES = ("manage preferences", "agree to all", "refuse all", "accept cookies")
+
+
+def _has_consent_phrase(el: Element) -> bool:
+    text = el.text_content.lower()
+    return any(phrase in text for phrase in _CONSENT_PHRASES)
+
+
+def _is_likely_consent_or_interstitial(el: Element, phrase_in_scope: bool = True) -> bool:
+    """``phrase_in_scope`` False says no consent phrase occurs in the text
+    of a subtree holding ``el`` (:func:`_has_consent_phrase` of it), so
+    none occurs in ``el``'s: a subtree's text is a slice of the scope's,
+    and lowering maps the phrases' ASCII letters one character at a
+    time."""
     eid = (el.get("id") or "").lower()
     cls = (el.get("class") or "").lower()
     if "cookie" in eid or "cookie" in cls or "consent" in cls:
         return True
-    text = el.text_content.lower()
-    return (
-        "manage preferences" in text
-        or "agree to all" in text
-        or "refuse all" in text
-        or "accept cookies" in text
-    )
+    return phrase_in_scope and _has_consent_phrase(el)
 
 
 def _link_text_length(el: Element, collapse: bool = False) -> int:
     # Reference counts every <a>'s text (link.closest("a") === link always
     # holds for well-formed trees — markdown-converter.ts:577-582).
-    total = 0
-    for link in select_all(el, "a"):
-        t = link.text_content
-        if collapse:
-            t = " ".join(t.split())  # C-level whitespace collapse + strip
-        total += len(t)
-    return total
+    if not collapse:
+        return sum(map(text_length, select_all(el, "a")))
+    # C-level whitespace collapse + strip
+    return sum(len(" ".join(link.text_content.split())) for link in select_all(el, "a"))
 
 
 def has_high_link_density(el: Element, threshold: float) -> bool:
     """markdown-converter.ts:877-897"""
-    text = el.text_content
-    if len(text) < MIN_LINK_DENSITY_TEXT_LENGTH:
+    text_len = text_length(el)
+    if text_len < MIN_LINK_DENSITY_TEXT_LENGTH:
         return False
-    links = select_all(el, "a")
-    if len(links) < 3:
-        return False
-    text_len = len(text)
-    if text_len == 0:
+    if len(select_all(el, "a")) < 3:
         return False
     return _link_text_length(el) / text_len > threshold
 
@@ -314,22 +324,22 @@ def remove_high_link_density_elements(element: Element, threshold: float) -> Non
         "div, nav, ul, aside, section, .sidebar, .widget, .menu, "
         "[role='navigation'], [role='menubar']",
     )
+    # once per scope: a candidate is checked before any of its
+    # descendants is removed (document order), so its text is still a
+    # slice of the scope's text as it is now
+    phrase_in_scope = bool(candidates) and _has_consent_phrase(element)
     for el in candidates:
         if not contains(element, el):
             continue
         if _is_within_protected_main_content(el):
             continue
-        if _is_likely_consent_or_interstitial(el):
+        if _is_likely_consent_or_interstitial(el, phrase_in_scope):
             el.remove()
             continue
-        text = el.text_content
-        if len(text) < MIN_LINK_DENSITY_TEXT_LENGTH:
+        text_len = text_length(el)
+        if text_len < MIN_LINK_DENSITY_TEXT_LENGTH:
             continue
-        links = select_all(el, "a")
-        if len(links) < 3:
-            continue
-        text_len = len(text)
-        if text_len == 0:
+        if len(select_all(el, "a")) < 3:
             continue
         link_len = _link_text_length(el)
         density = link_len / text_len
@@ -690,17 +700,23 @@ def preprocess(html: str, base_url: Optional[str] = None) -> tuple[Element, str,
 def split_dense_adjacent_link_runs(markdown: str) -> str:
     out = []
     for line in markdown.split("\n"):
-        runs = _RE_LINK_RUN.findall(line)
-        if len(runs) >= 3 and len(line) >= 180:
+        if len(line) >= 180 and len(_RE_LINK_RUN.findall(line)) >= 3:
             line = _RE_LINK_SPLIT.sub(r"\1\n", line)
         out.append(line)
     return "\n".join(out)
 
 
+def _repeats_a_long_line(lines: list) -> bool:
+    """Whether ``_RE_PP_DUP_LINES`` can match the text of ``lines``: it
+    needs a line of 30+ chars that the next line starts with."""
+    return any(len(a) >= 30 and b.startswith(a) for a, b in zip(lines, lines[1:]))
+
+
 def postprocess_markdown(markdown: str, max_content_length: Optional[int] = None) -> str:
     p = markdown
     # 1. heading spacing
-    p = _RE_PP_HEADING.sub(r"\n\n\2\n\n", p)
+    if "#" in p:
+        p = _RE_PP_HEADING.sub(r"\n\n\2\n\n", p)
     # 2. blank line before list items
     p = _RE_PP_LIST.sub(lambda m: "\n\n" + m.group(2), p)
     # 3. empty links / images (substring prechecks: the patterns require
@@ -722,12 +738,15 @@ def postprocess_markdown(markdown: str, max_content_length: Optional[int] = None
     # \n-delimited line's edges (a CR before the \n blocks the regex's $
     # just as it blocks strip(" \t"), so the two agree on \r\n text too;
     # pinned by tests/test_fuzz_converter.py)
-    p = "\n".join(seg.strip(" \t") for seg in p.split("\n"))
+    lines = [seg.strip(" \t") for seg in p.split("\n")]
+    p = "\n".join(lines)
     # 7. code fence spacing
     if "```" in p:
         p = _RE_PP_CODE_FENCE.sub(r"\n\n\2\n\n", p)
+        lines = p.split("\n")
     # 8. dedupe immediately-repeated long lines
-    p = _RE_PP_DUP_LINES.sub(r"\1", p)
+    if _repeats_a_long_line(lines):
+        p = _RE_PP_DUP_LINES.sub(r"\1", p)
     # 9. separator spacing
     if "\n---\n" in p:
         p = _RE_PP_SEPARATOR.sub(r"\1\n\2", p)

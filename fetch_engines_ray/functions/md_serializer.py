@@ -92,6 +92,11 @@ _SPACE_RUN = re.compile(r" {2,}")
 
 def _finalize_paragraph(text: str) -> str:
     # collapse runs of spaces introduced by adjacent whitespace, keep \n (from <br>)
+    if "\n" not in text:
+        # one line: the same collapse and strip, without the split and join
+        if "  " in text:
+            text = _SPACE_RUN.sub(" ", text)
+        return text.strip()
     lines = [_SPACE_RUN.sub(" ", ln).strip() for ln in text.split("\n")]
     return "\n".join(ln for ln in lines if ln != "").strip()
 

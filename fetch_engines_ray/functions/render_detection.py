@@ -51,7 +51,8 @@ _MD_INLINE_CODE = re.compile(r"`[^`]*`")
 _MD_IMAGE = re.compile(r"!\[[^\]]*]\([^)]*\)")
 _MD_LINK = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 _MD_HEADING = re.compile(r"(?m)^#{1,6}\s+")
-_MD_MARKS = re.compile(r"[*_~>-]")
+# the markdown marks strip_markdown_to_visible_text blanks
+_MD_MARKS = str.maketrans(dict.fromkeys("*_~>-", " "))
 _MD_FIRST_H1 = re.compile(r"(?m)^#\s+(.+)$")
 
 
@@ -98,13 +99,20 @@ def strip_html_to_visible_text(html: str) -> str:
 
 def strip_markdown_to_visible_text(markdown: str) -> str:
     """C2 — render-detection.ts:65-75"""
-    s = _MD_CODE_FENCE.sub(" ", markdown)
-    s = _MD_INLINE_CODE.sub(" ", s)
-    s = _MD_IMAGE.sub(" ", s)
-    s = _MD_LINK.sub(r"\1", s)
-    s = _MD_HEADING.sub("", s)
-    s = _MD_MARKS.sub(" ", s)
-    return _collapse(s)
+    # each pattern runs only when the current text holds a literal it
+    # requires ("```" and "`" for code, "](" for images and links, "#"
+    # for headings)
+    s = markdown
+    if "`" in s:
+        if "```" in s:
+            s = _MD_CODE_FENCE.sub(" ", s)
+        s = _MD_INLINE_CODE.sub(" ", s)
+    if "](" in s:
+        s = _MD_IMAGE.sub(" ", s)
+        s = _MD_LINK.sub(r"\1", s)
+    if "#" in s:
+        s = _MD_HEADING.sub("", s)
+    return _collapse(s.translate(_MD_MARKS))
 
 
 def score_text_signals(text_length: int, title_length: int, has_main_like: bool, heading_count: int) -> int:

@@ -2,10 +2,11 @@
 
 Two entry points:
 
-* :func:`build_pipeline` — pure streaming ``Dataset`` transform
-  (read → fast stage → warm stage, two task-function ``map_batches``
-  that fuse into one task-pool operator).  Used by
-  ``__ray_entry__.entry()``/``queries()`` and by ``bench.py``.
+* :func:`build_pipeline` — pure streaming ``Dataset`` transform: one
+  task-function ``map_batches`` with no batch size, which Ray Data fuses
+  with the read and the write, so one task reads, extracts and writes
+  each block.  Used by ``__ray_entry__.entry()``/``queries()`` and by
+  ``bench.py``.
 * :func:`run_resumable` — partition-atomic runner with per-partition
   lineage records and plan-time resume (north rule: checkpoint resume
   at 10^12-doc scale).  One input parquet fragment → one output part
@@ -17,11 +18,12 @@ Scale notes (sized for a 256-node cluster, tested on one node):
 * extraction is a **self-scheduling task pool** over all CPUs; each
   worker process caches its compiled converter state, so no fixed
   actor pool caps the pipeline; batches stay Arrow end-to-end.
-* ``batch_size`` is small (default 64) so one mega-page cannot stall a
-  thousand-row batch (skew control, SURVEY.md §4.2); Ray Data's
-  dynamic block splitting handles oversized *outputs*.
-* no stage materializes the dataset; the streaming executor pipelines
-  read → extract → write with backpressure.
+* a task's extraction walks its block ``batch_size`` docs (default 64)
+  at a time, so one mega-page cannot stall a thousand-row batch (skew
+  control, SURVEY.md §4.2); the task count is the read's block count;
+  Ray Data's dynamic block splitting handles oversized *outputs*.
+* no stage materializes the dataset; the streaming executor runs
+  read → extract → write in one task per block, with backpressure.
 """
 
 from __future__ import annotations
@@ -40,12 +42,7 @@ import ray.data
 
 from fetch_engines_ray.arrowclean import _clean_read_schema, read_parquet_clean
 
-from ..stages.extract import (
-    OUTPUT_SCHEMA,
-    DocumentExtractor,
-    extract_fast_batch,
-    warm_extract_batch,
-)
+from ..stages.extract import OUTPUT_SCHEMA, DocumentExtractor, extract_block
 from ..state import lineage as lin
 
 
@@ -54,12 +51,13 @@ class PipelineConfig:
     """Engine knobs (reference analog: the 20+ config surface at
     /root/reference/src/types.ts:75-216)."""
 
-    # Fast task-pool stage batch size (64 measured best at 32 CPUs —
-    # enough tasks for load balance, small enough that a mega-page
-    # can't stall many docs behind it).
+    # Docs per extraction call (64 measured best at 32 CPUs): small
+    # enough that a mega-page can't stall many docs behind it.  It does
+    # not set the task count, which is the read's block count.
     batch_size: int = 64
-    # Warm stage batch size (one JS-shell/PDF doc must not stall a fat
-    # batch — skew control, SURVEY.md §4.2).
+    # Docs per warm_extract_batch call in a stage-at-a-time run; the
+    # pipeline feeds each batch_size slice's fast output straight to the
+    # warm stage.
     warm_batch_size: int = 64
     # C10 route overrides (reference playwrightOnlyPatterns,
     # /root/reference/src/HybridEngine.ts:160-170): entries are plain
@@ -90,31 +88,29 @@ def read_corpus(path: str, cfg: Optional[PipelineConfig] = None) -> "ray.data.Da
 
 
 def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None) -> "ray.data.Dataset":
-    """Attach the extraction stages to a corpus Dataset (lazy).
+    """Attach extraction to a corpus Dataset (lazy).
 
-    One linear stream, no branch re-execution:
-      fast stage (fully extracts "fast"-routed docs, passes "warm"
-      docs through with raw spans) →
-      warm stage (hydration/PDF layout — touches only the warm
-      fraction, Arrow-slice passthrough for the rest).
-    Both are task functions with per-worker cached extractor state, so
-    Ray Data fuses them into one task-pool operator.
+    One ``map_batches`` over whole blocks (``batch_size=None``), so Ray
+    Data fuses it with the read before it and the write after it: one
+    task reads a block, extracts it and writes it, and the corpus never
+    passes through the object store.  Inside the task,
+    :func:`~fetch_engines_ray.stages.extract.extract_block` takes the
+    block ``cfg.batch_size`` docs at a time through the fast stage
+    (fully extracts "fast"-routed docs, passes "warm" docs through with
+    raw spans) and then the warm stage (hydration/PDF layout — touches
+    only the warm fraction, Arrow-slice passthrough for the rest), with
+    per-worker cached extractor state.
     """
     cfg = cfg or PipelineConfig()
-    fast = ds.map_batches(
-        extract_fast_batch,
+    return ds.map_batches(
+        extract_block,
         fn_kwargs={
+            "batch_size": cfg.batch_size,
             "max_content_length": cfg.max_content_length,
             "warm_url_patterns": cfg.warm_url_patterns,
         },
         batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-    )
-    return fast.map_batches(
-        warm_extract_batch,
-        fn_kwargs={"max_content_length": cfg.max_content_length},
-        batch_format="pyarrow",
-        batch_size=cfg.warm_batch_size,
+        batch_size=None,
     )
 
 

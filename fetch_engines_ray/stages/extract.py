@@ -1,9 +1,11 @@
 """Ray Data extraction stages.
 
-The pipeline's heart: two task-function ``map_batches`` stages
-(:func:`extract_fast_batch` → :func:`warm_extract_batch`) that Ray Data
-fuses into one self-scheduling task-pool operator.  They turn
-interleaved ``(doc_id, spans)`` documents into extracted
+The pipeline's heart: :func:`extract_block`, one task function that
+Ray Data fuses with the corpus read and the output write, so one task
+reads, extracts and writes each block.  It feeds the block through the
+two batch functions (:func:`extract_fast_batch` →
+:func:`warm_extract_batch`) a bounded number of docs at a time.  They
+turn interleaved ``(doc_id, spans)`` documents into extracted
 ``(doc_id, out_spans, title, route, …)`` rows; the compiled converter
 state is built once per worker process and cached.
 
@@ -22,7 +24,7 @@ Per-document semantics (reference: HybridEngine.fetchHTML,
 from __future__ import annotations
 
 import re
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import pyarrow as pa
 
@@ -432,10 +434,11 @@ class DocumentExtractor:
 
 
 # ---------------------------------------------------------------------------
-# Two-stage split: fast stage + warm stage, both task functions.
+# Two-stage split: fast stage + warm stage, both batch functions.
 #
-# The flagship pipeline runs  read → extract_fast_batch → warm_extract_batch
-# → write  as ONE linear stream: the fast stage fully extracts
+# The flagship pipeline runs  read → extract_block → write  as ONE task per
+# block, and extract_block runs each slice of the block through
+# extract_fast_batch → warm_extract_batch: the fast stage fully extracts
 # "fast"-routed docs and passes "warm"-routed docs through untouched (raw
 # spans carried in `raw_spans`), so no branch of the Dataset is ever
 # executed twice and only the small warm fraction is extracted by the
@@ -524,11 +527,11 @@ def warm_extract_batch(batch: pa.Table, max_content_length: Optional[int] = None
     Arrow slices without row materialization.
 
     Uses the same per-worker cached extractor as
-    :func:`extract_fast_batch`.  Ray Data fuses the two adjacent map
-    stages into one task-pool operator that self-schedules across all
-    CPUs; a fused task→actor chain would run entirely on the actor
-    pool, capping the whole pipeline at the pool size (measured ~3x
-    slower at 32 CPUs).
+    :func:`extract_fast_batch`, and runs in the same task
+    (:func:`extract_block`), which self-schedules across all CPUs; an
+    actor stage fused with tasks would run entirely on the actor pool,
+    capping the whole pipeline at the pool size (measured ~3x slower at
+    32 CPUs).
     """
     import numpy as np
     import pyarrow.compute as pc
@@ -571,3 +574,20 @@ def warm_extract_batch(batch: pa.Table, max_content_length: Optional[int] = None
     warm_out = pa.Table.from_pylist(rows, schema=warm_schema).select(out_names + ["_pos"])
     merged = pa.concat_tables([fast_part.select(out_names + ["_pos"]), warm_out])
     return merged.sort_by("_pos").drop_columns(["_pos"])
+
+
+def extract_block(
+    block: pa.Table,
+    batch_size: int,
+    max_content_length: Optional[int] = None,
+    warm_url_patterns: tuple = (),
+) -> Iterator[pa.Table]:
+    """Extract one whole block, ``batch_size`` docs per call of
+    :func:`extract_fast_batch` then :func:`warm_extract_batch`, yielding
+    each slice's output.  A ``map_batches`` over it needs no batch size of
+    its own, so Ray Data fuses it into the read (a batch size would keep
+    the read a separate operator, since a read may change row counts).
+    An empty block yields one empty, typed output."""
+    for off in range(0, block.num_rows or 1, batch_size):
+        fast = extract_fast_batch(block.slice(off, batch_size), max_content_length, warm_url_patterns)
+        yield warm_extract_batch(fast, max_content_length)

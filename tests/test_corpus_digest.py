@@ -36,9 +36,9 @@ def test_full_corpus_extraction_digest(ray_session):
 
 
 def test_extraction_digest_partition_invariant(ray_session):
-    """The SAME digest must come out under different fast / warm batch
-    sizes (so different block boundaries) — extraction output is a pure
-    per-document function, so block structure can never leak into
+    """The SAME digest must come out under a different batch size (so
+    different per-call slices of each block) — extraction output is a
+    pure per-document function, so batch structure can never leak into
     results."""
     import os
     import sys

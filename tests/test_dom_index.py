@@ -4,7 +4,8 @@ Every selector query reads the tree's element index instead of walking
 the tree.  These tests hold the index to a naive walk-based reference
 selector kept here only: after any sequence of the DOM's mutators, on
 the top root and on any subtree root, every query answers as the walk
-would.  They also pin that the fast and stdlib parsers build the same
+would, and every indexed text length is the length of the element's
+text.  They also pin that the fast and stdlib parsers build the same
 index, and that a conversion walks each tree at most twice."""
 
 import fixtures_html
@@ -15,7 +16,7 @@ from test_fuzz_converter import _chunk
 from test_parser_equivalence import EDGES
 
 from fetch_engines_ray.dom import nodes
-from fetch_engines_ray.dom.nodes import Element, Text, contains, descendants, index_of
+from fetch_engines_ray.dom.nodes import Element, Text, contains, descendants, index_of, text_length
 from fetch_engines_ray.dom.parser import parse_html
 from fetch_engines_ray.dom.selectors import (
     CompiledGroup,
@@ -99,6 +100,7 @@ def index_shape(root):
         [(el.tag, el._pre, el._end) for el in ix.els],
         ix.tags,
         ix.attrs,
+        ix.tlen,
     )
 
 
@@ -107,9 +109,11 @@ def check_intervals(root):
     assert ix is not None and not ix.stale
     assert ix.els[0] is root
     assert ix.els == [root, *ref_descendants(root)]
+    assert len(ix.tlen) == len(ix.els)
     for pos, el in enumerate(ix.els):
         assert el._ix is ix and el._pre == pos
         assert ix.els[el._pre + 1 : el._end + 1] == ref_descendants(el)
+        assert ix.tlen[pos] == len(el.text_content)
     for tag, positions in ix.tags.items():
         assert positions == [i for i, el in enumerate(ix.els) if el.tag == tag]
     for name, positions in ix.attrs.items():
@@ -189,15 +193,33 @@ def test_removed_subtree_of_a_clone_and_a_hand_built_tree():
     check_queries(root)
 
 
+def check_text(root):
+    """Every live indexed text length, and every element's under ``root``
+    through ``text_length``, is the length of its text; and the consent
+    check answered once for ``root`` answers as the per-element walk."""
+    for el in [root, *ref_descendants(root)]:
+        ix = el._indexed()
+        if ix is not None:
+            assert ix.tlen[el._pre] == len(el.text_content)
+    in_scope = conv._has_consent_phrase(root)
+    for el in [root, *ref_descendants(root)]:
+        assert text_length(el) == len(el.text_content)
+        assert conv._is_likely_consent_or_interstitial(el, in_scope) == conv._is_likely_consent_or_interstitial(el)
+
+
 # -- random mutation sequences -------------------------------------------------
-_OPS = st.sampled_from(["remove", "append", "prepend", "set_text", "rename", "set_class", "set_attr"])
+_OPS = st.sampled_from(
+    ["remove", "append", "prepend", "set_text", "rename", "set_class", "set_attr", "add_text", "remove_text"]
+)
 _TAG = st.sampled_from(["div", "p", "a", "li", "h1", "h2", "nav", "section"])
 _CLASS = st.sampled_from(["", "a", "sidebar", "x a", "nav-bar", "post"])
+# texts that form a consent phrase alone or next to each other
+_TEXT = st.sampled_from(["t", "replaced", "", "Accept Cookies", "manage ", "preferences", "REFUSE ALL", "agree to", " all"])
 
 
 def _fresh(data):
     el = Element(data.draw(_TAG), {"class": data.draw(_CLASS)} if data.draw(st.booleans()) else {})
-    el.append(Text("t"))
+    el.append(Text(data.draw(_TEXT)))
     if data.draw(st.booleans()):
         kid = Element(data.draw(_TAG), {"href": "/k"})
         kid.append(Text("k"))
@@ -224,7 +246,13 @@ def _mutate_and_check(root, data):
             node = detached.pop() if detached and data.draw(st.booleans()) else _fresh(data)
             getattr(_pick(data, [root, *live]), op)(node)
         elif op == "set_text":
-            el.set_text("replaced")
+            el.set_text(data.draw(_TEXT))
+        elif op == "add_text":
+            getattr(el, data.draw(st.sampled_from(["append", "prepend"])))(Text(data.draw(_TEXT)))
+        elif op == "remove_text":
+            texts = [c for c in el.children if isinstance(c, Text)]
+            if texts:
+                _pick(data, texts).remove()
         elif op == "rename":
             el.rename(data.draw(_TAG))
         elif op == "set_class":
@@ -234,6 +262,9 @@ def _mutate_and_check(root, data):
         if data.draw(st.booleans()):
             # queries between mutations: they (re)build indexes mid-sequence
             check_queries(_pick(data, [root, *ref_descendants(root)]))
+        if data.draw(st.booleans()):
+            check_text(root)
+    check_text(root)
     check_queries(root)
     for el in ref_descendants(root)[:: max(1, len(ref_descendants(root)) // 5)]:
         check_queries(el)

@@ -1,14 +1,18 @@
 """Robustness fuzzing: the converter must never raise — malformed,
 truncated, or adversarial markup degrades to the documented fallbacks
 (R3/R4: cleaned-HTML or raw passthrough), mirroring the reference's
-"never throw from convert" posture.  Also pins the string-method form
-of one postprocess step against the regex it replaced."""
+"never throw from convert" posture.  Also pins the string-method forms
+and substring prechecks of the postprocess, serializer and assess steps
+against the regexes they replaced or guard."""
 
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fetch_engines_ray.functions import converter as conv
+from fetch_engines_ray.functions import md_serializer as mds
+from fetch_engines_ray.functions import render_detection as rd
 from fetch_engines_ray.functions.converter import convert
 from fetch_engines_ray.stages.extract import DocumentExtractor
 
@@ -72,3 +76,56 @@ def test_postprocess_line_trim_equals_regex(text):
     ``str.strip(" \\t")`` per ``\\n``-delimited segment; it must equal
     the multiline regex it replaced, ``\\r\\n`` text included."""
     assert "\n".join(seg.strip(" \t") for seg in text.split("\n")) == _LINE_TRIM.sub("", text)
+
+
+_MD_TEXT = st.lists(
+    st.sampled_from([
+        "\n", "\n\n", " ", "  ", "\t", "\r", "# ", "## ", "- ", "* ", "1. ", "> ", "`", "```", "```py\n",
+        "[a](/x)", "![i](/y.png)", "[]()", "](", "_", "~", "-", "*", "#", "a" * 31, "b" * 30, "word ",
+        "\xa0", "é",
+    ]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_MD_TEXT, st.text(max_size=60)))
+def test_dup_line_precheck_is_necessary(text):
+    """Step 8 of ``postprocess_markdown`` skips its regex when no line
+    of 30+ chars is followed by a line starting with it; the regex must
+    then find nothing."""
+    if conv._RE_PP_DUP_LINES.search(text) is not None:
+        assert conv._repeats_a_long_line(text.split("\n"))
+
+
+_MD_CODE_FENCE = re.compile(r"```[\s\S]*?```")
+_MD_INLINE_CODE = re.compile(r"`[^`]*`")
+_MD_IMAGE = re.compile(r"!\[[^\]]*]\([^)]*\)")
+_MD_LINK = re.compile(r"\[([^\]]*)\]\([^)]*\)")
+_MD_HEADING = re.compile(r"(?m)^#{1,6}\s+")
+_MD_MARKS = re.compile(r"[*_~>-]")
+_SPACE_RUN = re.compile(r" {2,}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_MD_TEXT, st.text(max_size=60)))
+def test_markdown_visible_text_equals_regex_chain(text):
+    """``strip_markdown_to_visible_text`` runs each pattern only when the
+    text holds a literal it needs, and blanks marks with ``str.translate``;
+    it must equal the unconditional regex chain."""
+    s = _MD_CODE_FENCE.sub(" ", text)
+    s = _MD_INLINE_CODE.sub(" ", s)
+    s = _MD_IMAGE.sub(" ", s)
+    s = _MD_LINK.sub(r"\1", s)
+    s = _MD_HEADING.sub("", s)
+    s = _MD_MARKS.sub(" ", s)
+    assert rd.strip_markdown_to_visible_text(text) == " ".join(s.split())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_MD_TEXT, _EDGE_TEXT))
+def test_finalize_paragraph_single_line_path(text):
+    """The one-line path of ``_finalize_paragraph`` equals the per-line
+    collapse, strip and join."""
+    lines = [_SPACE_RUN.sub(" ", ln).strip() for ln in text.split("\n")]
+    assert mds._finalize_paragraph(text) == "\n".join(ln for ln in lines if ln != "").strip()

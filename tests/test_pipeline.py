@@ -93,6 +93,55 @@ def test_pdf_layout_parse():
     assert "| a | b | c |" in md
 
 
+class _RecordingDataset:
+    """Stands in for a Dataset and records the transforms applied to it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def map_batches(self, fn, **kwargs):
+        self.calls.append((fn, kwargs))
+        return self
+
+    def __getattr__(self, name):
+        def record(*args, **kwargs):
+            self.calls.append((name, kwargs))
+            return self
+
+        return record
+
+
+def test_build_pipeline_is_one_whole_block_map():
+    """The fusion precondition: extraction is exactly one map_batches with
+    no batch size, so Ray Data runs the read, extraction and write of a
+    block in one task (a batch size keeps the read a separate operator)."""
+    from fetch_engines_ray.pipelines.extract import PipelineConfig, build_pipeline
+    from fetch_engines_ray.stages.extract import extract_block
+
+    ds = _RecordingDataset()
+    cfg = PipelineConfig(batch_size=5, max_content_length=100, warm_url_patterns=("x",))
+    assert build_pipeline(ds, cfg) is ds
+    [(fn, kwargs)] = ds.calls
+    assert fn is extract_block
+    assert kwargs["batch_size"] is None
+    assert kwargs["fn_kwargs"] == {"batch_size": 5, "max_content_length": 100, "warm_url_patterns": ("x",)}
+
+
+def test_extract_block_equals_whole_batch_extraction():
+    """Slicing a block into batch_size calls changes nothing, and an empty
+    block yields one typed empty output."""
+    from fetch_engines_ray.stages.extract import OUTPUT_SCHEMA, extract_block
+
+    rows = [make_doc(i, 3) for i in range(23)]
+    table = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
+    whole = DocumentExtractor()(table)
+    sliced = list(extract_block(table, 5))
+    assert len(sliced) == 5
+    assert pa.concat_tables(sliced).equals(whole)
+    [empty] = extract_block(table.slice(0, 0), 5)
+    assert empty.num_rows == 0 and empty.schema == OUTPUT_SCHEMA
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_ray_pipeline_end_to_end(tmp_path):
     import ray.data
