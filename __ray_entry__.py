@@ -735,10 +735,11 @@ def _q_minhash_pairs(sf_dir: str) -> Any:
 
 def _q_neardup_clusters(sf_dir: str) -> Any:
     """Near-dup CLUSTER RESOLUTION — the verdict pipeline curate_corpus
-    runs on (ops/dedup.minhash_dedup_ds: LSH candidate pairs, verified
-    and clustered on the driver or, when the candidate table outgrows
-    BROADCAST_BYTES, by two partitioned signature-attach passes and
-    min-label propagation) — FULLY SQL-oracled: the oracle recomputes the md5/mod-p signature
+    runs on (ops/dedup.minhash_dedup_ds over the one near-dup resolver:
+    LSH candidate pairs, signatures attached to both ends and verified,
+    then clustered by union-find on the driver or, when the verified
+    pairs outgrow BROADCAST_BYTES, by min-label propagation) — FULLY
+    SQL-oracled: the oracle recomputes the md5/mod-p signature
     family, banding, candidates, est>=0.7 verification AND the
     connected-component min-label contraction (transitive closure as a
     recursive CTE) from the documents table.  Planted clones asserted

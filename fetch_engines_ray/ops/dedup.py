@@ -1,11 +1,15 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Scale design: every flavor is partial-first — per-batch signature
-computation in ``map_batches`` (vectorized numpy), then ONE ``groupby``
-on a bucket key whose fan-in is tiny (bucket members), never an
-all-pairs shuffle.  Candidate verification happens inside the bucket
-group (``map_groups``), so the only wide op moves (key, doc_id,
-signature) triples, not documents.
+computation in ``map_batches`` (vectorized numpy), then ONE bucket
+exchange whose fan-in is tiny (bucket members), never an all-pairs
+shuffle.  Every near-dup flavor, text and media alike, then runs the
+one resolver of this module: :func:`verified_pairs` turns band rows
+into candidate pairs, attaches each candidate's lookup row to both
+ends and scores it with the caller's Arrow ``verify``, and
+:func:`cluster_verdicts` resolves the verified pairs into clusters.
+Only ``(bucket, doc_id)`` rows and candidate ids move through the
+wide ops, not documents.
 
 The module also holds the engine's one key filter (:func:`keep_by_keys`)
 and its one join (:func:`attach`): both broadcast a lookup side that
@@ -16,6 +20,7 @@ it returns as a Dataset.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -24,8 +29,7 @@ import pyarrow as pa
 import ray.data
 
 from fetch_engines_ray.arrowclean import read_parquet_clean
-from fetch_engines_ray.ops import exchange
-from fetch_engines_ray.ops.exchange import co_group, measured, n_parts_for, parts_for
+from fetch_engines_ray.ops.exchange import co_group, measured, n_parts_for, n_rows, parts_for
 from ray.data.aggregate import Count, Min
 
 
@@ -313,9 +317,7 @@ def _band_rows(batch: pa.Table, num_bands: int) -> pa.Table:
     return pa.table({"bucket": pa.array(bucket), "doc_id": ids.take(idx)})
 
 
-def _lsh_candidate_pairs(
-    banded: "ray.data.Dataset", n_parts: int, carry: tuple = ()
-) -> "ray.data.Dataset":
+def _lsh_candidate_pairs(banded: "ray.data.Dataset", n_parts: int) -> "ray.data.Dataset":
     """All co-bucket candidate pairs (doc_a < doc_b): band rows are
     hash-partitioned by bucket into a bounded number of parts (a bucket
     never straddles parts), then ONE vectorized numpy pass per part
@@ -336,32 +338,21 @@ def _lsh_candidate_pairs(
     co-locates in one part (quadratic pair blowup there is inherent to
     LSH; the verified output stays tiny).
 
-    ``carry`` columns (small, fixed-width — e.g. an 8-byte simhash)
-    ride through as ``<col>`` / ``<col>_b``.  A pair that collides in k
-    bands appears k times; dedup happens on the (tiny) verified
-    output."""
-    carry = tuple(carry)
+    A pair that collides in k bands appears k times;
+    :func:`verified_pairs` dedups it before attaching anything."""
 
     def pairs_part(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"]
         b = t["bucket"].to_numpy()
-        d = t["doc_id"].to_numpy()
+        d = ids.to_numpy()
         order = np.lexsort((d, b))
         b, d = b[order], d[order]
-        cvals = {c: t[c].to_numpy()[order] for c in carry}
-
-        def typed_empty() -> pa.Table:
-            data = {"doc_a": d[:0], "doc_b": d[:0]}
-            for c in carry:
-                data[c] = cvals[c][:0]
-                data[f"{c}_b"] = cvals[c][:0]
-            return pa.table(data)
-
         if len(b) == 0:
-            return typed_empty()
+            return pa.table({"doc_a": ids, "doc_b": ids})
         edge = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1], [True])))
         lens = np.diff(edge)
         starts = edge[:-1]
-        ia_parts, ib_parts = [], []
+        ia_parts, ib_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         # expand runs batched BY LENGTH: all runs of length L stack into
         # a (k, L) index matrix and share one triu_indices expansion
         for length in np.unique(lens[lens > 1]):
@@ -370,19 +361,12 @@ def _lsh_candidate_pairs(
             ii, jj = np.triu_indices(int(length), k=1)
             ia_parts.append(mat[:, ii].ravel())
             ib_parts.append(mat[:, jj].ravel())
-        if not ia_parts:
-            return typed_empty()
         ia = np.concatenate(ia_parts)
         ib = np.concatenate(ib_parts)
         # rows sort by (bucket, doc_id), so d[ia] <= d[ib]; equal ids
         # (the same doc landing twice in one bucket) are dropped
         keep = d[ia] < d[ib]
-        ia, ib = ia[keep], ib[keep]
-        data = {"doc_a": d[ia], "doc_b": d[ib]}
-        for c in carry:
-            data[c] = cvals[c][ia]
-            data[f"{c}_b"] = cvals[c][ib]
-        return pa.table(data)
+        return pa.table({"doc_a": ids.take(order[ia[keep]]), "doc_b": ids.take(order[ib[keep]])})
 
     return co_group([(banded, "bucket")], max(64, n_parts * 8), pairs_part)
 
@@ -548,63 +532,31 @@ def minhash_lsh_pairs(
     signature family (:func:`_md5_modp_signatures`) the registry oracle
     recomputes in SQL.
     """
+    sigs, ckpt = _minhash_checkpoint(ds, num_perm, shingle_size, hash_fn, "minhash_sigs")
+    try:
+        pairs = verified_pairs(
+            sigs, lambda b: _band_rows(b, num_bands), sigs, _minhash_verify(threshold)
+        )
+        return _pairs_frame(pairs, "est_jaccard")
+    finally:
+        _cleanup_checkpoint(ckpt)
+
+
+def _minhash_checkpoint(
+    ds: "ray.data.Dataset", num_perm: int, shingle_size: int, hash_fn: str, tag: str
+) -> tuple["ray.data.Dataset", str]:
+    """``(doc_id, minhash_sig)`` of every doc, spilled to one parquet
+    checkpoint: the resolver reads the signatures twice (banding and
+    the verify lookup), so nothing pins the object store, and at
+    cluster scale (FER_CHECKPOINT_DIR on shared storage) the checkpoint
+    is the resume point."""
     sigs = ds.map_batches(
         minhash_batch,
         fn_kwargs={"num_perm": num_perm, "shingle_size": shingle_size, "hash_fn": hash_fn},
         batch_format="pyarrow",
         batch_size=1024,
     )
-    # Signatures are consumed three times (banding + both join sides);
-    # checkpoint to parquet once — nothing pins the object store, and at
-    # cluster scale (FER_CHECKPOINT_DIR on shared storage) the
-    # checkpoint is the resume point.
-    sigs, ckpt = _checkpoint_parquet(sigs, "minhash_sigs")
-    try:
-        return _minhash_pairs_from_sigs(sigs, num_bands, threshold)
-    finally:
-        _cleanup_checkpoint(ckpt)
-
-
-def _minhash_pairs_from_sigs(
-    sigs: "ray.data.Dataset", num_bands: int, threshold: float
-) -> pd.DataFrame:
-    banded = sigs.map_batches(
-        lambda b: _band_rows(b, num_bands), batch_format="pyarrow", batch_size=1024
-    )
-    # Partition count scales with the table (count on a parquet read is
-    # metadata-only) — every join/shuffle partition is an aggregator
-    # actor with multi-second fixed cost, so stay small at small scale.
-    n_docs = sigs.count()
-    n_parts = n_parts_for(n_docs)
-    cand = _lsh_candidate_pairs(banded, n_parts)
-    return _verify_minhash_pairs(cand, sigs, threshold)
-
-
-def _consume_pairs(consume, cand: "ray.data.Dataset", empty: pd.DataFrame) -> pd.DataFrame:
-    """Consume a candidate-pair plan, mapping the schema-less-empty-
-    stream failure modes to the typed empty frame.
-
-    When an LSH pass finds ZERO colliding buckets (a corpus with no
-    near-dups), Ray's hash shuffle emits schema-less empty blocks and a
-    downstream join/groupby dies with ``ArrowInvalid: No match ... for
-    key field FieldRef`` (wrapped in RayTaskError) or ``ValueError`` at
-    pandas conversion.  Only a VERIFIED-empty candidate set maps to the
-    empty result — the count re-executes the candidate plan, but only on
-    this rare error path.  If the verification count ITSELF fails, the
-    ORIGINAL error re-raises: mapping an unverifiable failure to "no
-    pairs" would silently disable dedup on a genuine worker-side bug
-    (e.g. an import error inside a map task), which at corpus scale is
-    a quiet data-quality disaster, not a recoverable empty stream."""
-    try:
-        return consume()
-    except (ValueError, ray.exceptions.RayTaskError) as err:
-        try:
-            n = cand.count()
-        except (ValueError, ray.exceptions.RayTaskError):
-            raise err
-        if n == 0:
-            return empty
-        raise
+    return _checkpoint_parquet(sigs, tag)
 
 
 def filter_by_keys(
@@ -834,55 +786,148 @@ def attach(
     return co_group([(left, on), (right, right_on)], parts_for(right), join)
 
 
-def _verify_minhash_pairs(
-    cand: "ray.data.Dataset",
-    sigs: "ray.data.Dataset",
-    threshold: float,
-) -> pd.DataFrame:
-    """Verify candidate pairs against their signatures WITHOUT any
-    post-LSH shuffle.
+# ---------------------------------------------------------------------------
+# The near-dup resolver: LSH candidates -> verified pairs -> clusters
+# ---------------------------------------------------------------------------
 
-    The verified pair frame is this function's RETURN VALUE and has
-    been driver-resident by contract since round 1; the unverified
-    candidate list is the same size class (true pairs + spurious band
-    collisions), so it lands on the driver first, and its id set drives
-    ONE :func:`keep_by_keys` semi-filter over the signature table that
-    brings back only the candidates' signatures (0.5 KB x 2 x pairs).
-    Estimation is one vectorized numpy comparison.  This replaced two
-    re-attach hash joins: Ray's join aggregator dies on sparse
-    candidate sides (schema-less empty partitions — see
-    :mod:`~fetch_engines_ray.ops.exchange`), and join/groupby
-    aggregator fixed costs made verification SLOWER at higher CPU
-    counts at bench scale."""
-    empty = pd.DataFrame(columns=["doc_a", "doc_b", "est_jaccard"])
-    cand_pd = _consume_pairs(lambda: cand.to_pandas(), cand, empty)
-    if cand_pd.empty:
-        return empty
-    cand_pd = cand_pd.drop_duplicates(["doc_a", "doc_b"])
-    cand_ids = pa.table(
-        {"doc_id": np.union1d(cand_pd["doc_a"].to_numpy(), cand_pd["doc_b"].to_numpy())}
-    )
-    sig_pd = keep_by_keys(sigs, cand_ids, "doc_id", keep=True).to_pandas()
-    if sig_pd.empty:
-        return empty
-    sig_ix = {int(d): i for i, d in enumerate(sig_pd["doc_id"])}
-    mat = _decode_sigs(pa.array(sig_pd["minhash_sig"]))
-    ia = cand_pd["doc_a"].map(sig_ix)
-    ib = cand_pd["doc_b"].map(sig_ix)
-    ok = ia.notna() & ib.notna()  # keys absent from sigs (incremental old-old) drop
-    cand_pd = cand_pd[ok]
-    est = (mat[ia[ok].astype(int).to_numpy()] == mat[ib[ok].astype(int).to_numpy()]).mean(axis=1)
-    keep = est >= threshold
-    out = pd.DataFrame(
+def _unique_pairs(t: pa.Table) -> pa.Table:
+    """One row per ``(doc_a, doc_b)``: a pair that collides in k bands
+    arrives as k candidate rows."""
+    if not t.num_columns:
+        return t
+    return t.group_by(["doc_a", "doc_b"], use_threads=False).aggregate([])
+
+
+def _pair_ids(t: pa.Table) -> pa.Table:
+    ids = pa.chunked_array(t["doc_a"].chunks + t["doc_b"].chunks, t["doc_a"].type)
+    return pa.table({"doc_id": ids})
+
+
+def _per_key(
+    side: "ray.data.Dataset", key: str, fn: Callable[[pa.Table], pa.Table]
+) -> "ray.data.Dataset":
+    """``fn`` over the rows of ``side`` grouped by ``key``, as one
+    materialized Dataset.  ``side`` executes once through
+    ``exchange.measured``: a driver table takes one ``fn`` call, a
+    larger side one call per ``exchange.co_group`` part (a key never
+    straddles parts).  ``fn`` also gets a zero-column table when
+    ``side`` has no rows."""
+    side = measured(side)
+    if isinstance(side, pa.Table):
+        return ray.data.from_arrow(fn(side))
+    return co_group([(side, key)], parts_for(side), fn).materialize()
+
+
+def _suffixed(side: "pa.Table | ray.data.Dataset", suffix: str):
+    """``side`` with every column but ``doc_id`` renamed ``<col><suffix>``."""
+
+    def rename(t: pa.Table) -> pa.Table:
+        return t.rename_columns([c if c == "doc_id" else c + suffix for c in t.column_names])
+
+    if isinstance(side, pa.Table):
+        return rename(side)
+    return side.map_batches(rename, batch_format="pyarrow")
+
+
+def _verified(t: pa.Table, score: np.ndarray, keep: np.ndarray, name: str) -> pa.Table:
+    """The ``(doc_a, doc_b, <name>)`` rows of candidate batch ``t`` that
+    ``keep`` marks — the output of every resolver ``verify``."""
+    keep = pa.array(keep, type=pa.bool_())
+    return pa.table(
         {
-            "doc_a": cand_pd["doc_a"].to_numpy()[keep],
-            "doc_b": cand_pd["doc_b"].to_numpy()[keep],
-            "est_jaccard": est[keep],
+            "doc_a": t["doc_a"].filter(keep),
+            "doc_b": t["doc_b"].filter(keep),
+            name: pa.array(score).filter(keep),
         }
     )
-    if out.empty:
-        return empty
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+
+def verified_pairs(
+    sigs: "ray.data.Dataset",
+    bands: Callable[[pa.Table], pa.Table],
+    lookup: "ray.data.Dataset",
+    verify: Callable[[pa.Table], pa.Table],
+) -> "pa.Table | ray.data.Dataset | None":
+    """Steps 1-2 of the near-dup resolver that every near-dup caller
+    (MinHash, n-gram, SimHash, media fingerprints) runs.
+
+    ``sigs`` is a ``doc_id``-keyed signature Dataset that is cheap to
+    count and to read twice (a parquet checkpoint or a materialized
+    table); ``bands`` maps a batch of it to ``(bucket, doc_id)`` rows;
+    ``lookup`` holds the ``doc_id``-keyed columns ``verify`` reads; and
+    ``verify`` maps an Arrow batch of candidate pairs that carries them
+    as ``<col>_a`` / ``<col>_b`` to its verified ``(doc_a, doc_b,
+    <score>)`` rows.  The same ``verify`` runs on either path below.
+
+    1. Candidates: the band rows go through one
+       :func:`_lsh_candidate_pairs` exchange sized by the signature
+       count, and each pair that collides in several bands is kept once
+       (:func:`_per_key`: on the driver, or per ``doc_a`` part when the
+       candidate table outgrows ``BROADCAST_BYTES``).
+    2. Verified pairs: one :func:`keep_by_keys` cuts ``lookup`` to the
+       candidate ids, which execute once through ``exchange.measured``;
+       :func:`attach` joins them to both ends of each pair; ``verify``
+       runs per batch.
+
+    Returns the verified pairs through ``exchange.measured`` — a driver
+    table when they fit, the materialized Dataset otherwise — or None
+    when no candidate exists or none verifies."""
+    banded = sigs.map_batches(bands, batch_format="pyarrow", batch_size=1024)
+    cand = _per_key(
+        _lsh_candidate_pairs(banded, n_parts_for(sigs.count())), "doc_a", _unique_pairs
+    )
+    if cand.count() == 0:
+        return None
+    ids = cand.map_batches(_pair_ids, batch_format="pyarrow", batch_size=None)
+    look = measured(keep_by_keys(lookup, ids, "doc_id", keep=True))
+    both = attach(
+        attach(cand, _suffixed(look, "_a"), "doc_a", "doc_id"),
+        _suffixed(look, "_b"),
+        "doc_b",
+        "doc_id",
+    )
+    pairs = measured(both.map_batches(verify, batch_format="pyarrow", batch_size=2048))
+    return pairs if n_rows(pairs) else None
+
+
+def cluster_verdicts(
+    pairs: "pa.Table | ray.data.Dataset | None",
+) -> "pa.Table | ray.data.Dataset | None":
+    """Step 3 of the near-dup resolver: ``(doc_id, cluster_rep,
+    is_kept)`` for every id of a :func:`verified_pairs` result, min id
+    kept per cluster.  Where the pairs were measured decides where the
+    clusters resolve: a driver table by union-find
+    (:func:`dedup_clusters`) into a driver table, a Dataset by label
+    propagation (:func:`dedup_clusters_distributed`) into a Dataset.
+    Both give the same rows; no pairs (None) give None."""
+    if pairs is None:
+        return None
+    if isinstance(pairs, pa.Table):
+        return pa.Table.from_pandas(dedup_clusters(pairs.to_pandas()), preserve_index=False)
+    return dedup_clusters_distributed(pairs)
+
+
+def _pairs_frame(pairs: "pa.Table | ray.data.Dataset | None", score: str) -> pd.DataFrame:
+    """A :func:`verified_pairs` result as the pair functions' driver
+    frame ``(doc_a, doc_b, <score>)``, sorted by id pair."""
+    if pairs is None:
+        return pd.DataFrame(columns=["doc_a", "doc_b", score])
+    return pairs.to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+
+def _minhash_verify(threshold: float) -> Callable[[pa.Table], pa.Table]:
+    """MinHash verify: est_jaccard = fraction of equal signature rows,
+    kept at ``>= threshold``."""
+
+    def verify(t: pa.Table) -> pa.Table:
+        est = (
+            (_decode_sigs(t["minhash_sig_a"]) == _decode_sigs(t["minhash_sig_b"])).mean(axis=1)
+            if t.num_rows
+            else np.zeros(0)
+        )
+        return _verified(t, est, est >= threshold, "est_jaccard")
+
+    return verify
 
 
 # ---------------------------------------------------------------------------
@@ -976,11 +1021,10 @@ def simhash_pairs(
     (pigeonhole), so the result equals exact all-pairs hamming — which
     is exactly what the registry query's DuckDB oracle computes.
 
-    The band-explode / run-expansion / popcount-verify machinery is the
-    generic 64-bit hamming LSH shared with the media fingerprints
-    (``ops.imagehash.hamming64_pairs`` — ONE implementation, so the
-    text and media paths cannot drift); this wrapper contributes only
-    the simhash signature computation."""
+    The pairs come from ``ops.imagehash.hamming64_pairs``, the 64-bit
+    hamming caller of :func:`verified_pairs` that the media
+    fingerprints share; this wrapper contributes only the simhash
+    signature computation."""
     from fetch_engines_ray.ops.imagehash import hamming64_pairs
 
     return hamming64_pairs(
@@ -1012,102 +1056,54 @@ def ngram_jaccard_pairs(
     """Near-dup pairs verified by EXACT word n-gram Jaccard.
 
     Same LSH candidate generation as :func:`minhash_lsh_pairs`, but the
-    verification attaches the raw TEXTS to the candidate ids (two
-    :func:`attach` calls) and computes the true n-gram Jaccard — the
-    estimator-free variant for when candidate volume is small enough to
-    afford exact verification.  Returns (doc_a, doc_b, jaccard_x1000) with an
-    integer-scaled score (hash-stable).
+    verify lookup is the raw TEXTS of the candidate ids and the score is
+    the true n-gram Jaccard — the estimator-free variant for when
+    candidate volume is small enough to afford exact verification.
+    Returns (doc_a, doc_b, jaccard_x1000) with an integer-scaled score
+    (hash-stable).
     """
-    sigs, ckpt = _checkpoint_parquet(
-        ds.map_batches(
-            minhash_batch,
-            fn_kwargs={"num_perm": num_perm, "shingle_size": shingle_size},
-            batch_format="pyarrow",
-            batch_size=1024,
-        ),
-        "ngram_sigs",
+    sigs, ckpt = _minhash_checkpoint(ds, num_perm, shingle_size, "sip", "ngram_sigs")
+    texts = ds.map_batches(
+        lambda b: b.select(["doc_id", "text"]), batch_format="pyarrow", batch_size=4096
     )
     try:
-        return _ngram_pairs_from_sigs(ds, sigs, threshold, shingle_size, num_bands)
+        pairs = verified_pairs(
+            sigs,
+            lambda b: _band_rows(b, num_bands),
+            texts,
+            _ngram_verify(threshold, shingle_size),
+        )
+        return _pairs_frame(pairs, "jaccard_x1000")
     finally:
         _cleanup_checkpoint(ckpt)
 
 
-def _ngram_pairs_from_sigs(
-    ds: "ray.data.Dataset",
-    sigs: "ray.data.Dataset",
-    threshold: float,
-    shingle_size: int,
-    num_bands: int,
-) -> pd.DataFrame:
-    banded = sigs.map_batches(
-        lambda b: _band_rows(b, num_bands), batch_format="pyarrow", batch_size=1024
-    )
-    empty = pd.DataFrame(columns=["doc_a", "doc_b", "jaccard_x1000"])
-    n_parts = n_parts_for(sigs.count())
-    # dedup candidate pairs BEFORE the text joins: a pair colliding in k
-    # bands would otherwise shuffle its (large) texts k times
-    cand = (
-        _lsh_candidate_pairs(banded, n_parts)
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="_nb"))
-        .drop_columns(["_nb"])
-    )
-    texts = ds.map_batches(
-        lambda b: b.select(["doc_id", "text"]), batch_format="pyarrow", batch_size=4096
-    ).materialize()
-    left = attach(cand, texts, "doc_a", "doc_id").map_batches(
-        lambda b: b.rename_columns(["text_a" if c == "text" else c for c in b.column_names]),
-        batch_format="pyarrow",
-    )
-    both = attach(left, texts, "doc_b", "doc_id")
+def _ngram_verify(threshold: float, shingle_size: int) -> Callable[[pa.Table], pa.Table]:
+    """n-gram verify with an integer-exact score: jaccard_x1000 =
+    (1000 * |intersect|) // |union| — floor division on both engine and
+    oracle side, so the value representation can never drift (a float
+    round() had half-boundary parity risk vs SQL)."""
 
-    def verify(batch: pa.Table) -> pa.Table:
-        # integer-exact score: jaccard_x1000 = (1000 * |intersect|) //
-        # |union| — floor division on both engine and oracle side, so
-        # the value representation can never drift (a float round() had
-        # half-boundary parity risk vs SQL)
-        rows = []
-        for r in batch.select(["doc_a", "doc_b", "text_a", "text"]).to_pylist():
-            ga = _ngram_set(r["text_a"] or "", shingle_size)
-            gb = _ngram_set(r["text"] or "", shingle_size)
-            inter = len(ga & gb)
-            union = len(ga | gb) or 1
-            if inter >= threshold * union:
-                rows.append(
-                    {
-                        "doc_a": r["doc_a"],
-                        "doc_b": r["doc_b"],
-                        "jaccard_x1000": (1000 * inter) // union,
-                    }
-                )
-        return pa.Table.from_pylist(
-            rows,
-            schema=pa.schema(
-                [("doc_a", batch.schema.field("doc_a").type), ("doc_b", batch.schema.field("doc_b").type), ("jaccard_x1000", pa.int64())]
-            ),
-        )
+    def verify(t: pa.Table) -> pa.Table:
+        inter, union = [], []
+        for a, b in zip(t["text_a"].to_pylist(), t["text_b"].to_pylist()):
+            ga, gb = _ngram_set(a or "", shingle_size), _ngram_set(b or "", shingle_size)
+            inter.append(len(ga & gb))
+            union.append(len(ga | gb) or 1)
+        inter, union = np.array(inter, dtype=np.int64), np.array(union, dtype=np.int64)
+        return _verified(t, (1000 * inter) // union, inter >= threshold * union, "jaccard_x1000")
 
-    pairs = _consume_pairs(
-        lambda: both.map_batches(verify, batch_format="pyarrow", batch_size=2048).to_pandas(),
-        cand,
-        empty,
-    )
-    if pairs.empty:
-        return empty
-    return (
-        pairs.drop_duplicates(["doc_a", "doc_b"]).sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    )
+    return verify
 
 
 def dedup_clusters(pairs: pd.DataFrame) -> pd.DataFrame:
     """Resolve near-dup PAIRS into clusters via union-find and pick the
     min doc_id as each cluster's representative.
 
-    Pair lists are tiny relative to the corpus (only near-dups), so the
-    union-find runs driver-side; at a scale where even the pair list is
-    distributed, this becomes iterative label propagation over the same
-    (doc_a, doc_b) edge dataset — same output contract.
+    The driver form of :func:`cluster_verdicts`; a pair list that does
+    not fit the driver resolves by label propagation over the same
+    (doc_a, doc_b) edges instead (:func:`dedup_clusters_distributed`,
+    same output contract).
 
     Returns (doc_id, cluster_rep, is_kept) for every doc appearing in a
     pair; docs not in any pair are implicitly kept.
@@ -1147,11 +1143,13 @@ def dedup_clusters_distributed(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
 
     Each iteration is one :func:`attach` (symmetrized edges x labels)
     plus a min-groupby; nothing corpus-sized ever reaches the driver —
-    the only driver-side value per iteration is the int64 label
-    checksum.  Min-labels only ever decrease, so an unchanged checksum
-    is the fixed point: the loop runs as many iterations as the
-    largest cluster's diameter needs, with no budget that could cut a
-    long chain short and emit wrong representatives.
+    the only driver-side value per iteration is the number of labels
+    that changed.  Each row carries its previous label as ``own``, so
+    one min-groupby yields both the new label and that count, whatever
+    the id type (ints or strings).  Min-labels only ever decrease, so a
+    round that changes none is the fixed point: the loop runs as many
+    iterations as the largest cluster's diameter needs, with no budget
+    that could cut a long chain short and emit wrong representatives.
 
     The label table (one row per doc appearing in a PAIR — tiny relative
     to the corpus) is ``materialize()``d per iteration: without it the
@@ -1163,6 +1161,9 @@ def dedup_clusters_distributed(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
         fwd = pa.table({"src": b["doc_a"], "dst": b["doc_b"]})
         rev = pa.table({"src": b["doc_b"], "dst": b["doc_a"]})
         return pa.concat_tables([fwd, rev])
+
+    def labelled(ids: pa.ChunkedArray, label: pa.ChunkedArray, own) -> pa.Table:
+        return pa.table({"doc_id": ids, "label": label, "own": own})
 
     edges = pairs.map_batches(
         symmetrize, batch_format="pyarrow", batch_size=65536
@@ -1178,24 +1179,27 @@ def dedup_clusters_distributed(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
         .aggregate(Min("label", alias_name="label"))
         .materialize()
     )
-    prev_sum = None
     while True:
-        # neighbor labels: edge (src, dst) joined with label(dst)
+        # neighbor labels: edge (src, dst) joined with label(dst); a
+        # neighbor row has no own label (Min skips the null)
         nbr = attach(edges, labels, "dst", "doc_id").map_batches(
-            lambda b: pa.table({"doc_id": b["src"], "label": b["label"]}),
+            lambda b: labelled(b["src"], b["label"], pa.nulls(b.num_rows, b["label"].type)),
+            batch_format="pyarrow",
+            batch_size=65536,
+        )
+        own = labels.map_batches(
+            lambda b: labelled(b["doc_id"], b["label"], b["label"]),
             batch_format="pyarrow",
             batch_size=65536,
         )
         labels = (
-            labels.union(nbr)
+            own.union(nbr)
             .groupby("doc_id")
-            .aggregate(Min("label", alias_name="label"))
+            .aggregate(Min("label", alias_name="label"), Min("own", alias_name="own"))
             .materialize()
         )
-        cur_sum = labels.sum("label")
-        if cur_sum == prev_sum:
+        if labels.filter(expr="label != own").count() == 0:
             break
-        prev_sum = cur_sum
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -1215,65 +1219,6 @@ _VERDICT_SCHEMA = pa.schema(
 )
 
 
-_STAGE1_SCHEMA = pa.schema(
-    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("sig_a", pa.binary())]
-)
-_VERIFIED_SCHEMA = pa.schema(
-    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("est_jaccard", pa.float64())]
-)
-
-
-def _verify_minhash_pairs_ds(
-    cand: "ray.data.Dataset",
-    sigs: "ray.data.Dataset",
-    threshold: float,
-    n_parts: int,
-) -> "ray.data.Dataset":
-    """Distributed verification of LSH candidate pairs — Dataset in,
-    Dataset out; nothing pair-sized ever touches the driver (contrast
-    :func:`_verify_minhash_pairs`, whose pair frame is driver-resident
-    by contract).
-
-    Two partitioned attach passes through
-    :func:`~fetch_engines_ray.ops.exchange.co_group` (Ray's hash join
-    dies on sparse candidate sides): pass 1 keys on ``doc_a`` and
-    attaches that side's signature (deduping the k-band copies of each
-    pair, which all share ``doc_a`` and therefore co-locate); pass 2
-    keys on ``doc_b``, attaches the other signature and scores ``est =
-    |equal rows| / num_perm`` inline — exactly the driver path's
-    estimator, so both paths emit identical pair sets."""
-
-    def sig_table(look: pa.Table, key: str, sig: str) -> pa.Table:
-        return pa.table(
-            {key: look["doc_id"].cast(pa.int64()), sig: look["minhash_sig"].cast(pa.binary())}
-        )
-
-    def attach_a(prs: pa.Table, look: pa.Table) -> pa.Table:
-        if prs.num_rows == 0 or look.num_rows == 0:
-            return _STAGE1_SCHEMA.empty_table()
-        prs = pa.table(
-            {"doc_a": prs["doc_a"].cast(pa.int64()), "doc_b": prs["doc_b"].cast(pa.int64())}
-        ).group_by(["doc_a", "doc_b"]).aggregate([])
-        m = prs.join(sig_table(look, "doc_a", "sig_a"), "doc_a")
-        return m.select(_STAGE1_SCHEMA.names)
-
-    def score_b(prs: pa.Table, look: pa.Table) -> pa.Table:
-        if prs.num_rows == 0 or look.num_rows == 0:
-            return _VERIFIED_SCHEMA.empty_table()
-        m = prs.join(sig_table(look, "doc_b", "sig_b"), "doc_b")
-        if m.num_rows == 0:
-            return _VERIFIED_SCHEMA.empty_table()
-        est = (_decode_sigs(m["sig_a"]) == _decode_sigs(m["sig_b"])).mean(axis=1)
-        keep = pa.array(est >= threshold)
-        return pa.table(
-            [m["doc_a"].filter(keep), m["doc_b"].filter(keep), pa.array(est).filter(keep)],
-            schema=_VERIFIED_SCHEMA,
-        )
-
-    stage1 = co_group([(cand, "doc_a"), (sigs, "doc_id")], n_parts, attach_a)
-    return co_group([(stage1, "doc_b"), (sigs, "doc_id")], n_parts, score_b)
-
-
 def minhash_dedup_ds(
     ds: "ray.data.Dataset",
     threshold: float = 0.7,
@@ -1287,68 +1232,27 @@ def minhash_dedup_ds(
     verified pair, min ``doc_id`` kept per cluster; docs in no pair
     simply have no row.
 
-    One signature pass + checkpoint, then the bounded-part bucket
-    exchange builds the candidate table, which is materialized once.
-    Its measured size picks where the verdicts resolve, under the
-    threshold :func:`keep_by_keys` and :func:`attach` use: the driver
-    would hold at most ``candidate rows x (16 + 2 x num_perm x 8)``
-    bytes (an id pair plus both signatures per row).  Up to
-    ``exchange.BROADCAST_BYTES`` the candidates are verified on the driver
-    (:func:`_verify_minhash_pairs`) and resolved by union-find
-    (:func:`dedup_clusters`); above it two partitioned attach passes
-    verify them (:func:`_verify_minhash_pairs_ds`) and label
-    propagation resolves the clusters
-    (:func:`dedup_clusters_distributed`), so nothing pair-, cluster- or
+    One signature pass + checkpoint, then the near-dup resolver:
+    :func:`verified_pairs` with the MinHash band rule and estimator,
+    and :func:`cluster_verdicts`, which resolves the verified pairs by
+    union-find on the driver when they fit ``exchange.BROADCAST_BYTES``
+    and by label propagation otherwise, so nothing pair-, cluster- or
     drop-set-sized reaches the driver.  Both paths give the same
     table."""
-    sig_stream = ds.map_batches(
-        minhash_batch,
-        fn_kwargs={
-            "num_perm": num_perm,
-            "shingle_size": shingle_size,
-            "hash_fn": hash_fn,
-        },
-        batch_format="pyarrow",
-        batch_size=1024,
-    )
-    sigs, sig_ckpt = _checkpoint_parquet(sig_stream, "minhash_sigs_ds")
-    pairs_ckpt = None
-    empty = ray.data.from_arrow(_VERDICT_SCHEMA.empty_table())
+    sigs, ckpt = _minhash_checkpoint(ds, num_perm, shingle_size, hash_fn, "minhash_sigs_ds")
     try:
-        banded = sigs.map_batches(
-            lambda b: _band_rows(b, num_bands), batch_format="pyarrow", batch_size=1024
-        )
-        n_parts = n_parts_for(sigs.count())
-        cand = _lsh_candidate_pairs(banded, n_parts).materialize()
-        n_cand = cand.count()
-        if n_cand == 0:
-            return empty
-        if n_cand * (16 + 2 * num_perm * 8) <= exchange.BROADCAST_BYTES:
-            pairs = _verify_minhash_pairs(cand, sigs, threshold)
-            if pairs.empty:
-                return empty
-            return ray.data.from_arrow(
-                pa.Table.from_pandas(
-                    dedup_clusters(pairs), schema=_VERDICT_SCHEMA, preserve_index=False
-                )
+        clusters = cluster_verdicts(
+            verified_pairs(
+                sigs, lambda b: _band_rows(b, num_bands), sigs, _minhash_verify(threshold)
             )
-        pair_stream = _verify_minhash_pairs_ds(
-            cand, sigs, threshold, n_parts=max(16, n_parts * 8)
         )
-        # verified pairs are tiny; the checkpoint makes the zero-pair
-        # count metadata-only AND lets label propagation's edge
-        # materialize stream plain parquet instead of re-running the
-        # attach passes
-        pairs, pairs_ckpt = _checkpoint_parquet(pair_stream, "minhash_pairs_ds")
-        if pairs.count() == 0:
-            return empty
-        # materializes its label table internally, consuming both
-        # checkpoints — the returned lazy tail only reads those labels
-        return dedup_clusters_distributed(pairs)
     finally:
-        _cleanup_checkpoint(sig_ckpt)
-        if pairs_ckpt is not None:
-            _cleanup_checkpoint(pairs_ckpt)
+        _cleanup_checkpoint(ckpt)
+    if clusters is None:
+        return ray.data.from_arrow(_VERDICT_SCHEMA.empty_table())
+    # a distributed result is a lazy tail over its materialized labels,
+    # so it outlives the signature checkpoint
+    return ray.data.from_arrow(clusters) if isinstance(clusters, pa.Table) else clusters
 
 
 # ---------------------------------------------------------------------------

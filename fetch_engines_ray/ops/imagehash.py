@@ -19,13 +19,11 @@ Ray-Data shape (100-TB posture):
   arithmetic, so the hash is bit-deterministic across platforms and
   partitionings.  Only
   the 8-byte hash leaves the stage; pixels never transit the shuffle.
-- **Pairing** reuses the exact simhash posture
-  (``ops/dedup.py::simhash_pairs``): bucket by each 16-bit hash chunk
-  (pigeonhole: hamming ≤ 3 over 64 bits shares at least one of 4
-  chunks — LOSSLESS banding), partitioned run expansion for candidate
-  pairs (``_lsh_candidate_pairs``), vectorized popcount verify.  The
-  8-byte hash rides through the expansion, so verification is local —
-  no re-attach joins.
+- **Pairing** is one caller of the near-dup resolver
+  (``ops/dedup.verified_pairs``), shared with ``simhash_pairs``: bucket
+  by each 16-bit hash chunk (pigeonhole: hamming ≤ 3 over 64 bits
+  shares at least one of 4 chunks — LOSSLESS banding), attach the
+  8-byte hash of each candidate end, vectorized popcount verify.
 
 Why dHash: it hashes horizontal GRADIENTS, so it is
 exactly invariant to uniform brightness shift (until clipping) and
@@ -102,6 +100,41 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def check_max_hamming(max_hamming: int) -> None:
+    """4x16-bit banding finds every pair at hamming ``<= 3`` (pigeonhole)
+    and a negative bound finds none: anything outside ``0..3`` raises."""
+    if not 0 <= max_hamming <= 3:
+        raise ValueError(
+            f"4x16-bit banding is lossless only for max_hamming in 0..3, got {max_hamming}"
+        )
+
+
+def hamming_bands(batch: pa.Table, family: "np.ndarray | int" = 0) -> pa.Table:
+    """``(bucket, doc_id)`` band rows of a ``(doc_id, h64)`` batch, one per
+    16-bit chunk of the hash: bucket = ``family << 18 | chunk index <<
+    16 | chunk``.  Rows of different ``family`` (one value, or one per
+    row) never share a bucket."""
+    u = batch["h64"].to_numpy().astype(np.int64).view(np.uint64)
+    c = np.arange(4, dtype=np.uint64)
+    chunks = ((u[:, None] >> (c * np.uint64(16))) & np.uint64(0xFFFF)).astype(np.int64)
+    family = np.asarray(family, dtype=np.int64)[..., None]
+    buckets = (family << 18) | (c.astype(np.int64) << 16) | chunks
+    idx = pa.array(np.repeat(np.arange(batch.num_rows, dtype=np.int64), 4))
+    return pa.table({"bucket": pa.array(buckets.reshape(-1)), "doc_id": batch["doc_id"].take(idx)})
+
+
+def hamming_verify(max_hamming: int):
+    """Resolver verify for 64-bit hashes: popcount of ``h64_a XOR h64_b``
+    kept at ``<= max_hamming``."""
+    from fetch_engines_ray.ops.dedup import _verified
+
+    def verify(t: pa.Table) -> pa.Table:
+        d = hamming64(t["h64_a"].to_numpy(), t["h64_b"].to_numpy())
+        return _verified(t, d, d <= max_hamming, "hamming")
+
+    return verify
+
+
 def hamming64_pairs(
     sigs: "ray.data.Dataset",
     hash_col: str = "dhash",
@@ -112,79 +145,22 @@ def hamming64_pairs(
     16-bit chunk, verify popcount ≤ ``max_hamming``.
 
     Banding is LOSSLESS for ``max_hamming <= 3`` with 4 chunks
-    (pigeonhole) — the result equals exact all-pairs hamming.  Same
-    partitioned run-expansion machinery as ``simhash_pairs``
-    (ops/dedup.py); shuffle partition count scales with the input."""
-    from fetch_engines_ray.ops.dedup import _consume_pairs, _lsh_candidate_pairs
-    from fetch_engines_ray.ops.exchange import n_parts_for
+    (pigeonhole) — the result equals exact all-pairs hamming.  One
+    caller of the near-dup resolver (``ops/dedup.verified_pairs``) with
+    the 8-byte hash as its verify lookup."""
+    from fetch_engines_ray.ops.dedup import _pairs_frame, verified_pairs
 
-    if max_hamming > 3:
-        raise ValueError(
-            f"4x16-bit banding is lossless only for max_hamming <= 3, got {max_hamming}"
-        )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        hs = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = hs.view(np.uint64)
-        buckets = np.empty((n, 4), dtype=np.int64)
-        for c in range(4):
-            buckets[:, c] = (
-                (np.int64(c) << np.int64(16))
-                | ((u >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64)
-            )
-        ids = batch[id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), 4))
-        return pa.table(
-            {
-                "bucket": pa.array(buckets.reshape(-1)),
-                "doc_id": ids.take(idx),
-                "h64": pa.array(np.repeat(hs, 4)),
-            }
-        )
-
-    # materialize the (narrow, 8-bytes-per-hash) signature table before
-    # counting: sigs is usually a lazy decode+hash chain, and a bare
-    # count() would execute every decode once just to size the shuffle,
-    # then the pair consume would execute it all again
-    sigs = sigs.materialize()
-    banded = sigs.map_batches(explode, batch_format="pyarrow", batch_size=2048)
-    cand = _lsh_candidate_pairs(banded, n_parts_for(sigs.count()), carry=("h64",))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_a": batch["doc_a"],
-                    "doc_b": batch["doc_b"],
-                    "hamming": pa.array([], type=pa.int64()),
-                }
-            )
-        d = hamming64(
-            batch["h64"].to_numpy(zero_copy_only=False),
-            batch["h64_b"].to_numpy(zero_copy_only=False),
-        )
-        keep = pa.array(d <= max_hamming)
-        return pa.table(
-            {
-                "doc_a": batch["doc_a"].filter(keep),
-                "doc_b": batch["doc_b"].filter(keep),
-                "hamming": pa.array(d[d <= max_hamming]),
-            }
-        )
-
-    empty = pd.DataFrame(columns=["doc_a", "doc_b", "hamming"])
-    pairs = _consume_pairs(
-        lambda: cand.map_batches(verify, batch_format="pyarrow", batch_size=8192).to_pandas(),
-        cand,
-        empty,
-    )
-    if pairs.empty:
-        return empty
-    return (
-        pairs.drop_duplicates(["doc_a", "doc_b"])
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
+    check_max_hamming(max_hamming)
+    # materialize the (narrow, 8-bytes-per-hash) signature table once:
+    # sigs is usually a lazy hash chain, which the resolver would
+    # otherwise execute for the count, the banding and the lookup
+    sigs = sigs.map_batches(
+        lambda b: pa.table(
+            {"doc_id": b[id_col], "h64": pa.array(b[hash_col].to_numpy().astype(np.int64))}
+        ),
+        batch_format="pyarrow",
+        batch_size=8192,
+    ).materialize()
+    return _pairs_frame(
+        verified_pairs(sigs, hamming_bands, sigs, hamming_verify(max_hamming)), "hamming"
     )

@@ -2,8 +2,10 @@
 
 Completes the multimodal dedup family: text (``ops/dedup.py`` minhash /
 simhash), images (``ops/imagehash.py`` dHash), and — here — audio;
-video is the dHash of one decoded frame.  All funnel into the SAME lossless 64-bit hamming LSH
-(``ops.imagehash.hamming64_pairs``) inside ``curate_media``.
+video is the dHash of one decoded frame.  All funnel into ONE pass of
+the near-dup resolver (``ops/dedup.verified_pairs`` with the lossless
+64-bit hamming bands and verify of ``ops/imagehash``, kind in the band
+key) inside ``curate_media``.
 
 Public-knowledge basis:
 
@@ -24,8 +26,8 @@ Public-knowledge basis:
 Ray-Data shape: ``curate_media``'s actor-pool decode+hash stage
 (``pipelines/mmcurate.MediaRefFingerprinter``, over the repo's own real
 WAV / GIF codecs) calls this, 8-byte hashes out, pixels/PCM never
-transit the shuffle; pairing reuses the partitioned run expansion from
-``ops/dedup.py`` unchanged.  The reference engine carries media spans
+transit the shuffle; pairing is the near-dup resolver of
+``ops/dedup.py``, shared with the text and image fingerprints.  The reference engine carries media spans
 opaquely (`src/MarkdownConverter.ts` media_ref placeholders); this
 family is training-data-tier (SURVEY.md §2.8).
 """

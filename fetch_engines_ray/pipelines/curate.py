@@ -136,10 +136,11 @@ def curate_corpus(
     exact-dedup winners (exact clones share signatures, so the
     contraction keeps cluster topology and min-id representatives while
     candidate expansion stops being quadratic in clone group size).  It
-    resolves the verdicts on the driver when its materialized candidate
-    table, with both signatures per pair, fits
-    ``ops.exchange.BROADCAST_BYTES``, and as a distributed verdict Dataset
-    otherwise.  Every key filter of the chain (exact-dedup winners,
+    runs the engine's one near-dup resolver (``ops/dedup.verified_pairs``
+    then ``cluster_verdicts``): the verified pairs resolve by union-find
+    on the driver when they fit ``ops.exchange.BROADCAST_BYTES``, and
+    into a distributed verdict Dataset by label propagation otherwise.
+    ``near_dup_threshold`` outside ``(0, 1]`` raises.  Every key filter of the chain (exact-dedup winners,
     near-dup drops, SemDeDup drops) is one ``ops/dedup.keep_by_keys``
     call, which broadcasts a small key set and partitions a large one.
     The survivor set is identical on either side of the threshold
@@ -170,10 +171,12 @@ def curate_corpus(
     _timing_on = _os.environ.get("FER_CURATE_TIMING") == "1"
 
     # loud option validation up front (the ppl_lm check lives at its
-    # branch; these two have silent-fallthrough failure modes instead):
-    # an unknown tokenizer would pack by whitespace with no artifact,
-    # and a fuzzy threshold without benchmark texts would run ZERO
-    # decontamination — both ship wrong deliveries with no error.
+    # branch; these have silent-fallthrough failure modes instead): an
+    # unknown tokenizer would pack by whitespace with no artifact, a
+    # fuzzy threshold without benchmark texts would run ZERO
+    # decontamination, and a near-dup threshold outside (0, 1] would
+    # drop no or every candidate — all ship wrong deliveries with no
+    # error.
     if tokenizer not in ("whitespace", "bpe", "unigram"):
         raise ValueError(
             f"unknown tokenizer {tokenizer!r} (whitespace|bpe|unigram)"
@@ -183,6 +186,9 @@ def curate_corpus(
             "fuzzy_decontam_threshold requires benchmark_texts — without "
             "them no decontamination runs at all"
         )
+    # a threshold above 1 matches no pair (near-dedup silently off)
+    if not 0 < near_dup_threshold <= 1:
+        raise ValueError(f"near_dup_threshold must be in (0, 1], got {near_dup_threshold!r}")
 
     # 0. optional C4 line-level cleaning (Raffel et al. 2020): boilerplate
     #    lines dropped and failing pages removed BEFORE dedup, as the
@@ -336,7 +342,7 @@ def curate_corpus(
         #    group size (the media chain's exact-collapse-then-LSH rule,
         #    pipelines/mmcurate.py, applied to text).  minhash_dedup_ds
         #    resolves the verdicts on the driver or distributed by the
-        #    measured size of its candidate table; the ids whose is_kept
+        #    measured size of its verified pairs; the ids whose is_kept
         #    is False leave through one keep_by_keys anti-filter.
         #    The dedup module keys on its canonical (doc_id, text) names
         #    — rename so the verdicts carry THIS chain's id column (a

@@ -9,7 +9,9 @@ extraction (the image/audio/video sibling of ``pipelines/curate.py``):
       │    hotlinked media decodes ONCE, not once per occurrence)
       ├─ decode + perceptual fingerprint      (actor pool; real PNG/WAV/
       │    GIF codecs; 8-byte hashes out, pixels never shuffled)
-      ├─ per-kind lossless hamming LSH        (ops.imagehash.hamming64_pairs)
+      ├─ exact collapse + near-dup resolver   (one pass over all kinds:
+      │    ops/dedup.verified_pairs with kind in the band key, lossless
+      │    hamming verify, cluster_verdicts)
       ├─ near-dup verdicts                    (a Dataset; the dropped
       │    refs leave through a keep_by_keys anti-filter)
       └─ caption pairs for SURVIVING media    (ops.captions, doc-local)
@@ -28,7 +30,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -237,59 +238,82 @@ def apply_media_quality_gates(
     return sigs.map_batches(gate, batch_format="pyarrow", batch_size=8192)
 
 
-def _kind_rep_level(k_sigs: "ray.data.Dataset", max_hamming: int):
-    """Per-kind exact-collapse + rep-level LSH: collapse each h64 group
-    to its min-ref representative, pair the DISTINCT fingerprints with
-    the lossless hamming LSH, and resolve rep-level clusters.
+_VERDICT_SCHEMA = pa.schema(
+    [
+        ("media_ref", pa.string()),
+        ("kind", pa.string()),
+        ("cluster_rep", pa.string()),
+        ("is_kept", pa.bool_()),
+    ]
+)
 
-    Returns ``(rep_root, group_rep)`` (rep → cluster root, h64 → rep)
-    — or None when the kind has no duplicate structure at all.
-    ``group_rep`` holds only groups needing ref-level expansion
-    (exact-dup groups and LSH-paired ones); unique-fingerprint groups
-    are filtered DISTRIBUTED before any ``to_pandas``, so driver pull is
-    bounded by the duplicate mass."""
-    from ray.data.aggregate import Count, Min
+# the kinds the fingerprinter decodes; each is its own band family, so
+# a pair never joins two kinds
+_KINDS = ("image", "audio", "video")
 
-    from fetch_engines_ray.ops.dedup import dedup_clusters, keep_by_keys
-    from fetch_engines_ray.ops.imagehash import hamming64_pairs
 
-    if k_sigs.count() == 0:
-        return None
-    groups = k_sigs.groupby("h64").aggregate(
-        Min("media_ref", alias_name="rep"), Count(alias_name="n_refs")
-    ).materialize()
-    rep_pairs = hamming64_pairs(
-        groups, hash_col="h64", id_col="rep", max_hamming=max_hamming
-    ).rename(columns={"doc_a": "ref_a", "doc_b": "ref_b"})
-    rep_pairs = rep_pairs[rep_pairs["ref_a"] != rep_pairs["ref_b"]]
-    paired_reps = frozenset(rep_pairs["ref_a"]) | frozenset(rep_pairs["ref_b"])
-    affected = groups.filter(expr="n_refs > 1").to_pandas()
-    if paired_reps:
-        # distributed filter against the pair-bounded rep set (a bare
-        # to_pandas would pull every unique fingerprint)
-        in_pairs = keep_by_keys(
-            groups,
-            pa.table({"rep": pa.array(sorted(paired_reps), type=pa.string())}),
-            "rep",
-            keep=True,
-        ).to_pandas()  # bounded: one row per paired rep
-        affected = pd.concat([affected, in_pairs]).drop_duplicates("h64")
-    if rep_pairs.empty and affected.empty:
-        return None
-    # rep-level clusters; singletons (exact-dup-only groups) join with
-    # their own rep as cluster root
-    cl = dedup_clusters(
-        rep_pairs.rename(columns={"ref_a": "doc_a", "ref_b": "doc_b"})
-    ).rename(columns={"doc_id": "rep"})
-    rep_root = dict(zip(cl["rep"], cl["cluster_rep"]))
-    group_rep = dict(zip(affected["h64"].astype("int64"), affected["rep"]))
-    return rep_root, group_rep
+def _exact_collapse(t: pa.Table) -> pa.Table:
+    """The decoded signature rows of ``t`` with their exact-duplicate
+    group: rows sharing ``(kind, h64)`` are one group, whose min
+    ``media_ref`` is its rep.  ``doc_id`` = ``<kind>:<rep>`` names the
+    group's node for the near-dup resolver (one ref string can occur
+    under two kinds); its string order within a kind is the rep's.  (Not
+    a NUL separator: pandas' string hashing, which routes exchange
+    parts, stops at a NUL, so every node of a kind would share a part.)"""
+    import pyarrow.compute as pc
+
+    if not t.num_columns:  # no signature rows at all
+        t = MEDIA_SIG_SCHEMA.empty_table()
+    t = t.filter(pc.and_(pc.equal(t["ok"], 1), pc.is_in(t["kind"], pa.array(_KINDS))))
+    t = t.select(["media_ref", "kind", "h64"])
+    groups = t.group_by(["kind", "h64"], use_threads=False).aggregate(
+        [("media_ref", "min"), ("media_ref", "count")]
+    )
+    m = t.join(groups, ["kind", "h64"])
+    rep = m["media_ref_min"]
+    return pa.table(
+        {
+            "media_ref": m["media_ref"],
+            "kind": m["kind"],
+            "h64": m["h64"],
+            "n_refs": m["media_ref_count"],
+            "is_rep": pc.equal(m["media_ref"], rep),
+            "doc_id": pc.binary_join_element_wise(m["kind"], rep, ":"),
+        }
+    )
+
+
+def _kind_bands(batch: pa.Table) -> pa.Table:
+    import pyarrow.compute as pc
+
+    from fetch_engines_ray.ops.imagehash import hamming_bands
+
+    return hamming_bands(batch, pc.index_in(batch["kind"], pa.array(_KINDS)).to_numpy())
+
+
+def _member_verdicts(batch: pa.Table) -> pa.Table:
+    """Verdict rows of the members of exact-duplicate or paired groups:
+    each takes its group's cluster root (its own node when unpaired),
+    whose rep is the kept ref."""
+    import pyarrow.compute as pc
+
+    b = batch.filter(pc.or_(pc.is_valid(batch["cluster_rep"]), pc.greater(batch["n_refs"], 1)))
+    root = pc.coalesce(b["cluster_rep"], b["doc_id"])
+    rep = pc.list_element(pc.split_pattern(root, ":", max_splits=1), 1)
+    return pa.table(
+        {
+            "media_ref": b["media_ref"],
+            "kind": b["kind"],
+            "cluster_rep": rep,
+            "is_kept": pc.equal(b["media_ref"], rep),
+        }
+    )
 
 
 def media_near_dup_verdicts(
     sigs: "ray.data.Dataset", max_hamming: int = 3
 ) -> "ray.data.Dataset":
-    """Per-kind near-dup resolution over the signature table →
+    """Near-dup resolution over the signature table of all kinds →
     ref-level keep/drop verdicts as a DATASET; dropped refs are the
     non-kept cluster members (min-ref representative).
 
@@ -304,73 +328,39 @@ def media_near_dup_verdicts(
     hashes instead of refs (on the sf0.1 planted corpus the naive form
     expanded 1.61M ref-level pairs in 27 s).
 
-    The signature Dataset is materialized ONCE so the per-kind sweeps
-    never re-execute the decode stage.  Member verdicts are emitted in
-    one distributed pass per kind with the (h64 → rep, rep → cluster
-    root) maps broadcast via ``ray.put``; the driver holds only those
-    rep-level maps, which are distinct-hash-cluster-sized.  Emits rows
-    ONLY for refs in duplicate groups or LSH clusters: absent refs are
-    implicitly kept.  Schema: ``(media_ref, kind, cluster_rep,
+    One pass over all kinds: the signature table executes once, and the
+    collapse (one group-by on ``(kind, h64)`` that gives each decoded
+    member its min-ref rep) runs on the driver or per ``h64`` part of an
+    exchange, by the table's measured size.  The reps of all kinds then
+    go through the near-dup resolver (``ops/dedup.verified_pairs`` with
+    kind in the band key, so pairs never cross kinds, and the lossless
+    hamming verify; ``cluster_verdicts``), and one left
+    ``ops/dedup.attach`` hands each member its group's cluster root.
+    Emits rows ONLY for refs in duplicate groups or LSH clusters: absent
+    refs are implicitly kept.  Schema: ``(media_ref, kind, cluster_rep,
     is_kept)``."""
-    import ray
     import ray.data
 
-    sigs = sigs.materialize()
-    out_parts = []
-    for kind in ("image", "audio", "video"):
-        k_sigs = sigs.filter(expr=f"kind == '{kind}' and ok == 1")
-        rep = _kind_rep_level(k_sigs, max_hamming)
-        if rep is None:
-            continue
-        rep_root, group_rep = rep
-        maps_ref = ray.put((group_rep, rep_root))
+    from fetch_engines_ray.ops.dedup import _per_key, attach, cluster_verdicts, verified_pairs
+    from fetch_engines_ray.ops.imagehash import check_max_hamming, hamming_verify
 
-        # bind per-iteration values as DEFAULTS: the map_batches UDF
-        # executes lazily after the loop, when plain closure cells
-        # would all hold the LAST kind's maps (caught at sf0.1: only
-        # video verdicts were emitted)
-        def member_verdicts(
-            batch: pa.Table, _maps_ref=maps_ref, k_name=kind
-        ) -> pa.Table:
-            g_rep, r_root = ray.get(_maps_ref)
-            refs, roots = [], []
-            for ref, h in zip(
-                batch["media_ref"].to_pylist(), batch["h64"].to_pylist()
-            ):
-                rep = g_rep.get(h)
-                if rep is None:
-                    continue
-                refs.append(ref)
-                roots.append(r_root.get(rep, rep))
-            return pa.table(
-                {
-                    "media_ref": pa.array(refs, type=pa.string()),
-                    "kind": pa.array([k_name] * len(refs), type=pa.string()),
-                    "cluster_rep": pa.array(roots, type=pa.string()),
-                    "is_kept": pa.array(
-                        [r == c for r, c in zip(refs, roots)], type=pa.bool_()
-                    ),
-                }
-            )
-
-        out_parts.append(
-            k_sigs.map_batches(member_verdicts, batch_format="pyarrow", batch_size=8192)
+    check_max_hamming(max_hamming)
+    members = _per_key(sigs, "h64", _exact_collapse)
+    if members.count() == 0:
+        return ray.data.from_arrow(_VERDICT_SCHEMA.empty_table())
+    reps = members.filter(expr="is_rep == True").materialize()
+    clusters = cluster_verdicts(
+        verified_pairs(
+            reps, _kind_bands, reps.select_columns(["doc_id", "h64"]), hamming_verify(max_hamming)
         )
-    if not out_parts:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "media_ref": pa.array([], type=pa.string()),
-                    "kind": pa.array([], type=pa.string()),
-                    "cluster_rep": pa.array([], type=pa.string()),
-                    "is_kept": pa.array([], type=pa.bool_()),
-                }
-            )
+    )
+    if clusters is None:
+        clusters = pa.table(
+            {"doc_id": pa.array([], pa.string()), "cluster_rep": pa.array([], pa.string())}
         )
-    ds = out_parts[0]
-    for p in out_parts[1:]:
-        ds = ds.union(p)
-    return ds
+    return attach(members, clusters, "doc_id", how="left").map_batches(
+        _member_verdicts, batch_format="pyarrow", batch_size=8192
+    )
 
 
 def curate_media(
@@ -402,12 +392,15 @@ def curate_media(
     each execute once through ``ops/exchange.measured``, which also
     counts them, and each set leaves the captions through an
     ``ops/dedup.keep_by_keys`` anti-filter, which broadcasts a small
-    drop set and partitions a large one."""
+    drop set and partitions a large one.  ``max_hamming`` outside
+    ``0..3`` raises before any Ray work."""
     from fetch_engines_ray.ops.captions import mine_caption_pairs
     from fetch_engines_ray.ops.dedup import keep_by_keys
     from fetch_engines_ray.ops.exchange import measured, n_rows
+    from fetch_engines_ray.ops.imagehash import check_max_hamming
     from fetch_engines_ray.ops.multimodal import media_spans_dataset
 
+    check_max_hamming(max_hamming)
     spans = media_spans_dataset(extracted_ds)
     sigs = media_signatures(spans, concurrency=concurrency)
     gates_on = any(
@@ -428,7 +421,7 @@ def curate_media(
     captions = mine_caption_pairs(
         extracted_ds, max_chars=max_caption_chars, require_caption=require_caption
     )
-    verdicts = media_near_dup_verdicts(sigs, max_hamming=max_hamming).materialize()
+    verdicts = media_near_dup_verdicts(sigs, max_hamming=max_hamming)
     drop_sides.append(
         measured(verdicts.filter(expr="is_kept == False").select_columns(["media_ref"]))
     )

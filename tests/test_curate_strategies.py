@@ -1,7 +1,7 @@
 """Near-dup verdict equivalence: curate_corpus runs one near-dup path
 (``ops/dedup.minhash_dedup_ds`` over the exact-dedup winners) whose
 verdicts resolve on the driver or distributed by the measured size of
-the candidate table.  On either side of ``BROADCAST_BYTES`` the survivor
+the verified pairs.  On either side of ``BROADCAST_BYTES`` the survivor
 set must equal a reference built from the primitives (min-id exact
 winners minus the union-find drops over the full corpus) — the
 clone-heavy re-crawl scenario is exactly where the two verdict paths
@@ -114,15 +114,16 @@ def test_drop_strategy_equivalence(ray_session, both_join_paths):
 
 
 def test_near_dup_candidates_never_pair_exact_clones(
-    ray_session, monkeypatch, both_join_paths
+    ray_session, monkeypatch, both_join_paths, tmp_path
 ):
     """Near-dup LSH runs over the exact-dedup winners, so no candidate
     pair ever joins two exact clones — whatever the clone-pair mass,
     on the driver and the distributed verdict path alike.  20 docs x
     30 exact clones is a pair mass far below the old clone-guard limit,
     which sent the full corpus through driver LSH and expanded every
-    clone group into candidate pairs."""
-    import ray
+    clone group into candidate pairs.  The spy wraps the resolver's
+    MinHash verify, which sees every candidate pair on both paths; it
+    runs in Ray workers, so it records the pairs in a file."""
     import ray.data
 
     from fetch_engines_ray.ops import dedup
@@ -130,28 +131,28 @@ def test_near_dup_candidates_never_pair_exact_clones(
 
     df = _clone_heavy_corpus(n_base=20, clones_per_doc=30)
     texts = dict(zip(df["doc_id"], df["text"]))
-    seen = []
+    log = tmp_path / "verified_candidates"
+    real_verify = dedup._minhash_verify
 
-    def spy(verify):
-        def wrapped(cand, *args, **kwargs):
-            for t in cand.to_arrow_refs():
-                t = ray.get(t)
-                if t.num_rows:
-                    seen.extend(zip(t["doc_a"].to_pylist(), t["doc_b"].to_pylist()))
-            return verify(cand, *args, **kwargs)
+    def spy_verify(threshold):
+        verify = real_verify(threshold)
+
+        def wrapped(t):
+            with open(log, "a") as f:
+                for a, b in zip(t["doc_a"].to_pylist(), t["doc_b"].to_pylist()):
+                    f.write(f"{a} {b}\n")
+            return verify(t)
 
         return wrapped
 
-    monkeypatch.setattr(dedup, "_verify_minhash_pairs", spy(dedup._verify_minhash_pairs))
-    monkeypatch.setattr(
-        dedup, "_verify_minhash_pairs_ds", spy(dedup._verify_minhash_pairs_ds)
-    )
+    monkeypatch.setattr(dedup, "_minhash_verify", spy_verify)
     expected = _reference_survivors(df)
     for limit in both_join_paths():
-        seen.clear()
+        log.write_text("")
         packed = curate_corpus(
             ray.data.from_pandas(df).repartition(4), max_tokens=128
         ).to_pandas()
+        seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert seen, f"BROADCAST_BYTES={limit}: no candidate pair reached verification"
         clone_pairs = [(a, b) for a, b in seen if texts[a] == texts[b]]
         assert clone_pairs == [], f"{len(clone_pairs)} candidate pairs join exact clones"
@@ -338,3 +339,16 @@ def test_label_propagation_refuses_silent_truncation(ray_session, both_join_path
         out = dedup_clusters_distributed(pairs).to_pandas()
         assert (out["cluster_rep"] == 0).all(), limit
         assert sorted(out["doc_id"]) == list(range(13)), limit
+
+
+def test_curate_rejects_near_dup_threshold_outside_unit_interval(ray_session):
+    """A near-dup threshold above 1 matches no pair and one at or below
+    0 matches every candidate: curate_corpus raises instead."""
+    import ray.data
+
+    from fetch_engines_ray.pipelines.curate import curate_corpus
+
+    ds = ray.data.from_pandas(_clone_heavy_corpus(n_base=2, clones_per_doc=1))
+    for bad in (1.5, 0.0, -0.2, float("nan")):
+        with pytest.raises(ValueError, match="near_dup_threshold"):
+            curate_corpus(ds, near_dup_threshold=bad)

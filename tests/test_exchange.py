@@ -422,10 +422,11 @@ def test_every_measured_site_takes_the_exchange_only_at_zero(
 
 def _stale_thresholds() -> list[str]:
     """Outside ops/exchange.py, in the engine, ``__ray_entry__.py``,
-    ``bench.py`` and ``scripts/``: ``.size_bytes()`` calls, and any
-    ``BROADCAST_BYTES`` that is not a read of ``exchange.BROADCAST_BYTES``
-    (a bare name is an imported or assigned copy that a change to the
-    one threshold would not reach)."""
+    ``bench.py`` and ``scripts/``: ``.size_bytes()`` calls and any
+    ``BROADCAST_BYTES`` at all — a bare name is an imported or assigned
+    copy that a change to the one threshold would not reach, and a read
+    of ``exchange.BROADCAST_BYTES`` is a size decision of its own made
+    next to ``exchange.measured`` instead of through it."""
     sources = [
         *(ROOT / "fetch_engines_ray").rglob("*.py"),
         ROOT / "__ray_entry__.py",
@@ -444,15 +445,7 @@ def _stale_thresholds() -> list[str]:
                     and node.func.attr == "size_bytes"
                 )
                 or (isinstance(node, ast.Name) and node.id == "BROADCAST_BYTES")
-                or (
-                    isinstance(node, ast.Attribute)
-                    and node.attr == "BROADCAST_BYTES"
-                    and not (
-                        isinstance(node.ctx, ast.Load)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "exchange"
-                    )
-                )
+                or (isinstance(node, ast.Attribute) and node.attr == "BROADCAST_BYTES")
                 or (
                     isinstance(node, ast.ImportFrom)
                     and any(a.name == "BROADCAST_BYTES" for a in node.names)
@@ -466,3 +459,46 @@ def test_only_the_exchange_measures_sides():
     """The broadcast-or-partition decision has one home: no other
     source measures a Dataset or keeps its own copy of the threshold."""
     assert _stale_thresholds() == []
+
+
+# the resolver steps of ops/dedup.py and the one function allowed to
+# call each of them
+_RESOLVER_ONLY = {
+    "_lsh_candidate_pairs": "verified_pairs",
+    "dedup_clusters": "cluster_verdicts",
+    "dedup_clusters_distributed": "cluster_verdicts",
+}
+
+
+def _resolver_bypasses() -> list[str]:
+    """Calls under fetch_engines_ray/ of the near-dup resolver's
+    candidate and cluster steps from anywhere but their one caller in
+    ops/dedup.py (the innermost enclosing function counts)."""
+    found = []
+    for path in sorted((ROOT / "fetch_engines_ray").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+
+        def visit(node, fn):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = node.name
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in _RESOLVER_ONLY and (rel, fn) != (
+                    "fetch_engines_ray/ops/dedup.py",
+                    _RESOLVER_ONLY[name],
+                ):
+                    found.append(f"{rel}:{node.lineno} {name}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, fn)
+
+        visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_only_the_resolver_builds_and_clusters_pairs():
+    """Every near-dup caller goes through ops/dedup.verified_pairs and
+    cluster_verdicts: no other function under the engine calls the LSH
+    candidate exchange or a cluster resolution, so a second resolver
+    cannot grow back."""
+    assert _resolver_bypasses() == []

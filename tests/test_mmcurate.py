@@ -5,6 +5,7 @@ fingerprints."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from fetch_engines_ray.ops.imagehash import dhash64
@@ -105,6 +106,35 @@ def _docs():
     ]
 
 
+def _union_find_verdicts(fps: dict, max_hamming: int = 3) -> set:
+    """Brute-force verdicts over ``{(ref, kind): h64}``: all-pairs
+    hamming within each kind, min-ref union-find over ``(ref, kind)``
+    nodes.  Returns ``{(ref, kind, rep, ref == rep)}`` for every node in
+    a cluster of two or more."""
+    parent = {n: n for n in fps}
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    nodes = sorted(fps)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            d = bin(int(np.uint64(fps[a]) ^ np.uint64(fps[b]))).count("1")
+            if a[1] == b[1] and d <= max_hamming:
+                ra, rb = sorted((find(a), find(b)))
+                parent[rb] = ra
+    size: dict = {}
+    for n in nodes:
+        size[find(n)] = size.get(find(n), 0) + 1
+    return {
+        (r, k, find((r, k))[0], find((r, k))[0] == r)
+        for r, k in nodes
+        if size[find((r, k))] > 1
+    }
+
+
 def _expected_drop_set(docs, max_hamming=3):
     """Brute-force: fingerprint every distinct (ref, kind) exactly like
     the pipeline, all-pairs hamming per kind, min-ref union-find."""
@@ -126,18 +156,98 @@ def _expected_drop_set(docs, max_hamming=3):
             elif k == "video":
                 frames = decode_gif(planted_gif_for_ref(r))["frames"]
                 fps[(r, k)] = dhash64(frames[len(frames) // 2])
-    dropped = set()
-    by_kind: dict = {}
-    for (r, k), f in fps.items():
-        by_kind.setdefault(k, []).append((r, f))
-    for k, items in by_kind.items():
-        items.sort()
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                d = bin(int(np.uint64(items[i][1]) ^ np.uint64(items[j][1]))).count("1")
-                if d <= max_hamming:
-                    dropped.add(max(items[i][0], items[j][0]))
-    return dropped
+    return {r for r, _, _, kept in _union_find_verdicts(fps, max_hamming) if not kept}
+
+
+def test_union_find_oracle_drops_every_star_leaf():
+    """The brute-force oracle is a real union-find: on a star a-c, b-c
+    with a and b farther apart than max_hamming, both b and c drop (a
+    pairwise max() rule would drop only c)."""
+    fps = {("a", "image"): 0b0, ("b", "image"): 0b111111, ("c", "image"): 0b111}
+    got = _union_find_verdicts(fps)
+    assert {r for r, _, _, kept in got if not kept} == {"b", "c"}
+    assert {rep for _, _, rep, _ in got} == {"a"}
+
+
+def _sig_row(ref, kind, h, ok=1):
+    return {
+        "media_ref": ref,
+        "kind": kind,
+        "h64": int(np.uint64(h).astype(np.int64)),
+        "ok": ok,
+        "width": 0,
+        "height": 0,
+        "duration_ms": 0,
+    }
+
+
+def test_media_near_dup_verdicts_match_bruteforce(ray_session, both_join_paths):
+    """media_near_dup_verdicts over synthetic signature rows (no
+    decoding) equals a brute-force union-find on the driver and the
+    distributed path: a star, a chain, equal hashes under two kinds, one
+    ref under two kinds, ok=0 rows, an undecoded kind, and no rows."""
+    import ray.data
+
+    from fetch_engines_ray.pipelines.mmcurate import MEDIA_SIG_SCHEMA
+
+    base = [int(x) for x in np.random.RandomState(17).randint(0, 2**63, size=6, dtype=np.int64)]
+    rows = [
+        # star: s/a-s/c and s/b-s/c close, s/a-s/b at hamming 6
+        _sig_row("s/a", "image", base[0]),
+        _sig_row("s/b", "image", base[0] ^ 0b111111),
+        _sig_row("s/c", "image", base[0] ^ 0b111),
+        # chain: each step 2 bits, the ends 6 bits apart
+        *(_sig_row(f"c/{i}", "audio", base[1] ^ ((1 << (2 * i)) - 1)) for i in range(4)),
+        # equal h64 under two kinds: only the audio twin is a duplicate
+        _sig_row("e/img", "image", base[2]),
+        _sig_row("e/aud", "audio", base[2]),
+        _sig_row("e/aud2", "audio", base[2]),
+        # one ref under two kinds, clustered differently in each
+        _sig_row("m/x", "image", base[3]),
+        _sig_row("m/w", "image", base[3] ^ 1),
+        _sig_row("m/x", "video", base[4]),
+        _sig_row("m/y", "video", base[4]),
+        # failed decodes share the star's hash and the 0 sentinel; an
+        # undecoded kind shares the chain's: none of them may cluster
+        _sig_row("z/bad1", "image", base[0], ok=0),
+        _sig_row("z/bad2", "image", 0, ok=0),
+        _sig_row("z/bad3", "image", 0, ok=0),
+        _sig_row("w/x", "widget", base[1]),
+        _sig_row("w/y", "widget", base[1]),
+        # far from everything
+        _sig_row("u/1", "image", base[5]),
+    ]
+    fps = {
+        (r["media_ref"], r["kind"]): int(np.int64(r["h64"]).astype(np.uint64))
+        for r in rows
+        if r["ok"] == 1 and r["kind"] in ("image", "audio", "video")
+    }
+    expected = _union_find_verdicts(fps)
+    assert {r for r, _, _, kept in expected if not kept} == {
+        "s/b", "s/c", "c/1", "c/2", "c/3", "e/aud2", "m/x", "m/y"
+    }
+    sigs = ray.data.from_arrow(pa.Table.from_pylist(rows, schema=MEDIA_SIG_SCHEMA)).repartition(3)
+    empty = ray.data.from_arrow(MEDIA_SIG_SCHEMA.empty_table())
+    names = ["media_ref", "kind", "cluster_rep", "is_kept"]
+    for limit in both_join_paths():
+        got = media_near_dup_verdicts(sigs).to_pandas()
+        assert list(got.columns) == names, limit
+        assert set(map(tuple, got[names].itertuples(index=False))) == expected, limit
+        assert len(got) == len(expected), limit
+        none = media_near_dup_verdicts(empty)
+        assert none.count() == 0 and none.schema().names == names, limit
+
+
+def test_curate_media_rejects_bad_max_hamming(ray_session):
+    """max_hamming outside 0..3 raises, also on a corpus with no media
+    (where no kind has a signature to pair)."""
+    import ray.data
+
+    ds = ray.data.from_items([{"doc_id": "d", "out_spans": [
+        {"kind": "text", "text": "no media at all", "media_ref": ""}]}])
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="max_hamming"):
+            curate_media(ds, max_hamming=bad)
 
 
 def test_curate_media_end_to_end_self_consistent(ray_session):

@@ -461,20 +461,22 @@ def test_dedup_clusters_distributed_matches_union_find(ray_session, docs_with_du
 
 def test_dedup_clusters_distributed_chain(ray_session):
     """A 6-node chain (worst-case diameter) converges to one cluster
-    rooted at the min id, plus a disjoint 2-cluster."""
+    rooted at the min id, plus a disjoint 2-cluster — on int ids and on
+    zero-padded string ids (media nodes are strings; the fixed-point
+    check must not depend on the id type)."""
     import ray.data
 
     from fetch_engines_ray.ops.dedup import dedup_clusters_distributed
 
-    edges = pd.DataFrame(
-        {"doc_a": [10, 11, 12, 13, 14, 50], "doc_b": [11, 12, 13, 14, 15, 51]}
-    )
-    out = dedup_clusters_distributed(ray.data.from_pandas(edges)).to_pandas()
-    chain = out[out["doc_id"] < 50]
-    assert (chain["cluster_rep"] == 10).all()
-    assert chain["is_kept"].tolist() == [True] + [False] * 5
-    pair = out[out["doc_id"] >= 50]
-    assert (pair["cluster_rep"] == 50).all()
+    a, b = [10, 11, 12, 13, 14, 50], [11, 12, 13, 14, 15, 51]
+    for as_id in (int, lambda i: f"{i:04d}"):
+        edges = pd.DataFrame({"doc_a": [as_id(i) for i in a], "doc_b": [as_id(i) for i in b]})
+        out = dedup_clusters_distributed(ray.data.from_pandas(edges)).to_pandas()
+        chain = out[out["doc_id"] < as_id(50)]
+        assert (chain["cluster_rep"] == as_id(10)).all()
+        assert chain["is_kept"].tolist() == [True] + [False] * 5
+        pair = out[out["doc_id"] >= as_id(50)]
+        assert (pair["cluster_rep"] == as_id(50)).all()
 
 
 def test_approx_quantiles_vs_numpy(ray_session):
