@@ -428,15 +428,9 @@ def run_single(sf_dir: str, num_cpus: int, include_queries: bool, n_override: in
     )
     from ray.data import DataContext
 
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    # The flagship pipeline is a linear map chain (no all-to-all); the
-    # 50% per-op resource reservation only idles CPUs there.  Restored
-    # before the shuffle-heavy secondary queries below.
-    ctx.op_resource_reservation_enabled = False
+    DataContext.get_current().enable_progress_bars = False
 
     ext = bench_extraction(sf_dir, num_cpus, n_override)
-    ctx.op_resource_reservation_enabled = True
     queries = {"extraction": round(ext["sec"], 3)}
     curate = None
     mm = None

@@ -117,8 +117,11 @@ def part_of(column: "pa.Array | pa.ChunkedArray", n_parts: int) -> np.ndarray:
             pc.fill_null(column, 0).to_numpy(zero_copy_only=False).astype(np.uint64)
         )
     else:
+        # categorize=False: the factorizing path hashes strings only up
+        # to an embedded NUL, so keys that differ after one would share
+        # the hash of whichever came first in the batch
         k = pd.util.hash_array(
-            np.asarray(column.to_numpy(zero_copy_only=False), dtype=object)
+            np.asarray(column.to_numpy(zero_copy_only=False), dtype=object), categorize=False
         )
     part = (k % np.uint64(n_parts)).astype(np.int64)
     if column.null_count:

@@ -100,6 +100,13 @@ def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None)
     raw spans) and then the warm stage (hydration/PDF layout — touches
     only the warm fraction, Arrow-slice passthrough for the rest), with
     per-worker cached extractor state.
+
+    The map shares ``ds``'s Data context, so it runs under whatever
+    resource settings the caller's Dataset carries.  The chains the
+    engine builds around it own their context and run without Ray
+    Data's per-operator reservation (:func:`_reservation`):
+    :func:`extract_corpus`, the broadcast path of
+    :func:`refresh_extract` and :func:`extract_with_escalation`.
     """
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
@@ -114,8 +121,41 @@ def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None)
     )
 
 
+def _reservation(ds: "ray.data.Dataset", map_only: bool) -> "ray.data.Dataset":
+    """Return ``ds`` with Ray Data's per-operator resource reservation
+    off when its chain is map-only, and at the session's setting when it
+    holds an exchange (``co_group``, or a partitioned
+    ``keep_by_keys``/``attach``).
+
+    Until a map task reports a real output size, the reservation budgets
+    it at twice ``target_max_block_size`` of pending output, so under a
+    small object store it admits one fused read → extract → write task
+    while the other CPUs wait for that task to end.  A chain of reads,
+    maps, writes and unions of them has no exchange whose buffers the
+    reservation protects; without it every worker starts at once.  The
+    setting changes scheduling only, never a row.
+
+    ``ds`` must own its context: a read made by the engine (its maps
+    share the read's context) or a ``union`` (which copies its first
+    input's context).  ``map_batches`` over a caller's Dataset shares
+    the caller's context, so such a Dataset never comes here."""
+    ds.context.op_resource_reservation_enabled = (
+        not map_only and ray.data.DataContext.get_current().op_resource_reservation_enabled
+    )
+    return ds
+
+
 def extract_corpus(input_path: str, cfg: Optional[PipelineConfig] = None) -> "ray.data.Dataset":
-    return build_pipeline(read_corpus(input_path, cfg), cfg)
+    """Read the corpus at ``input_path`` and attach extraction
+    (:func:`build_pipeline`), lazily.
+
+    The read is made here, so the returned Dataset owns its context, and
+    read → extract runs without Ray Data's per-operator reservation
+    (:func:`_reservation`): the chain is map-only, and with the
+    reservation every task but the first would wait for the first
+    task's output size.  Operators a caller appends, and
+    ``materialize()``, share that context and so the setting."""
+    return _reservation(build_pipeline(read_corpus(input_path, cfg), cfg), map_only=True)
 
 
 def _view_text(batch: pa.Table) -> "pa.Array | pa.ChunkedArray":
@@ -196,6 +236,17 @@ def refresh_extract(
     when they do not fit, so no corpus-sized id set ever rides the
     driver.
 
+    On the broadcast path with rows to re-extract, the returned
+    ``union`` runs without Ray Data's per-operator reservation
+    (:func:`_reservation`): the union owns a copy of ``prev_output``'s
+    context, and the filter over ``prev_output`` and the re-extraction
+    are maps, so every worker starts at once.  ``prev_output`` is the
+    previous run's extraction output (a read of it, or its materialized
+    Dataset), which holds no exchange.  The partitioned path holds one
+    and keeps the session's setting; with nothing to re-extract the
+    output is ``prev_output`` itself or a map over it, whose context
+    belongs to the caller and stays as it is.
+
     Returns ``(dataset, stats)`` with stats counting added / changed /
     removed / reextracted."""
     from ..ops.dedup import keep_by_keys
@@ -231,7 +282,9 @@ def refresh_extract(
             )
         else:
             rows = churn.map_batches(fresh, batch_format="pyarrow", batch_size=None)
-        out = out.union(build_pipeline(rows, cfg))
+        out = _reservation(
+            out.union(build_pipeline(rows, cfg)), map_only=isinstance(churn, pa.Table)
+        )
     return out, stats
 
 
@@ -367,6 +420,17 @@ def escalate_low_quality(
     Returns the re-extracted rows (union with the kept rows is the
     caller's choice), or None when no row scored below ``min_quality``.
     """
+    return _escalate(input_path, extracted, cfg, min_quality)[0]
+
+
+def _escalate(
+    input_path: str,
+    extracted: "ray.data.Dataset",
+    cfg: Optional[PipelineConfig],
+    min_quality: int,
+) -> "tuple[Optional[ray.data.Dataset], bool]":
+    """:func:`escalate_low_quality`, and whether its chain is map-only
+    (the low-quality ids fit the broadcast filter)."""
     from ..ops.dedup import keep_by_keys
     from ..ops.exchange import measured, n_rows
 
@@ -377,7 +441,7 @@ def escalate_low_quality(
         .select_columns(["doc_id"])
     )
     if n_rows(low) == 0:
-        return None  # type: ignore[return-value]
+        return None, True
     matched = keep_by_keys(read_corpus(input_path, cfg), low, "doc_id", keep=True)
 
     def force_warm(batch: pa.Table) -> pa.Table:
@@ -391,7 +455,7 @@ def escalate_low_quality(
         )
 
     corpus = matched.map_batches(force_warm, batch_format="pyarrow", batch_size=1024)
-    return build_pipeline(corpus, cfg)
+    return build_pipeline(corpus, cfg), isinstance(low, pa.Table)
 
 
 def extract_with_escalation(
@@ -406,10 +470,16 @@ def extract_with_escalation(
     bounded; at 10^12-doc scale this is the already-written parquet that
     the second pass reads back), then kept rows and escalated rows union
     into the final stream.
+
+    Both passes own their contexts (:func:`extract_corpus`, and the
+    ``union`` copy of it), so :func:`_reservation` applies: the output
+    runs without Ray Data's per-operator reservation when the
+    low-quality ids fit the broadcast filter, and at the session's
+    setting when they take the partitioned exchange.
     """
     cfg = cfg or PipelineConfig()
     first = extract_corpus(input_path, cfg).materialize()
-    second = escalate_low_quality(input_path, first, cfg, min_quality)
+    second, map_only = _escalate(input_path, first, cfg, min_quality)
     if second is None:
         return first
 
@@ -441,6 +511,7 @@ def extract_with_escalation(
         idx = batch.schema.get_field_index("error_code")
         return batch.set_column(idx, "error_code", code)
 
-    return kept.union(
-        second.map_batches(tag_exhausted, batch_format="pyarrow", batch_size=1024)
+    return _reservation(
+        kept.union(second.map_batches(tag_exhausted, batch_format="pyarrow", batch_size=1024)),
+        map_only,
     )

@@ -133,6 +133,28 @@ def test_list_struct_payload_rides_through_unchanged(ray_session):
     assert out.sort_by("doc_id").equals(t)
 
 
+def test_part_of_hashes_strings_past_an_embedded_nul(ray_session, monkeypatch):
+    """A string key hashes whole, embedded NULs included: each value
+    takes the same part in whatever batch order it arrives, so the
+    partitioned key filter matches values that differ only after a
+    NUL."""
+    import ray.data
+
+    from fetch_engines_ray.ops import exchange
+    from fetch_engines_ray.ops.dedup import keep_by_keys
+
+    ids = ["image\x00a", "image\x00b", "audio\x00a"]
+    forward = exchange.part_of(pa.array(ids), 64)
+    assert (exchange.part_of(pa.array(ids[::-1]), 64)[::-1] == forward).all()
+    assert [exchange.part_of(pa.array([v]), 64)[0] for v in ids] == forward.tolist()
+
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    ds = ray.data.from_arrow(pa.table({"id": ids + ["other"], "n": [0, 1, 2, 3]}))
+    keys = ray.data.from_arrow(pa.table({"id": ["image\x00b", "image\x00a"]}))
+    kept = _collect(keep_by_keys(ds, keys, "id", keep=True))
+    assert sorted(kept["id"].to_pylist()) == ["image\x00a", "image\x00b"]
+
+
 def test_int32_int64_and_string_flavours_co_locate(ray_session):
     import ray.data
 

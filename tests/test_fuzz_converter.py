@@ -129,3 +129,75 @@ def test_finalize_paragraph_single_line_path(text):
     collapse, strip and join."""
     lines = [_SPACE_RUN.sub(" ", ln).strip() for ln in text.split("\n")]
     assert mds._finalize_paragraph(text) == "\n".join(ln for ln in lines if ln != "").strip()
+
+
+# The plain alternation that ``render_detection._SOFT_BLOCK_BODY``
+# replaced; callers test only for a match, so both must match the same
+# strings.
+_SOFT_BLOCK_PLAIN = re.compile(
+    r"checking your browser|verify you.{0,10}(?:are |'re )?(?:not a )?(?:ro)?bot|"
+    r"verify you.{0,10}human|please complete the security check|cf-challenge|"
+    r"captcha-container|hcaptcha|recaptcha|cf-turnstile|"
+    r"enable (?:javascript|cookies) to (?:continue|access|view)|"
+    r"automated (?:access|request)|bot detect|suspicious activity|unusual traffic|"
+    r"too many requests|rate limit exceeded|we need to verify",
+    re.I,
+)
+_SOFT_BLOCK_PHRASES = [
+    "checking your browser", "verify you are not a robot", "verify you're a bot",
+    "verify you, the human", "verify you1234567890bot", "please complete the security check",
+    "cf-challenge", "captcha-container", "hcaptcha", "recaptcha", "cf-turnstile",
+    "enable javascript to continue", "enable cookies to access", "enable javascript to view",
+    "automated access", "automated request", "bot detect", "suspicious activity",
+    "unusual traffic", "too many requests", "rate limit exceeded", "we need to verify",
+]
+# re.I folds these apart from str.lower: the long s and the Kelvin sign
+# match s and k, and the dotted capital I and the dotless small i are
+# their own cases
+_FOLD_SPECIALS = "ſKİı"
+
+
+def _same_soft_block(text: str) -> None:
+    got = rd._SOFT_BLOCK_BODY.search(text) is not None
+    assert got == (_SOFT_BLOCK_PLAIN.search(text) is not None), repr(text)
+
+
+def test_soft_block_body_matches_phrases_and_case_folds():
+    for phrase in _SOFT_BLOCK_PHRASES:
+        assert rd._SOFT_BLOCK_BODY.search(f"<p>{phrase.upper()}</p>") is not None, phrase
+        for i in range(len(phrase)):
+            _same_soft_block(phrase[:i] + phrase[i].swapcase() + phrase[i + 1:])
+            for ch in _FOLD_SPECIALS:
+                _same_soft_block(phrase[:i] + ch + phrase[i + 1:])
+                _same_soft_block(f"x{phrase[:i]}{ch}{phrase[i:]}y")
+    # the specials reach the first letter too
+    assert rd._SOFT_BLOCK_BODY.search("ſuspicious activity") is not None
+
+
+def test_soft_block_body_matches_on_generated_pages():
+    from fetch_engines_ray.corpus.generate import make_doc
+
+    hits = 0
+    for i in range(400):
+        for span in make_doc(i, 1)["spans"]:
+            if span["kind"] == "html" and span["text"]:
+                _same_soft_block(span["text"])
+                hits += _SOFT_BLOCK_PLAIN.search(span["text"]) is not None
+    assert hits  # the generated challenge pages are covered
+
+
+_SOFT_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_SOFT_BLOCK_PHRASES),
+        st.sampled_from([p[:k] for p in _SOFT_BLOCK_PHRASES for k in (1, 3, 6)]),
+        st.sampled_from(list(_FOLD_SPECIALS) + [" ", "\n", "'re ", "not a ", "ro", "you"]),
+        st.text(max_size=8),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOFT_TEXT)
+def test_soft_block_body_equals_plain_alternation(text):
+    _same_soft_block(text)

@@ -946,3 +946,58 @@ def test_curate_rejects_unknown_tokenizer_and_orphan_fuzzy_threshold(ray_session
         curate_corpus(ds, tokenizer="BPE")
     with _pytest.raises(ValueError, match="requires benchmark_texts"):
         curate_corpus(ds, fuzzy_decontam_threshold=0.8)
+
+
+def _reserved(ds) -> bool:
+    return ds.context.op_resource_reservation_enabled
+
+
+def test_extract_corpus_runs_without_the_reservation(ray_session, tmp_path):
+    """``extract_corpus`` owns its read's context and its chain is
+    map-only, so Ray Data's per-operator reservation is off on it and
+    only on it: a caller's Dataset mapped by ``build_pipeline`` and the
+    session context keep theirs."""
+    import ray.data
+    from ray.data import DataContext
+
+    from fetch_engines_ray.pipelines.extract import build_pipeline, extract_corpus, read_corpus
+
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=20, seed=5, rows_per_file=10)
+    ds = extract_corpus(corpus)
+    assert not _reserved(ds)
+    assert ds.count() == 20 + len(fixture_docs())
+    assert not _reserved(ds)
+    assert DataContext.get_current().op_resource_reservation_enabled
+
+    caller = read_corpus(corpus)
+    mapped = build_pipeline(caller)
+    assert _reserved(caller) and _reserved(mapped)
+    assert _reserved(ray.data.range(3))
+
+
+def test_extract_with_escalation_reservation_follows_the_filter_path(
+    ray_session, tmp_path, both_join_paths
+):
+    """The escalation output owns its contexts (the first pass's read
+    and the union's copy): it runs without the reservation when the
+    low-quality ids take the broadcast filter, and keeps the session's
+    setting when they take the partitioned exchange."""
+    from ray.data import DataContext
+
+    from fetch_engines_ray.pipelines.extract import extract_with_escalation
+
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=20, seed=5, rows_per_file=10)
+    n = 20 + len(fixture_docs())
+    for limit in both_join_paths():
+        # min_quality 10 escalates every doc scoring below the top
+        merged = extract_with_escalation(corpus, min_quality=10)
+        assert _reserved(merged) == (limit == 0), limit
+        assert merged.count() == n
+        assert _reserved(merged) == (limit == 0), limit
+        assert DataContext.get_current().op_resource_reservation_enabled
+    # no row below the bar: the output is the first pass itself
+    first = extract_with_escalation(corpus, min_quality=0)
+    assert not _reserved(first)
+    assert DataContext.get_current().op_resource_reservation_enabled

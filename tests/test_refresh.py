@@ -262,3 +262,56 @@ def test_refresh_reads_each_corpus_once(corpora, ray_session, both_join_paths, m
         assert stats == {"added": 1, "changed": 2, "removed": 1, "reextracted": 3}, limit
         assert reads == [prev, new], limit
         assert keeps == [False], limit
+
+
+def _reserved(ds) -> bool:
+    return ds.context.op_resource_reservation_enabled
+
+
+def test_refresh_broadcast_union_runs_without_the_reservation(corpora, ray_session, tmp_path):
+    """On the broadcast path with churn, the returned union owns a copy
+    of the previous output's context and runs map-only, so Ray Data's
+    per-operator reservation is off there; the caller's previous output
+    and the session context keep it on, before and after execution."""
+    from ray.data import DataContext
+
+    from fetch_engines_ray.arrowclean import read_parquet_clean
+    from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
+
+    prev, new, _c, _r = corpora
+    extract_corpus(prev).write_parquet(str(tmp_path / "out"))
+    prev_out = read_parquet_clean(str(tmp_path / "out"))
+    assert _reserved(prev_out) and DataContext.get_current().op_resource_reservation_enabled
+
+    refreshed, stats = refresh_extract(prev, new, prev_out)
+    assert stats["reextracted"] == 3
+    assert not _reserved(refreshed)
+    assert refreshed.count() == 40
+    assert not _reserved(refreshed)
+    assert _reserved(prev_out) and DataContext.get_current().op_resource_reservation_enabled
+
+    # nothing to re-extract: the output is the caller's Dataset or a map
+    # sharing its context, which stays as the caller left it
+    same, _stats = refresh_extract(prev, prev, prev_out)
+    assert _reserved(same) and _reserved(prev_out)
+
+
+def test_refresh_partitioned_path_keeps_the_reservation(corpora, ray_session, monkeypatch):
+    """At ``BROADCAST_BYTES = 0`` the refresh chain holds the partitioned
+    key filter, an exchange, so its union takes the session's setting,
+    even over a previous output whose own context has it off."""
+    from ray.data import DataContext
+
+    from fetch_engines_ray.ops import exchange
+    from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
+
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    prev, new, _c, _r = corpora
+    prev_out = extract_corpus(prev).materialize()
+    assert not _reserved(prev_out)
+    refreshed, stats = refresh_extract(prev, new, prev_out)
+    assert stats["reextracted"] == 3
+    assert _reserved(refreshed)
+    assert refreshed.count() == 40
+    assert _reserved(refreshed) and DataContext.get_current().op_resource_reservation_enabled
+    assert not _reserved(prev_out)
