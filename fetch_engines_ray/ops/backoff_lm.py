@@ -49,6 +49,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from fetch_engines_ray.ops.lm import EmptyCorpusError
+
 if TYPE_CHECKING:  # pragma: no cover
     import ray
 
@@ -196,21 +198,22 @@ def train_backoff_lm(
                 keep.append(part.iloc[:max_ngrams])
             return pa.Table.from_pandas(pd.concat(keep), preserve_index=False)
 
-        cand = rolled.map_batches(
+        df = rolled.map_batches(
             local_top, batch_format="pyarrow", batch_size=max(2 * max_ngrams, 8192)
         ).to_pandas()
-        parts = [cand[cand["k"] == 0]]
-        for k in range(1, order + 1):
-            part = cand[cand["k"] == k].sort_values(["n", "ngram"], ascending=[False, True])
-            parts.append(part.iloc[:max_ngrams])
-        # Base probabilities use N (exact via the sentinel) and kept-V
-        # only, so dropped-tail mass needs no extra bookkeeping — unseen
-        # and dropped tokens both get the add-alpha floor.
-        df = pd.concat(parts, ignore_index=True)
+        if "k" in df.columns:  # an empty corpus gives a column-less frame
+            parts = [df[df["k"] == 0]]
+            for k in range(1, order + 1):
+                part = df[df["k"] == k].sort_values(["n", "ngram"], ascending=[False, True])
+                parts.append(part.iloc[:max_ngrams])
+            # Base probabilities use N (exact via the sentinel) and kept-V
+            # only, so dropped-tail mass needs no extra bookkeeping — unseen
+            # and dropped tokens both get the add-alpha floor.
+            df = pd.concat(parts, ignore_index=True)
     else:
         df = rolled.to_pandas()
     if df.empty or "ngram" not in df.columns:
-        raise ValueError("cannot train a backoff LM on an empty corpus")
+        raise EmptyCorpusError("cannot train a backoff LM on an empty corpus")
     df = df.sort_values("ngram").reset_index(drop=True)
     return pa.table(
         {

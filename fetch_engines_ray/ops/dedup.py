@@ -20,7 +20,8 @@ it returns as a Dataset.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -28,8 +29,8 @@ import pyarrow as pa
 
 import ray.data
 
-from fetch_engines_ray.arrowclean import read_parquet_clean
 from fetch_engines_ray.ops.exchange import co_group, measured, n_parts_for, n_rows, parts_for
+from fetch_engines_ray.state.checkpoint import _checkpoint_parquet, _cleanup_checkpoint
 from ray.data.aggregate import Count, Min
 
 
@@ -371,151 +372,6 @@ def _lsh_candidate_pairs(banded: "ray.data.Dataset", n_parts: int) -> "ray.data.
     return co_group([(banded, "bucket")], max(64, n_parts * 8), pairs_part)
 
 
-def _checkpoint_parquet(
-    ds: "ray.data.Dataset", tag: str = "ckpt"
-) -> tuple["ray.data.Dataset", str]:
-    """Spill a dataset to a parquet checkpoint and read it back; returns
-    ``(dataset, path)`` so the caller can clean up after consumption.
-
-    Used where a mid-pipeline table is consumed by several downstream
-    branches: unlike ``materialize()`` this does NOT pin the whole table
-    in the object store — each consumer streams it back from disk.
-
-    The directory root comes from ``FER_CHECKPOINT_DIR`` (point it at
-    shared storage on a multi-node cluster — a driver-local /tmp path is
-    invisible to other nodes' read tasks) and defaults to /tmp locally.
-    Callers remove the directory once the consuming pipeline finishes
-    unless ``FER_KEEP_CHECKPOINTS=1`` (keep it as a resume point)."""
-    import os
-    import tempfile
-
-    root = os.environ.get("FER_CHECKPOINT_DIR", "/tmp")
-    os.makedirs(root, exist_ok=True)
-    path = tempfile.mkdtemp(prefix=f"fer_{tag}_", dir=root)
-    ds.write_parquet(path)
-    return read_parquet_clean(path), path
-
-
-def _named_checkpoint_path(tag: str, name: str) -> tuple[str, str]:
-    import os
-    import re
-
-    root = os.environ.get("FER_CHECKPOINT_DIR", "/tmp")
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)
-    path = os.path.join(root, f"fer_{tag}_{safe}")
-    return path, os.path.join(path, "_FINGERPRINT.json")
-
-
-def try_named_checkpoint(
-    tag: str, name: str, fingerprint: dict
-) -> "ray.data.Dataset | None":
-    """Resume side of the NAMED checkpoint contract: if a complete
-    checkpoint ``<FER_CHECKPOINT_DIR>/fer_<tag>_<name>/`` exists, read
-    it back (skipping every stage upstream of it) — but only when its
-    recorded fingerprint matches; a mismatch raises instead of silently
-    resuming a DIFFERENT run's data under the same name.  Returns None
-    when there is nothing to resume (no dir, or an incomplete write —
-    the ``_FINGERPRINT.json`` sidecar lands last, tmp+renamed, so its
-    presence IS the completeness marker)."""
-    import json
-    import os
-
-    path, marker = _named_checkpoint_path(tag, name)
-    if not os.path.exists(marker):
-        return None
-    with open(marker, encoding="utf-8") as f:
-        recorded = json.load(f)
-    if recorded != fingerprint:
-        raise ValueError(
-            f"named checkpoint {path!r} was written by a run with a different "
-            f"input/option fingerprint (recorded {recorded!r}, this run "
-            f"{fingerprint!r}) — pick a new checkpoint name or remove the dir"
-        )
-    return read_parquet_clean(path)
-
-
-def write_named_checkpoint(
-    ds: "ray.data.Dataset", tag: str, name: str, fingerprint: dict
-) -> "ray.data.Dataset":
-    """Write side of the named checkpoint: spill ``ds`` to the keyed
-    directory and land the fingerprint sidecar LAST (tmp+rename), so a
-    killed run leaves an incomplete dir that the next run discards and
-    rewrites.  Returns the read-back Dataset (downstream passes stream
-    plain columnar reads instead of re-running the producing chain)."""
-    import json
-    import os
-    import shutil
-
-    path, marker = _named_checkpoint_path(tag, name)
-    if os.path.exists(path):
-        # an existing COMPLETE dir was already handled by the caller via
-        # try_named_checkpoint; anything still here is a partial write
-        shutil.rmtree(path, ignore_errors=True)
-    os.makedirs(path, exist_ok=True)
-    ds.write_parquet(path)
-    tmp = marker + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(fingerprint, f, sort_keys=True)
-    os.replace(tmp, marker)
-    return read_parquet_clean(path)
-
-
-def content_fingerprint(ds: "ray.data.Dataset", cols: list) -> int:
-    """Order-independent 64-bit content fingerprint of the selected
-    columns: per-row hashes (strings hashed as UTF-8 BYTES — pandas'
-    str hashing truncates at embedded NULs, see ops/diff.py) combined
-    per row with splitmix64, then summed mod 2^64 across the corpus
-    (sum, not xor: duplicate rows must not cancel).  One streaming
-    pass, O(1) driver state — cheap enough to gate a resume on
-    CONTENT, not just row count (a re-crawl with the same cardinality
-    but new text must not silently resume a stale checkpoint)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from .sketches import _splitmix64_vec
-
-    def part(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"fp": pa.array([], type=pa.uint64())})
-        row = np.zeros(len(batch), dtype=np.uint64)
-        for c in cols:
-            col = batch[c]
-            if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
-                vals = pd.util.hash_array(
-                    col.to_numpy(zero_copy_only=False)
-                ).astype(np.uint64)
-            else:
-                vals = pd.util.hash_array(
-                    np.asarray(
-                        [
-                            (v if isinstance(v, bytes) else str(v or "").encode())
-                            for v in col.to_pylist()
-                        ],
-                        dtype=object,
-                    )
-                ).astype(np.uint64)
-            row = _splitmix64_vec(row ^ vals)
-        with np.errstate(over="ignore"):
-            total = np.add.reduce(row, dtype=np.uint64)
-        return pa.table({"fp": pa.array([total], type=pa.uint64())})
-
-    parts = ds.map_batches(part, batch_format="pyarrow", batch_size=8192).to_pandas()
-    if "fp" not in parts.columns or not len(parts):
-        return 0
-    with np.errstate(over="ignore"):
-        return int(parts["fp"].to_numpy(dtype=np.uint64).sum(dtype=np.uint64))
-
-
-def _cleanup_checkpoint(path: str) -> None:
-    """Remove a consumed checkpoint dir (kept when FER_KEEP_CHECKPOINTS=1)."""
-    import os
-    import shutil
-
-    if os.environ.get("FER_KEEP_CHECKPOINTS") == "1":
-        return
-    shutil.rmtree(path, ignore_errors=True)
-
-
 def minhash_lsh_pairs(
     ds: "ray.data.Dataset",
     num_perm: int = 64,
@@ -532,31 +388,32 @@ def minhash_lsh_pairs(
     signature family (:func:`_md5_modp_signatures`) the registry oracle
     recomputes in SQL.
     """
-    sigs, ckpt = _minhash_checkpoint(ds, num_perm, shingle_size, hash_fn, "minhash_sigs")
-    try:
+    with _minhash_checkpoint(ds, num_perm, shingle_size, hash_fn, "minhash_sigs") as sigs:
         pairs = verified_pairs(
             sigs, lambda b: _band_rows(b, num_bands), sigs, _minhash_verify(threshold)
         )
         return _pairs_frame(pairs, "est_jaccard")
-    finally:
-        _cleanup_checkpoint(ckpt)
 
 
+@contextmanager
 def _minhash_checkpoint(
     ds: "ray.data.Dataset", num_perm: int, shingle_size: int, hash_fn: str, tag: str
-) -> tuple["ray.data.Dataset", str]:
+) -> Iterator["ray.data.Dataset"]:
     """``(doc_id, minhash_sig)`` of every doc, spilled to one parquet
-    checkpoint: the resolver reads the signatures twice (banding and
-    the verify lookup), so nothing pins the object store, and at
-    cluster scale (FER_CHECKPOINT_DIR on shared storage) the checkpoint
-    is the resume point."""
+    checkpoint for the ``with`` block and removed after it: the
+    resolver reads the signatures twice (banding and the verify
+    lookup), so nothing pins the object store."""
     sigs = ds.map_batches(
         minhash_batch,
         fn_kwargs={"num_perm": num_perm, "shingle_size": shingle_size, "hash_fn": hash_fn},
         batch_format="pyarrow",
         batch_size=1024,
     )
-    return _checkpoint_parquet(sigs, tag)
+    sigs, path = _checkpoint_parquet(sigs, tag)
+    try:
+        yield sigs
+    finally:
+        _cleanup_checkpoint(path)
 
 
 def filter_by_keys(
@@ -1062,11 +919,10 @@ def ngram_jaccard_pairs(
     Returns (doc_a, doc_b, jaccard_x1000) with an integer-scaled score
     (hash-stable).
     """
-    sigs, ckpt = _minhash_checkpoint(ds, num_perm, shingle_size, "sip", "ngram_sigs")
     texts = ds.map_batches(
         lambda b: b.select(["doc_id", "text"]), batch_format="pyarrow", batch_size=4096
     )
-    try:
+    with _minhash_checkpoint(ds, num_perm, shingle_size, "sip", "ngram_sigs") as sigs:
         pairs = verified_pairs(
             sigs,
             lambda b: _band_rows(b, num_bands),
@@ -1074,8 +930,6 @@ def ngram_jaccard_pairs(
             _ngram_verify(threshold, shingle_size),
         )
         return _pairs_frame(pairs, "jaccard_x1000")
-    finally:
-        _cleanup_checkpoint(ckpt)
 
 
 def _ngram_verify(threshold: float, shingle_size: int) -> Callable[[pa.Table], pa.Table]:
@@ -1239,15 +1093,12 @@ def minhash_dedup_ds(
     and by label propagation otherwise, so nothing pair-, cluster- or
     drop-set-sized reaches the driver.  Both paths give the same
     table."""
-    sigs, ckpt = _minhash_checkpoint(ds, num_perm, shingle_size, hash_fn, "minhash_sigs_ds")
-    try:
+    with _minhash_checkpoint(ds, num_perm, shingle_size, hash_fn, "minhash_sigs_ds") as sigs:
         clusters = cluster_verdicts(
             verified_pairs(
                 sigs, lambda b: _band_rows(b, num_bands), sigs, _minhash_verify(threshold)
             )
         )
-    finally:
-        _cleanup_checkpoint(ckpt)
     if clusters is None:
         return ray.data.from_arrow(_VERDICT_SCHEMA.empty_table())
     # a distributed result is a lazy tail over its materialized labels,

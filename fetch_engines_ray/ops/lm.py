@@ -49,6 +49,10 @@ OOV = "\x00oov"  # NUL-prefixed: cannot collide with a whitespace-split token
 DEFAULT_BUCKETS = (3_350_000, 3_450_000)
 
 
+class EmptyCorpusError(ValueError):
+    """A language model was asked to train on a corpus with no token."""
+
+
 def _tokenize(text: Optional[str]) -> list[str]:
     # Reserved namespace: whitespace-split tokens beginning with NUL
     # (backslash-x00) are EXCLUDED from every statistic (binary garbage,
@@ -107,7 +111,7 @@ def train_unigram_lm(
             local_top, batch_format="pyarrow", batch_size=max(2 * max_vocab, 8192)
         ).to_pandas()
         if "tail_n" not in cand.columns:  # empty corpus → column-less frame
-            raise ValueError("cannot train a unigram LM on an empty corpus")
+            raise EmptyCorpusError("cannot train a unigram LM on an empty corpus")
         tail_total = int(cand["tail_n"].sum())
         counts = (
             cand[cand["word"].notna()][["word", "n"]]
@@ -120,7 +124,7 @@ def train_unigram_lm(
     else:
         counts = wc.to_pandas()
         if "n" not in counts.columns:  # empty corpus → column-less frame
-            raise ValueError("cannot train a unigram LM on an empty corpus")
+            raise EmptyCorpusError("cannot train a unigram LM on an empty corpus")
         counts = counts.sort_values(["n", "word"], ascending=[False, True]).reset_index(drop=True)
         kept = counts
         oov_n = 0

@@ -863,14 +863,18 @@ def test_curate_named_checkpoint_resume(ray_session, monkeypatch, tmp_path, caps
             ds, max_tokens=256, checkpoint_name="r1", ppl_tail_quantile=0.1, **kw
         ).to_pandas()
         out = capsys.readouterr().out
-        timing = json.loads(
+        report = json.loads(
             [l for l in out.splitlines() if "curate_timing_sec" in l][-1]
-        )["curate_timing_sec"]
-        return sorted(d for ids in packed["doc_ids"] for d in ids), timing
+        )
+        funnels.append(report["curate_funnel"])
+        return sorted(d for ids in packed["doc_ids"] for d in ids), report["curate_timing_sec"]
 
+    funnels = []
     docs1, t1 = run()
     assert "near_dedup_decisions" in t1 and "survivor_checkpoint" in t1
     assert 100 not in docs1  # dedup ran
+    # the named survivor barrier is in the funnel, counted from its footers
+    assert funnels[-1]["survivors"] == 30
 
     ckpt = tmp_path / "fer_curate_survivors_r1"
     marker = ckpt / "_FINGERPRINT.json"
@@ -880,6 +884,7 @@ def test_curate_named_checkpoint_resume(ray_session, monkeypatch, tmp_path, caps
     docs2, t2 = run()
     assert docs2 == docs1
     assert "survivor_resume" in t2  # resumed
+    assert funnels[-1]["survivors"] == 30
     assert "near_dedup_decisions" not in t2  # dedup SKIPPED
     assert {p.name: p.stat().st_mtime_ns for p in ckpt.iterdir()} == mtimes
 
