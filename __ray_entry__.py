@@ -66,18 +66,22 @@ def entry() -> Any:
 # the same deterministic extraction output — materialize it once (it is
 # gate-scale small: ~1.5k rows at sf0.01) instead of re-running the
 # pipeline per query.  Determinism is pytest-pinned (span goldens), so
-# memoization cannot change any query's result.
+# memoization cannot change any query's result.  The extraction runs
+# without Ray Data's per-operator reservation (a map-only chain); the
+# cached copy takes the session's setting back, because gate queries
+# append exchanges (``groupby(...).aggregate``) to it.
 _EXTRACT_CACHE: dict = {}
 
 
 def _extracted(sf_dir: str):
+    from fetch_engines_ray.ops.exchange import reservation
     from fetch_engines_ray.pipelines.extract import PipelineConfig, extract_corpus
 
     corpus = _synth_corpus(sf_dir)
     ds = _EXTRACT_CACHE.get(corpus)
     if ds is None:
         ds = extract_corpus(corpus, PipelineConfig(batch_size=16)).materialize()
-        _EXTRACT_CACHE[corpus] = ds
+        _EXTRACT_CACHE[corpus] = ds = reservation(ds, map_only=False)
     return ds
 
 

@@ -95,10 +95,23 @@ def corpus_diff(
     ``pa.Table`` (two snapshots with no rows at all give an empty one);
     otherwise both go through ``co_group``, sized by
     ``exchange.parts_for`` of the larger side, and the diff comes back
-    as a lazy Dataset.  Either one converts with ``.to_pandas()`` while
-    the new side's columns are flat; with nested ones, collect a
-    Dataset's Arrow blocks (Ray's ``to_pandas`` casts equal-length list
-    columns to its tensor extension, which rejects struct items)."""
+    as a lazy Dataset.
+
+    Each pass runs under the Data context of the Dataset that executes
+    it, so the caller chooses Ray Data's per-operator reservation for
+    the map-only ones by the contexts of ``ds_old`` and ``ds_new``
+    (``refresh_extract`` reads both without it,
+    ``exchange.reservation``): the old side's hash, and the new side's
+    hash → broadcast ``attach`` → classify when the old hashes come back
+    as a driver table.  Every exchange here runs at the session's
+    setting: the new side's pass when it takes ``attach``'s ``co_group``
+    (the old hashes did not fit), and the settle ``co_group`` over the
+    ``measured`` sides.
+
+    Either result converts with ``.to_pandas()`` while the new side's
+    columns are flat; with nested ones, collect a Dataset's Arrow blocks
+    (Ray's ``to_pandas`` casts equal-length list columns to its tensor
+    extension, which rejects struct items)."""
 
     def classify(batch: pa.Table) -> pa.Table:
         old_hash = (

@@ -12,10 +12,17 @@ here instead, the engine's one join (``ops/dedup.attach``) included:
   moves them through ONE union exchange, and runs ``fn`` once per part
   on each side's rows in that side's own Arrow schema.
 
-The one choice between this exchange and the driver lives here too:
-:func:`measured` executes a lookup side once and returns one driver
-Arrow table when it fits :data:`BROADCAST_BYTES`, the materialized
-Dataset (sized for :func:`co_group` by :func:`parts_for`) otherwise.
+The engine's sizing and scheduling rules live here too:
+
+- :func:`measured` is the one choice between this exchange and the
+  driver: it executes a lookup side once and returns one driver Arrow
+  table when it fits :data:`BROADCAST_BYTES`, the materialized Dataset
+  (sized for :func:`co_group` by :func:`parts_for`) otherwise.
+- :func:`read_tasks` is the one read-task rule, from the cluster's CPUs
+  and the files' on-disk bytes (:func:`sized_read` applies it).
+- :func:`reservation` is the one place that sets Ray Data's
+  per-operator resource reservation: off on a map-only chain, the
+  session's setting on a chain that holds an exchange.
 
 Each input batch ships as one Arrow IPC payload per part, so no side
 is null-padded into a shared schema: nested payload columns
@@ -27,6 +34,7 @@ hands ``fn`` a typed empty table.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +87,71 @@ def parts_for(side: "pa.Table | ray.data.Dataset") -> int:
     return max(64, n_parts_for(n_rows(side)))
 
 
+def read_tasks(files: Sequence[str]) -> int:
+    """Read tasks for a parquet read of ``files``: one per cluster CPU,
+    or one per ``DataContext.target_max_block_size`` of on-disk bytes
+    when that is more, and never more than one per file.
+
+    Ray's own heuristic, max(min(200, in-memory bytes / 1 MiB), 2 ×
+    CPUs), splits a few megabytes of input into several tasks per CPU.
+    Each Ray Data task costs about 20 ms of CPU on its own, as much as
+    a vectorised Arrow pass over one such task's rows: a no-op read →
+    write of a 40-file, 4.4 MB corpus took 0.28 CPU-s in 4 tasks, 0.44
+    in 12 and 1.0 in 40 (``num_cpus=4`` Ray on a one-core host).  A
+    read feeding extraction (about 2 ms of Python per doc) gains less,
+    since the task cost is a few percent of its time there: on the same
+    host a 2000-doc extraction's wall and CPU time stayed within their
+    run-to-run spread.
+
+    The byte term has not been measured on any workload: every
+    benchmark corpus is far below CPUs × ``target_max_block_size``, so
+    the rule has always come out as the CPU count.  It compares
+    compressed on-disk bytes with a target Ray applies to in-memory
+    blocks, so on a corpus of a few GB it gives a few dozen tasks where
+    Ray's default gives 200; load balance and memory per task at that
+    scale are unverified."""
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n_bytes = sum(os.path.getsize(f) for f in files)
+    blocks = -(-n_bytes // ray.data.DataContext.get_current().target_max_block_size)
+    return max(1, min(len(files), max(cpus, blocks)))
+
+
+def sized_read(path: str, files: "Sequence[str] | None", **kwargs) -> "ray.data.Dataset":
+    """``arrowclean.read_parquet_clean(path, **kwargs)`` in
+    :func:`read_tasks` of ``files`` tasks; ``files`` are the parquet
+    files under ``path`` (``arrowclean.parquet_files``).  A path off
+    the local file system (``files`` None, no sizes to read) keeps
+    Ray's default."""
+    from ..arrowclean import read_parquet_clean
+
+    tasks = None if files is None else read_tasks(files)
+    return read_parquet_clean(path, override_num_blocks=tasks, **kwargs)
+
+
+def reservation(ds: "ray.data.Dataset", map_only: bool) -> "ray.data.Dataset":
+    """Return ``ds`` with Ray Data's per-operator resource reservation
+    off when its chain is map-only, and at the session's setting when it
+    holds an exchange (a :func:`co_group`, or Ray's own ``groupby``).
+
+    Until a map task reports a real output size, the reservation budgets
+    it at twice ``target_max_block_size`` of pending output, so under a
+    small object store it admits one task of a map-only chain while the
+    other CPUs wait for that task to end.  A chain of reads, maps,
+    writes and unions of them has no exchange whose buffers the
+    reservation protects; without it every worker starts at once.  The
+    setting changes scheduling only, never a row.
+
+    ``ds`` must own its context: a read made by the engine (its maps
+    share the read's context), a ``union`` (which copies its first
+    input's context) or a ``materialize()`` (which copies its input's).
+    ``map_batches`` over a caller's Dataset shares the caller's context,
+    so such a Dataset never comes here with ``map_only=True``."""
+    ds.context.op_resource_reservation_enabled = (
+        not map_only and ray.data.DataContext.get_current().op_resource_reservation_enabled
+    )
+    return ds
+
+
 def measured(
     side: "ray.data.Dataset | pa.Table",
 ) -> "pa.Table | MaterializedDataset":
@@ -87,11 +160,16 @@ def measured(
     unified with promotion), or a zero-column table when no block has a
     schema (no rows at all).  Above it the ``MaterializedDataset`` comes
     back.  A ``pa.Table`` comes back unchanged, and a materialized
-    Dataset does not execute again."""
+    Dataset does not execute again and comes back as it is.
+
+    A Dataset materialized here owns a copy of its input's context, and
+    takes the session's :func:`reservation` setting whatever the chain
+    that produced it ran under: above the limit it goes on to an
+    exchange."""
     if isinstance(side, pa.Table):
         return side
     if not isinstance(side, MaterializedDataset):
-        side = side.materialize()
+        side = reservation(side.materialize(), map_only=False)
     if (side.size_bytes() or 0) > BROADCAST_BYTES:
         return side
     tables = [t for t in ray.get(side.to_arrow_refs()) if t.num_columns]
@@ -166,6 +244,12 @@ def co_group(
     parts, and rows whose key is equal in value meet in the same call
     whatever their integer width or string flavour.  A side with no
     rows and no schema anywhere arrives as an empty zero-column table.
+
+    With more than one side, the exchange runs at the session's
+    :func:`reservation` setting (on the ``union``'s own copy of the first
+    side's context), even when a side comes from a map-only chain that
+    runs without it.  A single side's exchange shares that side's
+    context.
     """
 
     def scatter(side: int, key_col: str):
@@ -201,5 +285,5 @@ def co_group(
         )
         for side, (ds, key_col) in enumerate(sides)
     ]
-    exchanged = first.union(*rest) if rest else first
+    exchanged = reservation(first.union(*rest), map_only=False) if rest else first
     return exchanged.groupby("part").map_groups(gather, batch_format="pyarrow")

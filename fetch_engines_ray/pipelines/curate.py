@@ -598,8 +598,11 @@ def curate_corpus(
     packed = _run(plan, ds, ctx, checkpoint_name)
     if os.environ.get("FER_CURATE_TIMING") == "1":
         print(json.dumps({"curate_timing_sec": ctx.timing, "curate_funnel": ctx.funnel}))
-    if packed is None:
-        from ..ops.packing import _OUT_SCHEMA
+    # Ray turns an empty block into one without columns at every map, so
+    # an output with no rows (nothing survived the gates) would have no
+    # schema; a typed empty block rides along (``schema()`` takes the
+    # first non-empty one)
+    from ..ops.packing import _OUT_SCHEMA
 
-        return ray.data.from_arrow(_OUT_SCHEMA.empty_table())
-    return packed
+    typed = ray.data.from_arrow(_OUT_SCHEMA.empty_table())
+    return typed if packed is None else packed.union(typed)

@@ -40,8 +40,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from fetch_engines_ray.arrowclean import _clean_read_schema, read_parquet_clean
+from fetch_engines_ray.arrowclean import file_schema, parquet_files, project
 
+from ..ops.exchange import measured, n_rows, reservation, sized_read
 from ..stages.extract import OUTPUT_SCHEMA, DocumentExtractor, extract_block
 from ..state import lineage as lin
 
@@ -83,8 +84,16 @@ def read_corpus(path: str, cfg: Optional[PipelineConfig] = None) -> "ray.data.Da
     """Read a corpus for extraction.  The columns follow the corpus
     schema (first file), the same rule the resumable runner applies per
     fragment, so both paths route identically; ``cfg`` is accepted for
-    call-site symmetry with the other entry points."""
-    return read_parquet_clean(path, columns=_corpus_columns(_clean_read_schema(path, None)))
+    call-site symmetry with the other entry points.
+
+    One listing of ``path`` gives the columns, the read's projected
+    ``schema=`` and its task count (``ops/exchange.read_tasks``: the
+    cluster's CPUs, or more for more on-disk bytes) in place of Ray's
+    default, which splits a few megabytes into several tasks per CPU."""
+    files = parquet_files(path)
+    schema = file_schema(path, files)
+    columns = _corpus_columns(schema)
+    return sized_read(path, files, columns=columns, schema=project(schema, columns))
 
 
 def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None) -> "ray.data.Dataset":
@@ -104,7 +113,7 @@ def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None)
     The map shares ``ds``'s Data context, so it runs under whatever
     resource settings the caller's Dataset carries.  The chains the
     engine builds around it own their context and run without Ray
-    Data's per-operator reservation (:func:`_reservation`):
+    Data's per-operator reservation (``ops/exchange.reservation``):
     :func:`extract_corpus`, the broadcast path of
     :func:`refresh_extract` and :func:`extract_with_escalation`.
     """
@@ -121,41 +130,20 @@ def build_pipeline(ds: "ray.data.Dataset", cfg: Optional[PipelineConfig] = None)
     )
 
 
-def _reservation(ds: "ray.data.Dataset", map_only: bool) -> "ray.data.Dataset":
-    """Return ``ds`` with Ray Data's per-operator resource reservation
-    off when its chain is map-only, and at the session's setting when it
-    holds an exchange (``co_group``, or a partitioned
-    ``keep_by_keys``/``attach``).
-
-    Until a map task reports a real output size, the reservation budgets
-    it at twice ``target_max_block_size`` of pending output, so under a
-    small object store it admits one fused read → extract → write task
-    while the other CPUs wait for that task to end.  A chain of reads,
-    maps, writes and unions of them has no exchange whose buffers the
-    reservation protects; without it every worker starts at once.  The
-    setting changes scheduling only, never a row.
-
-    ``ds`` must own its context: a read made by the engine (its maps
-    share the read's context) or a ``union`` (which copies its first
-    input's context).  ``map_batches`` over a caller's Dataset shares
-    the caller's context, so such a Dataset never comes here."""
-    ds.context.op_resource_reservation_enabled = (
-        not map_only and ray.data.DataContext.get_current().op_resource_reservation_enabled
-    )
-    return ds
-
-
 def extract_corpus(input_path: str, cfg: Optional[PipelineConfig] = None) -> "ray.data.Dataset":
     """Read the corpus at ``input_path`` and attach extraction
     (:func:`build_pipeline`), lazily.
 
     The read is made here, so the returned Dataset owns its context, and
     read → extract runs without Ray Data's per-operator reservation
-    (:func:`_reservation`): the chain is map-only, and with the
+    (``ops/exchange.reservation``): the chain is map-only, and with the
     reservation every task but the first would wait for the first
-    task's output size.  Operators a caller appends, and
-    ``materialize()``, share that context and so the setting."""
-    return _reservation(build_pipeline(read_corpus(input_path, cfg), cfg), map_only=True)
+    task's output size.  Operators a caller appends share that context
+    and so the setting, and ``materialize()`` copies it; a caller that
+    appends an exchange gives the reservation back with
+    ``reservation(ds, map_only=False)`` on a Dataset it owns (a
+    materialized one, as ``__ray_entry__``'s extraction cache does)."""
+    return reservation(build_pipeline(read_corpus(input_path, cfg), cfg), map_only=True)
 
 
 def _view_text(batch: pa.Table) -> "pa.Array | pa.ChunkedArray":
@@ -236,26 +224,42 @@ def refresh_extract(
     when they do not fit, so no corpus-sized id set ever rides the
     driver.
 
+    Change detection runs in one full-width wave.  Both corpus reads
+    take :func:`read_corpus`'s task count: one task per CPU (more only
+    for more than one ``target_max_block_size`` of bytes per CPU), not
+    Ray's default of several small tasks per CPU, each of which costs
+    about as much as its vectorised hashing.  Both reads run without
+    Ray Data's per-operator reservation (``ops/exchange.reservation``),
+    which would start one hash task alone and hold the others back until
+    its output size is known.  The old side's read → key → hash is
+    map-only up to its ``measured``, and so is the new side's read → key
+    → hash → broadcast ``attach`` → classify when the old hashes come
+    back as a driver table.  Larger old hashes take ``attach``'s
+    ``co_group``, whose exchange, like every ``co_group`` of two sides
+    and every Dataset ``measured`` materializes, runs at the session's
+    setting.
+
     On the broadcast path with rows to re-extract, the returned
-    ``union`` runs without Ray Data's per-operator reservation
-    (:func:`_reservation`): the union owns a copy of ``prev_output``'s
-    context, and the filter over ``prev_output`` and the re-extraction
-    are maps, so every worker starts at once.  ``prev_output`` is the
-    previous run's extraction output (a read of it, or its materialized
-    Dataset), which holds no exchange.  The partitioned path holds one
-    and keeps the session's setting; with nothing to re-extract the
-    output is ``prev_output`` itself or a map over it, whose context
-    belongs to the caller and stays as it is.
+    ``union`` runs without the reservation too: the union owns a copy
+    of ``prev_output``'s context, and the filter over ``prev_output``
+    and the re-extraction are maps, so every worker starts at once.
+    ``prev_output`` is the previous run's extraction output (a read of
+    it, or its materialized Dataset), which holds no exchange.  The
+    partitioned path holds an exchange and keeps the session's setting;
+    with nothing to re-extract the output is ``prev_output`` itself or a
+    map over it, whose context belongs to the caller and stays as it
+    is.
 
     Returns ``(dataset, stats)`` with stats counting added / changed /
     removed / reextracted."""
     from ..ops.dedup import keep_by_keys
     from ..ops.diff import corpus_diff
-    from ..ops.exchange import measured
 
     cfg = cfg or PipelineConfig()
-    old_view = _content_view(read_corpus(prev_corpus_path, cfg))
-    new_view = _content_view(read_corpus(new_corpus_path, cfg))
+    old_view, new_view = (
+        _content_view(reservation(read_corpus(path, cfg), map_only=True))
+        for path in (prev_corpus_path, new_corpus_path)
+    )
     churn = measured(corpus_diff(old_view, new_view))
 
     stats = {"added": 0, "changed": 0, "removed": 0}
@@ -282,7 +286,7 @@ def refresh_extract(
             )
         else:
             rows = churn.map_batches(fresh, batch_format="pyarrow", batch_size=None)
-        out = _reservation(
+        out = reservation(
             out.union(build_pipeline(rows, cfg)), map_only=isinstance(churn, pa.Table)
         )
     return out, stats
@@ -432,7 +436,6 @@ def _escalate(
     """:func:`escalate_low_quality`, and whether its chain is map-only
     (the low-quality ids fit the broadcast filter)."""
     from ..ops.dedup import keep_by_keys
-    from ..ops.exchange import measured, n_rows
 
     cfg = cfg or PipelineConfig()
     low = measured(
@@ -472,7 +475,7 @@ def extract_with_escalation(
     into the final stream.
 
     Both passes own their contexts (:func:`extract_corpus`, and the
-    ``union`` copy of it), so :func:`_reservation` applies: the output
+    ``union`` copy of it), so ``ops/exchange.reservation`` applies: the output
     runs without Ray Data's per-operator reservation when the
     low-quality ids fit the broadcast filter, and at the session's
     setting when they take the partitioned exchange.
@@ -511,7 +514,7 @@ def extract_with_escalation(
         idx = batch.schema.get_field_index("error_code")
         return batch.set_column(idx, "error_code", code)
 
-    return _reservation(
+    return reservation(
         kept.union(second.map_batches(tag_exhausted, batch_format="pyarrow", batch_size=1024)),
         map_only,
     )

@@ -103,6 +103,34 @@ def test_perplexity_gate_passes_through_token_less_survivors(ray_session):
         train_backoff_lm(ds)
 
 
+def test_output_keeps_the_packed_columns_when_nothing_survives(ray_session):
+    """An input whose rows all fail the gates has the packed schema, as
+    an empty input does, not a Dataset without columns.  (Ray's
+    ``to_pandas`` of any Dataset with no rows has no columns, whatever
+    its schema, so the pin reads the schema and the Arrow blocks.)"""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from fetch_engines_ray.ops.packing import _OUT_SCHEMA
+    from fetch_engines_ray.pipelines.curate import curate_corpus
+
+    blank = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": list(range(6)), "text": ["", " ", "  "] * 2})
+    )
+    empty = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    )
+    for ds in (blank, empty):
+        out = curate_corpus(ds)
+        assert out.schema().names == _OUT_SCHEMA.names
+        typed = [t for t in ray.get(out.to_arrow_refs()) if t.num_columns]
+        assert typed and all(t.schema == _OUT_SCHEMA and t.num_rows == 0 for t in typed)
+    # with survivors the rows are those of the packing alone
+    assert sorted(d for row in curate_corpus(ray.data.from_pandas(_docs(4))).take_all()
+                  for d in row["doc_ids"]) == [0, 1, 2, 3]
+
+
 # option combination -> the barrier spills it makes, by tag ("named":
 # the named survivor checkpoint)
 _SPILLS = [

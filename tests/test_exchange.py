@@ -442,6 +442,22 @@ def test_every_measured_site_takes_the_exchange_only_at_zero(
         assert took == dict.fromkeys(sites, limit == 0), limit
 
 
+def _outside_the_exchange():
+    """``(path, ast node)`` of every node in the engine, ``__ray_entry__.py``,
+    ``bench.py`` and ``scripts/``, except ``ops/exchange.py``."""
+    sources = [
+        *(ROOT / "fetch_engines_ray").rglob("*.py"),
+        ROOT / "__ray_entry__.py",
+        ROOT / "bench.py",
+        *(ROOT / "scripts").glob("*.py"),
+    ]
+    for path in sorted(sources):
+        if path == ROOT / "fetch_engines_ray" / "ops" / "exchange.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
 def _stale_thresholds() -> list[str]:
     """Outside ops/exchange.py, in the engine, ``__ray_entry__.py``,
     ``bench.py`` and ``scripts/``: ``.size_bytes()`` calls and any
@@ -449,31 +465,22 @@ def _stale_thresholds() -> list[str]:
     copy that a change to the one threshold would not reach, and a read
     of ``exchange.BROADCAST_BYTES`` is a size decision of its own made
     next to ``exchange.measured`` instead of through it."""
-    sources = [
-        *(ROOT / "fetch_engines_ray").rglob("*.py"),
-        ROOT / "__ray_entry__.py",
-        ROOT / "bench.py",
-        *(ROOT / "scripts").glob("*.py"),
-    ]
     found = []
-    for path in sorted(sources):
-        if path == ROOT / "fetch_engines_ray" / "ops" / "exchange.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "size_bytes"
-                )
-                or (isinstance(node, ast.Name) and node.id == "BROADCAST_BYTES")
-                or (isinstance(node, ast.Attribute) and node.attr == "BROADCAST_BYTES")
-                or (
-                    isinstance(node, ast.ImportFrom)
-                    and any(a.name == "BROADCAST_BYTES" for a in node.names)
-                )
-            ):
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    for path, node in _outside_the_exchange():
+        if (
+            (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "size_bytes"
+            )
+            or (isinstance(node, ast.Name) and node.id == "BROADCAST_BYTES")
+            or (isinstance(node, ast.Attribute) and node.attr == "BROADCAST_BYTES")
+            or (
+                isinstance(node, ast.ImportFrom)
+                and any(a.name == "BROADCAST_BYTES" for a in node.names)
+            )
+        ):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return found
 
 
@@ -481,6 +488,132 @@ def test_only_the_exchange_measures_sides():
     """The broadcast-or-partition decision has one home: no other
     source measures a Dataset or keeps its own copy of the threshold."""
     assert _stale_thresholds() == []
+
+
+# Ray Data settings with one rule each in ops/exchange.py: the read-task
+# count (``read_tasks``) and the per-operator reservation (``reservation``)
+_EXCHANGE_SETTINGS = {"override_num_blocks", "op_resource_reservation_enabled"}
+
+
+def _settings_outside_the_exchange() -> list[str]:
+    """Outside ops/exchange.py: a keyword argument, an attribute or a
+    string (a kwargs key, a ``setattr`` name) naming one of
+    :data:`_EXCHANGE_SETTINGS`."""
+    found = []
+    for path, node in _outside_the_exchange():
+        name = (
+            node.arg if isinstance(node, ast.keyword)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant)
+            else None
+        )
+        if name in _EXCHANGE_SETTINGS:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_only_the_exchange_sizes_reads_and_sets_the_reservation():
+    """One read-task rule and one reservation rule: no other source
+    passes a read's task count or sets Ray Data's per-operator
+    reservation itself."""
+    assert _settings_outside_the_exchange() == []
+
+
+def test_read_tasks_follow_cpus_and_bytes(ray_session, tmp_path, monkeypatch):
+    """One read task per cluster CPU, one per ``target_max_block_size``
+    of on-disk bytes when that is more, never more than one per file;
+    a corpus read runs in that many tasks, and a caller's own read in
+    Ray's default, 2 × CPUs here."""
+    import os
+
+    import ray
+    from ray.data import DataContext
+
+    from fetch_engines_ray.arrowclean import parquet_files, read_parquet_clean
+    from fetch_engines_ray.corpus.generate import generate_corpus
+    from fetch_engines_ray.ops.exchange import read_tasks
+    from fetch_engines_ray.pipelines.extract import read_corpus
+
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=40, seed=3, include_fixtures=False, rows_per_file=4)
+    files = parquet_files(corpus)
+    assert len(files) == 10 and ray.cluster_resources()["CPU"] == 4
+    assert read_tasks(files) == 4
+    assert read_tasks(files[:3]) == 3
+    assert read_corpus(corpus).materialize().num_blocks() == 4
+    assert read_parquet_clean(corpus).materialize().num_blocks() == 8
+
+    n_bytes = sum(os.path.getsize(f) for f in files)
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", n_bytes // 6 + 1)
+    assert read_tasks(files) == 6
+    monkeypatch.setattr(ctx, "target_max_block_size", 1)
+    assert read_tasks(files) == 10
+
+
+def test_a_corpus_uri_keeps_its_schema(ray_session, tmp_path):
+    """A corpus path off the local file system (here a ``file://`` URI)
+    has no listing, so its read keeps Ray's default task count, but its
+    schema still comes from the file's footer: the per-row
+    ``force_route`` column is read, not dropped."""
+    import pyarrow.parquet as pq
+
+    from fetch_engines_ray.arrowclean import file_schema, parquet_files
+    from fetch_engines_ray.pipelines.extract import read_corpus
+
+    path = tmp_path / "corpus.parquet"
+    pq.write_table(
+        pa.table({
+            "doc_id": [1, 2], "spans": [["a"], ["b"]], "archetype": ["x", "y"],
+            "base_url": ["u", "v"], "force_route": ["warm", None],
+        }),
+        path,
+    )
+    uri = path.as_uri()
+    assert parquet_files(uri) is None and parquet_files(str(path)) == [str(path)]
+    assert file_schema(uri, None) == file_schema(str(path), [str(path)])
+    assert file_schema(str(tmp_path), []) is None
+    assert file_schema(str(tmp_path / "missing.parquet"), None) is None
+    ds = read_corpus(uri)
+    assert "force_route" in ds.schema().names
+    assert sorted(ds.to_pandas()["force_route"].fillna("")) == ["", "warm"]
+
+
+def test_measured_and_co_group_give_an_exchange_the_reservation(ray_session, monkeypatch):
+    """A side that ``measured`` materializes and returns as a Dataset,
+    and a two-side ``co_group``, run at the session's reservation
+    setting, even over a map-only chain that runs without it; that
+    chain, and a Dataset the caller materialized, keep their own."""
+    import ray.data
+    from ray.data import DataContext
+
+    from fetch_engines_ray.ops import exchange
+
+    def unreserved(table):
+        # a lazy map over a Dataset the test owns
+        ds = exchange.reservation(ray.data.from_arrow(table), map_only=True)
+        return ds.map_batches(lambda b: b, batch_format="pyarrow")
+
+    assert DataContext.get_current().op_resource_reservation_enabled
+    left = unreserved(pa.table({"k": [1, 2, 3]}))
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    side = exchange.measured(left)
+    assert side.context.op_resource_reservation_enabled
+    assert not left.context.op_resource_reservation_enabled
+
+    # a Dataset the caller materialized comes back as it is, setting too
+    mine = left.materialize()
+    assert not mine.context.op_resource_reservation_enabled
+    assert exchange.measured(mine) is mine
+    assert not mine.context.op_resource_reservation_enabled
+
+    right = unreserved(pa.table({"k": [2, 3, 4]}))
+    both = exchange.co_group(
+        [(left, "k"), (right, "k")], 4, lambda a, b: pa.table({"n": [a.num_rows + b.num_rows]})
+    )
+    assert both.context.op_resource_reservation_enabled
+    assert not left.context.op_resource_reservation_enabled
+    assert sum(both.to_pandas()["n"]) == 6
 
 
 # the resolver steps of ops/dedup.py and the one function allowed to

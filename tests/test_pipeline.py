@@ -981,6 +981,35 @@ def test_extract_corpus_runs_without_the_reservation(ray_session, tmp_path):
     assert _reserved(ray.data.range(3))
 
 
+def test_gate_extraction_cache_takes_the_reservation_back(ray_session, tmp_path, monkeypatch):
+    """``__ray_entry__._extracted`` caches one materialized extraction
+    that gate queries append ``groupby`` exchanges to: the cached
+    Dataset runs at the session's reservation setting, while a fresh
+    ``extract_corpus`` keeps it off."""
+    import importlib.util
+
+    from ray.data import DataContext
+
+    from fetch_engines_ray.pipelines.extract import extract_corpus
+
+    spec = importlib.util.spec_from_file_location(
+        "_entry_for_cache_test",
+        os.path.join(os.path.dirname(__file__), "..", "__ray_entry__.py"),
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=10, seed=5, rows_per_file=10)
+    monkeypatch.setattr(mod, "_synth_corpus", lambda sf_dir: corpus)
+
+    cached = mod._extracted("sf0.001")
+    assert _reserved(cached) and mod._extracted("sf0.001") is cached
+    assert not _reserved(extract_corpus(corpus))
+    per_archetype = cached.groupby("archetype").count().to_pandas()
+    assert per_archetype["count()"].sum() == 10 + len(fixture_docs())
+    assert _reserved(cached) and DataContext.get_current().op_resource_reservation_enabled
+
+
 def test_extract_with_escalation_reservation_follows_the_filter_path(
     ray_session, tmp_path, both_join_paths
 ):

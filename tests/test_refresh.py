@@ -315,3 +315,99 @@ def test_refresh_partitioned_path_keeps_the_reservation(corpora, ray_session, mo
     assert refreshed.count() == 40
     assert _reserved(refreshed) and DataContext.get_current().op_resource_reservation_enabled
     assert not _reserved(prev_out)
+
+
+def _spy_detect(monkeypatch):
+    """Record, during a refresh: every parquet read's path and
+    ``override_num_blocks``; each Dataset ``corpus_diff`` measures, with
+    its reservation setting when it executes and that of what
+    ``measured`` returns; and the setting of every ``co_group`` output
+    of the diff and the key filter."""
+    import ray.data
+
+    from fetch_engines_ray.ops import dedup, diff
+
+    seen = {"reads": [], "measured": [], "co_group": []}
+    real_read, real_measured, real_diff_cg, real_dedup_cg = (
+        ray.data.read_parquet, diff.measured, diff.co_group, dedup.co_group
+    )
+
+    def read_parquet(paths, **kwargs):
+        seen["reads"].append((paths, kwargs.get("override_num_blocks")))
+        return real_read(paths, **kwargs)
+
+    def measured(side):
+        out = real_measured(side)
+        seen["measured"].append(
+            (_reserved(side), None if isinstance(out, pa.Table) else _reserved(out))
+        )
+        return out
+
+    def co_group(real):
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen["co_group"].append(_reserved(out))
+            return out
+
+        return spy
+
+    monkeypatch.setattr(ray.data, "read_parquet", read_parquet)
+    monkeypatch.setattr(diff, "measured", measured)
+    monkeypatch.setattr(diff, "co_group", co_group(real_diff_cg))
+    monkeypatch.setattr(dedup, "co_group", co_group(real_dedup_cg))
+    return seen
+
+
+def test_refresh_detect_reads_take_the_rule_and_run_without_the_reservation(
+    corpora, ray_session, monkeypatch
+):
+    """On the broadcast path both change-detection reads take the one
+    read-task rule's count, as ``extract_corpus``'s read does, and both
+    map-only passes (the old side's read → key → hash, the new side's
+    read → key → hash → broadcast attach → classify) execute without
+    the reservation; the session context keeps its setting."""
+    from ray.data import DataContext
+
+    from fetch_engines_ray.arrowclean import parquet_files
+    from fetch_engines_ray.ops.exchange import read_tasks
+    from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
+
+    prev, new, _c, _r = corpora
+    seen = _spy_detect(monkeypatch)
+    prev_out = extract_corpus(prev).materialize()
+    assert seen["reads"] == [(prev, read_tasks(parquet_files(prev)))]
+    seen["reads"].clear()
+
+    _out, stats = refresh_extract(prev, new, prev_out)
+    assert stats["reextracted"] == 3
+    want = [(p, read_tasks(parquet_files(p))) for p in (prev, new)]
+    assert seen["reads"] == want and [n for _p, n in want] == [2, 1]
+    # both sides came back as driver tables: no exchange anywhere
+    assert seen["measured"] == [(False, None), (False, None)]
+    assert seen["co_group"] == []
+    assert DataContext.get_current().op_resource_reservation_enabled
+
+
+def test_refresh_partitioned_detect_keeps_the_reservation_for_its_exchanges(
+    corpora, ray_session, monkeypatch
+):
+    """At ``BROADCAST_BYTES = 0`` the old side's hash pass still runs
+    without the reservation, but what it returns for the exchange is
+    reserved; the new side's pass, which now holds ``attach``'s
+    exchange, and every ``co_group`` keep the session's setting."""
+    from fetch_engines_ray.ops import exchange
+    from fetch_engines_ray.pipelines.extract import extract_corpus, refresh_extract
+
+    prev, new, _c, _r = corpora
+    prev_out = extract_corpus(prev).materialize()
+    seen = _spy_detect(monkeypatch)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    refreshed, stats = refresh_extract(prev, new, prev_out)
+    assert stats["reextracted"] == 3
+    assert [n for _p, n in seen["reads"]] == [2, 1]
+    # old side: map-only, returned reserved; new side: reserved
+    assert seen["measured"] == [(False, True), (True, True)]
+    # attach, the settle step and the anti-filter
+    assert seen["co_group"] == [True, True, True]
+    assert refreshed.count() == 40 and _reserved(refreshed)
+    assert not _reserved(prev_out)
